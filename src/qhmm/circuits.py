@@ -138,25 +138,52 @@ class Circuit:
         return Circuit(self.n_qubits, self.gates + other.gates)
 
 
-def gate_matrix(g: GateSpec, n_qubits: int) -> np.ndarray:
-    """Full-space matrix of one gate, qubit 0 most significant."""
-    base = _base_matrix(g.gate, g.params)
-    eye = np.eye(2, dtype=np.complex128)
-    if not g.is_two_qubit:
-        q = g.qubits[0]
-        out = np.eye(1, dtype=np.complex128)
-        for pos in range(n_qubits):
-            out = np.kron(out, base if pos == q else eye)
+def _qubit_masks(n_qubits: int, qubit: int):
+    """Composite indices with the given qubit (MSB order) clear, paired with
+    the same indices with it set."""
+    d = 2**n_qubits
+    bit = 1 << (n_qubits - 1 - qubit)
+    idx = np.arange(d)
+    lo = idx[(idx & bit) == 0]
+    return lo, lo | bit
+
+
+class _GateBuilder:
+    """Full-space matrix assembly from index masks for one gate of a fixed
+    structure; call it with the angle of a parametric gate."""
+
+    def __init__(self, g: GateSpec, n_qubits: int):
+        self.gate = g.gate
+        self.dim = 2**n_qubits
+        self.parametric = len(g.params) > 0
+        if not g.is_two_qubit:
+            self.r0, self.r1 = _qubit_masks(n_qubits, g.qubits[0])
+            self.c0 = None
+        else:
+            ctrl, data = g.qubits
+            lo, _ = _qubit_masks(n_qubits, ctrl)
+            self.c0 = lo  # control clear: identity block
+            t_lo, t_hi = _qubit_masks(n_qubits, data)
+            cbit = 1 << (n_qubits - 1 - ctrl)
+            keep = (t_lo & cbit) != 0
+            self.r0, self.r1 = t_lo[keep], t_hi[keep]
+        if not self.parametric:
+            self.matrix = self._assemble(_base_matrix(g.gate, g.params))
+
+    def _assemble(self, base: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        if self.c0 is not None:
+            out[self.c0, self.c0] = 1.0
+        out[self.r0, self.r0] = base[0, 0]
+        out[self.r0, self.r1] = base[0, 1]
+        out[self.r1, self.r0] = base[1, 0]
+        out[self.r1, self.r1] = base[1, 1]
         return out
-    ctrl, data = g.qubits
-    p0 = np.diag([1.0, 0.0]).astype(np.complex128)
-    p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-    t0 = np.eye(1, dtype=np.complex128)
-    t1 = np.eye(1, dtype=np.complex128)
-    for pos in range(n_qubits):
-        t0 = np.kron(t0, p0 if pos == ctrl else eye)
-        t1 = np.kron(t1, p1 if pos == ctrl else (base if pos == data else eye))
-    return t0 + t1
+
+    def __call__(self, theta=None) -> np.ndarray:
+        if not self.parametric:
+            return self.matrix
+        return self._assemble(_base_matrix(self.gate, (theta,)))
 
 
 def compile_circuit(c: Circuit) -> np.ndarray:
@@ -164,7 +191,7 @@ def compile_circuit(c: Circuit) -> np.ndarray:
     dim = 2**c.n_qubits
     u = np.eye(dim, dtype=np.complex128)
     for g in c.gates:
-        u = gate_matrix(g, c.n_qubits) @ u
+        u = _GateBuilder(g, c.n_qubits)(*g.params) @ u
     return u
 
 

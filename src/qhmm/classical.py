@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lang import DistributionTable, Sequence
+from .lang import DistributionTable, Sequence, forward_probs, sequences_of_length
 
 STOCHASTIC_TOL = 1e-10
 
@@ -70,22 +70,17 @@ def sequence_probability(h: ClassicalHmm, seq: Sequence) -> float:
 
 
 def distribution(h: ClassicalHmm, t: int) -> DistributionTable:
-    """Exact table over all m^t sequences, built by branching the state vector."""
+    """Exact table over all m^t sequences from one forward pass over the
+    observable operators."""
+    if t == 0:
+        return DistributionTable(t=0, probs={(): 1.0})
     if h.m**t > 4096:
         raise ValueError(f"table of size {h.m}^{t} exceeds the supported budget")
-    # states[seq] is the unnormalized filtered distribution after emitting seq
-    states: dict[Sequence, np.ndarray] = {(): h.x0.copy()}
-    for _ in range(t):
-        nxt: dict[Sequence, np.ndarray] = {}
-        for seq, x in states.items():
-            for a in range(h.m):
-                nxt[seq + (a,)] = h.A @ (h.B[a, :] * x)
-        states = nxt
-    return DistributionTable(t=t, probs={s: float(x.sum()) for s, x in states.items()})
-
-
-def distribution_tables(h: ClassicalHmm, lengths) -> list[DistributionTable]:
-    return [distribution(h, t) for t in lengths]
+    ops = np.stack(list(observable_operators(h).values()))
+    (probs,) = forward_probs(ops, h.x0, np.ones(h.n), [t])
+    return DistributionTable(
+        t=t, probs={s: float(p) for s, p in zip(sequences_of_length(h.m, t), probs)}
+    )
 
 
 def steady_state_classical(h: ClassicalHmm) -> np.ndarray:

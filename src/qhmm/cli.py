@@ -78,13 +78,6 @@ def _model_alphabet(model) -> list[str]:
     return list(model.alphabet)
 
 
-def _write_table_csv(path: Path, table: lang.DistributionTable, alphabet):
-    with open(path, "w") as fh:
-        fh.write("sequence,probability\n")
-        for seq in sorted(table.probs):
-            fh.write(f"{render_sequence(seq, alphabet)},{table.probs[seq]:.12g}\n")
-
-
 def _load_target(path: str, max_len: int):
     """A target file is either a sequence,probability CSV or a raw corpus."""
     try:
@@ -118,7 +111,7 @@ def cmd_simulate(args):
         for s in samples:
             fh.write(render_sequence(s, alphabet) + "\n")
     table = models.empirical_table(samples, args.t)
-    _write_table_csv(out / "empirical.csv", table, alphabet)
+    lang.write_tables_csv(out / "empirical.csv", [table], alphabet)
     print(f"wrote {len(samples)} sequences to {out}", file=sys.stderr)
     return 0
 
@@ -128,8 +121,8 @@ def cmd_distribution(args):
     out = _outdir(args)
     table = _model_tables(model, [args.t]).get(args.t) if args.t > 0 else \
         lang.DistributionTable(t=0, probs={(): 1.0})
-    _write_table_csv(out / f"distribution_t{args.t}.csv", table,
-                     _model_alphabet(model))
+    lang.write_tables_csv(out / f"distribution_t{args.t}.csv", [table],
+                          _model_alphabet(model))
     total = table.total()
     print(f"t={args.t}: {len(table)} sequences, total={total:.12g}",
           file=sys.stderr)
@@ -249,7 +242,6 @@ def cmd_learn_evo(args):
         "generations": len(report.generations),
         "best_fitness": report.best.fitness,
         "target_reached": report.target_reached,
-        "wall_time": report.wall_time,
         "per_generation": [asdict(g) for g in report.generations],
         "bandit_traces": report.bandit_traces,
     }
@@ -390,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, model=False, target=False):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="max worker threads (current build runs serially)")
         if model:
             sp.add_argument("--model", required=True, help="model JSON file")
         if target:

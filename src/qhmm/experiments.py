@@ -68,9 +68,10 @@ def landscape_walk(
     restart_every: Optional[int] = 25,
 ) -> list[LandscapeSample]:
     """Random walk from an optimized hypothesis: each step perturbs one
-    uniformly chosen parameter with relative Gaussian noise (absolute scale
-    0.1 * 2*pi when the value is ~0) and records the spectral distance to the
-    start unitary plus the divergences against the start distributions.
+    uniformly chosen parameter with Gaussian noise relative to the angle
+    wrapped into [-pi, pi) (absolute scale 2*pi times the fraction when that
+    is ~0) and records the spectral distance to the start unitary plus the
+    divergences against the start distributions.
 
     A single unbounded walk saturates at operator distance ~2 where the
     divergence decorrelates; restarting at the optimum every ``restart_every``
@@ -94,7 +95,10 @@ def landscape_walk(
         if restart_every and step and step % restart_every == 0:
             x = x_opt.copy()
         i = int(rng.integers(len(x)))
-        sigma = mutation_std_fraction * abs(x[i])
+        # scale by the angle wrapped into [-pi, pi), so that 2*pi-shifted or
+        # mirrored copies of one optimum take the same steps
+        wrapped = (x[i] + math.pi) % (2.0 * math.pi) - math.pi
+        sigma = mutation_std_fraction * abs(wrapped)
         if sigma < 1e-12:
             sigma = mutation_std_fraction * 2.0 * math.pi
         x[i] += rng.normal(0.0, sigma)
@@ -288,8 +292,7 @@ def _market_evo_report(
         rep = evolve(target, space, hp, seed=seed)
         div = -rep.best.fitness
         runs.append({"seed": seed, "divergence": div,
-                     "generations": len(rep.generations),
-                     "wall_time": rep.wall_time})
+                     "generations": len(rep.generations)})
         best_div = min(best_div, div)
         if div <= 0.01:
             break

@@ -99,6 +99,32 @@ def empirical_estimate(windows: list[Sequence], t: int) -> DistributionTable:
     return DistributionTable(t=t, probs={s: c / n for s, c in counts.items()})
 
 
+def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
+    """Lex-ordered probability vectors of an observable-operator model.
+
+    ``ops`` stacks one (D, D) operator per symbol; the probability of
+    a_1 ... a_t is final . ops[a_t] ... ops[a_1] init. Classical models pass
+    their observable operators, x0 and a vector of ones; quantum models pass
+    per-symbol transfer matrices on row-major vec(rho), vec(rho0) and vec(I).
+    Returns one vector of m**t entries per entry of ``lengths``, in order;
+    states are advanced once per level, so no operator chain is re-multiplied.
+    """
+    ops = np.asarray(ops)
+    lengths = [int(t) for t in lengths]
+    if not lengths:
+        return []
+    if min(lengths) < 0:
+        raise ValueError("sequence lengths must be >= 0")
+    states = np.asarray(init)[None, :]
+    by_len: dict[int, np.ndarray] = {}
+    for t in range(max(lengths) + 1):
+        if t:
+            states = np.einsum("aij,bj->bai", ops, states).reshape(-1, ops.shape[1])
+        if t in lengths:
+            by_len[t] = np.real(states @ final)
+    return [by_len[t] for t in lengths]
+
+
 def hankel(
     f: Callable[[Sequence], float],
     max_prefix_len: int,

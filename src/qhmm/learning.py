@@ -10,7 +10,6 @@ fits fixed ansatz templates by nonlinear cost minimization.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional
@@ -18,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from . import circuits as qc
-from .channels import KrausChannel, kraus_from_unitary
-from .circuits import Circuit, GateSpace, compile_circuit
-from .lang import DistributionTable, Sequence, divergence_avg
+from .channels import KrausChannel, kraus_from_unitary, symbol_transfer_matrices
+from .circuits import Circuit, GateSpace, _GateBuilder, compile_circuit
+from .lang import DistributionTable, Sequence, divergence_avg, forward_probs
 from .models import QhmmKraus, distribution_tables
 from .optimize import ObjectiveSpec, get_optimizer
 
@@ -52,6 +51,11 @@ def initial_state(kind: str, dim: int) -> np.ndarray:
     raise ValueError(f"unknown initial-state kind {kind!r}")
 
 
+def symbol_order(symbol_map) -> list[str]:
+    """Alphabet of a symbol map, in order of first appearance."""
+    return list(dict.fromkeys(symbol_map))
+
+
 @dataclass
 class Hypothesis:
     circuit: Circuit
@@ -73,7 +77,7 @@ class Hypothesis:
 
     @property
     def alphabet(self) -> list[str]:
-        return sorted(set(self.symbol_map))
+        return symbol_order(self.symbol_map)
 
     def to_qhmm(self) -> QhmmKraus:
         u = compile_circuit(self.circuit)
@@ -117,6 +121,12 @@ class LearnSpace:
         self.alphabet = [str(a) for a in self.alphabet]
         if self.symbol_map is None:
             self.symbol_map = block_symbol_map(self.alphabet, self.dim_e)
+        self.symbol_map = tuple(str(s) for s in self.symbol_map)
+        if symbol_order(self.symbol_map) != self.alphabet:
+            raise ValueError(
+                f"symbol_map must list the alphabet {self.alphabet} in order "
+                f"of first appearance, got {symbol_order(self.symbol_map)}"
+            )
 
     def budget_for(self, n_params: int) -> int:
         """Total evaluations for one Lamarckian fit; simplex methods need
@@ -163,56 +173,10 @@ class HyperParams:
 
 # --- compiled evaluation engine -------------------------------------------------
 
-def _qubit_masks(n_qubits: int, qubit: int):
-    """Composite indices with the given qubit (MSB order) clear, paired with
-    the same indices with it set."""
-    d = 2**n_qubits
-    bit = 1 << (n_qubits - 1 - qubit)
-    idx = np.arange(d)
-    lo = idx[(idx & bit) == 0]
-    return lo, lo | bit
-
-
-class _GateBuilder:
-    """Fast full-space matrix assembly for one gate of a fixed structure."""
-
-    def __init__(self, g: qc.GateSpec, n_qubits: int):
-        self.gate = g.gate
-        self.dim = 2**n_qubits
-        self.parametric = len(g.params) > 0
-        if not g.is_two_qubit:
-            self.r0, self.r1 = _qubit_masks(n_qubits, g.qubits[0])
-            self.c0 = None
-        else:
-            ctrl, data = g.qubits
-            lo, _ = _qubit_masks(n_qubits, ctrl)
-            self.c0 = lo  # control clear: identity block
-            t_lo, t_hi = _qubit_masks(n_qubits, data)
-            cbit = 1 << (n_qubits - 1 - ctrl)
-            keep = (t_lo & cbit) != 0
-            self.r0, self.r1 = t_lo[keep], t_hi[keep]
-        if not self.parametric:
-            self.matrix = self._assemble(qc._base_matrix(g.gate, g.params))
-
-    def _assemble(self, base: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        if self.c0 is not None:
-            out[self.c0, self.c0] = 1.0
-        out[self.r0, self.r0] = base[0, 0]
-        out[self.r0, self.r1] = base[0, 1]
-        out[self.r1, self.r0] = base[1, 0]
-        out[self.r1, self.r1] = base[1, 1]
-        return out
-
-    def __call__(self, theta=None) -> np.ndarray:
-        if not self.parametric:
-            return self.matrix
-        return self._assemble(qc._base_matrix(self.gate, (theta,)))
-
-
 class ChannelEngine:
-    """Parameter vector -> unitary -> symbol-grouped Kraus stack -> exact
-    lex-ordered probability vectors, with all structure precomputed.
+    """Parameter vector -> unitary -> symbol-grouped Kraus stack -> per-symbol
+    transfer matrices -> exact lex-ordered probability vectors from
+    ``lang.forward_probs``, with all structure precomputed.
 
     This is the hot path behind fitness and ansatz cost; the object-based
     route (Hypothesis.tables / models.distribution_tables) computes the same
@@ -223,18 +187,18 @@ class ChannelEngine:
                  symbol_map, rho0: np.ndarray):
         if circuit.n_qubits != int(math.log2(dim_s * dim_e)):
             raise ValueError("circuit does not match dims")
+        if len(symbol_map) != dim_e:
+            raise ValueError("symbol_map must label every emission index")
         self.dim_s, self.dim_e = dim_s, dim_e
         self.builders = [_GateBuilder(g, circuit.n_qubits) for g in circuit.gates]
-        self.rho0 = np.asarray(rho0, dtype=np.complex128)
-        alphabet = sorted(set(symbol_map))
+        self.rho0 = np.asarray(rho0, dtype=np.complex128).ravel()
+        self.trace = np.eye(dim_s).ravel()
+        alphabet = symbol_order(symbol_map)
         self.n_symbols = len(alphabet)
-        sym_idx = {a: i for i, a in enumerate(alphabet)}
-        order = sorted(range(dim_e), key=lambda e: (sym_idx[symbol_map[e]], e))
-        self.kraus_order = np.array(order)
-        counts = np.zeros(self.n_symbols, dtype=int)
-        for e in range(dim_e):
-            counts[sym_idx[symbol_map[e]]] += 1
-        self.group_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        # emission indices grouped by symbol; every group is nonempty
+        sym = np.array([alphabet.index(s) for s in symbol_map])
+        self.kraus_order = np.argsort(sym, kind="stable")
+        self.group_starts = np.concatenate([[0], np.cumsum(np.bincount(sym))[:-1]])
 
     def unitary(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -252,20 +216,9 @@ class ChannelEngine:
         """Probability vectors over lex-ordered sequences for each length."""
         u4 = self.unitary(x).reshape(self.dim_s, self.dim_e,
                                      self.dim_s, self.dim_e)
-        kraus = np.ascontiguousarray(
-            u4[:, :, :, 0].transpose(1, 0, 2)[self.kraus_order]
-        )
-        kraus_c = kraus.conj()
-        states = self.rho0[None, :, :]
-        out = []
-        wanted = set(lengths)
-        for t in range(1, max(lengths) + 1):
-            big = np.einsum("kij,bjl,kml->bkim", kraus, states, kraus_c)
-            grouped = np.add.reduceat(big, self.group_starts, axis=1)
-            states = grouped.reshape(-1, self.dim_s, self.dim_s)
-            if t in wanted:
-                out.append(np.einsum("bii->b", states).real)
-        return out
+        kraus = u4[:, :, :, 0].transpose(1, 0, 2)[self.kraus_order]
+        ops = symbol_transfer_matrices(kraus, self.group_starts)
+        return forward_probs(ops, self.rho0, self.trace, lengths)
 
 
 # --- fitness ------------------------------------------------------------------
@@ -672,7 +625,6 @@ class LearningReport:
     generations: list[GenerationStats]
     best_trace: list[float]
     bandit_traces: dict[str, list[list[float]]]
-    wall_time: float
     best: Hypothesis
     target_reached: bool
 
@@ -689,7 +641,6 @@ def evolve(
     when the best fitness stagnates for prog_window generations; every
     stochastic operator distribution is bandit-updated each generation.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     dists = default_distributions(space)
     target = sorted(target, key=lambda tab: tab.t)[: hp.n_max]
@@ -774,7 +725,6 @@ def evolve(
         generations=stats,
         best_trace=best_trace,
         bandit_traces=bandit_traces,
-        wall_time=time.perf_counter() - t0,
         best=best,
         target_reached=best.fitness >= hp.target_fitness,
     )

@@ -19,7 +19,7 @@ from . import channels as ch
 from .channels import KrausChannel
 from .circuits import Circuit, circuit_from_json, circuit_to_json, unitary_of
 from .classical import ClassicalHmm, observable_operators
-from .lang import DistributionTable, Sequence
+from .lang import DistributionTable, Sequence, forward_probs, sequences_of_length
 from .linalg import (
     as_matrix,
     check_density,
@@ -197,19 +197,9 @@ def sequence_probability(q: QhmmKraus, seq: Sequence) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _kraus_stacks(q: QhmmKraus) -> list[np.ndarray]:
-    return [np.stack(q.channel.groups[a]) for a in q.alphabet]
-
-
-def distribution_tables(
-    q: QhmmKraus, lengths, prune: float = 0.0
-) -> dict[int, DistributionTable]:
-    """Exact tables for several lengths from one branch recursion.
-
-    Branch states are unnormalized post-sequence densities, advanced level by
-    level so no Kraus chain is ever re-multiplied. Branches below ``prune``
-    mass stop recursing; their descendants read as probability zero.
-    """
+def distribution_tables(q: QhmmKraus, lengths) -> dict[int, DistributionTable]:
+    """Exact tables for several lengths from one forward pass over the
+    per-symbol transfer matrices."""
     lengths = sorted(set(int(t) for t in lengths))
     if not lengths:
         return {}
@@ -218,28 +208,18 @@ def distribution_tables(
         raise ValueError(
             f"table of size {m}^{max(lengths)} exceeds the supported budget"
         )
-    stacks = _kraus_stacks(q)
-    out: dict[int, DistributionTable] = {}
-    seqs: list[Sequence] = [()]
-    states = q.rho0[None, :, :]
-    for t in range(1, max(lengths) + 1):
-        per_symbol = [
-            np.einsum("kij,bjl,kml->bim", stacks[a], states, stacks[a].conj())
-            for a in range(m)
-        ]
-        states = np.stack(per_symbol, axis=1).reshape(-1, q.dim, q.dim)
-        seqs = [s + (a,) for s in seqs for a in range(m)]
-        probs = np.einsum("bii->b", states).real
-        if t in lengths:
-            out[t] = DistributionTable(
-                t=t, probs={s: max(float(p), 0.0) for s, p in zip(seqs, probs)}
-            )
-        if prune > 0.0:
-            keep = probs > prune
-            if not keep.all():
-                states = states[keep]
-                seqs = [s for s, k in zip(seqs, keep) if k]
-    return out
+    zero = np.zeros((q.dim, q.dim), dtype=np.complex128)
+    groups = [q.channel.groups[a] or [zero] for a in q.alphabet]
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    ops = ch.symbol_transfer_matrices(np.stack([k for g in groups for k in g]),
+                                      starts)
+    vecs = forward_probs(ops, q.rho0.ravel(), np.eye(q.dim).ravel(), lengths)
+    return {
+        t: DistributionTable(t=t, probs={
+            s: max(float(p), 0.0) for s, p in zip(sequences_of_length(m, t), vec)
+        })
+        for t, vec in zip(lengths, vecs)
+    }
 
 
 def distribution(q: QhmmKraus, t: int) -> DistributionTable:

@@ -16,6 +16,7 @@ from qhmm.channels import (
     steady_state_info,
     stinespring_dilate,
     symbol_probability,
+    symbol_transfer_matrices,
     transfer_matrix,
     validate_cptp,
 )
@@ -285,6 +286,18 @@ def test_steady_state_residual_random(dim, n_kraus, seed):
 
 def test_transfer_matrix_identity():
     assert np.abs(transfer_matrix(identity_channel(2)) - np.eye(4)).max() < 1e-14
+
+
+def test_symbol_transfer_matrices_act_as_sub_channels(rng):
+    chan = random_channel(3, 5, rng, n_symbols=3)
+    groups = list(chan.groups.values())
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    ops = symbol_transfer_matrices(np.stack(chan.operators()), starts)
+    assert np.abs(ops.sum(axis=0) - transfer_matrix(chan)).max() < 1e-14
+    rho = random_density(3, rng)
+    for t_a, a in zip(ops, chan.symbols):
+        want = ch.apply_symbol(chan, rho, a).ravel()
+        assert np.abs(t_a @ rho.ravel() - want).max() < 1e-14
 
 
 def test_channel_json_round_trip(monras):

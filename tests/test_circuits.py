@@ -16,7 +16,6 @@ from qhmm.circuits import (
     circuit_to_json,
     compile_circuit,
     efficient_su2,
-    gate_matrix,
     mutate,
     random_gate,
     real_amplitudes,
@@ -55,7 +54,7 @@ def test_compile_damping_block_kraus():
 
 def test_gate_order_first_acts_first():
     cx_then_h = Circuit(1, (GateSpec("X", (0,)), GateSpec("H", (0,))))
-    x = gate_matrix(GateSpec("X", (0,)), 1)
+    x = compile_circuit(Circuit(1, (GateSpec("X", (0,)),)))
     assert np.abs(compile_circuit(cx_then_h) - H @ x).max() < 1e-15
 
 
@@ -69,16 +68,71 @@ def test_compile_concatenation_order(rng):
 def test_gate_matrix_matches_kron_oracle():
     # explicit kron products as the independent reference
     ry = qc._base_matrix("RY", (0.7,))
-    got = gate_matrix(GateSpec("RY", (1,), (0.7,)), 3)
+    got = compile_circuit(Circuit(3, (GateSpec("RY", (1,), (0.7,)),)))
     want = np.kron(np.kron(np.eye(2), ry), np.eye(2))
     assert np.abs(got - want).max() < 1e-15
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    got = gate_matrix(GateSpec("CX", (2, 0)), 3)
+    got = compile_circuit(Circuit(3, (GateSpec("CX", (2, 0)),)))
     x = qc._base_matrix("X", ())
     want = np.kron(np.kron(np.eye(2), np.eye(2)), p0) + np.kron(
         np.kron(x, np.eye(2)), p1
     )
     assert np.abs(got - want).max() < 1e-15
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def _oracle_base(gate, theta):
+    """Data-qubit action written from Pauli matrices: R_P = exp(-i theta P / 2)."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    rot = {p: c * _PAULI["I"] - 1j * s * _PAULI[p] for p in "XYZ"}
+    return {
+        "X": _PAULI["X"], "Y": _PAULI["Y"], "Z": _PAULI["Z"], "H": H,
+        "P": np.diag([1.0, np.exp(1j * theta)]),
+        "RX": rot["X"], "RY": rot["Y"], "RZ": rot["Z"],
+        "CX": _PAULI["X"], "CRY": rot["Y"], "CRZ": rot["Z"],
+    }[gate]
+
+
+def _kron_all(factors):
+    out = np.eye(1, dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4])
+@pytest.mark.parametrize("gate", sorted(qc.GATE_ARITY))
+def test_compile_matches_kron_oracle_every_gate(gate, n_qubits):
+    theta = 1.234
+    base = _oracle_base(gate, theta)
+    params = (theta,) * qc.GATE_ARITY[gate]
+    eye = _PAULI["I"]
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    if gate in qc.TWO_QUBIT_GATES:
+        placements = [(c, d) for c in range(n_qubits) for d in range(n_qubits)
+                      if c != d]
+    else:
+        placements = [(q,) for q in range(n_qubits)]
+    for qubits in placements:
+        got = compile_circuit(Circuit(n_qubits, (GateSpec(gate, qubits, params),)))
+        if len(qubits) == 1:
+            want = _kron_all([base if q == qubits[0] else eye
+                              for q in range(n_qubits)])
+        else:
+            ctrl, data = qubits
+            want = _kron_all([p0 if q == ctrl else eye for q in range(n_qubits)])
+            want = want + _kron_all([
+                p1 if q == ctrl else (base if q == data else eye)
+                for q in range(n_qubits)
+            ])
+        assert np.abs(got - want).max() < 1e-14, (gate, qubits)
 
 
 @settings(max_examples=60, deadline=None)

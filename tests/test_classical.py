@@ -212,3 +212,27 @@ def test_hmm_json_round_trip(market):
 def test_distribution_covers_all_sequences(market):
     d = distribution(market, 4)
     assert set(d.probs) == set(sequences_of_length(2, 4))
+
+
+def random_hmm(n, m, rng):
+    a = rng.random((n, n)) + 0.05
+    b = rng.random((m, n)) + 0.05
+    x0 = rng.random(n) + 0.05
+    return ClassicalHmm(alphabet=[str(i) for i in range(m)], A=a / a.sum(axis=0),
+                        B=b / b.sum(axis=0), x0=x0 / x0.sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(2, 4),
+       st.integers(1, 4))
+def test_distribution_matches_sequence_probability_oracle(seed, n, m, t):
+    h = random_hmm(n, m, np.random.default_rng(seed))
+    d = distribution(h, t)
+    assert set(d.probs) == set(sequences_of_length(m, t))
+    for seq, p in d.items():
+        assert abs(p - sequence_probability(h, seq)) < 1e-14
+
+
+def test_distribution_t0_is_certain(market, gaussian4):
+    for h in (market, gaussian4, random_hmm(3, 2, np.random.default_rng(1))):
+        assert distribution(h, 0).probs == {(): 1.0}

@@ -184,7 +184,7 @@ def test_learn_ansatz_market(market_file, tmp_path):
     assert all(a >= b for a, b in zip(costs, costs[1:]))
 
 
-def test_learn_evo_quick(market_file, tmp_path):
+def quick_learn_evo_inputs(tmp_path):
     market = classical.market_model()
     from qhmm.lang import write_tables_csv
 
@@ -197,6 +197,11 @@ def test_learn_evo_quick(market_file, tmp_path):
         "c_q": 0.0, "c_e": 0.0, "opt_budget": 25, "min_gates": 1,
         "max_gates": 3, "dim_s": 2, "dim_e": 2, "seed": 7,
     }))
+    return target, cfg
+
+
+def test_learn_evo_quick(market_file, tmp_path):
+    target, cfg = quick_learn_evo_inputs(tmp_path)
     out = tmp_path / "out"
     assert main(["learn-evo", "--target", str(target), "--config", str(cfg),
                  "--out", str(out)]) == 0
@@ -207,6 +212,19 @@ def test_learn_evo_quick(market_file, tmp_path):
     assert isinstance(best, models.QhmmKraus)
     trace = (out / "fitness_trace.csv").read_text().splitlines()
     assert trace[0] == "generation,best_fitness"
+
+
+def test_learn_evo_deterministic_outputs(tmp_path):
+    target, cfg = quick_learn_evo_inputs(tmp_path)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["learn-evo", "--target", str(target), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == ["best_model.json", "fitness_trace.csv", "report.json"]
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_landscape_outputs(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qhmm import experiments
+from qhmm.circuits import real_amplitudes
 from qhmm.experiments import (
     LandscapeSample,
     landscape_correlation,
@@ -59,6 +60,25 @@ def test_walk_records_lengths(market_hypothesis, rng):
 def test_walk_smoothness_bound(market_hypothesis, rng):
     samples = landscape_walk(market_hypothesis, 300, 0.1, rng)
     assert smoothness_violations(samples, n=5) == 0
+
+
+def test_walk_invariant_under_2pi_shifted_origin():
+    # regression: the step scale came from the raw angle, so an origin with
+    # an RY angle shifted by 2*pi (the same channel) walked with larger steps
+    from qhmm.learning import Hypothesis
+
+    template = real_amplitudes(2, reps=1, entanglement="linear")
+    x_opt = np.array([0.455, 4.971])
+    walks = []
+    for x in (x_opt, x_opt + np.array([2 * np.pi, 0.0])):
+        hyp = Hypothesis(circuit=template.with_parameters(x), dim_s=2,
+                         dim_e=2, symbol_map=("0", "1"))
+        walks.append(landscape_walk(hyp, 60, 0.1, np.random.default_rng(88)))
+    for a, b in zip(*walks):
+        assert abs(a.op_distance - b.op_distance) < 1e-12
+        assert abs(a.total - b.total) < 1e-12
+        for t in a.divergences:
+            assert abs(a.divergences[t] - b.divergences[t]) < 1e-12
 
 
 def test_pearson_perfect_line():

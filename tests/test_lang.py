@@ -13,6 +13,7 @@ from qhmm.lang import (
     divergence_max,
     empirical_estimate,
     enumerate_sequences,
+    forward_probs,
     hankel,
     hankel_from_tables,
     kl_divergence,
@@ -80,6 +81,18 @@ def test_empirical_estimate_converges(market):
     table = empirical_estimate(seqs, 3)
     exact = classical.distribution(market, 3)
     assert divergence_max(exact, table) < 3 * 0.5 / math.sqrt(n)
+
+
+def test_forward_probs_order_and_empty_length(market):
+    ops = np.stack(list(classical.observable_operators(market).values()))
+    vecs = forward_probs(ops, market.x0, np.ones(market.n), [3, 0, 1])
+    assert [len(v) for v in vecs] == [8, 1, 2]
+    for t, vec in zip([3, 0, 1], vecs):
+        for seq, p in zip(sequences_of_length(2, t), vec):
+            assert abs(p - classical.sequence_probability(market, seq)) < 1e-15
+    assert forward_probs(ops, market.x0, np.ones(market.n), []) == []
+    with pytest.raises(ValueError):
+        forward_probs(ops, market.x0, np.ones(market.n), [-1])
 
 
 def test_hankel_construction_oracle(damping_qhmm):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from qhmm import classical
 from qhmm.circuits import Circuit, GateSpec, real_amplitudes
+from qhmm.lang import DistributionTable
 from qhmm.learning import (
     AdaptiveDistribution,
     AnsatzSpec,
+    ChannelEngine,
     HyperParams,
     Hypothesis,
     LearnSpace,
@@ -104,6 +106,34 @@ def test_fitness_two_qubit_gate_term(market_target):
     f_without = fitness(hyp, market_target, c_q=0.0, c_e=0.0)
     f_with = fitness(hyp, market_target, c_q=0.5, c_e=0.0)
     assert abs((f_without - f_with) - 0.5) < 1e-12  # one CX over one qubit pair
+
+
+def test_alphabet_keeps_caller_order():
+    # regression: symbols used to be sorted, so an alphabet ["b", "a"] read
+    # the target's "b" column as "a" and relabelled the learned model
+    space = LearnSpace(alphabet=["b", "a"])
+    hyp = Hypothesis(circuit=Circuit(2), dim_s=2, dim_e=2,
+                     symbol_map=space.symbol_map)
+    always_b = [DistributionTable(t=1, probs={(0,): 1.0}),
+                DistributionTable(t=2, probs={(0, 0): 1.0})]
+    assert hyp.alphabet == ["b", "a"]
+    assert fitness(hyp, always_b, c_q=0.0, c_e=0.0) == 0.0
+    assert fitness_reference(hyp, always_b, c_q=0.0, c_e=0.0) == 0.0
+    assert hyp.to_qhmm().alphabet == ["b", "a"]
+
+
+def test_engine_rejects_symbol_map_of_wrong_length():
+    with pytest.raises(ValueError):
+        ChannelEngine(Circuit(2), 2, 2, ("0", "1", "2"), np.eye(2) / 2)
+
+
+def test_learn_space_rejects_symbol_map_out_of_alphabet_order():
+    with pytest.raises(ValueError):
+        LearnSpace(alphabet=["0", "1"], dim_e=2, symbol_map=("1", "0"))
+    with pytest.raises(ValueError):
+        LearnSpace(alphabet=["0", "1", "2"], dim_e=2, symbol_map=("0", "1"))
+    assert LearnSpace(alphabet=["1", "0"], dim_e=4).symbol_map == (
+        "1", "1", "0", "0")
 
 
 @settings(max_examples=15, deadline=None)

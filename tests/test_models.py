@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qhmm import classical, models
 from qhmm.channels import KrausChannel, choi, random_channel
-from qhmm.lang import hankel
-from qhmm.linalg import numerical_rank
+from qhmm.lang import hankel, sequences_of_length
+from qhmm.linalg import numerical_rank, random_density
 from qhmm.models import (
     QhmmKraus,
     QhmmUnitary,
@@ -192,6 +192,37 @@ def test_distribution_matches_sequence_probability(damping_qhmm):
     for t, tab in d.items():
         for seq, p in tab.items():
             assert abs(p - sequence_probability(damping_qhmm, seq)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 4), st.integers(2, 4))
+def test_distribution_tables_match_oracle_random_channels(seed, m, dim):
+    rng = np.random.default_rng(seed)
+    chan = random_channel(dim, m + int(rng.integers(0, 3)), rng, n_symbols=m)
+    q = QhmmKraus(alphabet=[str(a) for a in range(m)], channel=chan,
+                  rho0=random_density(dim, rng))
+    tabs = distribution_tables(q, [1, 2, 3])
+    for t in (1, 2, 3):
+        assert set(tabs[t].probs) == set(sequences_of_length(m, t))
+        for seq, p in tabs[t].items():
+            assert abs(p - sequence_probability(q, seq)) < 1e-12
+
+
+def test_distribution_tables_empty_symbol_group():
+    # an empty group between two others must read as probability zero, not
+    # borrow the neighbouring group's operators
+    rng = np.random.default_rng(7)
+    ops = random_channel(3, 3, rng).operators()
+    chan = KrausChannel(dim=3, groups={"0": ops[:2], "1": [], "2": ops[2:]})
+    q = QhmmKraus(alphabet=["0", "1", "2"], channel=chan,
+                  rho0=random_density(3, rng))
+    tabs = distribution_tables(q, [1, 2])
+    for t in (1, 2):
+        assert abs(tabs[t].total() - 1.0) < 1e-12
+        for seq, p in tabs[t].items():
+            assert abs(p - sequence_probability(q, seq)) < 1e-12
+            if 1 in seq:
+                assert p == 0.0
 
 
 def test_distribution_budget_guard(monras):
