@@ -186,6 +186,36 @@ def symbol_transfer_matrices(kraus: np.ndarray, group_starts) -> np.ndarray:
     return np.add.reduceat(pairs.reshape(k, n * n, n * n), group_starts, axis=0)
 
 
+def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """(shots, t) outcome indices of measurement trajectories from rho0.
+
+    ``groups[o]`` lists the Kraus operators of outcome o and ``draws`` holds
+    one uniform per (shot, step); a step takes the first outcome whose
+    cumulative probability tr(E_o rho), E_o = sum K†K, reaches the draw.
+    Shots sharing an outcome prefix share one normalized state.
+    """
+    states = np.asarray(rho0, dtype=np.complex128)[None]
+    n = states.shape[1]
+    kraus = [np.asarray(g, dtype=np.complex128).reshape(-1, n, n) for g in groups]
+    effects = np.stack([np.einsum("kji,kjl->il", k.conj(), k) for k in kraus])
+    m = len(kraus)
+    node = np.zeros(len(draws), dtype=np.intp)
+    out = np.empty(draws.shape, dtype=np.min_scalar_type(m))
+    for step in range(draws.shape[1]):
+        probs = np.clip(np.einsum("oij,pji->po", effects, states).real, 0.0, None)
+        cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        picked = (cdf[node] < draws[:, step, None]).sum(axis=1)
+        out[:, step] = np.minimum(picked, m - 1)
+        keys, node = np.unique(node * m + out[:, step], return_inverse=True)
+        prefix, taken = np.divmod(keys, m)
+        nxt = np.empty((len(keys), n, n), dtype=np.complex128)
+        for o in np.unique(taken):
+            k, sel = kraus[o][None], taken == o
+            nxt[sel] = (k @ states[prefix[sel], None] @ k.conj().swapaxes(2, 3)).sum(1)
+        states = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
+    return out
+
+
 def steady_state_info(ch: KrausChannel, tol_eig: float = 1e-6) -> SteadyStateInfo:
     """Fixed point rho* = T(rho*) via the transfer-matrix eigenproblem.
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import sample_outcomes
 from .lang import DistributionTable, Sequence, forward_probs, sequences_of_length
 
 STOCHASTIC_TOL = 1e-10
@@ -102,19 +103,14 @@ def steady_state_classical(h: ClassicalHmm) -> np.ndarray:
 def sample(
     h: ClassicalHmm, t: int, n_seq: int, seed: int
 ) -> list[Sequence]:
-    """Ancestral sampling of n_seq length-t observation sequences."""
-    rng = np.random.default_rng(seed)
-    out: list[Sequence] = []
-    states = np.arange(h.n)
-    for _ in range(n_seq):
-        x = rng.choice(states, p=h.x0)
-        seq = []
-        for _ in range(t):
-            a = rng.choice(h.m, p=h.B[:, x])
-            x = rng.choice(states, p=h.A[:, x])
-            seq.append(int(a))
-        out.append(tuple(seq))
-    return out
+    """n_seq length-t sequences, drawn symbol by symbol from the filtering
+    state of the diagonal embedding, one uniform per (sequence, step)."""
+    from .models import quantize_classical  # models imports this module
+
+    q = quantize_classical(h)
+    draws = np.random.default_rng(seed).random((n_seq, t))
+    outcomes = sample_outcomes(list(q.channel.groups.values()), q.rho0, draws)
+    return list(zip(*outcomes.T.tolist())) or [()] * n_seq
 
 
 def _from_row_tables(alphabet, transition_rows, emission_rows, x0=None) -> ClassicalHmm:

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -85,11 +86,14 @@ def _load_target(path: str, max_len: int):
             first = fh.readline()
     except OSError as exc:
         _fail(f"cannot read target file {path}: {exc}")
-    if "," in first or first.strip().lower().startswith("sequence"):
-        alphabet, tables = lang.read_tables_csv(path)
-    else:
-        alphabet, corpus = lang.read_corpus(path)
-        tables = lang.tables_from_corpus(corpus, max_len)
+    try:
+        if "," in first or first.strip().lower().startswith("sequence"):
+            alphabet, tables = lang.read_tables_csv(path)
+        else:
+            alphabet, corpus = lang.read_corpus(path)
+            tables = lang.tables_from_corpus(corpus, max_len)
+    except ValueError as exc:
+        _fail(f"invalid target file {path}: {exc}")
     if not tables:
         _fail(f"target file {path} yields no distribution tables")
     return alphabet, tables
@@ -335,40 +339,47 @@ def cmd_landscape(args):
                 divs = ",".join(f"{s.divergences[t]:.12g}" for t in lengths)
                 fh.write(f"{rate},{s.op_distance:.12g},{divs},{s.total:.12g}\n")
     corr = experiments.landscape_correlation(samples_by_rate)
-    (out / "correlation.json").write_text(json.dumps(
-        {str(k): (None if math.isnan(v) else v) for k, v in corr.items()},
-        indent=2) + "\n")
-    print(f"correlations: {corr}", file=sys.stderr)
+    summary = {
+        str(rate): {
+            "pearson_r": None if math.isnan(corr[rate]) else corr[rate],
+            "bound_violations": experiments.smoothness_violations(samples, n=5),
+            "samples": len(samples),
+        }
+        for rate, samples in samples_by_rate.items()
+    }
+    (out / "correlation.json").write_text(json.dumps(summary, indent=2) + "\n")
+    print(f"landscape: {summary}", file=sys.stderr)
     return 0
 
 
 def cmd_reproduce(args):
     out = _outdir(args)
-    kwargs = {}
-    if args.seed is not None:
-        if args.name in ("monras_ansatz", "market_ansatz"):
-            kwargs["seed"] = args.seed
-        elif args.name in ("market_evo", "gaussian_evo"):
-            kwargs["seeds"] = (args.seed,)
-    report = experiments.reproduce(args.name, **kwargs)
-    payload = {
-        "name": report.name,
-        "passed": report.passed,
-        "achieved": report.achieved,
-        "threshold": report.threshold,
-        "details": report.details,
-    }
-    (out / f"{args.name}.json").write_text(json.dumps(payload, indent=2) + "\n")
-    if report.rows:
-        with open(out / f"{args.name}.csv", "w") as fh:
-            cols = list(report.rows[0])
-            fh.write(",".join(cols) + "\n")
-            for row in report.rows:
-                fh.write(",".join(str(row[c]) for c in cols) + "\n")
-    status = "PASS" if report.passed else "FAIL"
-    print(f"{args.name}: {status} (achieved {report.achieved:.6g}, "
-          f"threshold {report.threshold:.6g})", file=sys.stderr)
-    return 0 if report.passed else 1
+    names = sorted(experiments.REPRODUCTIONS) if args.name == "all" else [args.name]
+    passed = []
+    for name in names:
+        kwargs = {}
+        if args.seed is not None:
+            if name in ("monras_ansatz", "market_ansatz"):
+                kwargs["seed"] = args.seed
+            elif name in ("market_evo", "gaussian_evo"):
+                kwargs["seeds"] = (args.seed,)
+        t0 = time.perf_counter()
+        report = experiments.reproduce(name, **kwargs)
+        elapsed = time.perf_counter() - t0
+        payload = {k: v for k, v in asdict(report).items() if k != "rows"}
+        (out / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        if report.rows:
+            with open(out / f"{name}.csv", "w") as fh:
+                cols = list(report.rows[0])
+                fh.write(",".join(cols) + "\n")
+                for row in report.rows:
+                    fh.write(",".join(str(row[c]) for c in cols) + "\n")
+        passed.append(report.passed)
+        status = "PASS" if report.passed else "FAIL"
+        print(f"{name}: {status} (achieved {report.achieved:.6g}, "
+              f"threshold {report.threshold:.6g})")
+        print(f"{name}: {elapsed:.1f} s", file=sys.stderr)
+    return 0 if all(passed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,10 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "reproduce",
-        help="run a named benchmark (exits nonzero if it misses its threshold)",
+        help="run a named benchmark or all (exits nonzero if one misses its threshold)",
     )
     common(sp)
-    sp.add_argument("name", choices=sorted(experiments.REPRODUCTIONS))
+    sp.add_argument("name", choices=sorted(experiments.REPRODUCTIONS) + ["all"])
     sp.set_defaults(func=cmd_reproduce)
 
     return p

@@ -239,7 +239,8 @@ def read_tables_csv(path, alphabet=None):
     """Read `sequence,probability` lines into per-length tables.
 
     Returns (alphabet, {length: DistributionTable}). When no alphabet is given
-    it is inferred from the symbols present, sorted by label.
+    it is inferred from the symbols present, sorted by label. Every
+    probability must lie in [0, 1] and every length must total 1 within 1e-6.
     """
     rows: list[tuple[str, float]] = []
     with open(path) as fh:
@@ -248,6 +249,8 @@ def read_tables_csv(path, alphabet=None):
             if not line or line.lower().startswith("sequence,"):
                 continue
             text, _, prob = line.rpartition(",")
+            if not 0.0 <= float(prob) <= 1.0:  # also rejects nan
+                raise ValueError(f"probability {prob} of {text!r} is not in [0, 1]")
             rows.append((text, float(prob)))
     if alphabet is None:
         symbols = sorted({ch for text, _ in rows for ch in text})
@@ -261,6 +264,9 @@ def read_tables_csv(path, alphabet=None):
         for t, probs in sorted(grouped.items())
         if t > 0
     }
+    for t, table in tables.items():
+        if abs(table.total() - 1.0) > 1e-6:
+            raise ValueError(f"length-{t} probabilities total {table.total():.12g}, not 1")
     return list(alphabet), tables
 
 

@@ -23,8 +23,6 @@ from .lang import DistributionTable, Sequence, forward_probs, sequences_of_lengt
 from .linalg import (
     as_matrix,
     check_density,
-    dagger,
-    ket,
     matrix_from_json,
     matrix_to_json,
     projector,
@@ -109,6 +107,17 @@ def block_symbol_map(alphabet, dim: int) -> tuple[str, ...]:
     return tuple(str(alphabet[min(i * m // dim, m - 1)]) for i in range(dim))
 
 
+def _outcome_kraus(q: QhmmUnitary, u: np.ndarray) -> list[list[np.ndarray]]:
+    """Reset-mode Kraus operators on the state space, one list per basis state
+    of the measured register: [K_e] for a measured emission register, the
+    nonzero projector compositions [P_o K_e]_e for a measured system one."""
+    kraus = ch.kraus_from_unitary(u, q.dim_s, q.dim_e, q.e0)
+    if q.measured == "emission":
+        return [[k] for k in kraus]
+    composed = [[projector(o, q.dim_s) @ k for k in kraus] for o in range(q.dim_s)]
+    return [[pk for pk in ops if np.abs(pk).max() > 1e-15] for ops in composed]
+
+
 def to_kraus(q: QhmmUnitary) -> QhmmKraus:
     """Group the extracted Kraus operators by the outcome partition.
 
@@ -118,22 +127,12 @@ def to_kraus(q: QhmmUnitary) -> QhmmKraus:
     """
     if q.reset_mode != "reset":
         raise ValueError("design b (carry) has no stationary Kraus family")
-    kraus = ch.kraus_from_unitary(q.unitary(), q.dim_s, q.dim_e, q.e0)
     groups: dict[str, list[np.ndarray]] = {a: [] for a in q.alphabet}
-    if q.measured == "emission":
-        for e, k in enumerate(kraus):
-            groups[q.symbol_map[e]].append(k)
-    else:
-        for o in range(q.dim_s):
-            p = projector(o, q.dim_s)
-            for k in kraus:
-                pk = p @ k
-                if np.abs(pk).max() > 1e-15:
-                    groups[q.symbol_map[o]].append(pk)
+    for sym, ops in zip(q.symbol_map, _outcome_kraus(q, q.unitary())):
+        groups[sym].extend(ops)
     # an all-zero group still needs one operator to keep the partition intact
-    for a, ops in groups.items():
-        if not ops:
-            ops.append(np.zeros((q.dim_s, q.dim_s), dtype=np.complex128))
+    zero = np.zeros((q.dim_s, q.dim_s), dtype=np.complex128)
+    groups = {a: ops or [zero] for a, ops in groups.items()}
     channel = KrausChannel(dim=q.dim_s, groups=groups)
     return QhmmKraus(alphabet=list(q.alphabet), channel=channel, rho0=q.rho0)
 
@@ -236,50 +235,25 @@ def steady_state(q: QhmmKraus) -> np.ndarray:
 def simulate(
     q: QhmmUnitary, t: int, shots: int, seed: int
 ) -> list[Sequence]:
-    """Trajectory sampling: per shot start from rho0 (x) |e0><e0|, then per
-    step apply U, projectively measure the designated register, emit the
-    outcome's symbol and (in reset mode) reset the emission register."""
+    """Trajectory sampling: per step apply U, projectively measure the
+    designated register and emit the outcome's symbol. Reset mode samples the
+    outcomes' Kraus sub-channels on the state space, carry mode the masked
+    unitaries M_o U on rho0 (x) |e0><e0|; one uniform per (shot, step)."""
     u = q.unitary()
-    udag = dagger(u)
-    dim = q.dim_s * q.dim_e
-    sym_index = {a: i for i, a in enumerate(q.alphabet)}
-    outcome_symbol = [sym_index[s] for s in q.symbol_map]
-    # composite index -> measured-register outcome, plus the block masks of
-    # the projective collapse (measurement in the computational basis keeps
-    # exactly the rows/columns of the observed block)
-    idx = np.arange(dim)
-    outcome_of = idx % q.dim_e if q.measured == "emission" else idx // q.dim_e
-    n_outcomes = q.dim_e if q.measured == "emission" else q.dim_s
-    masks = [np.outer(outcome_of == o, outcome_of == o) for o in range(n_outcomes)]
-    e_ket = np.outer(ket(q.e0, q.dim_e), ket(q.e0, q.dim_e).conj())
-    rho_init = tensor_product(q.rho0, e_ket)
-
-    # one uniform draw per (shot, step), all derived from the master seed
+    if q.reset_mode == "reset":
+        groups, rho = _outcome_kraus(q, u), q.rho0
+    else:
+        idx = np.arange(q.dim_s * q.dim_e)
+        outcome_of = idx % q.dim_e if q.measured == "emission" else idx // q.dim_e
+        groups = [[np.where((outcome_of == o)[:, None], u, 0)]
+                  for o in range(len(q.symbol_map))]
+        rho = tensor_product(q.rho0, projector(q.e0, q.dim_e))
+    symbol_of = np.array([q.alphabet.index(s) for s in q.symbol_map])
     draws = np.random.default_rng(seed).random((shots, t))
-    do_reset = q.reset_mode == "reset"
-    out: list[Sequence] = []
-    for shot in range(shots):
-        rho = rho_init
-        seq = []
-        for step in range(t):
-            rho = u @ rho @ udag
-            probs = np.bincount(outcome_of, weights=np.diagonal(rho).real,
-                                minlength=n_outcomes)
-            probs = np.clip(probs, 0.0, None)
-            cdf = np.cumsum(probs / probs.sum())
-            o = min(int(np.searchsorted(cdf, draws[shot, step])),
-                    n_outcomes - 1)
-            seq.append(outcome_symbol[o])
-            rho = rho * masks[o]
-            rho = rho / np.trace(rho).real
-            if do_reset:
-                rho_s = rho.reshape(q.dim_s, q.dim_e, q.dim_s,
-                                    q.dim_e)
-                rho_s = np.einsum("sete->st", rho_s)
-                rho = np.zeros((dim, dim), dtype=np.complex128)
-                rho[q.e0::q.dim_e, q.e0::q.dim_e] = rho_s
-        out.append(tuple(seq))
-    return out
+    outcomes = ch.sample_outcomes(groups, rho, draws)
+    del draws  # free it first: the tuples below are the largest allocation
+    # built column-wise, so no per-shot list is made; zip yields none at t = 0
+    return list(zip(*symbol_of[outcomes].T.tolist())) or [()] * shots
 
 
 def empirical_table(samples: list[Sequence], t: int) -> DistributionTable:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qhmm import classical, models
+from qhmm import classical, experiments, models
 from qhmm.cli import main
 
 
@@ -235,7 +235,10 @@ def test_landscape_outputs(tmp_path):
     assert lines[0].startswith("rate,op_distance,div_2")
     assert len(lines) == 41
     corr = json.loads((out / "correlation.json").read_text())
-    assert "0.1" in corr
+    assert list(corr) == ["0.1"]
+    assert set(corr["0.1"]) == {"pearson_r", "bound_violations", "samples"}
+    assert corr["0.1"]["samples"] == 40
+    assert 0 <= corr["0.1"]["bound_violations"] <= 40
 
 
 def test_reproduce_table2_cli(tmp_path):
@@ -284,3 +287,73 @@ def test_learn_evo_from_corpus(tmp_path):
                  "--seed", "2", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["best_fitness"] <= 0.0
+
+
+def test_reproduce_all(tmp_path, monkeypatch, capsys):
+    table2 = experiments.REPRODUCTIONS["table2"]
+    monkeypatch.setattr(experiments, "REPRODUCTIONS", {"table2": table2})
+    out = tmp_path / "out"
+    assert main(["reproduce", "all", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["table2.csv", "table2.json"]
+    captured = capsys.readouterr()
+    assert [line.split(" (")[0] for line in captured.out.splitlines()] == ["table2: PASS"]
+    assert captured.err.startswith("table2: ") and captured.err.endswith(" s\n")
+
+    failing = lambda: experiments.ReproduceReport(
+        name="failing", passed=False, achieved=1.0, threshold=0.5)
+    monkeypatch.setattr(experiments, "REPRODUCTIONS",
+                        {"table2": table2, "failing": failing})
+    assert main(["reproduce", "all", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == ["failing: FAIL", "table2: PASS"]
+    assert json.loads((out / "failing.json").read_text())["passed"] is False
+
+
+def test_invalid_target_table_fails_cleanly(tmp_path, capsys):
+    # nan and negative probabilities used to load and train to "cost": Infinity
+    bad = tmp_path / "bad.csv"
+    bad.write_text("sequence,probability\n0,nan\n1,-0.5\n")
+    unnormalized = tmp_path / "unnormalized.csv"
+    unnormalized.write_text("sequence,probability\n0,0.5\n1,0.4\n")
+    for target in (bad, unnormalized):
+        out = tmp_path / f"out-{target.stem}"
+        with pytest.raises(SystemExit) as exc:
+            main(["learn-ansatz", "--target", str(target), "--restarts", "1",
+                  "--budget", "10", "--seed", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid target file" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# argv per command, with {market}, {damping} and {target} filled in per test
+BYTE_COMMANDS = {
+    "distribution": ["distribution", "--model", "{damping}", "--t", "3"],
+    "hankel_model": ["hankel", "--model", "{market}", "--max-len", "2"],
+    "hankel_target": ["hankel", "--target", "{target}", "--max-len", "2"],
+    "quantize": ["quantize", "--model", "{market}"],
+    "learn_ansatz": ["learn-ansatz", "--target", "{target}", "--entanglement",
+                     "linear", "--restarts", "2", "--budget", "100", "--seed", "3"],
+    "landscape": ["landscape", "--steps", "40", "--seed", "5"],
+    "reproduce_table2": ["reproduce", "table2"],
+    "simulate_classical": ["simulate", "--model", "{market}", "--t", "4",
+                           "--shots", "300", "--seed", "9"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BYTE_COMMANDS))
+def test_command_outputs_byte_identical(command, market_file, damping_file, tmp_path):
+    target = tmp_path / "target.csv"
+    from qhmm.lang import write_tables_csv
+
+    market = classical.market_model()
+    write_tables_csv(target, [classical.distribution(market, t) for t in range(1, 5)],
+                     market.alphabet)
+    paths = {"market": market_file, "damping": damping_file, "target": str(target)}
+    argv = [arg.format(**paths) for arg in BYTE_COMMANDS[command]]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(argv + ["--out", str(out)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name

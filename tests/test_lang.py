@@ -239,6 +239,27 @@ def test_tables_csv_round_trip(tmp_path, market):
             assert abs(back[t].prob(seq) - p) < 1e-12
 
 
+@pytest.mark.parametrize("rows", [
+    "0,nan\n1,1.0\n",
+    "0,-0.5\n1,1.5\n",
+    "0,inf\n1,0.0\n",
+    "0,0.5\n1,0.4\n",
+    "0,0.5\n1,0.5\n00,0.9\n",
+])
+def test_read_tables_csv_rejects_invalid_probabilities(tmp_path, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("sequence,probability\n" + rows)
+    with pytest.raises(ValueError):
+        read_tables_csv(path)
+
+
+def test_read_tables_csv_accepts_rounded_totals(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text("sequence,probability\n0,0.3333333\n1,0.6666666\n")
+    _, tables = read_tables_csv(path)
+    assert abs(tables[1].total() - 1.0) < 1e-6
+
+
 def test_corpus_reading(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("0101\n1100\n\n01\n")
