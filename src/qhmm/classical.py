@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import sample_outcomes
-from .lang import DistributionTable, Sequence, forward_probs, sequences_of_length
+from .lang import (
+    TABLE_BUDGET,
+    DistributionTable,
+    Sequence,
+    forward_probs,
+    sequences_of_length,
+)
 
 STOCHASTIC_TOL = 1e-10
 
@@ -75,7 +81,7 @@ def distribution(h: ClassicalHmm, t: int) -> DistributionTable:
     observable operators."""
     if t == 0:
         return DistributionTable(t=0, probs={(): 1.0})
-    if h.m**t > 4096:
+    if h.m**t > TABLE_BUDGET:
         raise ValueError(f"table of size {h.m}^{t} exceeds the supported budget")
     ops = np.stack(list(observable_operators(h).values()))
     (probs,) = forward_probs(ops, h.x0, np.ones(h.n), [t])

@@ -17,14 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, experiments, lang, models
-from .circuits import efficient_su2, real_amplitudes
+from .circuits import Circuit, efficient_su2, real_amplitudes
 from .lang import render_sequence
 from .learning import (
+    RHO0_KINDS,
     AnsatzSpec,
     HyperParams,
     LearnSpace,
     Hypothesis,
     evolve,
+    initial_state,
     train_ansatz_restarts,
 )
 from .linalg import next_power_of_two
@@ -57,6 +59,8 @@ def load_model(path: str):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         _fail(f"cannot read model file {path}: {exc}")
+    if not isinstance(data, dict):
+        _fail(f"invalid model file {path}: expected a JSON object")
     try:
         if data.get("type") in ("kraus", "unitary"):
             return models.qhmm_from_json(data)
@@ -190,9 +194,8 @@ def _space_from_config(alphabet, tables, cfg: dict, args) -> LearnSpace:
         dim_s = int(cfg["dim_s"])
     else:
         max_ps = max(t for t in tables) // 2 or 1
-        h = lang.hankel_from_tables(tables, max_ps, max_ps, m) if max_ps else None
-        dim_s = lang.order_estimate(h).quantum_dim if h is not None else 2
-        dim_s = max(dim_s, 2)
+        h = lang.hankel_from_tables(tables, max_ps, max_ps, m)
+        dim_s = max(lang.order_estimate(h).quantum_dim, 2)
     dim_e = int(cfg.get("dim_e", next_power_of_two(m)))
     return LearnSpace(
         alphabet=alphabet,
@@ -308,21 +311,34 @@ def cmd_learn_ansatz(args):
     return 0
 
 
+def _walk_origin(q, path: str) -> Hypothesis:
+    """The walk's hypothesis for a model file. The walk engine steps a
+    circuit in reset mode with the emission register measured and reset to
+    |0>, from one of the hypothesis start states; other models are refused."""
+    if not (isinstance(q, models.QhmmUnitary) and isinstance(q.u, Circuit)
+            and q.reset_mode == "reset" and q.measured == "emission"
+            and q.e0 == 0):
+        _fail(f"landscape needs a circuit-form, reset-mode, emission-measured "
+              f"model with e0 = 0: {path}")
+    kind = next((k for k in RHO0_KINDS if np.allclose(
+        q.rho0, initial_state(k, q.dim_s), rtol=0.0, atol=1e-12)), None)
+    if kind is None:
+        _fail(f"landscape needs rho0 to be one of {RHO0_KINDS}: {path}")
+    try:
+        return Hypothesis(circuit=q.u, dim_s=q.dim_s, dim_e=q.dim_e,
+                          symbol_map=q.symbol_map, rho0_kind=kind)
+    except ValueError as exc:
+        _fail(f"invalid model file {path}: {exc}")
+
+
 def cmd_landscape(args):
     seed = _resolve_seed(args)
-    out = _outdir(args)
     if args.model:
-        data = json.loads(Path(args.model).read_text())
-        if "circuit" not in data:
-            _fail("landscape needs a unitary-form model with a circuit")
-        q = models.qhmm_from_json(data)
-        hyp = Hypothesis(
-            circuit=q.u, dim_s=q.dim_s, dim_e=q.dim_e,
-            symbol_map=tuple(q.symbol_map),
-        )
+        hyp = _walk_origin(load_model(args.model), args.model)
     else:
         # fixed training seed: --seed varies the walk, not the walk origin
         hyp = experiments.trained_market_hypothesis(seed=0)
+    out = _outdir(args)
     rates = [float(r) for r in args.rates.split(",")]
     samples_by_rate = {}
     for i, rate in enumerate(rates):
@@ -357,14 +373,8 @@ def cmd_reproduce(args):
     names = sorted(experiments.REPRODUCTIONS) if args.name == "all" else [args.name]
     passed = []
     for name in names:
-        kwargs = {}
-        if args.seed is not None:
-            if name in ("monras_ansatz", "market_ansatz"):
-                kwargs["seed"] = args.seed
-            elif name in ("market_evo", "gaussian_evo"):
-                kwargs["seeds"] = (args.seed,)
         t0 = time.perf_counter()
-        report = experiments.reproduce(name, **kwargs)
+        report = experiments.reproduce(name, seed=args.seed)
         elapsed = time.perf_counter() - t0
         payload = {k: v for k, v in asdict(report).items() if k != "rows"}
         (out / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")

@@ -19,6 +19,7 @@ from .linalg import numerical_rank, next_power_of_two
 Sequence = tuple[int, ...]
 
 HANKEL_MAX_SIDE = 512
+TABLE_BUDGET = 4096  # most sequences in one exact distribution table
 
 
 @dataclass

@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from . import circuits as qc
-from .channels import KrausChannel, kraus_from_unitary, symbol_transfer_matrices
+from .channels import symbol_transfer_matrices
 from .circuits import Circuit, GateSpace, _GateBuilder, compile_circuit
 from .lang import DistributionTable, Sequence, divergence_avg, forward_probs
-from .models import QhmmKraus, distribution_tables
+from .models import QhmmKraus, QhmmUnitary, distribution_tables, to_kraus
 from .optimize import ObjectiveSpec, get_optimizer
 
 
@@ -56,6 +56,16 @@ def symbol_order(symbol_map) -> list[str]:
     return list(dict.fromkeys(symbol_map))
 
 
+def _circuit_qhmm(circuit: Circuit, dim_s: int, dim_e: int, symbol_map,
+                  rho0: np.ndarray) -> QhmmKraus:
+    """Kraus form of a reset-mode circuit with the emission register
+    measured and reset to |0>, alphabet in symbol-map order."""
+    return to_kraus(QhmmUnitary(
+        alphabet=symbol_order(symbol_map), dim_s=dim_s, dim_e=dim_e,
+        u=compile_circuit(circuit), symbol_map=tuple(symbol_map), rho0=rho0,
+    ))
+
+
 @dataclass
 class Hypothesis:
     circuit: Circuit
@@ -80,17 +90,9 @@ class Hypothesis:
         return symbol_order(self.symbol_map)
 
     def to_qhmm(self) -> QhmmKraus:
-        u = compile_circuit(self.circuit)
-        kraus = kraus_from_unitary(u, self.dim_s, self.dim_e, 0)
-        alphabet = self.alphabet
-        groups: dict[str, list[np.ndarray]] = {a: [] for a in alphabet}
-        for e, k in enumerate(kraus):
-            groups[self.symbol_map[e]].append(k)
-        return QhmmKraus(
-            alphabet=alphabet,
-            channel=KrausChannel(dim=self.dim_s, groups=groups),
-            rho0=initial_state(self.rho0_kind, self.dim_s),
-        )
+        return _circuit_qhmm(self.circuit, self.dim_s, self.dim_e,
+                             self.symbol_map,
+                             initial_state(self.rho0_kind, self.dim_s))
 
     def tables(self, lengths) -> list[DistributionTable]:
         by_len = distribution_tables(self.to_qhmm(), lengths)
@@ -749,15 +751,8 @@ class AnsatzSpec:
         return initial_state("maximally_mixed", self.dim_s)
 
     def model(self, params) -> QhmmKraus:
-        hyp = Hypothesis(
-            circuit=self.circuit.with_parameters(params),
-            dim_s=self.dim_s,
-            dim_e=self.dim_e,
-            symbol_map=tuple(self.symbol_map),
-        )
-        q = hyp.to_qhmm()
-        return QhmmKraus(alphabet=q.alphabet, channel=q.channel,
-                         rho0=self.initial_density())
+        return _circuit_qhmm(self.circuit.with_parameters(params), self.dim_s,
+                             self.dim_e, self.symbol_map, self.initial_density())
 
 
 def ansatz_cost(

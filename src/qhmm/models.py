@@ -19,17 +19,22 @@ from . import channels as ch
 from .channels import KrausChannel
 from .circuits import Circuit, circuit_from_json, circuit_to_json, unitary_of
 from .classical import ClassicalHmm, observable_operators
-from .lang import DistributionTable, Sequence, forward_probs, sequences_of_length
+from .lang import (
+    TABLE_BUDGET,
+    DistributionTable,
+    Sequence,
+    forward_probs,
+    sequences_of_length,
+)
 from .linalg import (
     as_matrix,
     check_density,
+    check_unitary,
     matrix_from_json,
     matrix_to_json,
     projector,
     tensor_product,
 )
-
-TABLE_BUDGET = 4096
 
 
 @dataclass
@@ -80,6 +85,8 @@ class QhmmUnitary:
             raise ValueError("measured must be 'emission' or 'system'")
         if not 0 <= self.e0 < self.dim_e:
             raise ValueError("e0 out of range")
+        if not isinstance(self.u, Circuit):  # a circuit is unitary by construction
+            self.u = check_unitary(self.u)
         want = self.dim_e if self.measured == "emission" else self.dim_s
         if len(self.symbol_map) != want:
             raise ValueError(

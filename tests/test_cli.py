@@ -357,3 +357,96 @@ def test_command_outputs_byte_identical(command, market_file, damping_file, tmp_
     assert names and names == sorted(p.name for p in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_non_unitary_model_file_fails_cleanly(damping_file, tmp_path, capsys):
+    # regression: simulate sampled from this file and distribution exited 1
+    from qhmm.linalg import matrix_to_json
+
+    data = json.loads(open(damping_file).read())
+    data["unitary"] = matrix_to_json(np.diag([1.0, 1.0, 0.5, 2.0]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["simulate", "--t", "2", "--shots", "10", "--seed", "1"],
+                 ["distribution", "--t", "2"]):
+        out = tmp_path / f"out-{argv[0]}"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--model", str(bad), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid model file" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_model_file_not_an_object(tmp_path, capsys):
+    # regression: a JSON list died with an AttributeError and exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        main(["distribution", "--model", str(bad), "--t", "1",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid model file" in capsys.readouterr().err
+
+
+def _walk_model(tmp_path, name, **changes):
+    from qhmm.circuits import real_amplitudes
+
+    fields = dict(
+        alphabet=["0", "1"], dim_s=2, dim_e=2,
+        u=real_amplitudes(2, reps=1, entanglement="linear").with_parameters(
+            [0.455, 4.971]),
+        symbol_map=("0", "1"), rho0=np.eye(2) / 2,
+    )
+    fields.update(changes)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(models.qhmm_to_json(models.QhmmUnitary(**fields))))
+    return str(path)
+
+
+def test_landscape_model_start_state_changes_walk(tmp_path):
+    # regression: the walk rebuilt the model from its circuit alone, so a
+    # |0><0| start wrote the same samples as the maximally mixed one
+    ground = np.diag([1.0, 0.0])
+    samples = {}
+    for name, rho0 in (("mixed", np.eye(2) / 2), ("ground", ground)):
+        out = tmp_path / name
+        model = _walk_model(tmp_path, name, rho0=rho0)
+        assert main(["landscape", "--model", model, "--steps", "30",
+                     "--seed", "5", "--out", str(out)]) == 0
+        samples[name] = (out / "samples.csv").read_text()
+    assert samples["mixed"] != samples["ground"]
+
+
+def test_landscape_rejects_unsupported_models(tmp_path, capsys):
+    # regression: carry mode, a measured system register and another start
+    # state were dropped silently; a missing file exited 1
+    unsupported = {
+        "carry": _walk_model(tmp_path, "carry", reset_mode="carry"),
+        "system": _walk_model(tmp_path, "system", measured="system"),
+        "e0": _walk_model(tmp_path, "e0", e0=1),
+        "rho0": _walk_model(tmp_path, "rho0", rho0=np.diag([0.3, 0.7])),
+        "missing": str(tmp_path / "missing.json"),
+    }
+    for name, model in unsupported.items():
+        out = tmp_path / f"out-{name}"
+        with pytest.raises(SystemExit) as exc:
+            main(["landscape", "--model", model, "--steps", "30",
+                  "--out", str(out)])
+        assert exc.value.code == 2, name
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_reproduce_passes_seed_through(tmp_path, monkeypatch):
+    calls = []
+
+    def probe(**kwargs):
+        calls.append(kwargs)
+        return experiments.ReproduceReport(name="probe", passed=True,
+                                           achieved=0.0, threshold=1.0)
+
+    monkeypatch.setattr(experiments, "REPRODUCTIONS", {"probe": probe})
+    out = str(tmp_path / "out")
+    assert main(["reproduce", "probe", "--out", out]) == 0
+    assert main(["reproduce", "probe", "--seed", "4", "--out", out]) == 0
+    assert calls == [{}, {"seed": 4}]

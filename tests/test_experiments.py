@@ -128,3 +128,25 @@ def test_monras_target_support():
     assert len(items) == 4 + 16
     total_len1 = sum(p for seq, p in items if len(seq) == 1)
     assert abs(total_len1 - 1.0) < 1e-9
+
+
+def test_evo_seed_replaces_default_seeds(monkeypatch):
+    # the evolution runner tries its seeds in turn until one reaches the
+    # threshold; a given seed runs alone
+    from functools import partial
+
+    from qhmm import classical
+    from qhmm.learning import HyperParams
+
+    probe = partial(
+        experiments._evo_report, "probe", classical.market_model,
+        experiments.market_space(),
+        HyperParams(mu=2, lam=1, g_max=1, c_q=0.0, c_e=0.0, n_max=2),
+        threshold=-1.0, seeds=(1, 2),
+    )
+    monkeypatch.setitem(experiments.REPRODUCTIONS, "probe", probe)
+    runs = reproduce("probe").details["runs"]
+    assert [r["seed"] for r in runs] == [1, 2]
+    assert [r["seed"] for r in reproduce("probe", seed=7).details["runs"]] == [7]
+    assert reproduce("probe", seed=1).details["runs"] == runs[:1]
+

@@ -489,3 +489,33 @@ def test_train_ansatz_restart_improves(market_target):
                        rng=np.random.default_rng(1))
     best = train_ansatz_restarts(spec, items, "nm", restarts=4, budget=150, seed=1)
     assert best.cost <= one.cost + 1e-12
+
+
+def test_circuit_models_slice_kraus_in_emission_order():
+    # Hypothesis.to_qhmm and AnsatzSpec.model go through models.to_kraus; the
+    # operators must be U's (emission e, e0 = 0) blocks grouped by symbol in
+    # emission order, with the alphabet in order of first appearance
+    from qhmm.circuits import compile_circuit, efficient_su2
+
+    template = efficient_su2(3, reps=1, entanglement="linear",
+                             rotation_pair="RY_RZ")
+    x = np.random.default_rng(3).uniform(0.0, 2 * np.pi, template.num_parameters)
+    u4 = compile_circuit(template.with_parameters(x)).reshape(2, 4, 2, 4)
+    symbol_map = ("b", "a", "b", "a")
+    want = {"b": [u4[:, 0, :, 0], u4[:, 2, :, 0]],
+            "a": [u4[:, 1, :, 0], u4[:, 3, :, 0]]}
+    rho0 = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=np.complex128)
+    hyp = Hypothesis(circuit=template.with_parameters(x), dim_s=2, dim_e=4,
+                     symbol_map=symbol_map, rho0_kind="ground")
+    spec = AnsatzSpec(circuit=template, dim_s=2, dim_e=4,
+                      symbol_map=symbol_map, rho0=rho0)
+    for q, start in ((hyp.to_qhmm(), initial_state("ground", 2)),
+                     (spec.model(x), rho0)):
+        assert q.alphabet == ["b", "a"]
+        assert list(q.channel.groups) == ["b", "a"]
+        for sym, ops in want.items():
+            got = q.channel.groups[sym]
+            assert len(got) == len(ops)
+            for k, w in zip(got, ops):
+                assert np.array_equal(k, w)
+        assert np.array_equal(q.rho0, start)

@@ -351,3 +351,16 @@ def test_invariants_rejected():
             channel=KrausChannel(dim=2, groups={"0": [0.5 * np.eye(2)]}),
             rho0=np.eye(2) / 2,
         )
+
+
+def test_unitary_model_rejects_non_unitary_matrix(damping_model):
+    # regression: a non-unitary "unitary" loaded, and simulate sampled from it
+    from dataclasses import replace
+
+    from qhmm.circuits import real_amplitudes
+
+    with pytest.raises(ValueError, match="not unitary"):
+        replace(damping_model, u=np.diag([1.0, 1.0, 0.5, 2.0]))
+    # a unitary matrix and a circuit still load
+    replace(damping_model, u=np.eye(4))
+    replace(damping_model, u=real_amplitudes(2, reps=1).with_parameters([0.1, 0.2]))
