@@ -223,9 +223,11 @@ MARKET_ANSATZ_BUDGET = 3000
 
 def _ansatz_report(
     name: str, spec: AnsatzSpec, target, threshold: float, budget: int,
-    reference_cost: float, seed: int = 0, restarts: int = 10,
+    reference_cost: float, /, seed: int = 0, restarts: int = 10,
 ) -> ReproduceReport:
-    """Best of seeded nm restarts of a fixed template on ``target()``."""
+    """Best of seeded nm restarts of a fixed template on ``target()``.
+    The fixed data is positional-only, so a call can set only the seed and
+    the restart count."""
     res = train_ansatz_restarts(
         spec, target(), "nm", restarts=restarts, budget=budget, seed=seed
     )
@@ -257,11 +259,12 @@ def market_space() -> LearnSpace:
 
 def _evo_report(
     name: str, model, space: LearnSpace, hp: HyperParams, threshold: float,
-    seeds: tuple[int, ...], seed: Optional[int] = None,
+    seeds: tuple[int, ...], /, seed: Optional[int] = None,
 ) -> ReproduceReport:
     """Evolve against the exact tables of ``model()`` up to length
     ``hp.n_max`` from each seed in turn (``seed`` alone when given) until a
-    run reaches the threshold."""
+    run reaches the threshold. The fixed data is positional-only, so a call
+    can set only the seed."""
     h = model()
     target = [classical.distribution(h, t) for t in range(1, hp.n_max + 1)]
     best_div = math.inf
@@ -283,8 +286,10 @@ def _evo_report(
     )
 
 
-# Each name binds a runner to its fixed data; only the seed and, for the
-# ansatz fits, the restart count vary per call.
+# Each name binds a runner to its fixed data by position; only the seed
+# and, for the ansatz fits, the restart count vary per call. The ansatz data
+# is (template, target, threshold, budget, reference cost), the evolution
+# data (model, space, hyperparameters, threshold, seeds).
 REPRODUCTIONS = {
     "table2": _damping_report,
     "monras_ansatz": partial(
@@ -294,17 +299,17 @@ REPRODUCTIONS = {
                                   rotation_pair="RZ_RX"),
             dim_s=2, dim_e=4, symbol_map=("0", "1", "2", "3"),
         ),
-        monras_target, threshold=1e-3, budget=8000, reference_cost=3.9e-5,
+        monras_target, 1e-3, 8000, 3.9e-5,
     ),
     "market_ansatz": partial(
         _ansatz_report, "market_ansatz", MARKET_ANSATZ, market_target_items,
-        threshold=1e-2, budget=MARKET_ANSATZ_BUDGET, reference_cost=3.0e-4,
+        1e-2, MARKET_ANSATZ_BUDGET, 3.0e-4,
     ),
     "market_evo": partial(
         _evo_report, "market_evo", classical.market_model, market_space(),
         HyperParams(mu=100, lam=25, g_max=400, target_fitness=-0.01,
                     c_q=0.0, c_e=0.0, prog_window=25, n_max=5),
-        threshold=0.01, seeds=(0, 1, 2),
+        0.01, (0, 1, 2),
     ),
     # desk-scale run of the four-symbol mixture example; the full-size run
     # used far larger populations, so the bar here is a loose 0.05
@@ -317,7 +322,7 @@ REPRODUCTIONS = {
         ),
         HyperParams(mu=40, lam=12, g_max=40, target_fitness=-0.005,
                     c_q=0.0, c_e=0.0, prog_window=15, n_max=4),
-        threshold=0.05, seeds=(0,),
+        0.05, (0,),
     ),
 }
 

@@ -85,8 +85,6 @@ class QhmmUnitary:
             raise ValueError("measured must be 'emission' or 'system'")
         if not 0 <= self.e0 < self.dim_e:
             raise ValueError("e0 out of range")
-        if not isinstance(self.u, Circuit):  # a circuit is unitary by construction
-            self.u = check_unitary(self.u)
         want = self.dim_e if self.measured == "emission" else self.dim_s
         if len(self.symbol_map) != want:
             raise ValueError(
@@ -370,7 +368,13 @@ def qhmm_from_json(d: dict):
             rho0=matrix_from_json(d["rho0"]),
         )
     if kind == "unitary":
-        u = circuit_from_json(d["circuit"]) if "circuit" in d else matrix_from_json(d["unitary"])
+        # a file's matrix is checked here; a circuit is unitary by
+        # construction, and matrices built in the package by dilation or
+        # compilation are trusted as they are
+        if "circuit" in d:
+            u = circuit_from_json(d["circuit"])
+        else:
+            u = check_unitary(matrix_from_json(d["unitary"]))
         return QhmmUnitary(
             alphabet=list(d["alphabet"]),
             dim_s=int(d["dim_s"]),

@@ -123,6 +123,21 @@ def test_reproduce_unknown_name():
         reproduce("nope")
 
 
+def test_reproduce_sets_only_seed_and_restarts():
+    # regression: partial let a call-time keyword override bound fixed data,
+    # so reproduce('market_evo', threshold=1.0) passed a failing run
+    for name, kwargs in [
+        ("market_ansatz", {"budget": 1}),
+        ("monras_ansatz", {"threshold": 1.0}),
+        ("market_ansatz", {"reference_cost": 0.0}),
+        ("market_evo", {"threshold": 1.0}),
+        ("gaussian_evo", {"seeds": (5,)}),
+        ("market_evo", {"restarts": 2}),
+    ]:
+        with pytest.raises(TypeError):
+            reproduce(name, **kwargs)
+
+
 def test_monras_target_support():
     items = experiments.monras_target()
     assert len(items) == 4 + 16
@@ -142,7 +157,7 @@ def test_evo_seed_replaces_default_seeds(monkeypatch):
         experiments._evo_report, "probe", classical.market_model,
         experiments.market_space(),
         HyperParams(mu=2, lam=1, g_max=1, c_q=0.0, c_e=0.0, n_max=2),
-        threshold=-1.0, seeds=(1, 2),
+        -1.0, (1, 2),
     )
     monkeypatch.setitem(experiments.REPRODUCTIONS, "probe", probe)
     runs = reproduce("probe").details["runs"]

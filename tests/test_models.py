@@ -353,14 +353,36 @@ def test_invariants_rejected():
         )
 
 
-def test_unitary_model_rejects_non_unitary_matrix(damping_model):
+def test_unitary_model_file_rejects_non_unitary_matrix(damping_model):
     # regression: a non-unitary "unitary" loaded, and simulate sampled from it
     from dataclasses import replace
 
     from qhmm.circuits import real_amplitudes
 
+    bad = qhmm_to_json(replace(damping_model, u=np.diag([1.0, 1.0, 0.5, 2.0])))
     with pytest.raises(ValueError, match="not unitary"):
-        replace(damping_model, u=np.diag([1.0, 1.0, 0.5, 2.0]))
+        qhmm_from_json(bad)
     # a unitary matrix and a circuit still load
-    replace(damping_model, u=np.eye(4))
-    replace(damping_model, u=real_amplitudes(2, reps=1).with_parameters([0.1, 0.2]))
+    qhmm_from_json(qhmm_to_json(replace(damping_model, u=np.eye(4))))
+    circ = real_amplitudes(2, reps=1).with_parameters([0.1, 0.2])
+    qhmm_from_json(qhmm_to_json(replace(damping_model, u=circ)))
+
+
+def test_from_kraus_accepts_channel_near_cptp_tolerance():
+    # regression: a channel inside CPTP_TOL dilates to a matrix that is
+    # unitary only to about the same tolerance; from_kraus must not reject it
+    from qhmm.channels import CPTP_TOL
+
+    rng = np.random.default_rng(0)
+    v, _ = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+    ks = [(1.0 + 4e-10) * v[2 * i:2 * i + 2] for i in range(4)]
+    q = QhmmKraus(
+        alphabet=["0", "1"],
+        channel=KrausChannel(dim=2, groups={"0": ks[:2], "1": ks[2:]}),
+        rho0=np.eye(2) / 2,
+    )
+    assert 0.5 * CPTP_TOL < q.channel.completeness_defect() <= CPTP_TOL
+    back = to_kraus(from_kraus(q, 4))
+    for a in q.alphabet:
+        for k, kb in zip(q.channel.groups[a], back.channel.groups[a]):
+            assert np.allclose(k, kb, atol=1e-8)
