@@ -8,6 +8,7 @@ unitary indexes as s*M + e without permutation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -25,33 +26,52 @@ GATE_ARITY = {
 TWO_QUBIT_GATES = frozenset({"CX", "CRY", "CRZ"})
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_FIXED = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128),
+_I2 = [[1, 0], [0, 1]]
+_X = [[0, 1], [1, 0]]
+_ROT_Y = [[0, -1], [1, 0]]
+_ROT_Z = [[-1j, 0], [0, 1j]]
+# Each gate type's data-qubit 2x2 is A0 + Ac cos(t/2) + Bc cos(t)
+# + As sin(t/2) + Bs sin(t); the rows list (A0, Ac, Bc, As, Bs), and a gate
+# without an angle is A0 alone.
+_GATE_TERMS = {
+    gate: np.array([np.broadcast_to(np.asarray(t, dtype=np.complex128), (2, 2))
+                    for t in terms])
+    for gate, terms in {
+        "X": (_X, 0, 0, 0, 0),
+        "Y": ([[0, -1j], [1j, 0]], 0, 0, 0, 0),
+        "Z": ([[1, 0], [0, -1]], 0, 0, 0, 0),
+        "H": ([[_SQ2, _SQ2], [_SQ2, -_SQ2]], 0, 0, 0, 0),
+        "P": ([[1, 0], [0, 0]], 0, [[0, 0], [0, 1]], 0, [[0, 0], [0, 1j]]),
+        "RX": (0, _I2, 0, [[0, -1j], [-1j, 0]], 0),
+        "RY": (0, _I2, 0, _ROT_Y, 0),
+        "RZ": (0, _I2, 0, _ROT_Z, 0),
+        "CX": (_X, 0, 0, 0, 0),
+        "CRY": (0, _I2, 0, _ROT_Y, 0),
+        "CRZ": (0, _I2, 0, _ROT_Z, 0),
+    }.items()
 }
+_HALF_AND_FULL = np.array([0.5, 1.0])
+
+
+def _angle_weights(theta: np.ndarray) -> np.ndarray:
+    """(P, 5) weights (1, cos t/2, cos t, sin t/2, sin t) of the gate terms
+    for P angles."""
+    t = theta[:, None] * _HALF_AND_FULL
+    return np.concatenate((np.ones((len(theta), 1)), np.cos(t), np.sin(t)),
+                          axis=1)
 
 
 def _base_matrix(gate: str, params: tuple) -> np.ndarray:
     """2x2 matrix of the gate's data-qubit action."""
-    if gate in _FIXED:
-        return _FIXED[gate]
-    if gate == "CX":
-        return _FIXED["X"]
-    theta = params[0]
-    if theta is None:
+    if gate not in _GATE_TERMS:
+        raise ValueError(f"unknown gate type {gate!r}")
+    terms = _GATE_TERMS[gate]
+    if not GATE_ARITY[gate]:
+        return terms[0]
+    if params[0] is None:
         raise ValueError(f"gate {gate} has an unbound parameter")
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    if gate in ("RY", "CRY"):
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if gate == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if gate in ("RZ", "CRZ"):
-        return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-    if gate == "P":
-        return np.diag([1.0, np.exp(1j * theta)]).astype(np.complex128)
-    raise ValueError(f"unknown gate type {gate!r}")
+    w = _angle_weights(np.array([params[0]], dtype=float))
+    return (w @ terms.reshape(5, 4)).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -148,51 +168,86 @@ def _qubit_masks(n_qubits: int, qubit: int):
     return lo, lo | bit
 
 
-class _GateBuilder:
-    """Full-space matrix assembly from index masks for one gate of a fixed
-    structure; call it with the angle of a parametric gate."""
+@functools.cache  # keyed by qubit count and qubit tuple: few distinct keys
+def _gate_layout(n_qubits: int, qubits: tuple[int, ...]):
+    """Where a gate on ``qubits`` sits in a D x D matrix: the flat offsets
+    of its four 2x2 entries, the entry number (0-3) of each offset, and the
+    diagonal offsets of a controlled gate's identity block, all read-only."""
+    d = 2**n_qubits
+    r0, r1 = _qubit_masks(n_qubits, qubits[-1])
+    eye = np.zeros(0, dtype=int)
+    if len(qubits) == 2:
+        off, _ = _qubit_masks(n_qubits, qubits[0])
+        eye = off * (d + 1)  # control clear: identity
+        on = (r0 & (1 << (n_qubits - 1 - qubits[0]))) != 0
+        r0, r1 = r0[on], r1[on]
+    where = np.concatenate([r0 * d + r0, r0 * d + r1, r1 * d + r0, r1 * d + r1])
+    layout = (where, np.repeat(np.arange(4), len(r0)), eye)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
-    def __init__(self, g: GateSpec, n_qubits: int):
-        self.gate = g.gate
-        self.dim = 2**n_qubits
-        self.parametric = len(g.params) > 0
-        if not g.is_two_qubit:
-            self.r0, self.r1 = _qubit_masks(n_qubits, g.qubits[0])
-            self.c0 = None
-        else:
-            ctrl, data = g.qubits
-            lo, _ = _qubit_masks(n_qubits, ctrl)
-            self.c0 = lo  # control clear: identity block
-            t_lo, t_hi = _qubit_masks(n_qubits, data)
-            cbit = 1 << (n_qubits - 1 - ctrl)
-            keep = (t_lo & cbit) != 0
-            self.r0, self.r1 = t_lo[keep], t_hi[keep]
-        if not self.parametric:
-            self.matrix = self._assemble(_base_matrix(g.gate, g.params))
 
-    def _assemble(self, base: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        if self.c0 is not None:
-            out[self.c0, self.c0] = 1.0
-        out[self.r0, self.r0] = base[0, 0]
-        out[self.r0, self.r1] = base[0, 1]
-        out[self.r1, self.r0] = base[1, 0]
-        out[self.r1, self.r1] = base[1, 1]
-        return out
+class GateStack:
+    """Unitary of one circuit structure as a function of its angles.
 
-    def __call__(self, theta=None) -> np.ndarray:
-        if not self.parametric:
-            return self.matrix
-        return self._assemble(_base_matrix(self.gate, (theta,)))
+    Built once: every gate's full-space matrix sits in a (k, D, D) stack,
+    with fixed gates written in and, for each angle slot, the flat stack
+    indices of its four 2x2 entries recorded. A call evaluates all angle
+    blocks at once, writes them into a copy of the stack and multiplies the
+    stack as a pairwise tree, U = G_k ... G_1 with the first gate acting
+    first.
+    """
+
+    def __init__(self, c: Circuit):
+        n, d = c.n_qubits, 2**c.n_qubits
+        self.dim = d
+        self.stack = np.zeros((len(c.gates), d, d), dtype=np.complex128)
+        none = np.zeros(0, dtype=int)
+        # per group (fixed gates, angle slots): terms, stack offsets, entries
+        fixed, angled = ([], [none], [none]), ([], [none], [none])
+        eyes = [none]
+        for i, g in enumerate(c.gates):
+            where, which, eye = _gate_layout(n, g.qubits)
+            terms, at, entry = angled if g.params else fixed
+            at.append(i * d * d + where)
+            entry.append(4 * len(terms) + which)
+            terms.append(_GATE_TERMS[g.gate].reshape(5, 4))
+            eyes.append(i * d * d + eye)
+        flat_stack = self.stack.reshape(-1)
+        flat_stack[np.concatenate(eyes)] = 1.0
+        terms, at, entry = fixed
+        a0 = np.array(terms).reshape(-1, 5, 4)[:, 0]
+        flat_stack[np.concatenate(at)] = a0.reshape(-1)[np.concatenate(entry)]
+        terms, at, entry = angled
+        self.n_params = len(terms)
+        self.terms = np.array(terms).reshape(-1, 5, 4)
+        self.flat, self.entry = np.concatenate(at), np.concatenate(entry)
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_params,):
+            raise ValueError(
+                f"expected {self.n_params} angles, got shape {x.shape}"
+            )
+        if len(self.stack) == 0:
+            return np.eye(self.dim, dtype=np.complex128)
+        f = self.stack.copy()
+        blocks = _angle_weights(x)[:, None, :] @ self.terms
+        f.reshape(-1)[self.flat] = blocks.reshape(-1)[self.entry]
+        while len(f) > 1:
+            even = len(f) // 2 * 2
+            pairs = f[1:even:2] @ f[0:even:2]
+            f = pairs if even == len(f) else np.concatenate([pairs, f[-1:]])
+        return f[0]
 
 
 def compile_circuit(c: Circuit) -> np.ndarray:
     """Unitary of the gate list; the first gate acts first (U = G_k ... G_1)."""
-    dim = 2**c.n_qubits
-    u = np.eye(dim, dtype=np.complex128)
-    for g in c.gates:
-        u = _GateBuilder(g, c.n_qubits)(*g.params) @ u
-    return u
+    params = c.parameters()
+    if any(p is None for p in params):
+        raise ValueError("circuit has an unbound parameter")
+    return GateStack(c)(params)
 
 
 # --- ansatz templates -------------------------------------------------------
@@ -395,10 +450,20 @@ def circuit_to_json(c: Circuit) -> dict:
     }
 
 
+def _angle_from_json(p) -> float:
+    try:
+        angle = float(p)
+    except (TypeError, ValueError):
+        raise ValueError(f"gate angle must be a number, got {p!r}") from None
+    if not math.isfinite(angle):
+        raise ValueError(f"gate angle must be finite, got {p!r}")
+    return angle
+
+
 def circuit_from_json(d: dict) -> Circuit:
     gates = tuple(
         GateSpec(g["t"], tuple(int(q) for q in g["q"]),
-                 tuple(float(p) for p in g.get("p", [])))
+                 tuple(_angle_from_json(p) for p in g.get("p", [])))
         for g in d["gates"]
     )
     return Circuit(int(d["n_qubits"]), gates)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import circuits as qc
 from .channels import symbol_transfer_matrices
-from .circuits import Circuit, GateSpace, _GateBuilder, compile_circuit
+from .circuits import Circuit, GateSpace, GateStack, compile_circuit
 from .lang import DistributionTable, Sequence, divergence_avg, forward_probs
 from .models import QhmmKraus, QhmmUnitary, distribution_tables, to_kraus
 from .optimize import ObjectiveSpec, get_optimizer
@@ -192,7 +192,7 @@ class ChannelEngine:
         if len(symbol_map) != dim_e:
             raise ValueError("symbol_map must label every emission index")
         self.dim_s, self.dim_e = dim_s, dim_e
-        self.builders = [_GateBuilder(g, circuit.n_qubits) for g in circuit.gates]
+        self.gates = GateStack(circuit)
         self.rho0 = np.asarray(rho0, dtype=np.complex128).ravel()
         self.trace = np.eye(dim_s).ravel()
         alphabet = symbol_order(symbol_map)
@@ -203,16 +203,7 @@ class ChannelEngine:
         self.group_starts = np.concatenate([[0], np.cumsum(np.bincount(sym))[:-1]])
 
     def unitary(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.eye(self.dim_s * self.dim_e, dtype=np.complex128)
-        xi = 0
-        for b in self.builders:
-            if b.parametric:
-                u = b(x[xi]) @ u
-                xi += 1
-            else:
-                u = b() @ u
-        return u
+        return self.gates(x)
 
     def level_probs(self, x, lengths) -> list[np.ndarray]:
         """Probability vectors over lex-ordered sequences for each length."""
@@ -797,20 +788,23 @@ def train_ansatz(
     )
     m = engine.n_symbols
     # per length: positions of the supported sequences in lex order + refs
-    by_len: dict[int, list[tuple[int, float, int]]] = {t: [] for t in lengths}
+    positions: dict[int, list[int]] = {t: [] for t in lengths}
+    refs: dict[int, list[float]] = {t: [] for t in lengths}
     for seq, p in target:
         pos = 0
         for a in seq:
             pos = pos * m + a
-        by_len[len(seq)].append((pos, p, len(seq)))
+        positions[len(seq)].append(pos)
+        refs[len(seq)].append(p)
+    support = [(np.array(positions[t]), np.array(refs[t], dtype=float))
+               for t in lengths]
     trace: list[float] = []
 
     def evaluate(x):
         probs = engine.level_probs(x, lengths)
         c = 0.0
-        for vec, t in zip(probs, lengths):
-            for pos, p_ref, weight in by_len[t]:
-                c += weight * (vec[pos] - p_ref) ** 2
+        for vec, t, (ix, p_ref) in zip(probs, lengths, support):
+            c += t * float(np.sum((vec[ix] - p_ref) ** 2))
         trace.append(min(c, trace[-1]) if trace else c)
         return c
 

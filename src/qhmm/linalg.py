@@ -154,9 +154,12 @@ def complete_isometry_to_unitary(
 
     Column s of ``v`` becomes column s*M + e0 of the unitary, M = D // N,
     matching the embedding |s> -> |s>|e0> of the state register into the
-    composite space. The remaining columns are produced by orthonormalizing
-    canonical basis vectors, skipping candidates whose residual norm falls
-    below 1e-8.
+    composite space. One Newton-Schulz step, v (3I - v†v) / 2, first
+    orthonormalizes the columns of ``v``: it differs from v (v†v)^(-1/2)
+    only at second order in the defect, so an isometry accepted within the
+    default ``tol`` gives a unitary to rounding. The remaining columns are produced
+    by orthonormalizing canonical basis vectors, skipping candidates whose
+    residual norm falls below 1e-8.
     """
     v = as_matrix(v)
     d, n = v.shape
@@ -164,8 +167,10 @@ def complete_isometry_to_unitary(
         raise ValueError("isometry must be tall: N <= D")
     if d % n != 0:
         raise ValueError("isometry rows must be a multiple of its columns")
-    if np.abs(dagger(v) @ v - np.eye(n)).max() > tol:
+    gram = dagger(v) @ v
+    if np.abs(gram - np.eye(n)).max() > tol:
         raise ValueError("input is not an isometry")
+    v = v @ (1.5 * np.eye(n) - 0.5 * gram)
     m = d // n
     if not 0 <= e0 < m:
         raise ValueError("e0 out of range")

@@ -368,17 +368,24 @@ def qhmm_from_json(d: dict):
             rho0=matrix_from_json(d["rho0"]),
         )
     if kind == "unitary":
-        # a file's matrix is checked here; a circuit is unitary by
-        # construction, and matrices built in the package by dilation or
-        # compilation are trusted as they are
+        # a file's matrix is checked for unitarity and a file's circuit for
+        # its size here (circuit_from_json checks its angles); a circuit is
+        # unitary by construction, and matrices built in the package by
+        # dilation or compilation are trusted as they are
+        dim_s, dim_e = int(d["dim_s"]), int(d["dim_e"])
         if "circuit" in d:
             u = circuit_from_json(d["circuit"])
+            if 2**u.n_qubits != dim_s * dim_e:
+                raise ValueError(
+                    f"circuit has {u.n_qubits} qubits, dim_s * dim_e is "
+                    f"{dim_s * dim_e}"
+                )
         else:
             u = check_unitary(matrix_from_json(d["unitary"]))
         return QhmmUnitary(
             alphabet=list(d["alphabet"]),
-            dim_s=int(d["dim_s"]),
-            dim_e=int(d["dim_e"]),
+            dim_s=dim_s,
+            dim_e=dim_e,
             u=u,
             symbol_map=tuple(d["symbol_map"]),
             rho0=matrix_from_json(d["rho0"]),

@@ -113,18 +113,14 @@ def nelder_mead(
 
     def body(f, x0):
         n = len(x0)
-        simplex = [np.array(x0, dtype=float)]
-        for i in range(n):
-            x = np.array(x0, dtype=float)
-            x[i] += initial_step
-            simplex.append(x)
-        values = [f(x) for x in simplex]
+        simplex = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+        simplex[np.arange(1, n + 1), np.arange(n)] += initial_step
+        values = np.array([f(x) for x in simplex])
         while True:
             order = np.argsort(values)
-            simplex = [simplex[i] for i in order]
-            values = [values[i] for i in order]
+            simplex, values = simplex[order], values[order]
             spread = values[-1] - values[0]
-            diameter = max(np.linalg.norm(s - simplex[0]) for s in simplex[1:])
+            diameter = np.linalg.norm(simplex[1:] - simplex[0], axis=1).max()
             if spread < value_tol and diameter < diameter_tol:
                 return True
             centroid = np.mean(simplex[:-1], axis=0)
@@ -145,9 +141,9 @@ def nelder_mead(
                 if fc < values[-1]:
                     simplex[-1], values[-1] = xc, fc
                 else:
-                    for i in range(1, len(simplex)):
-                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                        values[i] = f(simplex[i])
+                    for i in range(1, n + 1):
+                        x = simplex[0] + sigma * (simplex[i] - simplex[0])
+                        simplex[i], values[i] = x, f(x)
 
     return _run(obj, x0, body)
 

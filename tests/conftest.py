@@ -1,9 +1,12 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qhmm import classical, models
+from qhmm.circuits import amplitude_damping_circuit
 
 
 @pytest.fixture
@@ -34,3 +37,20 @@ def damping_model():
 @pytest.fixture(scope="session")
 def damping_qhmm():
     return models.amplitude_damping_qhmm(math.pi / 2)
+
+
+@pytest.fixture
+def bad_circuit_files(damping_model):
+    """Circuit-form model files with a wrong qubit count or a bad angle."""
+    step = amplitude_damping_circuit(math.pi / 2).step
+    good = models.qhmm_to_json(replace(damping_model, u=step))
+    models.qhmm_from_json(good)
+    out = {}
+    wide = json.loads(json.dumps(good))
+    wide["circuit"]["n_qubits"] = 3
+    out["three qubits"] = wide
+    for label, angle in (("null", None), ("nan", math.nan), ("inf", math.inf)):
+        d = json.loads(json.dumps(good))
+        d["circuit"]["gates"][0]["p"] = [angle]
+        out[label] = d
+    return out

@@ -107,14 +107,26 @@ def _kron_all(factors):
     return out
 
 
+def _kron_gate(gate, qubits, theta, n_qubits):
+    """Full-space matrix of one gate from Kronecker products."""
+    base = _oracle_base(gate, theta)
+    eye = _PAULI["I"]
+    if len(qubits) == 1:
+        return _kron_all([base if q == qubits[0] else eye
+                          for q in range(n_qubits)])
+    ctrl, data = qubits
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return _kron_all([p0 if q == ctrl else eye for q in range(n_qubits)]) + (
+        _kron_all([p1 if q == ctrl else (base if q == data else eye)
+                   for q in range(n_qubits)])
+    )
+
+
 @pytest.mark.parametrize("n_qubits", [2, 3, 4])
 @pytest.mark.parametrize("gate", sorted(qc.GATE_ARITY))
 def test_compile_matches_kron_oracle_every_gate(gate, n_qubits):
     theta = 1.234
-    base = _oracle_base(gate, theta)
     params = (theta,) * qc.GATE_ARITY[gate]
-    eye = _PAULI["I"]
-    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     if gate in qc.TWO_QUBIT_GATES:
         placements = [(c, d) for c in range(n_qubits) for d in range(n_qubits)
                       if c != d]
@@ -122,17 +134,59 @@ def test_compile_matches_kron_oracle_every_gate(gate, n_qubits):
         placements = [(q,) for q in range(n_qubits)]
     for qubits in placements:
         got = compile_circuit(Circuit(n_qubits, (GateSpec(gate, qubits, params),)))
-        if len(qubits) == 1:
-            want = _kron_all([base if q == qubits[0] else eye
-                              for q in range(n_qubits)])
-        else:
-            ctrl, data = qubits
-            want = _kron_all([p0 if q == ctrl else eye for q in range(n_qubits)])
-            want = want + _kron_all([
-                p1 if q == ctrl else (base if q == data else eye)
-                for q in range(n_qubits)
-            ])
+        want = _kron_gate(gate, qubits, theta, n_qubits)
         assert np.abs(got - want).max() < 1e-14, (gate, qubits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(0, 20))
+def test_gate_stack_matches_kron_product(seed, n_qubits, n_gates):
+    # the engine's kernel, compile_circuit and a product of per-gate
+    # Kronecker matrices agree on random circuits over every gate type
+    from qhmm.learning import ChannelEngine
+
+    rng = np.random.default_rng(seed)
+    types = sorted(g for g in qc.GATE_ARITY
+                   if n_qubits > 1 or g not in qc.TWO_QUBIT_GATES)
+    gates, angles = [], []
+    want = np.eye(2**n_qubits, dtype=complex)
+    for _ in range(n_gates):
+        gate = types[rng.integers(len(types))]
+        if gate in qc.TWO_QUBIT_GATES:
+            qubits = tuple(int(q) for q in rng.choice(n_qubits, 2, replace=False))
+        else:
+            qubits = (int(rng.integers(n_qubits)),)
+        theta = float(rng.uniform(-8 * np.pi, 8 * np.pi))
+        if qc.GATE_ARITY[gate]:
+            gates.append(GateSpec(gate, qubits, (None,)))
+            angles.append(theta)
+        else:
+            gates.append(GateSpec(gate, qubits))
+        want = _kron_gate(gate, qubits, theta, n_qubits) @ want
+    template = Circuit(n_qubits, tuple(gates))
+    dim_s = 1 if n_qubits == 1 else 2
+    dim_e = 2**n_qubits // dim_s
+    engine = ChannelEngine(template, dim_s, dim_e,
+                           tuple(str(e) for e in range(dim_e)),
+                           np.eye(dim_s) / dim_s)
+    got_engine = engine.unitary(np.array(angles))
+    got_compiled = compile_circuit(template.with_parameters(angles))
+    assert np.abs(got_engine - want).max() < 1e-13
+    assert np.abs(got_compiled - want).max() < 1e-13
+    if n_gates == 0:
+        assert np.array_equal(got_engine, np.eye(2**n_qubits))
+        assert np.array_equal(got_compiled, np.eye(2**n_qubits))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_zero_gate_circuit_is_exact_identity(n_qubits):
+    from qhmm.learning import ChannelEngine
+
+    eye = np.eye(2**n_qubits)
+    assert np.array_equal(compile_circuit(Circuit(n_qubits)), eye)
+    engine = ChannelEngine(Circuit(n_qubits), 1, 2**n_qubits,
+                           tuple(str(e) for e in range(2**n_qubits)), np.eye(1))
+    assert np.array_equal(engine.unitary(np.zeros(0)), eye)
 
 
 @settings(max_examples=60, deadline=None)

@@ -377,6 +377,22 @@ def test_non_unitary_model_file_fails_cleanly(damping_file, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_invalid_circuit_model_file_fails_cleanly(bad_circuit_files, tmp_path,
+                                                  capsys):
+    # regression: a circuit of the wrong size or with a null angle exited 1
+    # with a dimension error or a float() TypeError
+    for label, data in bad_circuit_files.items():
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--model", str(bad), "--t", "2",
+                  "--out", str(out)])
+        assert exc.value.code == 2, label
+        assert "invalid model file" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_model_file_not_an_object(tmp_path, capsys):
     # regression: a JSON list died with an AttributeError and exit 1
     bad = tmp_path / "bad.json"

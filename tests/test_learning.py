@@ -519,3 +519,22 @@ def test_circuit_models_slice_kraus_in_emission_order():
             for k, w in zip(got, ops):
                 assert np.array_equal(k, w)
         assert np.array_equal(q.rho0, start)
+
+
+def test_train_ansatz_cost_matches_object_path(market_target):
+    # the vectorized per-length cost equals ansatz_cost on the fitted
+    # model's tables, for a support with gaps, mixed lengths and any order
+    from qhmm.models import distribution_tables
+
+    items = [(s, market_target[2].prob(s)) for s in [(1, 0, 1), (0, 0, 0)]]
+    items += [((1,), market_target[0].prob((1,)))]
+    items += [(s, market_target[1].prob(s)) for s in market_target[1].probs]
+    spec = AnsatzSpec(circuit=real_amplitudes(2, 1, "linear"),
+                      dim_s=2, dim_e=2, symbol_map=("0", "1"))
+    # a short budget keeps the fit far from the target
+    res = train_ansatz(spec, items, "nm", budget=20,
+                       rng=np.random.default_rng(4))
+    tabs = distribution_tables(spec.model(res.params), [1, 2, 3])
+    current = [(s, tabs[len(s)].prob(s)) for s, _ in items]
+    assert res.cost > 1e-4
+    assert abs(res.cost - ansatz_cost(items, current)) < 1e-12

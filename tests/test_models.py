@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -366,6 +367,33 @@ def test_unitary_model_file_rejects_non_unitary_matrix(damping_model):
     qhmm_from_json(qhmm_to_json(replace(damping_model, u=np.eye(4))))
     circ = real_amplitudes(2, reps=1).with_parameters([0.1, 0.2])
     qhmm_from_json(qhmm_to_json(replace(damping_model, u=circ)))
+
+
+def test_circuit_model_file_rejects_bad_size_and_angles(bad_circuit_files):
+    # regression: these loaded, and distribution then exited 1 with a
+    # dimension error or a float() TypeError
+    for label, d in bad_circuit_files.items():
+        with pytest.raises(ValueError):
+            qhmm_from_json(d)
+
+
+def test_near_tolerance_dilation_round_trips_through_json():
+    # regression: the completion kept the input's 1e-10 isometry defect, so
+    # the dilated matrix was unitary only to 1.5e-9 and its file was refused
+    from qhmm.linalg import is_unitary
+
+    rng = np.random.default_rng(0)
+    v, _ = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+    ks = [(1.0 + 4e-10) * v[2 * i:2 * i + 2] for i in range(4)]
+    q = QhmmKraus(
+        alphabet=["0", "1"],
+        channel=KrausChannel(dim=2, groups={"0": ks[:2], "1": ks[2:]}),
+        rho0=np.eye(2) / 2,
+    )
+    u = from_kraus(q, 4)
+    assert is_unitary(u.unitary(), 1e-14)
+    back = qhmm_from_json(json.loads(json.dumps(qhmm_to_json(u))))
+    assert np.array_equal(back.unitary(), u.unitary())
 
 
 def test_from_kraus_accepts_channel_near_cptp_tolerance():

@@ -168,3 +168,92 @@ def test_benchmark_functions_nm(name, f, x0, optimum, tol, budget):
     res = nelder_mead(ObjectiveSpec(arity=len(x0), evaluate=f, budget=budget),
                       np.array(x0))
     assert res.best_value - optimum < tol, name
+
+
+def _reference_nelder_mead(obj, x0, initial_step=0.25, value_tol=1e-10,
+                           diameter_tol=1e-8):
+    """Frozen list-based Nelder-Mead body: the oracle for the array one."""
+    from qhmm.optimize import _run
+
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+
+    def body(f, x0):
+        n = len(x0)
+        simplex = [np.array(x0, dtype=float)]
+        for i in range(n):
+            x = np.array(x0, dtype=float)
+            x[i] += initial_step
+            simplex.append(x)
+        values = [f(x) for x in simplex]
+        while True:
+            order = np.argsort(values)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            spread = values[-1] - values[0]
+            diameter = max(np.linalg.norm(s - simplex[0]) for s in simplex[1:])
+            if spread < value_tol and diameter < diameter_tol:
+                return True
+            centroid = np.mean(simplex[:-1], axis=0)
+            xr = centroid + alpha * (centroid - simplex[-1])
+            fr = f(xr)
+            if fr < values[0]:
+                xe = centroid + gamma * (xr - centroid)
+                fe = f(xe)
+                if fe < fr:
+                    simplex[-1], values[-1] = xe, fe
+                else:
+                    simplex[-1], values[-1] = xr, fr
+            elif fr < values[-2]:
+                simplex[-1], values[-1] = xr, fr
+            else:
+                xc = centroid + rho * (simplex[-1] - centroid)
+                fc = f(xc)
+                if fc < values[-1]:
+                    simplex[-1], values[-1] = xc, fc
+                else:
+                    for i in range(1, len(simplex)):
+                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
+                        values[i] = f(simplex[i])
+
+    return _run(obj, x0, body)
+
+
+def _seeded_objective(kind, seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    if kind == "quadratic":
+        a = rng.normal(size=(dim, dim))
+        h, b = a @ a.T + 0.1 * np.eye(dim), rng.normal(size=dim)
+        f = lambda x: float(x @ h @ x + b @ x)  # noqa: E731
+    elif kind == "rosenbrock":
+        f = lambda x: float(((1 - x[:-1]) ** 2  # noqa: E731
+                             + 100 * (x[1:] - x[:-1] ** 2) ** 2).sum())
+    elif kind == "abs":  # nonsmooth: reaches shrink steps
+        w = rng.uniform(0.5, 2.0, size=dim)
+        f = lambda x: float((w * np.abs(x - 0.3)).sum())  # noqa: E731
+    else:  # rugged: many local basins
+        f = lambda x: float((x**2 - 3 * np.cos(3 * x)).sum())  # noqa: E731
+    return dim, f, rng.normal(size=dim)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "rosenbrock", "abs", "rugged"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("budget", [60, 3000])
+def test_nelder_mead_matches_frozen_list_body(kind, seed, budget):
+    dim, f, x0 = _seeded_objective(kind, seed)
+    runs = []
+    for opt in (nelder_mead, _reference_nelder_mead):
+        points = []
+
+        def record(x):
+            points.append(np.array(x))
+            return f(x)
+
+        res = opt(ObjectiveSpec(arity=dim, evaluate=record, budget=budget), x0)
+        runs.append((points, res))
+    (got, res), (want, ref) = runs
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(res.best_params, ref.best_params)
+    assert (res.best_value, res.evaluations, res.converged) == (
+        ref.best_value, ref.evaluations, ref.converged)
