@@ -13,11 +13,9 @@ import numpy as np
 
 from .channels import sample_outcomes
 from .lang import (
-    TABLE_BUDGET,
     DistributionTable,
     Sequence,
-    forward_probs,
-    sequences_of_length,
+    exact_tables,
 )
 
 STOCHASTIC_TOL = 1e-10
@@ -76,18 +74,18 @@ def sequence_probability(h: ClassicalHmm, seq: Sequence) -> float:
     return float(x.sum())
 
 
-def distribution(h: ClassicalHmm, t: int) -> DistributionTable:
-    """Exact table over all m^t sequences from one forward pass over the
+def distribution_tables(h: ClassicalHmm, lengths) -> dict[int, DistributionTable]:
+    """Exact tables for several lengths from one forward pass over the
     observable operators."""
+    ops = np.stack(list(observable_operators(h).values()))
+    return exact_tables(ops, h.x0, np.ones(h.n), lengths)
+
+
+def distribution(h: ClassicalHmm, t: int) -> DistributionTable:
+    """Exact table over all m^t sequences."""
     if t == 0:
         return DistributionTable(t=0, probs={(): 1.0})
-    if h.m**t > TABLE_BUDGET:
-        raise ValueError(f"table of size {h.m}^{t} exceeds the supported budget")
-    ops = np.stack(list(observable_operators(h).values()))
-    (probs,) = forward_probs(ops, h.x0, np.ones(h.n), [t])
-    return DistributionTable(
-        t=t, probs={s: float(p) for s, p in zip(sequences_of_length(h.m, t), probs)}
-    )
+    return distribution_tables(h, [t])[t]
 
 
 def steady_state_classical(h: ClassicalHmm) -> np.ndarray:

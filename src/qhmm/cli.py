@@ -27,6 +27,7 @@ from .learning import (
     Hypothesis,
     evolve,
     initial_state,
+    register_qubits,
     train_ansatz_restarts,
 )
 from .linalg import next_power_of_two
@@ -36,6 +37,13 @@ from .models import block_symbol_map
 def _fail(msg: str, code: int = 2):
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(code)
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _outdir(args) -> Path:
@@ -73,7 +81,7 @@ def load_model(path: str):
 
 def _model_tables(model, lengths) -> dict[int, lang.DistributionTable]:
     if isinstance(model, classical.ClassicalHmm):
-        return {t: classical.distribution(model, t) for t in lengths}
+        return classical.distribution_tables(model, lengths)
     if isinstance(model, models.QhmmUnitary):
         model = models.to_kraus(model)
     return models.distribution_tables(model, lengths)
@@ -197,17 +205,20 @@ def _space_from_config(alphabet, tables, cfg: dict, args) -> LearnSpace:
         h = lang.hankel_from_tables(tables, max_ps, max_ps, m)
         dim_s = max(lang.order_estimate(h).quantum_dim, 2)
     dim_e = int(cfg.get("dim_e", next_power_of_two(m)))
-    return LearnSpace(
-        alphabet=alphabet,
-        dim_s=dim_s,
-        dim_e=dim_e,
-        gate_set=tuple(cfg.get("gate_set", ("X", "Y", "RX", "RY", "CX", "CRY"))),
-        min_gates=int(cfg.get("min_gates", 3)),
-        max_gates=int(cfg.get("max_gates", 12)),
-        rho0_kind=cfg.get("rho0_kind", "maximally_mixed"),
-        optimizers=tuple(cfg.get("optimizers", ("nm", "cbla", "bfsg"))),
-        opt_budget=int(cfg.get("opt_budget", 70)),
-    )
+    try:
+        return LearnSpace(
+            alphabet=alphabet,
+            dim_s=dim_s,
+            dim_e=dim_e,
+            gate_set=tuple(cfg.get("gate_set", ("X", "Y", "RX", "RY", "CX", "CRY"))),
+            min_gates=int(cfg.get("min_gates", 3)),
+            max_gates=int(cfg.get("max_gates", 12)),
+            rho0_kind=cfg.get("rho0_kind", "maximally_mixed"),
+            optimizers=tuple(cfg.get("optimizers", ("nm", "cbla", "bfsg"))),
+            opt_budget=int(cfg.get("opt_budget", 70)),
+        )
+    except ValueError as exc:
+        _fail(f"invalid learning space: {exc}")
 
 
 def cmd_learn_evo(args):
@@ -273,16 +284,16 @@ def cmd_learn_ansatz(args):
     m = len(alphabet)
     dim_s = args.dim_s
     dim_e = args.dim_e or next_power_of_two(m)
-    nq = int(math.log2(dim_s)) + int(math.log2(dim_e))
-    if args.template not in _TEMPLATES:
-        _fail(f"unknown template {args.template!r}; choose from {sorted(_TEMPLATES)}")
-    circuit = _TEMPLATES[args.template](nq, args.reps, args.entanglement)
-    spec = AnsatzSpec(
-        circuit=circuit,
-        dim_s=dim_s,
-        dim_e=dim_e,
-        symbol_map=block_symbol_map(alphabet, dim_e),
-    )
+    try:
+        nq = register_qubits(dim_s, dim_e)
+        spec = AnsatzSpec(
+            circuit=_TEMPLATES[args.template](nq, args.reps, args.entanglement),
+            dim_s=dim_s,
+            dim_e=dim_e,
+            symbol_map=block_symbol_map(alphabet, dim_e),
+        )
+    except ValueError as exc:
+        _fail(f"invalid ansatz: {exc}")
     items = [
         (seq, tables[t].prob(seq))
         for t in sorted(tables)
@@ -411,13 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="sample observation sequences")
     common(sp, model=True)
-    sp.add_argument("--t", type=int, required=True, help="sequence length")
-    sp.add_argument("--shots", type=int, default=100000)
+    sp.add_argument("--t", type=_nonnegative, required=True,
+                    help="sequence length")
+    sp.add_argument("--shots", type=_nonnegative, default=100000)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("distribution", help="exact sequence distribution")
     common(sp, model=True)
-    sp.add_argument("--t", type=int, required=True)
+    sp.add_argument("--t", type=_nonnegative, required=True)
     sp.set_defaults(func=cmd_distribution)
 
     sp = sub.add_parser("hankel", help="Hankel matrix and rank estimate")

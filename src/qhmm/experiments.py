@@ -205,7 +205,7 @@ def monras_target(max_len: int = 2) -> list[tuple[tuple[int, ...], float]]:
 
 def market_target_items(max_len: int = 5) -> list[tuple[tuple[int, ...], float]]:
     h = classical.market_model()
-    tabs = {t: classical.distribution(h, t) for t in range(1, max_len + 1)}
+    tabs = classical.distribution_tables(h, range(1, max_len + 1))
     return [
         (seq, tabs[t].prob(seq))
         for t in range(1, max_len + 1)
@@ -266,7 +266,8 @@ def _evo_report(
     run reaches the threshold. The fixed data is positional-only, so a call
     can set only the seed."""
     h = model()
-    target = [classical.distribution(h, t) for t in range(1, hp.n_max + 1)]
+    tabs = classical.distribution_tables(h, range(1, hp.n_max + 1))
+    target = list(tabs.values())
     best_div = math.inf
     runs = []
     for s in seeds if seed is None else (seed,):

@@ -126,6 +126,26 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     return [by_len[t] for t in lengths]
 
 
+def exact_tables(ops, init, final, lengths) -> dict[int, DistributionTable]:
+    """Exact tables for several lengths from one ``forward_probs`` pass over
+    one operator per symbol; rounding below zero is clipped to 0."""
+    lengths = sorted(set(int(t) for t in lengths))
+    if not lengths:
+        return {}
+    m = len(ops)
+    if m ** max(lengths) > TABLE_BUDGET:
+        raise ValueError(
+            f"table of size {m}^{max(lengths)} exceeds the supported budget"
+        )
+    vecs = forward_probs(ops, init, final, lengths)
+    return {
+        t: DistributionTable(t=t, probs={
+            s: max(float(p), 0.0) for s, p in zip(sequences_of_length(m, t), vec)
+        })
+        for t, vec in zip(lengths, vecs)
+    }
+
+
 def hankel(
     f: Callable[[Sequence], float],
     max_prefix_len: int,
@@ -241,7 +261,8 @@ def read_tables_csv(path, alphabet=None):
 
     Returns (alphabet, {length: DistributionTable}). When no alphabet is given
     it is inferred from the symbols present, sorted by label. Every
-    probability must lie in [0, 1] and every length must total 1 within 1e-6.
+    probability must lie in [0, 1], no sequence may be listed twice, and every
+    length must total 1 within 1e-6.
     """
     rows: list[tuple[str, float]] = []
     with open(path) as fh:
@@ -259,7 +280,10 @@ def read_tables_csv(path, alphabet=None):
     grouped: dict[int, dict[Sequence, float]] = {}
     for text, prob in rows:
         seq = parse_sequence(text, alphabet)
-        grouped.setdefault(len(seq), {})[seq] = prob
+        probs = grouped.setdefault(len(seq), {})
+        if seq in probs:
+            raise ValueError(f"sequence {text!r} is listed twice")
+        probs[seq] = prob
     tables = {
         t: DistributionTable(t=t, probs=probs)
         for t, probs in sorted(grouped.items())

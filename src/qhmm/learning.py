@@ -66,6 +66,21 @@ def _circuit_qhmm(circuit: Circuit, dim_s: int, dim_e: int, symbol_map,
     ))
 
 
+def register_qubits(dim_s: int, dim_e: int) -> int:
+    """Qubit count of a system register and an emission register; each
+    dimension must be a power of two."""
+    for name, dim in (("dim_s", dim_s), ("dim_e", dim_e)):
+        if dim < 1 or dim & (dim - 1):
+            raise ValueError(f"{name} must be a power of two, got {dim}")
+    return int(math.log2(dim_s)) + int(math.log2(dim_e))
+
+
+def _check_circuit_size(circuit: Circuit, dim_s: int, dim_e: int) -> None:
+    nq = register_qubits(dim_s, dim_e)
+    if circuit.n_qubits != nq:
+        raise ValueError(f"circuit has {circuit.n_qubits} qubits, dims need {nq}")
+
+
 @dataclass
 class Hypothesis:
     circuit: Circuit
@@ -77,13 +92,7 @@ class Hypothesis:
     optimal_params: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        nq = int(math.log2(self.dim_s)) + int(math.log2(self.dim_e))
-        if 2**nq != self.dim_s * self.dim_e:
-            raise ValueError("dims must be powers of two")
-        if self.circuit.n_qubits != nq:
-            raise ValueError(
-                f"circuit has {self.circuit.n_qubits} qubits, dims need {nq}"
-            )
+        _check_circuit_size(self.circuit, self.dim_s, self.dim_e)
 
     @property
     def alphabet(self) -> list[str]:
@@ -120,6 +129,7 @@ class LearnSpace:
     def __post_init__(self):
         from .models import block_symbol_map
 
+        register_qubits(self.dim_s, self.dim_e)
         self.alphabet = [str(a) for a in self.alphabet]
         if self.symbol_map is None:
             self.symbol_map = block_symbol_map(self.alphabet, self.dim_e)
@@ -187,8 +197,7 @@ class ChannelEngine:
 
     def __init__(self, circuit: Circuit, dim_s: int, dim_e: int,
                  symbol_map, rho0: np.ndarray):
-        if circuit.n_qubits != int(math.log2(dim_s * dim_e)):
-            raise ValueError("circuit does not match dims")
+        _check_circuit_size(circuit, dim_s, dim_e)
         if len(symbol_map) != dim_e:
             raise ValueError("symbol_map must label every emission index")
         self.dim_s, self.dim_e = dim_s, dim_e
@@ -297,9 +306,6 @@ def optimize_parameters(
     genotype, and record the reached fitness."""
     n_par = hyp.circuit.num_parameters
     engine = FitnessEngine(hyp, target, c_q, c_e)
-    if n_par == 0:
-        f = engine.fitness(np.zeros(0))
-        return replace(hyp, fitness=f, optimal_params=np.zeros(0))
     x0 = np.array([p if p is not None else 0.0 for p in hyp.circuit.parameters()])
     obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget)
     res = get_optimizer(optimizer_label)(obj, x0)
@@ -736,6 +742,9 @@ class AnsatzSpec:
     symbol_map: tuple[str, ...]
     rho0: Optional[np.ndarray] = None  # default: maximally mixed state system
 
+    def __post_init__(self):
+        _check_circuit_size(self.circuit, self.dim_s, self.dim_e)
+
     def initial_density(self) -> np.ndarray:
         if self.rho0 is not None:
             return np.asarray(self.rho0, dtype=np.complex128)
@@ -809,9 +818,6 @@ def train_ansatz(
         return c
 
     n_par = spec.circuit.num_parameters
-    if n_par == 0:
-        c = evaluate(np.zeros(0))
-        return TrainResult(params=np.zeros(0), cost=c, trace=trace, evaluations=1)
     if x0 is None:
         x0 = rng.uniform(0.0, 2.0 * math.pi, size=n_par)
     obj = ObjectiveSpec(arity=n_par, evaluate=evaluate, budget=budget)

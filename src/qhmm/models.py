@@ -20,11 +20,9 @@ from .channels import KrausChannel
 from .circuits import Circuit, circuit_from_json, circuit_to_json, unitary_of
 from .classical import ClassicalHmm, observable_operators
 from .lang import (
-    TABLE_BUDGET,
     DistributionTable,
     Sequence,
-    forward_probs,
-    sequences_of_length,
+    exact_tables,
 )
 from .linalg import (
     as_matrix,
@@ -204,26 +202,12 @@ def sequence_probability(q: QhmmKraus, seq: Sequence) -> float:
 def distribution_tables(q: QhmmKraus, lengths) -> dict[int, DistributionTable]:
     """Exact tables for several lengths from one forward pass over the
     per-symbol transfer matrices."""
-    lengths = sorted(set(int(t) for t in lengths))
-    if not lengths:
-        return {}
-    m = len(q.alphabet)
-    if m ** max(lengths) > TABLE_BUDGET:
-        raise ValueError(
-            f"table of size {m}^{max(lengths)} exceeds the supported budget"
-        )
     zero = np.zeros((q.dim, q.dim), dtype=np.complex128)
     groups = [q.channel.groups[a] or [zero] for a in q.alphabet]
     starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
     ops = ch.symbol_transfer_matrices(np.stack([k for g in groups for k in g]),
                                       starts)
-    vecs = forward_probs(ops, q.rho0.ravel(), np.eye(q.dim).ravel(), lengths)
-    return {
-        t: DistributionTable(t=t, probs={
-            s: max(float(p), 0.0) for s, p in zip(sequences_of_length(m, t), vec)
-        })
-        for t, vec in zip(lengths, vecs)
-    }
+    return exact_tables(ops, q.rho0.ravel(), np.eye(q.dim).ravel(), lengths)
 
 
 def distribution(q: QhmmKraus, t: int) -> DistributionTable:

@@ -2,18 +2,26 @@
 
 Three self-contained families cover the roles of the usual scipy solvers:
 a Nelder-Mead simplex, central-difference gradient descent with backtracking,
-and cyclic coordinate descent with golden-section refinement. The registry
-maps the conventional solver labels onto these families so adaptive solver
-selection can keep its full label set.
+and cyclic coordinate descent with golden-section refinement. Each family is
+a generator body that yields the points it wants evaluated and is sent their
+values; one driver, ``_run``, evaluates them against the budget. The label
+table maps the conventional solver labels onto these families so adaptive
+solver selection can keep its full label set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Generator
 
 import numpy as np
+
+Body = Generator[np.ndarray, float, None]  # yields points, is sent values
+
+NM_INITIAL_STEP, NM_VALUE_TOL, NM_DIAMETER_TOL = 0.25, 1e-10, 1e-8
+FD_STEP, FD_EPSILON, FD_GRAD_TOL = 0.5, 1e-5, 1e-7
+COORD_SPAN, COORD_AXIS_TOL, COORD_VALUE_TOL = 1.0, 1e-8, 1e-12
 
 
 @dataclass
@@ -21,7 +29,6 @@ class ObjectiveSpec:
     arity: int
     evaluate: Callable[[np.ndarray], float]
     budget: int = 1000
-    target: Optional[float] = None  # stop once best <= target
 
     def __post_init__(self):
         if self.arity < 0:
@@ -38,208 +45,165 @@ class OptResult:
     converged: bool
 
 
-class _Budget:
-    """Counts evaluations, tracks the incumbent and enforces the budget."""
-
-    def __init__(self, obj: ObjectiveSpec, x0: np.ndarray):
-        self.obj = obj
-        self.count = 0
-        self.best_x = np.array(x0, dtype=float)
-        self.best_f = math.inf
-        self.exhausted = False
-
-    def __call__(self, x: np.ndarray) -> float:
-        if self.count >= self.obj.budget:
-            self.exhausted = True
-            raise _OutOfBudget
-        self.count += 1
-        f = float(self.obj.evaluate(np.asarray(x, dtype=float)))
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = np.array(x, dtype=float)
-        if self.obj.target is not None and self.best_f <= self.obj.target:
-            raise _TargetReached
-        return f
-
-    def result(self, converged: bool) -> OptResult:
-        return OptResult(
-            best_params=self.best_x,
-            best_value=self.best_f,
-            evaluations=self.count,
-            converged=converged and not self.exhausted,
-        )
+def _requests(obj: ObjectiveSpec, x0: np.ndarray, body):
+    """The points the body asks for, then ``None`` once it returns; with no
+    parameters, x0 alone."""
+    if obj.arity:
+        yield from body(x0)
+    else:
+        yield x0
+    yield None
 
 
-class _OutOfBudget(Exception):
-    pass
+def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResult:
+    """Evaluate the points a body asks for, up to the budget.
 
-
-class _TargetReached(Exception):
-    pass
-
-
-def _run(obj, x0, body) -> OptResult:
+    The fit converged when the body returned; it did not when the body asked
+    for a point past the budget. The best point evaluated is returned either
+    way.
+    """
     x0 = np.asarray(x0, dtype=float)
-    tracker = _Budget(obj, x0)
-    if obj.arity == 0:
-        try:
-            tracker(x0)
-        except (_OutOfBudget, _TargetReached):
-            pass
-        return tracker.result(converged=True)
-    try:
-        converged = body(tracker, x0)
-    except _TargetReached:
-        converged = True
-    except _OutOfBudget:
-        converged = False
-    return tracker.result(converged)
+    points = _requests(obj, x0, body)
+    best_x, best_f = np.array(x0), math.inf
+    x = next(points)
+    for count in range(obj.budget):
+        if x is None:
+            return OptResult(best_x, best_f, count, True)
+        f = float(obj.evaluate(np.asarray(x, dtype=float)))
+        if f < best_f:
+            best_x, best_f = np.array(x, dtype=float), f
+        x = points.send(f)
+    return OptResult(best_x, best_f, obj.budget, x is None)
 
 
-def nelder_mead(
-    obj: ObjectiveSpec,
-    x0,
-    initial_step: float = 0.25,
-    value_tol: float = 1e-10,
-    diameter_tol: float = 1e-8,
-) -> OptResult:
+def _nelder_mead_body(x0: np.ndarray) -> Body:
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    n = len(x0)
+    simplex = np.tile(x0, (n + 1, 1))
+    simplex[np.arange(1, n + 1), np.arange(n)] += NM_INITIAL_STEP
+    values = np.empty(n + 1)
+    for i in range(n + 1):
+        values[i] = yield simplex[i]
+    while True:
+        order = np.argsort(values)
+        simplex, values = simplex[order], values[order]
+        spread = values[-1] - values[0]
+        diameter = np.linalg.norm(simplex[1:] - simplex[0], axis=1).max()
+        if spread < NM_VALUE_TOL and diameter < NM_DIAMETER_TOL:
+            return
+        centroid = np.mean(simplex[:-1], axis=0)
+        xr = centroid + alpha * (centroid - simplex[-1])
+        fr = yield xr
+        if fr < values[0]:
+            xe = centroid + gamma * (xr - centroid)
+            fe = yield xe
+            if fe < fr:
+                simplex[-1], values[-1] = xe, fe
+            else:
+                simplex[-1], values[-1] = xr, fr
+        elif fr < values[-2]:
+            simplex[-1], values[-1] = xr, fr
+        else:
+            xc = centroid + rho * (simplex[-1] - centroid)
+            fc = yield xc
+            if fc < values[-1]:
+                simplex[-1], values[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    x = simplex[0] + sigma * (simplex[i] - simplex[0])
+                    simplex[i], values[i] = x, (yield x)
+
+
+def nelder_mead(obj: ObjectiveSpec, x0) -> OptResult:
     """Simplex search with alpha=1, gamma=2, rho=0.5, sigma=0.5.
 
     The initial simplex is x0 plus per-coordinate steps; iteration stops when
     the simplex value spread and diameter fall under their tolerances or the
     evaluation budget runs out (best-so-far is returned either way).
     """
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-
-    def body(f, x0):
-        n = len(x0)
-        simplex = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
-        simplex[np.arange(1, n + 1), np.arange(n)] += initial_step
-        values = np.array([f(x) for x in simplex])
-        while True:
-            order = np.argsort(values)
-            simplex, values = simplex[order], values[order]
-            spread = values[-1] - values[0]
-            diameter = np.linalg.norm(simplex[1:] - simplex[0], axis=1).max()
-            if spread < value_tol and diameter < diameter_tol:
-                return True
-            centroid = np.mean(simplex[:-1], axis=0)
-            xr = centroid + alpha * (centroid - simplex[-1])
-            fr = f(xr)
-            if fr < values[0]:
-                xe = centroid + gamma * (xr - centroid)
-                fe = f(xe)
-                if fe < fr:
-                    simplex[-1], values[-1] = xe, fe
-                else:
-                    simplex[-1], values[-1] = xr, fr
-            elif fr < values[-2]:
-                simplex[-1], values[-1] = xr, fr
-            else:
-                xc = centroid + rho * (simplex[-1] - centroid)
-                fc = f(xc)
-                if fc < values[-1]:
-                    simplex[-1], values[-1] = xc, fc
-                else:
-                    for i in range(1, n + 1):
-                        x = simplex[0] + sigma * (simplex[i] - simplex[0])
-                        simplex[i], values[i] = x, f(x)
-
-    return _run(obj, x0, body)
+    return _run(obj, x0, _nelder_mead_body)
 
 
-def fd_gradient_descent(
-    obj: ObjectiveSpec,
-    x0,
-    step: float = 0.5,
-    fd_epsilon: float = 1e-5,
-    grad_tol: float = 1e-7,
-) -> OptResult:
+def _fd_body(x0: np.ndarray) -> Body:
+    x = np.array(x0)
+    fx = yield x
+    while True:
+        grad = np.zeros_like(x)
+        for i in range(len(x)):
+            e = np.zeros_like(x)
+            e[i] = FD_EPSILON
+            grad[i] = ((yield x + e) - (yield x - e)) / (2 * FD_EPSILON)
+        if np.abs(grad).max() < FD_GRAD_TOL:
+            return
+        t = FD_STEP
+        for _ in range(30):
+            xt = x - t * grad
+            ft = yield xt
+            if ft <= fx - 1e-4 * t * float(grad @ grad):
+                x, fx = xt, ft
+                break
+            t *= 0.5
+        else:
+            return  # no descent along the gradient at any scale
+
+
+def fd_gradient_descent(obj: ObjectiveSpec, x0) -> OptResult:
     """Central-difference gradient descent with backtracking line search.
 
     Accepted values are monotonically nonincreasing; stops when the gradient
-    infinity-norm falls below grad_tol or the budget runs out.
+    infinity-norm falls below FD_GRAD_TOL or the budget runs out.
     """
-
-    def body(f, x0):
-        x = np.array(x0, dtype=float)
-        fx = f(x)
-        while True:
-            grad = np.zeros_like(x)
-            for i in range(len(x)):
-                e = np.zeros_like(x)
-                e[i] = fd_epsilon
-                grad[i] = (f(x + e) - f(x - e)) / (2 * fd_epsilon)
-            gnorm = np.abs(grad).max()
-            if gnorm < grad_tol:
-                return True
-            t = step
-            improved = False
-            for _ in range(30):
-                xt = x - t * grad
-                ft = f(xt)
-                if ft <= fx - 1e-4 * t * float(grad @ grad):
-                    x, fx = xt, ft
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                return True  # no descent along the gradient at any scale
-
-    return _run(obj, x0, body)
+    return _run(obj, x0, _fd_body)
 
 
-def coordinate_search(
-    obj: ObjectiveSpec,
-    x0,
-    span: float = 1.0,
-    axis_tol: float = 1e-8,
-    value_tol: float = 1e-12,
-) -> OptResult:
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden(x: np.ndarray, axis: int, a: float, b: float):
+    """Golden-section search along one axis of x on [a, b]; returns the
+    best abscissa and its value."""
+
+    def at(t):
+        xt = np.array(x)
+        xt[axis] = t
+        return xt
+
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = yield at(c)
+    fd = yield at(d)
+    while abs(b - a) > COORD_AXIS_TOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = yield at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = yield at(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def _coordinate_body(x0: np.ndarray) -> Body:
+    x = np.array(x0)
+    fx = yield x
+    while True:
+        f_before = fx
+        for axis in range(len(x)):
+            center = x[axis]
+            best_t, best_f = yield from _golden(
+                x, axis, center - COORD_SPAN, center + COORD_SPAN)
+            if best_f < fx:
+                x[axis] = best_t
+                fx = best_f
+        if f_before - fx < COORD_VALUE_TOL:
+            return
+
+
+def coordinate_search(obj: ObjectiveSpec, x0) -> OptResult:
     """Cyclic coordinate descent; each axis is refined by golden-section
-    search on a bracket of +-span around the current point."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden(f, x, axis, lo, hi):
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        xc = np.array(x)
-        xc[axis] = c
-        fc = f(xc)
-        xd = np.array(x)
-        xd[axis] = d
-        fd = f(xd)
-        while abs(b - a) > axis_tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                xc = np.array(x)
-                xc[axis] = c
-                fc = f(xc)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                xd = np.array(x)
-                xd[axis] = d
-                fd = f(xd)
-        return (c, fc) if fc < fd else (d, fd)
-
-    def body(f, x0):
-        x = np.array(x0, dtype=float)
-        fx = f(x)
-        while True:
-            f_before = fx
-            for axis in range(len(x)):
-                center = x[axis]
-                best_t, best_f = golden(f, x, axis, center - span, center + span)
-                if best_f < fx:
-                    x[axis] = best_t
-                    fx = best_f
-            if f_before - fx < value_tol:
-                return True
-
-    return _run(obj, x0, body)
+    search on a bracket of +-COORD_SPAN around the current point."""
+    return _run(obj, x0, _coordinate_body)
 
 
 _REGISTRY = {
@@ -252,13 +216,9 @@ _REGISTRY = {
 }
 
 
-def registry() -> dict[str, Callable]:
+def get_optimizer(label: str) -> Callable:
     """Solver label -> implementation; the conventional labels alias the
     three in-repo families so adaptive selection keeps its full domain."""
-    return dict(_REGISTRY)
-
-
-def get_optimizer(label: str) -> Callable:
     try:
         return _REGISTRY[label]
     except KeyError:

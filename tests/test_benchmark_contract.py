@@ -26,3 +26,14 @@ def test_every_benchmark_hook_resolves():
         if not callable(tracing._resolve(target).__dict__.get(attr))
     ]
     assert not missing, f"hooked names no longer resolve: {missing}"
+
+
+def test_every_optimizer_label_maps_to_a_benchmark_family():
+    # the benchmark names its optimize.* metrics by the __name__ of what
+    # get_optimizer returns; a wrapped or renamed family would read as zero
+    from qhmm import optimize
+
+    tracing = _load_tracing()
+    names = {label: optimize.get_optimizer(label).__name__
+             for label in optimize._REGISTRY}
+    assert names and all(n in tracing.FAMILIES for n in names.values()), names

@@ -7,6 +7,7 @@ from qhmm import classical
 from qhmm.classical import (
     ClassicalHmm,
     distribution,
+    distribution_tables,
     fixtures,
     hmm_from_json,
     hmm_to_json,
@@ -231,6 +232,15 @@ def test_distribution_matches_sequence_probability_oracle(seed, n, m, t):
     assert set(d.probs) == set(sequences_of_length(m, t))
     for seq, p in d.items():
         assert abs(p - sequence_probability(h, seq)) < 1e-14
+
+
+def test_distribution_tables_equal_per_length_tables(market, gaussian4):
+    # forward_probs advances each level the same way whatever lengths are
+    # asked for, so one pass gives exactly the per-length tables
+    for h, lengths in ((market, range(1, 8)), (gaussian4, (4, 1, 3, 1))):
+        tables = distribution_tables(h, lengths)
+        assert list(tables) == sorted(set(lengths))
+        assert all(tables[t] == distribution(h, t) for t in lengths)
 
 
 def test_distribution_t0_is_certain(market, gaussian4):

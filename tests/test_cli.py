@@ -315,7 +315,10 @@ def test_invalid_target_table_fails_cleanly(tmp_path, capsys):
     bad.write_text("sequence,probability\n0,nan\n1,-0.5\n")
     unnormalized = tmp_path / "unnormalized.csv"
     unnormalized.write_text("sequence,probability\n0,0.5\n1,0.4\n")
-    for target in (bad, unnormalized):
+    # a repeated row used to overwrite the first and pass the sum check
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("sequence,probability\n0,0.5\n0,0.5\n1,0.5\n")
+    for target in (bad, unnormalized, repeated):
         out = tmp_path / f"out-{target.stem}"
         with pytest.raises(SystemExit) as exc:
             main(["learn-ansatz", "--target", str(target), "--restarts", "1",
@@ -466,3 +469,40 @@ def test_reproduce_passes_seed_through(tmp_path, monkeypatch):
     assert main(["reproduce", "probe", "--out", out]) == 0
     assert main(["reproduce", "probe", "--seed", "4", "--out", out]) == 0
     assert calls == [{}, {"seed": 4}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["distribution", "--t", "-1"],  # used to write distribution_t-1.csv
+    ["simulate", "--t", "-2"],
+    ["simulate", "--t", "2", "--shots", "-5"],
+], ids=["distribution-t", "simulate-t", "simulate-shots"])
+def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", market_file, "--seed", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each used to fail inside the engine or the symbol map with exit 1; a
+# dim_e of 1 is a power of two but too small for the two market symbols
+@pytest.mark.parametrize("flags,config,message", [
+    (["--dim-s", "3"], None, "power of two"),
+    (["--dim-e", "1"], None, "smaller than the alphabet"),
+    (None, {"dim_s": 3}, "power of two"),
+    (None, {"dim_e": 1}, "smaller than the alphabet"),
+], ids=["ansatz-dim-s", "ansatz-dim-e", "evo-dim-s", "evo-dim-e"])
+def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
+    target, cfg = quick_learn_evo_inputs(tmp_path)
+    if flags:
+        argv = ["learn-ansatz", *flags, "--restarts", "1", "--budget", "10"]
+    else:
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **config}))
+        argv = ["learn-evo", "--config", str(cfg)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--target", str(target), "--seed", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -136,6 +136,18 @@ def test_learn_space_rejects_symbol_map_out_of_alphabet_order():
         "1", "1", "0", "0")
 
 
+def test_specs_reject_register_sizes():
+    # each used to be accepted and fail later inside the engine
+    for dim_s, dim_e in ((3, 2), (2, 3), (0, 2)):
+        with pytest.raises(ValueError, match="power of two"):
+            LearnSpace(alphabet=["0", "1"], dim_s=dim_s, dim_e=dim_e)
+        with pytest.raises(ValueError, match="power of two"):
+            AnsatzSpec(Circuit(2), dim_s, dim_e, ("0", "1"))
+    with pytest.raises(ValueError, match="circuit has 3 qubits"):
+        AnsatzSpec(Circuit(3), 2, 2, ("0", "1"))
+    AnsatzSpec(Circuit(3), 2, 4, ("0", "1", "2", "3"))
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_engine_matches_reference_path(seed):
