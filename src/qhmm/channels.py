@@ -174,16 +174,18 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
 
 
 def symbol_transfer_matrices(kraus: np.ndarray, group_starts) -> np.ndarray:
-    """(m, N^2, N^2) per-symbol transfer matrices sum_K K (x) conj(K) on
-    row-major vec(rho), from a group-ordered (k, N, N) Kraus stack.
+    """(..., m, N^2, N^2) per-symbol transfer matrices sum_K K (x) conj(K) on
+    row-major vec(rho), from a group-ordered (..., k, N, N) Kraus stack.
 
-    Group a holds kraus[group_starts[a]:group_starts[a + 1]]; the starts must
-    strictly increase (pad an empty group with a zero operator), since
-    ``reduceat`` would otherwise read the neighbouring group's first term.
+    Group a holds kraus[..., group_starts[a]:group_starts[a + 1], :, :]; the
+    starts must strictly increase (pad an empty group with a zero operator),
+    since ``reduceat`` would otherwise read the neighbouring group's first
+    term.
     """
-    k, n, _ = kraus.shape
-    pairs = np.einsum("kij,kml->kimjl", kraus, kraus.conj())
-    return np.add.reduceat(pairs.reshape(k, n * n, n * n), group_starts, axis=0)
+    k, n = kraus.shape[-3], kraus.shape[-1]
+    pairs = kraus[..., :, None, :, None] * kraus.conj()[..., None, :, None, :]
+    return np.add.reduceat(pairs.reshape(kraus.shape[:-3] + (k, n * n, n * n)),
+                           group_starts, axis=-3)
 
 
 def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:

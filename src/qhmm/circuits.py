@@ -51,14 +51,17 @@ _GATE_TERMS = {
     }.items()
 }
 _HALF_AND_FULL = np.array([0.5, 1.0])
+# a (B, P) block is evaluated in near-equal runs of rows whose gate stacks
+# take at most this many bytes, which bounds the transient memory of a call
+STACK_BYTES = 1 << 19
 
 
 def _angle_weights(theta: np.ndarray) -> np.ndarray:
-    """(P, 5) weights (1, cos t/2, cos t, sin t/2, sin t) of the gate terms
-    for P angles."""
-    t = theta[:, None] * _HALF_AND_FULL
-    return np.concatenate((np.ones((len(theta), 1)), np.cos(t), np.sin(t)),
-                          axis=1)
+    """(..., P, 5) weights (1, cos t/2, cos t, sin t/2, sin t) of the gate
+    terms for (..., P) angles."""
+    t = theta[..., None] * _HALF_AND_FULL
+    return np.concatenate((np.ones(theta.shape + (1,)), np.cos(t), np.sin(t)),
+                          axis=-1)
 
 
 def _base_matrix(gate: str, params: tuple) -> np.ndarray:
@@ -188,58 +191,89 @@ def _gate_layout(n_qubits: int, qubits: tuple[int, ...]):
     return layout
 
 
+def _tree_product(f: np.ndarray) -> np.ndarray:
+    """G_k ... G_1 of a (k, ..., D, D) stack, k >= 1, the first factor
+    acting first, multiplied as a pairwise tree: neighbours are paired level
+    by level, and the factor left over at the top of an odd level is
+    multiplied in at the end."""
+    left = []
+    while len(f) > 1:
+        if len(f) % 2:
+            left.append(f[-1])
+            f = f[:-1]
+        f = f[1::2] @ f[0::2]
+    u = f[0]
+    for g in reversed(left):
+        u = g @ u
+    return u
+
+
 class GateStack:
     """Unitary of one circuit structure as a function of its angles.
 
-    Built once: every gate's full-space matrix sits in a (k, D, D) stack,
-    with fixed gates written in and, for each angle slot, the flat stack
-    indices of its four 2x2 entries recorded. A call evaluates all angle
-    blocks at once, writes them into a copy of the stack and multiplies the
-    stack as a pairwise tree, U = G_k ... G_1 with the first gate acting
-    first.
+    Built once: every angle gate is a factor of its own and each run of
+    consecutive fixed gates is multiplied into one factor; the factors sit
+    in a (k, D, D) stack, and for each angle slot the flat stack indices of
+    its four 2x2 entries are recorded. A call takes (P,) angles or a (B, P)
+    block of them, evaluates all angle blocks at once, writes them into a
+    copy of the stack and multiplies it as a pairwise tree, U = G_k ... G_1
+    with the first gate acting first; a block gives a (B, D, D) stack of
+    unitaries, each equal bit for bit to its row's unitary alone.
     """
 
     def __init__(self, c: Circuit):
         n, d = c.n_qubits, 2**c.n_qubits
         self.dim = d
-        self.stack = np.zeros((len(c.gates), d, d), dtype=np.complex128)
+        gates = np.zeros((len(c.gates), d, d), dtype=np.complex128)
         none = np.zeros(0, dtype=int)
-        # per group (fixed gates, angle slots): terms, stack offsets, entries
-        fixed, angled = ([], [none], [none]), ([], [none], [none])
-        eyes = [none]
+        # per group (fixed gates, angle slots): terms, stack offsets, entries;
+        # fixed entries go into the gate stack, angle entries into the factor
+        # stack, where a new factor starts at every angle gate and after it
+        fixed, slots = ([], [none], [none]), ([], [none], [none])
+        eyes, first = [none], []
         for i, g in enumerate(c.gates):
+            if i == 0 or g.params or c.gates[i - 1].params:
+                first.append(i)
             where, which, eye = _gate_layout(n, g.qubits)
-            terms, at, entry = angled if g.params else fixed
-            at.append(i * d * d + where)
+            terms, at, entry = slots if g.params else fixed
+            at.append((len(first) - 1 if g.params else i) * d * d + where)
             entry.append(4 * len(terms) + which)
             terms.append(_GATE_TERMS[g.gate].reshape(5, 4))
             eyes.append(i * d * d + eye)
-        flat_stack = self.stack.reshape(-1)
-        flat_stack[np.concatenate(eyes)] = 1.0
+        flat_gates = gates.reshape(-1)
+        flat_gates[np.concatenate(eyes)] = 1.0
         terms, at, entry = fixed
         a0 = np.array(terms).reshape(-1, 5, 4)[:, 0]
-        flat_stack[np.concatenate(at)] = a0.reshape(-1)[np.concatenate(entry)]
-        terms, at, entry = angled
+        flat_gates[np.concatenate(at)] = a0.reshape(-1)[np.concatenate(entry)]
+        self.stack = gates[first]
+        for i, (a, b) in enumerate(zip(first, first[1:] + [len(gates)])):
+            if b - a > 1:  # a run of fixed gates
+                self.stack[i] = _tree_product(gates[a:b])
+        terms, at, entry = slots
         self.n_params = len(terms)
         self.terms = np.array(terms).reshape(-1, 5, 4)
         self.flat, self.entry = np.concatenate(at), np.concatenate(entry)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_params,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n_params:
             raise ValueError(
-                f"expected {self.n_params} angles, got shape {x.shape}"
+                f"expected {self.n_params} angles or rows of them, "
+                f"got shape {x.shape}"
             )
+        if x.ndim == 2 and len(x) * self.stack.nbytes > STACK_BYTES:
+            runs = -(-len(x) * self.stack.nbytes // STACK_BYTES)
+            return np.concatenate([self(rows) for rows in np.array_split(x, runs)])
+        lead = x.shape[:-1]
         if len(self.stack) == 0:
-            return np.eye(self.dim, dtype=np.complex128)
-        f = self.stack.copy()
-        blocks = _angle_weights(x)[:, None, :] @ self.terms
-        f.reshape(-1)[self.flat] = blocks.reshape(-1)[self.entry]
-        while len(f) > 1:
-            even = len(f) // 2 * 2
-            pairs = f[1:even:2] @ f[0:even:2]
-            f = pairs if even == len(f) else np.concatenate([pairs, f[-1:]])
-        return f[0]
+            return np.tile(np.eye(self.dim, dtype=np.complex128), lead + (1, 1))
+        f = np.empty(lead + self.stack.shape, dtype=np.complex128)
+        f[...] = self.stack
+        if self.n_params:
+            blocks = _angle_weights(x)[..., None, :] @ self.terms
+            f.reshape(lead + (-1,))[..., self.flat] = \
+                blocks.reshape(lead + (-1,)).take(self.entry, axis=-1)
+        return _tree_product(f.swapaxes(0, -3))  # factors first
 
 
 def compile_circuit(c: Circuit) -> np.ndarray:

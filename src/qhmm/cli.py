@@ -46,6 +46,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,7 +153,6 @@ def cmd_distribution(args):
 
 
 def cmd_hankel(args):
-    out = _outdir(args)
     if args.model:
         model = load_model(args.model)
         alphabet = _model_alphabet(model)
@@ -164,6 +170,7 @@ def cmd_hankel(args):
     else:
         _fail("hankel needs --model or --target")
     est = lang.order_estimate(h, args.tol)
+    out = _outdir(args)
     with open(out / "hankel.csv", "w") as fh:
         fh.write("prefix/suffix," + ",".join(
             render_sequence(s, alphabet) for s in h.suffixes) + "\n")
@@ -436,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model", default=None)
     sp.add_argument("--target", default=None)
-    sp.add_argument("--max-len", type=int, default=3, dest="max_len",
+    sp.add_argument("--max-len", type=_nonnegative, default=3, dest="max_len",
                     help="max prefix/suffix length")
     sp.add_argument("--tol", type=float, default=1e-7)
     sp.set_defaults(func=cmd_hankel)
@@ -456,10 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=sorted(_TEMPLATES))
     sp.add_argument("--entanglement", default="full",
                     choices=["full", "linear"])
-    sp.add_argument("--reps", type=int, default=1)
+    sp.add_argument("--reps", type=_nonnegative, default=1)
     sp.add_argument("--optimizer", default="nm")
-    sp.add_argument("--restarts", type=int, default=10)
-    sp.add_argument("--budget", type=int, default=4000)
+    sp.add_argument("--restarts", type=_positive, default=10)
+    sp.add_argument("--budget", type=_positive, default=4000)
     sp.add_argument("--t", type=int, default=5, help="max corpus window length")
     sp.add_argument("--dim-s", type=int, default=2, dest="dim_s")
     sp.add_argument("--dim-e", type=int, default=None, dest="dim_e")
@@ -469,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model", default=None,
                     help="unitary-form model JSON (default: trained market)")
-    sp.add_argument("--steps", type=int, default=500)
+    sp.add_argument("--steps", type=_positive, default=500)
     sp.add_argument("--rates", default="0.1", help="comma-separated fractions")
     sp.set_defaults(func=cmd_landscape)
 

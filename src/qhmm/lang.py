@@ -107,8 +107,14 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     a_1 ... a_t is final . ops[a_t] ... ops[a_1] init. Classical models pass
     their observable operators, x0 and a vector of ones; quantum models pass
     per-symbol transfer matrices on row-major vec(rho), vec(rho0) and vec(I).
-    Returns one vector of m**t entries per entry of ``lengths``, in order;
-    states are advanced once per level, so no operator chain is re-multiplied.
+    Returns one vector of m**t entries per entry of ``lengths``, in order.
+    A (..., m, D, D) operator stack gives (..., m**t) vectors, each row equal
+    bit for bit to its operators' vectors alone.
+
+    The states of a level are advanced by every symbol at once, in one
+    matmul against the operators laid out as (D, m*D), so no operator chain
+    is re-multiplied; the last level's probabilities come from final.ops[a]
+    applied to the states before it, which are never expanded.
     """
     ops = np.asarray(ops)
     lengths = [int(t) for t in lengths]
@@ -116,13 +122,22 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
         return []
     if min(lengths) < 0:
         raise ValueError("sequence lengths must be >= 0")
-    states = np.asarray(init)[None, :]
+    m, d = ops.shape[-3], ops.shape[-1]
+    # step[..., j, a*D + i] = ops[..., a, i, j]
+    step = ops.swapaxes(-1, -2).swapaxes(-2, -3).reshape(ops.shape[:-3] + (d, m * d))
+    effects = (np.asarray(final) @ ops).swapaxes(-1, -2)  # (..., D, m)
+    states = np.asarray(init)[..., None, :]  # (..., m**t, D) at level t
     by_len: dict[int, np.ndarray] = {}
-    for t in range(max(lengths) + 1):
-        if t:
-            states = np.einsum("aij,bj->bai", ops, states).reshape(-1, ops.shape[1])
+    if 0 in lengths:
+        by_len[0] = (states @ final).real
+    top = max(lengths)
+    for t in range(1, top + 1):
         if t in lengths:
-            by_len[t] = np.real(states @ final)
+            probs = (states @ effects).real
+            by_len[t] = probs.reshape(probs.shape[:-2] + (-1,))
+        if t < top:
+            states = states @ step
+            states = states.reshape(states.shape[:-2] + (-1, d))
     return [by_len[t] for t in lengths]
 
 

@@ -188,7 +188,9 @@ class HyperParams:
 class ChannelEngine:
     """Parameter vector -> unitary -> symbol-grouped Kraus stack -> per-symbol
     transfer matrices -> exact lex-ordered probability vectors from
-    ``lang.forward_probs``, with all structure precomputed.
+    ``lang.forward_probs``, with all structure precomputed. A (B, P) block
+    of parameter vectors runs through the same path with a leading batch
+    axis, and each row's result equals that vector's alone bit for bit.
 
     This is the hot path behind fitness and ansatz cost; the object-based
     route (Hypothesis.tables / models.distribution_tables) computes the same
@@ -208,17 +210,22 @@ class ChannelEngine:
         self.n_symbols = len(alphabet)
         # emission indices grouped by symbol; every group is nonempty
         sym = np.array([alphabet.index(s) for s in symbol_map])
-        self.kraus_order = np.argsort(sym, kind="stable")
+        order = np.argsort(sym, kind="stable")
         self.group_starts = np.concatenate([[0], np.cumsum(np.bincount(sym))[:-1]])
+        # Kraus operator K_e[s, s'] = U[s*dim_e + e, s'*dim_e] (emission reset
+        # to 0), as flat offsets into U, in symbol-group order
+        s = np.arange(dim_s) * dim_e
+        rows = s[None, :, None] + order[:, None, None]
+        self.kraus_at = rows * (dim_s * dim_e) + s[None, None, :]
 
     def unitary(self, x) -> np.ndarray:
         return self.gates(x)
 
     def level_probs(self, x, lengths) -> list[np.ndarray]:
-        """Probability vectors over lex-ordered sequences for each length."""
-        u4 = self.unitary(x).reshape(self.dim_s, self.dim_e,
-                                     self.dim_s, self.dim_e)
-        kraus = u4[:, :, :, 0].transpose(1, 0, 2)[self.kraus_order]
+        """Probability vectors over lex-ordered sequences for each length;
+        (..., m**t) for (..., P) parameters."""
+        u = self.unitary(x)
+        kraus = u.reshape(u.shape[:-2] + (-1,)).take(self.kraus_at, axis=-1)
         ops = symbol_transfer_matrices(kraus, self.group_starts)
         return forward_probs(ops, self.rho0, self.trace, lengths)
 
@@ -246,22 +253,25 @@ class FitnessEngine:
         targets = sorted(target, key=lambda tab: tab.t)
         self.lengths = [tab.t for tab in targets]
         m = self.engine.n_symbols
-        self.target_vectors = [
+        vectors = [
             np.array([tab.prob(s) for s in product(range(m), repeat=tab.t)])
             for tab in targets
         ]
+        self.target = np.concatenate(vectors)
+        self.level_starts = np.cumsum([0] + [len(v) for v in vectors[:-1]])
 
-    def divergence(self, x) -> float:
-        probs = self.engine.level_probs(x, self.lengths)
-        acc = 0.0
-        for vec, ref in zip(probs, self.target_vectors):
-            acc += float(np.abs(vec - ref).max())
-        return acc / len(self.lengths)
+    def divergence(self, x):
+        """Average over lengths of the max-divergence; a float for (P,)
+        parameters, (B,) values for a (B, P) block."""
+        probs = np.concatenate(self.engine.level_probs(x, self.lengths), axis=-1)
+        gaps = np.abs(probs - self.target)
+        per_length = np.maximum.reduceat(gaps, self.level_starts, axis=-1)
+        return per_length.sum(axis=-1) / len(self.lengths)
 
-    def fitness(self, x) -> float:
+    def fitness(self, x):
         return -(self.divergence(x) + self.complexity)
 
-    def neg_fitness(self, x) -> float:
+    def neg_fitness(self, x):
         return -self.fitness(x)
 
 
@@ -276,9 +286,9 @@ def fitness(
     params = hyp.circuit.parameters()
     if any(p is None for p in params):
         raise ValueError("circuit has unbound parameters")
-    return FitnessEngine(hyp, target, c_q, c_e).fitness(
+    return float(FitnessEngine(hyp, target, c_q, c_e).fitness(
         np.array(params, dtype=float)
-    )
+    ))
 
 
 def fitness_reference(
@@ -307,7 +317,8 @@ def optimize_parameters(
     n_par = hyp.circuit.num_parameters
     engine = FitnessEngine(hyp, target, c_q, c_e)
     x0 = np.array([p if p is not None else 0.0 for p in hyp.circuit.parameters()])
-    obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget)
+    obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget,
+                        evaluate_batch=engine.neg_fitness)
     res = get_optimizer(optimizer_label)(obj, x0)
     tuned = hyp.circuit.with_parameters(res.best_params)
     return replace(
@@ -777,6 +788,42 @@ class TrainResult:
     evaluations: int
 
 
+def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
+                     budget: int = 4000) -> ObjectiveSpec:
+    """The length-weighted squared error of the template's sequence
+    probabilities against the target, for (P,) parameters or a (B, P) block
+    of them (one code path, row values equal bit for bit)."""
+    lengths = sorted({len(seq) for seq, _ in target})
+    if not lengths or lengths[0] == 0:
+        raise ValueError("target support must be nonempty sequences")
+    engine = ChannelEngine(
+        spec.circuit, spec.dim_s, spec.dim_e, tuple(spec.symbol_map),
+        spec.initial_density(),
+    )
+    m = engine.n_symbols
+    # each supported sequence's position in the concatenated lex-ordered
+    # levels, its reference probability and its length as the weight
+    offset = dict(zip(lengths, np.cumsum([0] + [m**t for t in lengths[:-1]])))
+    at = np.array([offset[len(seq)] + sum(a * m**i for i, a in
+                                          enumerate(reversed(seq)))
+                   for seq, _ in target], dtype=int)
+    refs = np.array([p for _, p in target], dtype=float)
+    weights = np.array([len(seq) for seq, _ in target], dtype=float)
+
+    def cost(x):
+        probs = np.concatenate(engine.level_probs(x, lengths), axis=-1)
+        gap = probs.take(at, axis=-1) - refs
+        return (weights * gap * gap).sum(axis=-1)
+
+    return ObjectiveSpec(arity=spec.circuit.num_parameters, evaluate=cost,
+                         budget=budget, evaluate_batch=cost)
+
+
+def _train_result(res) -> TrainResult:
+    return TrainResult(params=res.best_params, cost=res.best_value,
+                       trace=res.trace, evaluations=res.evaluations)
+
+
 def train_ansatz(
     spec: AnsatzSpec,
     target: list[tuple[Sequence, float]],
@@ -788,46 +835,11 @@ def train_ansatz(
     """Fit the template's angles to the target sequence probabilities by
     minimizing the length-weighted squared error."""
     rng = rng or np.random.default_rng(0)
-    lengths = sorted({len(seq) for seq, _ in target})
-    if not lengths or lengths[0] == 0:
-        raise ValueError("target support must be nonempty sequences")
-    engine = ChannelEngine(
-        spec.circuit, spec.dim_s, spec.dim_e, tuple(spec.symbol_map),
-        spec.initial_density(),
-    )
-    m = engine.n_symbols
-    # per length: positions of the supported sequences in lex order + refs
-    positions: dict[int, list[int]] = {t: [] for t in lengths}
-    refs: dict[int, list[float]] = {t: [] for t in lengths}
-    for seq, p in target:
-        pos = 0
-        for a in seq:
-            pos = pos * m + a
-        positions[len(seq)].append(pos)
-        refs[len(seq)].append(p)
-    support = [(np.array(positions[t]), np.array(refs[t], dtype=float))
-               for t in lengths]
-    trace: list[float] = []
-
-    def evaluate(x):
-        probs = engine.level_probs(x, lengths)
-        c = 0.0
-        for vec, t, (ix, p_ref) in zip(probs, lengths, support):
-            c += t * float(np.sum((vec[ix] - p_ref) ** 2))
-        trace.append(min(c, trace[-1]) if trace else c)
-        return c
-
-    n_par = spec.circuit.num_parameters
+    obj = ansatz_objective(spec, target, budget)
     if x0 is None:
-        x0 = rng.uniform(0.0, 2.0 * math.pi, size=n_par)
-    obj = ObjectiveSpec(arity=n_par, evaluate=evaluate, budget=budget)
+        x0 = rng.uniform(0.0, 2.0 * math.pi, size=obj.arity)
     res = get_optimizer(optimizer_label)(obj, np.asarray(x0, dtype=float))
-    return TrainResult(
-        params=res.best_params,
-        cost=res.best_value,
-        trace=trace,
-        evaluations=res.evaluations,
-    )
+    return _train_result(res)
 
 
 def train_ansatz_restarts(
@@ -838,11 +850,16 @@ def train_ansatz_restarts(
     budget: int = 4000,
     seed: int = 0,
 ) -> TrainResult:
-    """Best result over seeded random restarts."""
-    best: Optional[TrainResult] = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        res = train_ansatz(spec, target, optimizer_label, None, budget, rng)
-        if best is None or res.cost < best.cost:
-            best = res
-    return best
+    """Best result over seeded random restarts (the first with the lowest
+    cost), fitted in lockstep: every tick evaluates the asks of all
+    unfinished restarts as one block."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    obj = ansatz_objective(spec, target, budget)
+    starts = np.array([
+        np.random.default_rng(np.random.SeedSequence([seed, r])).uniform(
+            0.0, 2.0 * math.pi, size=obj.arity)
+        for r in range(restarts)
+    ]).reshape(restarts, obj.arity)
+    res = get_optimizer(optimizer_label)(obj, starts)
+    return _train_result(min(res.fits, key=lambda fit: fit.best_value))

@@ -3,21 +3,24 @@
 Three self-contained families cover the roles of the usual scipy solvers:
 a Nelder-Mead simplex, central-difference gradient descent with backtracking,
 and cyclic coordinate descent with golden-section refinement. Each family is
-a generator body that yields the points it wants evaluated and is sent their
-values; one driver, ``_run``, evaluates them against the budget. The label
-table maps the conventional solver labels onto these families so adaptive
-solver selection can keep its full label set.
+a generator body that yields the points it wants evaluated, one point or a
+(B, P) block at a time, and is sent their values; ``_run`` evaluates them
+against the budget. Given an (R, P) array of starts, it runs R fits in
+lockstep, one evaluation of every live fit's asks per tick. The label table
+maps the conventional solver labels onto these families so adaptive solver
+selection can keep its full label set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Generator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Generator, Optional, Union
 
 import numpy as np
 
-Body = Generator[np.ndarray, float, None]  # yields points, is sent values
+# yields a point or a (B, P) block; is sent its value or the (B,) values
+Body = Generator[np.ndarray, Union[float, np.ndarray], None]
 
 NM_INITIAL_STEP, NM_VALUE_TOL, NM_DIAMETER_TOL = 0.25, 1e-10, 1e-8
 FD_STEP, FD_EPSILON, FD_GRAD_TOL = 0.5, 1e-5, 1e-7
@@ -26,9 +29,14 @@ COORD_SPAN, COORD_AXIS_TOL, COORD_VALUE_TOL = 1.0, 1e-8, 1e-12
 
 @dataclass
 class ObjectiveSpec:
+    """The function to minimize. ``evaluate_batch``, when given, maps a
+    (B, P) block to the (B,) values ``evaluate`` gives row by row; without
+    it a block is evaluated one row at a time."""
+
     arity: int
     evaluate: Callable[[np.ndarray], float]
     budget: int = 1000
+    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.arity < 0:
@@ -36,13 +44,26 @@ class ObjectiveSpec:
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
 
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        if self.evaluate_batch is not None:
+            return np.asarray(self.evaluate_batch(rows), dtype=float)
+        return np.array([float(self.evaluate(x)) for x in rows])
+
 
 @dataclass
 class OptResult:
+    """A fit's best point and value, its evaluation count, whether its body
+    returned within the budget, and the incumbent value after each
+    evaluation. A lockstep run returns its best fit (the first with the
+    lowest value) with ``evaluations`` summed over all fits and every fit's
+    own result in ``fits``, in start order."""
+
     best_params: np.ndarray
     best_value: float
     evaluations: int
     converged: bool
+    trace: list = field(default_factory=list)
+    fits: list = field(default_factory=list)
 
 
 def _requests(obj: ObjectiveSpec, x0: np.ndarray, body):
@@ -55,25 +76,82 @@ def _requests(obj: ObjectiveSpec, x0: np.ndarray, body):
     yield None
 
 
+class _Fit:
+    """One body driven against the budget: its pending ask, evaluation
+    count, incumbent and trace."""
+
+    def __init__(self, obj: ObjectiveSpec, x0: np.ndarray, body):
+        self.budget = obj.budget
+        self.points = _requests(obj, x0, body)
+        self.ask = next(self.points)
+        self.count = 0
+        self.best_x, self.best_f = np.array(x0), math.inf
+        self.trace: list[float] = []
+
+    @property
+    def open(self) -> bool:
+        return self.ask is not None and self.count < self.budget
+
+    def block(self) -> np.ndarray:
+        """The asked rows the budget leaves room for, as a block."""
+        rows = self.ask if self.ask.ndim == 2 else self.ask[None]
+        return rows[:self.budget - self.count]
+
+    def tell(self, rows, values) -> None:
+        """Record the values of the asked rows (all of them, or the block
+        that the budget left room for); the body hears them once its whole
+        ask is evaluated."""
+        values = [float(f) for f in values]
+        for x, f in zip(rows, values):
+            if f < self.best_f:
+                self.best_x, self.best_f = np.array(x, dtype=float), f
+            self.trace.append(self.best_f)
+        self.count += len(values)
+        if self.ask.ndim == 1:
+            self.ask = self.points.send(values[0])
+        elif len(values) == len(self.ask):
+            self.ask = self.points.send(np.array(values))
+
+    def result(self) -> OptResult:
+        return OptResult(self.best_x, self.best_f, self.count, self.ask is None,
+                         self.trace)
+
+
 def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResult:
     """Evaluate the points a body asks for, up to the budget.
 
     The fit converged when the body returned; it did not when the body asked
-    for a point past the budget. The best point evaluated is returned either
-    way.
+    for a point past the budget. A block is cut where the budget ends, so
+    the count, the incumbent and the flag are those of asking its rows one
+    by one. The best point evaluated is returned either way. An (R, P) x0
+    runs R fits in lockstep (see ``OptResult``).
     """
     x0 = np.asarray(x0, dtype=float)
-    points = _requests(obj, x0, body)
-    best_x, best_f = np.array(x0), math.inf
-    x = next(points)
-    for count in range(obj.budget):
-        if x is None:
-            return OptResult(best_x, best_f, count, True)
-        f = float(obj.evaluate(np.asarray(x, dtype=float)))
-        if f < best_f:
-            best_x, best_f = np.array(x, dtype=float), f
-        x = points.send(f)
-    return OptResult(best_x, best_f, obj.budget, x is None)
+    if x0.ndim == 2:
+        return _lockstep(obj, x0, body)
+    fit = _Fit(obj, x0, body)
+    while fit.open:
+        if fit.ask.ndim == 1:
+            fit.tell((fit.ask,), (obj.evaluate(fit.ask),))
+        else:
+            rows = fit.block()
+            fit.tell(rows, obj.values(rows))
+    return fit.result()
+
+
+def _lockstep(obj: ObjectiveSpec, starts: np.ndarray, body) -> OptResult:
+    fits = [_Fit(obj, x0, body) for x0 in starts]
+    while live := [fit for fit in fits if fit.open]:
+        blocks = [fit.block() for fit in live]
+        values = obj.values(np.concatenate(blocks))
+        at = 0
+        for fit, rows in zip(live, blocks):
+            fit.tell(rows, values[at:at + len(rows)])
+            at += len(rows)
+    results = [fit.result() for fit in fits]
+    best = min(results, key=lambda res: res.best_value)
+    return replace(best, evaluations=sum(res.evaluations for res in results),
+                   fits=results)
 
 
 def _nelder_mead_body(x0: np.ndarray) -> Body:
@@ -81,17 +159,14 @@ def _nelder_mead_body(x0: np.ndarray) -> Body:
     n = len(x0)
     simplex = np.tile(x0, (n + 1, 1))
     simplex[np.arange(1, n + 1), np.arange(n)] += NM_INITIAL_STEP
-    values = np.empty(n + 1)
-    for i in range(n + 1):
-        values[i] = yield simplex[i]
+    values = yield simplex
     while True:
         order = np.argsort(values)
         simplex, values = simplex[order], values[order]
-        spread = values[-1] - values[0]
-        diameter = np.linalg.norm(simplex[1:] - simplex[0], axis=1).max()
-        if spread < NM_VALUE_TOL and diameter < NM_DIAMETER_TOL:
+        if (values[-1] - values[0] < NM_VALUE_TOL and np.linalg.norm(
+                simplex[1:] - simplex[0], axis=1).max() < NM_DIAMETER_TOL):
             return
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].sum(axis=0) / n  # np.mean's arithmetic
         xr = centroid + alpha * (centroid - simplex[-1])
         fr = yield xr
         if fr < values[0]:
@@ -109,9 +184,8 @@ def _nelder_mead_body(x0: np.ndarray) -> Body:
             if fc < values[-1]:
                 simplex[-1], values[-1] = xc, fc
             else:
-                for i in range(1, n + 1):
-                    x = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    simplex[i], values[i] = x, (yield x)
+                simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
+                values[1:] = yield simplex[1:]
 
 
 def nelder_mead(obj: ObjectiveSpec, x0) -> OptResult:
@@ -127,12 +201,12 @@ def nelder_mead(obj: ObjectiveSpec, x0) -> OptResult:
 def _fd_body(x0: np.ndarray) -> Body:
     x = np.array(x0)
     fx = yield x
+    steps = FD_EPSILON * np.eye(len(x))
     while True:
-        grad = np.zeros_like(x)
-        for i in range(len(x)):
-            e = np.zeros_like(x)
-            e[i] = FD_EPSILON
-            grad[i] = ((yield x + e) - (yield x - e)) / (2 * FD_EPSILON)
+        # central-difference probes x + e_i, x - e_i, in that order per axis
+        probes = np.stack([x + steps, x - steps], axis=1).reshape(-1, len(x))
+        fp = yield probes
+        grad = (fp[0::2] - fp[1::2]) / (2 * FD_EPSILON)
         if np.abs(grad).max() < FD_GRAD_TOL:
             return
         t = FD_STEP

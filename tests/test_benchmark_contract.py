@@ -37,3 +37,38 @@ def test_every_optimizer_label_maps_to_a_benchmark_family():
     names = {label: optimize.get_optimizer(label).__name__
              for label in optimize._REGISTRY}
     assert names and all(n in tracing.FAMILIES for n in names.values()), names
+
+
+def test_counted_evaluations_equal_rows_evaluated(monkeypatch):
+    # the benchmark counts OptResult.evaluations of what get_optimizer hands
+    # out; a lockstep restart run and an fd fit that asks for probe blocks
+    # must report exactly the objective rows the engine evaluated
+    import numpy as np
+
+    from qhmm import experiments, learning
+    from qhmm.circuits import real_amplitudes
+
+    rows = []
+    level_probs = learning.ChannelEngine.level_probs
+
+    def counting(self, x, lengths):
+        rows.append(1 if np.ndim(x) == 1 else len(x))
+        return level_probs(self, x, lengths)
+
+    monkeypatch.setattr(learning.ChannelEngine, "level_probs", counting)
+    inst = _load_tracing().Instrument(trace=False)
+    inst.install()
+    try:
+        spec = learning.AnsatzSpec(real_amplitudes(2, 1, "linear"), 2, 2,
+                                   ("0", "1"))
+        target = experiments.market_target_items(max_len=3)
+        learning.train_ansatz_restarts(spec, target, "nm", restarts=4,
+                                       budget=150, seed=2)
+        assert max(rows) > 1  # the restarts ran as blocks
+        assert inst.evals == sum(rows)
+        restarts, rows[:] = inst.evals, []
+        learning.train_ansatz(spec, target, "bfsg", budget=57)
+        assert max(rows) == 4  # central-difference probes, two angles
+        assert inst.evals - restarts == sum(rows) == 57
+    finally:
+        inst.uninstall()

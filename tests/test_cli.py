@@ -506,3 +506,37 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# each count used to be a plain int: hankel and learn-ansatz --reps exited 0
+# on -1, learn-ansatz --restarts 0 and --budget 0 and landscape --steps -3
+# exited 1 from inside the library
+@pytest.mark.parametrize("argv,message", [
+    (["hankel", "--target", "{target}", "--max-len", "-1"], "must be >= 0"),
+    (["learn-ansatz", "--target", "{target}", "--reps", "-1"], "must be >= 0"),
+    (["learn-ansatz", "--target", "{target}", "--restarts", "0"], "must be >= 1"),
+    (["learn-ansatz", "--target", "{target}", "--budget", "0"], "must be >= 1"),
+    (["landscape", "--steps", "-3"], "must be >= 1"),
+], ids=["hankel-max-len", "ansatz-reps", "ansatz-restarts", "ansatz-budget",
+        "landscape-steps"])
+def test_bad_count_exits_2(argv, message, tmp_path, capsys):
+    target, _ = quick_learn_evo_inputs(tmp_path)
+    out = tmp_path / "out"
+    argv = [a.format(target=target) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hankel_rejected_target_leaves_no_output(tmp_path, capsys):
+    # the output directory used to be made before the target was loaded
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("sequence,probability\n0,0.5\n0,0.5\n1,0.5\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["hankel", "--target", str(repeated), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid target file" in capsys.readouterr().err
+    assert not out.exists()

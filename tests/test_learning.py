@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhmm import circuits as qc
 from qhmm import classical
 from qhmm.circuits import Circuit, GateSpec, real_amplitudes
 from qhmm.lang import DistributionTable
@@ -12,11 +13,13 @@ from qhmm.learning import (
     AdaptiveDistribution,
     AnsatzSpec,
     ChannelEngine,
+    FitnessEngine,
     HyperParams,
     Hypothesis,
     LearnSpace,
     acceptance_probability,
     ansatz_cost,
+    ansatz_objective,
     bandit_update,
     default_distributions,
     evolve,
@@ -550,3 +553,110 @@ def test_train_ansatz_cost_matches_object_path(market_target):
     current = [(s, tabs[len(s)].prob(s)) for s, _ in items]
     assert res.cost > 1e-4
     assert abs(res.cost - ansatz_cost(items, current)) < 1e-12
+
+
+# --- batch axis -------------------------------------------------------------
+
+BATCH_SIZES = (1, 2, 7, 36)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4]), st.integers(0, 16))
+def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
+    # a point's level probabilities, divergence and ansatz cost are the same
+    # bits alone as at any position of a block, over random circuits of all
+    # 11 gate types
+    from qhmm.models import block_symbol_map
+
+    rng = np.random.default_rng(seed)
+    n_qubits = 1 + int(math.log2(dim_e))
+    gates = []
+    for _ in range(n_gates):
+        gate = sorted(qc.GATE_ARITY)[rng.integers(len(qc.GATE_ARITY))]
+        if gate in qc.TWO_QUBIT_GATES:
+            qubits = tuple(int(q) for q in rng.choice(n_qubits, 2, replace=False))
+        else:
+            qubits = (int(rng.integers(n_qubits)),)
+        gates.append(GateSpec(gate, qubits, (None,) * qc.GATE_ARITY[gate]))
+    template = Circuit(n_qubits, tuple(gates))
+    model = classical.market_model() if dim_e == 2 else classical.gaussian4_model()
+    symbol_map = block_symbol_map(model.alphabet, dim_e)
+    lengths = [1, 2, 3]
+    tables = [classical.distribution(model, t) for t in lengths]
+    items = [(s, tab.prob(s)) for tab in tables for s in sorted(tab.probs)]
+    engine = ChannelEngine(template, 2, dim_e, symbol_map, initial_state(
+        "maximally_mixed", 2))
+    fit = FitnessEngine(Hypothesis(template, 2, dim_e, symbol_map), tables)
+    cost = ansatz_objective(AnsatzSpec(template, 2, dim_e, symbol_map), items)
+    points = rng.uniform(0.0, 8 * np.pi, size=(36, template.num_parameters))
+    alone = [(engine.level_probs(x, lengths), fit.divergence(x), cost.evaluate(x))
+             for x in points]
+    for size in BATCH_SIZES:
+        for shift in (0, int(rng.integers(36))):
+            rows = np.roll(points, -shift, axis=0)[:size]
+            probs = engine.level_probs(rows, lengths)
+            divs, costs = fit.divergence(rows), cost.evaluate_batch(rows)
+            assert divs.shape == costs.shape == (size,)
+            for i in range(size):
+                want_probs, want_div, want_cost = alone[(i + shift) % 36]
+                assert all(np.array_equal(p[i], w)
+                           for p, w in zip(probs, want_probs))
+                assert divs[i] == want_div and costs[i] == want_cost
+
+
+def test_unitary_block_bounds_its_stack():
+    # a block whose gate stacks exceed STACK_BYTES runs in near-equal pieces
+    # and still returns one unitary per row
+    from qhmm.circuits import STACK_BYTES, efficient_su2
+
+    engine = ChannelEngine(efficient_su2(3, 3, "full", "RZ_RX"), 2, 4,
+                           ("0", "1", "2", "3"), initial_state("ground", 2))
+    rows = 1 + STACK_BYTES // engine.gates.stack.nbytes
+    x = np.random.default_rng(0).uniform(0.0, 2 * np.pi, size=(rows, 18))
+    u = engine.unitary(x)
+    assert u.shape == (rows, 8, 8)
+    assert all(np.array_equal(u[i], engine.unitary(x[i])) for i in range(rows))
+
+
+def _market_items(market_target):
+    return [(s, tab.prob(s)) for tab in market_target for s in sorted(tab.probs)]
+
+
+@pytest.mark.parametrize("label", ["nm", "bfsg", "cbla"])
+def test_lockstep_restarts_equal_sequential_fits(market_target, label):
+    spec = AnsatzSpec(circuit=real_amplitudes(2, 1, "linear"),
+                      dim_s=2, dim_e=2, symbol_map=("0", "1"))
+    items = _market_items(market_target)
+    fits = [train_ansatz(spec, items, label, budget=120,
+                         rng=np.random.default_rng(np.random.SeedSequence([3, r])))
+            for r in range(5)]
+    best = train_ansatz_restarts(spec, items, label, restarts=5, budget=120,
+                                 seed=3)
+    first = min(fits, key=lambda res: res.cost)  # the first of equal costs
+    assert np.array_equal(best.params, first.params)
+    assert (best.cost, best.evaluations, best.trace) == (
+        first.cost, first.evaluations, first.trace)
+
+
+def test_restarts_pick_the_first_lowest_cost(monkeypatch, market_target):
+    # with a constant cost every restart ties, and each keeps its start
+    from qhmm import learning
+    from qhmm.optimize import ObjectiveSpec
+
+    monkeypatch.setattr(learning, "ansatz_objective", lambda spec, target, budget:
+                        ObjectiveSpec(2, lambda x: 1.0, budget, None))
+    spec = AnsatzSpec(circuit=real_amplitudes(2, 1, "linear"),
+                      dim_s=2, dim_e=2, symbol_map=("0", "1"))
+    res = train_ansatz_restarts(spec, _market_items(market_target), restarts=3,
+                                budget=30, seed=7)
+    first = np.random.default_rng(np.random.SeedSequence([7, 0])).uniform(
+        0.0, 2 * np.pi, size=2)
+    assert np.array_equal(res.params, first)
+    assert res.cost == 1.0 and res.evaluations == 30
+
+
+def test_restarts_must_be_positive(market_target):
+    spec = AnsatzSpec(circuit=real_amplitudes(2, 1, "linear"),
+                      dim_s=2, dim_e=2, symbol_map=("0", "1"))
+    with pytest.raises(ValueError, match="restarts"):
+        train_ansatz_restarts(spec, _market_items(market_target), restarts=0)

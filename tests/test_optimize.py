@@ -383,3 +383,126 @@ def test_nelder_mead_matches_frozen_list_body(family, budget, kind, seed):
     assert np.array_equal(res.best_params, ref.best_params)
     assert (res.best_value, res.evaluations, res.converged) == (
         ref.best_value, ref.evaluations, ref.converged)
+
+
+# --- blocks and lockstep ----------------------------------------------------
+
+def _recording(f, points, blocks=None):
+    """An objective that records every row it evaluates; with ``blocks`` it
+    also takes (B, P) blocks and records their sizes."""
+    def one(x):
+        points.append(np.array(x))
+        return f(x)
+
+    def batch(rows):
+        blocks.append(len(rows))
+        return np.array([one(x) for x in rows])
+
+    return one, (batch if blocks is not None else None)
+
+
+def _block_spans(family, kind, seed):
+    """(first evaluation, size) of every block a full-budget run asks for."""
+    dim, f, x0 = _seeded_objective(kind, seed)
+    points, blocks, spans = [], [], []
+    one, batch = _recording(f, points, blocks)
+
+    def spy(rows):
+        spans.append((len(points), len(rows)))
+        return batch(rows)
+
+    FROZEN[family][0](ObjectiveSpec(dim, one, 3000, spy), x0)
+    return spans
+
+
+def _cut_budgets():
+    """Budgets that end inside a Nelder-Mead initial simplex, a shrink step
+    and an fd probe block, found by running each body to the end."""
+    cases = []
+    for family, kind, seed in [("nm", "quadratic", 0), ("nm", "quadratic", 1),
+                               ("nm", "rugged", 2), ("fd", "quadratic", 0),
+                               ("fd", "rosenbrock", 1)]:
+        spans = _block_spans(family, kind, seed)
+        first, size = spans[0]
+        cases.append((family, kind, seed, first + size // 2, "first block"))
+        if family == "nm":  # the blocks after the simplex are shrinks
+            first, size = next(s for s in spans[1:] if s[1] > 1)
+            cases.append((family, kind, seed, first + size // 2, "shrink"))
+        else:
+            first, size = spans[3]
+            cases.append((family, kind, seed, first + size - 1, "probes"))
+    return cases
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["rows", "blocks"])
+@pytest.mark.parametrize("family,kind,seed,budget,where", _cut_budgets())
+def test_budget_inside_a_block_matches_frozen_body(family, kind, seed, budget,
+                                                    where, batched):
+    dim, f, x0 = _seeded_objective(kind, seed)
+    got, want = [], []
+    one, batch = _recording(f, got, [] if batched else None)
+    res = FROZEN[family][0](ObjectiveSpec(dim, one, budget, batch), x0)
+    ref_one, _ = _recording(f, want)
+    ref = FROZEN[family][1](ObjectiveSpec(dim, ref_one, budget), x0)
+    assert len(got) == len(want) == res.evaluations == budget, where
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(res.best_params, ref.best_params)
+    assert (res.best_value, res.converged) == (ref.best_value, ref.converged)
+    assert not res.converged
+
+
+def test_blocks_are_asked():
+    # the simplex comes first as dim + 1 rows, a shrink as dim rows, and the
+    # probes after the start point as 2 * dim rows; coordinate search asks
+    # one point at a time
+    dim = _seeded_objective("quadratic", 1)[0]
+    spans = _block_spans("nm", "quadratic", 1)
+    assert spans[0] == (0, dim + 1)
+    assert {size for _, size in spans[1:]} == {dim}
+    assert _block_spans("fd", "quadratic", 1)[:2] == [(1, 2 * dim),
+                                                      (1 + 2 * dim + 2, 2 * dim)]
+    assert _block_spans("coord", "quadratic", 1) == []
+
+
+@pytest.mark.parametrize("family", sorted(FROZEN))
+@pytest.mark.parametrize("kind", ["quadratic", "abs", "rugged", "empty"])
+@pytest.mark.parametrize("budget", [1, 9, 200])
+def test_lockstep_equals_sequential_fits(family, kind, budget):
+    dim, f, _ = _seeded_objective(kind, 3)
+    starts = np.random.default_rng(4).normal(size=(5, dim))
+    opt = FROZEN[family][0]
+
+    def batch(rows):
+        return np.array([f(x) for x in rows])
+
+    single = [opt(ObjectiveSpec(dim, f, budget), x0) for x0 in starts]
+    res = opt(ObjectiveSpec(dim, f, budget, batch), starts)
+    assert len(res.fits) == len(starts)
+    for got, want in zip(res.fits, single):
+        assert np.array_equal(got.best_params, want.best_params)
+        assert (got.best_value, got.evaluations, got.converged, got.trace) == (
+            want.best_value, want.evaluations, want.converged, want.trace)
+    first = min(range(len(single)), key=lambda r: single[r].best_value)
+    assert np.array_equal(res.best_params, single[first].best_params)
+    assert (res.best_value, res.converged) == (
+        single[first].best_value, single[first].converged)
+    assert res.evaluations == sum(fit.evaluations for fit in single)
+
+
+def test_lockstep_picks_first_of_equal_fits():
+    starts = np.arange(8.0).reshape(4, 2)
+    res = nelder_mead(ObjectiveSpec(2, lambda x: 1.5, 50), starts)
+    assert np.array_equal(res.best_params, starts[0])
+    assert res.evaluations == 4 * res.fits[0].evaluations
+
+
+def test_trace_is_the_incumbent_after_each_evaluation():
+    values = []
+
+    def f(x):
+        values.append(float((x**2).sum()))
+        return values[-1]
+
+    res = fd_gradient_descent(ObjectiveSpec(2, f, 40), [1.0, -2.0])
+    assert res.trace == list(np.minimum.accumulate(values))
+    assert res.trace[-1] == res.best_value
