@@ -51,9 +51,6 @@ _GATE_TERMS = {
     }.items()
 }
 _HALF_AND_FULL = np.array([0.5, 1.0])
-# a (B, P) block is evaluated in near-equal runs of rows whose gate stacks
-# take at most this many bytes, which bounds the transient memory of a call
-STACK_BYTES = 1 << 19
 
 
 def _angle_weights(theta: np.ndarray) -> np.ndarray:
@@ -261,9 +258,6 @@ class GateStack:
                 f"expected {self.n_params} angles or rows of them, "
                 f"got shape {x.shape}"
             )
-        if x.ndim == 2 and len(x) * self.stack.nbytes > STACK_BYTES:
-            runs = -(-len(x) * self.stack.nbytes // STACK_BYTES)
-            return np.concatenate([self(rows) for rows in np.array_split(x, runs)])
         lead = x.shape[:-1]
         if len(self.stack) == 0:
             return np.tile(np.eye(self.dim, dtype=np.complex128), lead + (1, 1))

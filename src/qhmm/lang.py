@@ -128,8 +128,8 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     effects = (np.asarray(final) @ ops).swapaxes(-1, -2)  # (..., D, m)
     states = np.asarray(init)[..., None, :]  # (..., m**t, D) at level t
     by_len: dict[int, np.ndarray] = {}
-    if 0 in lengths:
-        by_len[0] = (states @ final).real
+    if 0 in lengths:  # the empty sequence, once per operator stack
+        by_len[0] = np.zeros(ops.shape[:-3] + (1,)) + (states @ final).real
     top = max(lengths)
     for t in range(1, top + 1):
         if t in lengths:

@@ -185,12 +185,19 @@ class HyperParams:
 
 # --- compiled evaluation engine -------------------------------------------------
 
+# a (B, P) block is evaluated in near-equal runs of rows whose largest
+# intermediates take about this many bytes in all (a run holds at least one
+# row), which bounds the transient memory of a call
+BLOCK_BYTES = 1 << 20
+
+
 class ChannelEngine:
     """Parameter vector -> unitary -> symbol-grouped Kraus stack -> per-symbol
     transfer matrices -> exact lex-ordered probability vectors from
     ``lang.forward_probs``, with all structure precomputed. A (B, P) block
     of parameter vectors runs through the same path with a leading batch
-    axis, and each row's result equals that vector's alone bit for bit.
+    axis, in runs of at most BLOCK_BYTES, and each row's result equals that
+    vector's alone bit for bit.
 
     This is the hot path behind fitness and ansatz cost; the object-based
     route (Hypothesis.tables / models.distribution_tables) computes the same
@@ -217,13 +224,31 @@ class ChannelEngine:
         s = np.arange(dim_s) * dim_e
         rows = s[None, :, None] + order[:, None, None]
         self.kraus_at = rows * (dim_s * dim_e) + s[None, None, :]
+        # complex entries per row of the factor stack and its tree product,
+        # the Kraus pairs, and the transfer matrices with their matmul layout
+        self.row_entries = (2 * self.gates.stack.size
+                            + (dim_e + 2 * self.n_symbols) * dim_s**4)
 
     def unitary(self, x) -> np.ndarray:
         return self.gates(x)
 
     def level_probs(self, x, lengths) -> list[np.ndarray]:
         """Probability vectors over lex-ordered sequences for each length;
-        (..., m**t) for (..., P) parameters."""
+        (m**t,) for (P,) parameters, (B, m**t) for a (B, P) block."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and len(x) > 1:
+            # plus the two deepest levels of states and the probabilities
+            m, top = self.n_symbols, max(lengths, default=0)
+            row = 16 * (self.row_entries + m**top
+                        + 2 * m ** max(top - 1, 0) * self.dim_s**2)
+            runs = min(len(x), -(-len(x) * row // BLOCK_BYTES))
+            if runs > 1:
+                pieces = [self._probs(rows, lengths)
+                          for rows in np.array_split(x, runs)]
+                return [np.concatenate(level) for level in zip(*pieces)]
+        return self._probs(x, lengths)
+
+    def _probs(self, x, lengths) -> list[np.ndarray]:
         u = self.unitary(x)
         kraus = u.reshape(u.shape[:-2] + (-1,)).take(self.kraus_at, axis=-1)
         ops = symbol_transfer_matrices(kraus, self.group_starts)
@@ -317,8 +342,7 @@ def optimize_parameters(
     n_par = hyp.circuit.num_parameters
     engine = FitnessEngine(hyp, target, c_q, c_e)
     x0 = np.array([p if p is not None else 0.0 for p in hyp.circuit.parameters()])
-    obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget,
-                        evaluate_batch=engine.neg_fitness)
+    obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget)
     res = get_optimizer(optimizer_label)(obj, x0)
     tuned = hyp.circuit.with_parameters(res.best_params)
     return replace(
@@ -816,7 +840,7 @@ def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
         return (weights * gap * gap).sum(axis=-1)
 
     return ObjectiveSpec(arity=spec.circuit.num_parameters, evaluate=cost,
-                         budget=budget, evaluate_batch=cost)
+                         budget=budget)
 
 
 def _train_result(res) -> TrainResult:
@@ -862,4 +886,4 @@ def train_ansatz_restarts(
         for r in range(restarts)
     ]).reshape(restarts, obj.arity)
     res = get_optimizer(optimizer_label)(obj, starts)
-    return _train_result(min(res.fits, key=lambda fit: fit.best_value))
+    return _train_result(res.fits[res.best_fit])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Generator, Optional, Union
+from typing import Callable, Generator, Union
 
 import numpy as np
 
@@ -29,14 +29,12 @@ COORD_SPAN, COORD_AXIS_TOL, COORD_VALUE_TOL = 1.0, 1e-8, 1e-12
 
 @dataclass
 class ObjectiveSpec:
-    """The function to minimize. ``evaluate_batch``, when given, maps a
-    (B, P) block to the (B,) values ``evaluate`` gives row by row; without
-    it a block is evaluated one row at a time."""
+    """The function to minimize: ``evaluate`` maps (P,) parameters to their
+    value and a (B, P) block to the (B,) values of its rows."""
 
     arity: int
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], Union[float, np.ndarray]]
     budget: int = 1000
-    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.arity < 0:
@@ -44,19 +42,15 @@ class ObjectiveSpec:
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
 
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        if self.evaluate_batch is not None:
-            return np.asarray(self.evaluate_batch(rows), dtype=float)
-        return np.array([float(self.evaluate(x)) for x in rows])
-
 
 @dataclass
 class OptResult:
     """A fit's best point and value, its evaluation count, whether its body
     returned within the budget, and the incumbent value after each
     evaluation. A lockstep run returns its best fit (the first with the
-    lowest value) with ``evaluations`` summed over all fits and every fit's
-    own result in ``fits``, in start order."""
+    lowest value) with ``evaluations`` summed over all fits, every fit's own
+    result in ``fits``, in start order, and the best one's index there in
+    ``best_fit``."""
 
     best_params: np.ndarray
     best_value: float
@@ -64,6 +58,7 @@ class OptResult:
     converged: bool
     trace: list = field(default_factory=list)
     fits: list = field(default_factory=list)
+    best_fit: int = 0
 
 
 def _requests(obj: ObjectiveSpec, x0: np.ndarray, body):
@@ -135,7 +130,7 @@ def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResul
             fit.tell((fit.ask,), (obj.evaluate(fit.ask),))
         else:
             rows = fit.block()
-            fit.tell(rows, obj.values(rows))
+            fit.tell(rows, obj.evaluate(rows))
     return fit.result()
 
 
@@ -143,15 +138,15 @@ def _lockstep(obj: ObjectiveSpec, starts: np.ndarray, body) -> OptResult:
     fits = [_Fit(obj, x0, body) for x0 in starts]
     while live := [fit for fit in fits if fit.open]:
         blocks = [fit.block() for fit in live]
-        values = obj.values(np.concatenate(blocks))
+        values = obj.evaluate(np.concatenate(blocks))
         at = 0
         for fit, rows in zip(live, blocks):
             fit.tell(rows, values[at:at + len(rows)])
             at += len(rows)
     results = [fit.result() for fit in fits]
-    best = min(results, key=lambda res: res.best_value)
-    return replace(best, evaluations=sum(res.evaluations for res in results),
-                   fits=results)
+    best = min(range(len(results)), key=lambda r: results[r].best_value)
+    return replace(results[best], fits=results, best_fit=best,
+                   evaluations=sum(res.evaluations for res in results))
 
 
 def _nelder_mead_body(x0: np.ndarray) -> Body:

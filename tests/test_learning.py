@@ -565,7 +565,7 @@ BATCH_SIZES = (1, 2, 7, 36)
 def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
     # a point's level probabilities, divergence and ansatz cost are the same
     # bits alone as at any position of a block, over random circuits of all
-    # 11 gate types
+    # 11 gate types; the empty sequence is a level of the divergence
     from qhmm.models import block_symbol_map
 
     rng = np.random.default_rng(seed)
@@ -581,9 +581,9 @@ def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
     template = Circuit(n_qubits, tuple(gates))
     model = classical.market_model() if dim_e == 2 else classical.gaussian4_model()
     symbol_map = block_symbol_map(model.alphabet, dim_e)
-    lengths = [1, 2, 3]
+    lengths = [0, 1, 2, 3]
     tables = [classical.distribution(model, t) for t in lengths]
-    items = [(s, tab.prob(s)) for tab in tables for s in sorted(tab.probs)]
+    items = [(s, tab.prob(s)) for tab in tables[1:] for s in sorted(tab.probs)]
     engine = ChannelEngine(template, 2, dim_e, symbol_map, initial_state(
         "maximally_mixed", 2))
     fit = FitnessEngine(Hypothesis(template, 2, dim_e, symbol_map), tables)
@@ -595,8 +595,10 @@ def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
         for shift in (0, int(rng.integers(36))):
             rows = np.roll(points, -shift, axis=0)[:size]
             probs = engine.level_probs(rows, lengths)
-            divs, costs = fit.divergence(rows), cost.evaluate_batch(rows)
+            divs, costs = fit.divergence(rows), cost.evaluate(rows)
             assert divs.shape == costs.shape == (size,)
+            assert [p.shape for p in probs] == [
+                (size, engine.n_symbols**t) for t in lengths]
             for i in range(size):
                 want_probs, want_div, want_cost = alone[(i + shift) % 36]
                 assert all(np.array_equal(p[i], w)
@@ -604,18 +606,47 @@ def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
                 assert divs[i] == want_div and costs[i] == want_cost
 
 
-def test_unitary_block_bounds_its_stack():
-    # a block whose gate stacks exceed STACK_BYTES runs in near-equal pieces
-    # and still returns one unitary per row
-    from qhmm.circuits import STACK_BYTES, efficient_su2
+def _counting_unitary(engine):
+    """Record the rows of every unitary call the engine makes."""
+    calls, unitary = [], engine.unitary
+    engine.unitary = lambda x: calls.append(len(x)) or unitary(x)
+    return calls
+
+
+def test_large_block_runs_in_pieces():
+    # a block whose intermediates exceed BLOCK_BYTES runs in near-equal
+    # pieces and still gives each row's probabilities alone
+    from qhmm.circuits import efficient_su2
 
     engine = ChannelEngine(efficient_su2(3, 3, "full", "RZ_RX"), 2, 4,
                            ("0", "1", "2", "3"), initial_state("ground", 2))
-    rows = 1 + STACK_BYTES // engine.gates.stack.nbytes
-    x = np.random.default_rng(0).uniform(0.0, 2 * np.pi, size=(rows, 18))
-    u = engine.unitary(x)
-    assert u.shape == (rows, 8, 8)
-    assert all(np.array_equal(u[i], engine.unitary(x[i])) for i in range(rows))
+    x = np.random.default_rng(0).uniform(0.0, 2 * np.pi, size=(60, 18))
+    alone = [engine.level_probs(row, [1, 2]) for row in x]
+    calls = _counting_unitary(engine)
+    probs = engine.level_probs(x, [1, 2])
+    assert len(calls) > 1 and sum(calls) == 60 and max(calls) - min(calls) <= 1
+    assert [p.shape for p in probs] == [(60, 4), (60, 16)]
+    assert all(np.array_equal(p[i], want[t])
+               for i, want in enumerate(alone) for t, p in enumerate(probs))
+
+
+def test_row_larger_than_block_bytes_runs_alone():
+    # six qubits: one row's factor stack alone is over BLOCK_BYTES, so a
+    # two-row block runs as two single rows
+    from qhmm.circuits import efficient_su2
+    from qhmm.learning import BLOCK_BYTES
+
+    labels = tuple("abcdefgh")
+    engine = ChannelEngine(efficient_su2(6, 2), 8, 8, labels,
+                           initial_state("maximally_mixed", 8))
+    assert engine.gates.stack.nbytes > BLOCK_BYTES
+    x = np.random.default_rng(1).uniform(0.0, 2 * np.pi, size=(2, 24))
+    calls = _counting_unitary(engine)
+    probs = engine.level_probs(x, [1, 2])
+    assert calls == [1, 1]
+    for i in range(2):
+        assert all(np.array_equal(p[i], w)
+                   for p, w in zip(probs, engine.level_probs(x[i], [1, 2])))
 
 
 def _market_items(market_target):
@@ -644,7 +675,8 @@ def test_restarts_pick_the_first_lowest_cost(monkeypatch, market_target):
     from qhmm.optimize import ObjectiveSpec
 
     monkeypatch.setattr(learning, "ansatz_objective", lambda spec, target, budget:
-                        ObjectiveSpec(2, lambda x: 1.0, budget, None))
+                        ObjectiveSpec(2, lambda x: np.ones(np.shape(x)[:-1]),
+                                      budget))
     spec = AnsatzSpec(circuit=real_amplitudes(2, 1, "linear"),
                       dim_s=2, dim_e=2, symbol_map=("0", "1"))
     res = train_ansatz_restarts(spec, _market_items(market_target), restarts=3,

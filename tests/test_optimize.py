@@ -15,8 +15,18 @@ from qhmm.optimize import (
 ALL_OPTIMIZERS = [nelder_mead, fd_gradient_descent, coordinate_search]
 
 
+def rowwise(f):
+    """A one-point objective that also takes a (B, P) block, row by row, as
+    ``ObjectiveSpec.evaluate`` must."""
+    def evaluate(x):
+        return np.array([f(row) for row in x]) if np.ndim(x) == 2 else f(x)
+
+    return evaluate
+
+
 def quadratic_1d():
-    return ObjectiveSpec(arity=1, evaluate=lambda x: (x[0] - 2.0) ** 2, budget=500)
+    return ObjectiveSpec(arity=1, evaluate=rowwise(lambda x: (x[0] - 2.0) ** 2),
+                         budget=500)
 
 
 def rosenbrock(x):
@@ -30,20 +40,21 @@ def test_nelder_mead_quadratic():
 
 
 def test_nelder_mead_rosenbrock():
-    obj = ObjectiveSpec(arity=2, evaluate=rosenbrock, budget=5000)
+    obj = ObjectiveSpec(arity=2, evaluate=rowwise(rosenbrock), budget=5000)
     res = nelder_mead(obj, [-1.0, 1.0])
     assert res.best_value < 1e-6
 
 
 def test_nelder_mead_constant_objective():
-    obj = ObjectiveSpec(arity=2, evaluate=lambda x: 1.0, budget=200)
+    obj = ObjectiveSpec(arity=2, evaluate=rowwise(lambda x: 1.0), budget=200)
     res = nelder_mead(obj, [3.0, 4.0])
     assert res.converged
     assert res.best_value == 1.0
 
 
 def test_fd_quadratic_bowl():
-    obj = ObjectiveSpec(arity=2, evaluate=lambda x: (x**2).sum(), budget=2000)
+    obj = ObjectiveSpec(arity=2, evaluate=rowwise(lambda x: (x**2).sum()),
+                        budget=2000)
     res = fd_gradient_descent(obj, [1.0, -2.0])
     assert res.best_value < 1e-6
 
@@ -56,7 +67,7 @@ def test_fd_gradient_matches_analytic():
         calls.append(np.array(x))
         return 3 * x[0] ** 2 + 2 * x[0]
 
-    obj = ObjectiveSpec(arity=1, evaluate=f, budget=3)
+    obj = ObjectiveSpec(arity=1, evaluate=rowwise(f), budget=3)
     fd_gradient_descent(obj, [1.0])
     plus, minus = calls[1], calls[2]
     grad = (f(plus) - f(minus)) / (2e-5)
@@ -65,7 +76,7 @@ def test_fd_gradient_matches_analytic():
 
 def test_zero_arity_returns_x0():
     for opt in ALL_OPTIMIZERS:
-        obj = ObjectiveSpec(arity=0, evaluate=lambda x: 5.0, budget=10)
+        obj = ObjectiveSpec(arity=0, evaluate=rowwise(lambda x: 5.0), budget=10)
         res = opt(obj, np.zeros(0))
         assert res.best_value == 5.0
         assert res.evaluations == 1
@@ -74,7 +85,8 @@ def test_zero_arity_returns_x0():
 
 def test_coordinate_search_separable_quadratic():
     obj = ObjectiveSpec(
-        arity=3, evaluate=lambda x: ((x - np.array([1.0, -0.5, 0.25])) ** 2).sum(),
+        arity=3,
+        evaluate=rowwise(lambda x: ((x - np.array([1.0, -0.5, 0.25])) ** 2).sum()),
         budget=5000,
     )
     res = coordinate_search(obj, np.zeros(3))
@@ -82,7 +94,8 @@ def test_coordinate_search_separable_quadratic():
 
 
 def test_coordinate_search_budget_one():
-    obj = ObjectiveSpec(arity=2, evaluate=lambda x: (x**2).sum(), budget=1)
+    obj = ObjectiveSpec(arity=2, evaluate=rowwise(lambda x: (x**2).sum()),
+                        budget=1)
     res = coordinate_search(obj, [1.0, 1.0])
     assert res.evaluations == 1
     assert not res.converged
@@ -90,7 +103,7 @@ def test_coordinate_search_budget_one():
 
 
 def test_budget_exhaustion_returns_best_so_far():
-    obj = ObjectiveSpec(arity=2, evaluate=rosenbrock, budget=25)
+    obj = ObjectiveSpec(arity=2, evaluate=rowwise(rosenbrock), budget=25)
     res = nelder_mead(obj, [-1.0, 1.0])
     assert res.evaluations == 25
     assert not res.converged
@@ -124,14 +137,14 @@ def test_never_worse_than_start(seed, dim):
     x0 = rng.normal(size=dim)
     f0 = f(x0)
     for opt in ALL_OPTIMIZERS:
-        res = opt(ObjectiveSpec(arity=dim, evaluate=f, budget=300), x0)
+        res = opt(ObjectiveSpec(arity=dim, evaluate=rowwise(f), budget=300), x0)
         assert res.best_value <= f0 + 1e-12
 
 
 def test_determinism():
     for opt in ALL_OPTIMIZERS:
-        obj1 = ObjectiveSpec(arity=2, evaluate=rosenbrock, budget=400)
-        obj2 = ObjectiveSpec(arity=2, evaluate=rosenbrock, budget=400)
+        obj1 = ObjectiveSpec(arity=2, evaluate=rowwise(rosenbrock), budget=400)
+        obj2 = ObjectiveSpec(arity=2, evaluate=rowwise(rosenbrock), budget=400)
         r1 = opt(obj1, [0.5, 0.5])
         r2 = opt(obj2, [0.5, 0.5])
         assert np.array_equal(r1.best_params, r2.best_params)
@@ -154,8 +167,9 @@ def test_determinism():
     ],
 )
 def test_benchmark_functions_nm(name, f, x0, optimum, tol, budget):
-    res = nelder_mead(ObjectiveSpec(arity=len(x0), evaluate=f, budget=budget),
-                      np.array(x0))
+    res = nelder_mead(
+        ObjectiveSpec(arity=len(x0), evaluate=rowwise(f), budget=budget),
+        np.array(x0))
     assert res.best_value - optimum < tol, name
 
 
@@ -375,7 +389,8 @@ def test_nelder_mead_matches_frozen_list_body(family, budget, kind, seed):
             points.append(np.array(x))
             return f(x)
 
-        res = opt(ObjectiveSpec(arity=dim, evaluate=record, budget=budget), x0)
+        res = opt(ObjectiveSpec(arity=dim, evaluate=rowwise(record),
+                                budget=budget), x0)
         runs.append((points, res))
     (got, res), (want, ref) = runs
     assert len(got) == len(want) == res.evaluations
@@ -387,31 +402,25 @@ def test_nelder_mead_matches_frozen_list_body(family, budget, kind, seed):
 
 # --- blocks and lockstep ----------------------------------------------------
 
-def _recording(f, points, blocks=None):
-    """An objective that records every row it evaluates; with ``blocks`` it
-    also takes (B, P) blocks and records their sizes."""
-    def one(x):
+def _recording(f, points, spans=None):
+    """An objective that records every row it evaluates and, given
+    ``spans``, (first evaluation, size) of every block it is asked for."""
+    def evaluate(x):
+        if np.ndim(x) == 2:
+            if spans is not None:
+                spans.append((len(points), len(x)))
+            return np.array([evaluate(row) for row in x])
         points.append(np.array(x))
         return f(x)
 
-    def batch(rows):
-        blocks.append(len(rows))
-        return np.array([one(x) for x in rows])
-
-    return one, (batch if blocks is not None else None)
+    return evaluate
 
 
 def _block_spans(family, kind, seed):
     """(first evaluation, size) of every block a full-budget run asks for."""
     dim, f, x0 = _seeded_objective(kind, seed)
-    points, blocks, spans = [], [], []
-    one, batch = _recording(f, points, blocks)
-
-    def spy(rows):
-        spans.append((len(points), len(rows)))
-        return batch(rows)
-
-    FROZEN[family][0](ObjectiveSpec(dim, one, 3000, spy), x0)
+    spans = []
+    FROZEN[family][0](ObjectiveSpec(dim, _recording(f, [], spans), 3000), x0)
     return spans
 
 
@@ -434,16 +443,13 @@ def _cut_budgets():
     return cases
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["rows", "blocks"])
 @pytest.mark.parametrize("family,kind,seed,budget,where", _cut_budgets())
 def test_budget_inside_a_block_matches_frozen_body(family, kind, seed, budget,
-                                                    where, batched):
+                                                    where):
     dim, f, x0 = _seeded_objective(kind, seed)
     got, want = [], []
-    one, batch = _recording(f, got, [] if batched else None)
-    res = FROZEN[family][0](ObjectiveSpec(dim, one, budget, batch), x0)
-    ref_one, _ = _recording(f, want)
-    ref = FROZEN[family][1](ObjectiveSpec(dim, ref_one, budget), x0)
+    res = FROZEN[family][0](ObjectiveSpec(dim, _recording(f, got), budget), x0)
+    ref = FROZEN[family][1](ObjectiveSpec(dim, _recording(f, want), budget), x0)
     assert len(got) == len(want) == res.evaluations == budget, where
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(res.best_params, ref.best_params)
@@ -471,18 +477,15 @@ def test_lockstep_equals_sequential_fits(family, kind, budget):
     dim, f, _ = _seeded_objective(kind, 3)
     starts = np.random.default_rng(4).normal(size=(5, dim))
     opt = FROZEN[family][0]
-
-    def batch(rows):
-        return np.array([f(x) for x in rows])
-
-    single = [opt(ObjectiveSpec(dim, f, budget), x0) for x0 in starts]
-    res = opt(ObjectiveSpec(dim, f, budget, batch), starts)
+    single = [opt(ObjectiveSpec(dim, rowwise(f), budget), x0) for x0 in starts]
+    res = opt(ObjectiveSpec(dim, rowwise(f), budget), starts)
     assert len(res.fits) == len(starts)
     for got, want in zip(res.fits, single):
         assert np.array_equal(got.best_params, want.best_params)
         assert (got.best_value, got.evaluations, got.converged, got.trace) == (
             want.best_value, want.evaluations, want.converged, want.trace)
     first = min(range(len(single)), key=lambda r: single[r].best_value)
+    assert res.best_fit == first
     assert np.array_equal(res.best_params, single[first].best_params)
     assert (res.best_value, res.converged) == (
         single[first].best_value, single[first].converged)
@@ -491,8 +494,8 @@ def test_lockstep_equals_sequential_fits(family, kind, budget):
 
 def test_lockstep_picks_first_of_equal_fits():
     starts = np.arange(8.0).reshape(4, 2)
-    res = nelder_mead(ObjectiveSpec(2, lambda x: 1.5, 50), starts)
-    assert np.array_equal(res.best_params, starts[0])
+    res = nelder_mead(ObjectiveSpec(2, rowwise(lambda x: 1.5), 50), starts)
+    assert res.best_fit == 0 and np.array_equal(res.best_params, starts[0])
     assert res.evaluations == 4 * res.fits[0].evaluations
 
 
@@ -503,6 +506,6 @@ def test_trace_is_the_incumbent_after_each_evaluation():
         values.append(float((x**2).sum()))
         return values[-1]
 
-    res = fd_gradient_descent(ObjectiveSpec(2, f, 40), [1.0, -2.0])
+    res = fd_gradient_descent(ObjectiveSpec(2, rowwise(f), 40), [1.0, -2.0])
     assert res.trace == list(np.minimum.accumulate(values))
     assert res.trace[-1] == res.best_value
