@@ -74,11 +74,15 @@ def sequence_probability(h: ClassicalHmm, seq: Sequence) -> float:
     return float(x.sum())
 
 
+def forward_operators(h: ClassicalHmm):
+    """(ops, init, final) of ``lang.forward_probs``: the stacked observable
+    operators, x0 and a vector of ones."""
+    return np.stack(list(observable_operators(h).values())), h.x0, np.ones(h.n)
+
+
 def distribution_tables(h: ClassicalHmm, lengths) -> dict[int, DistributionTable]:
-    """Exact tables for several lengths from one forward pass over the
-    observable operators."""
-    ops = np.stack(list(observable_operators(h).values()))
-    return exact_tables(ops, h.x0, np.ones(h.n), lengths)
+    """Exact tables for several lengths from one forward pass."""
+    return exact_tables(*forward_operators(h), lengths)
 
 
 def distribution(h: ClassicalHmm, t: int) -> DistributionTable:

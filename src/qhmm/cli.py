@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .learning import (
 )
 from .linalg import next_power_of_two
 from .models import block_symbol_map
+from .optimize import OPTIMIZER_LABELS
 
 
 def _fail(msg: str, code: int = 2):
@@ -51,6 +53,17 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _rates(text: str) -> list[float]:
+    return [_positive_float(r) for r in text.split(",")]
 
 
 def _outdir(args) -> Path:
@@ -86,16 +99,12 @@ def load_model(path: str):
     _fail(f"unrecognized model format in {path}")
 
 
-def _model_tables(model, lengths) -> dict[int, lang.DistributionTable]:
+def _model_operators(model):
     if isinstance(model, classical.ClassicalHmm):
-        return classical.distribution_tables(model, lengths)
+        return classical.forward_operators(model)
     if isinstance(model, models.QhmmUnitary):
         model = models.to_kraus(model)
-    return models.distribution_tables(model, lengths)
-
-
-def _model_alphabet(model) -> list[str]:
-    return list(model.alphabet)
+    return models.forward_operators(model)
 
 
 def _load_target(path: str, max_len: int):
@@ -118,6 +127,12 @@ def _load_target(path: str, max_len: int):
     return alphabet, tables
 
 
+def _require_lengths(path: str, tables, top: int) -> None:
+    missing = [t for t in range(1, top + 1) if t not in tables]
+    if missing:
+        _fail(f"invalid target file {path}: tables missing for lengths {missing}")
+
+
 def cmd_simulate(args):
     model = load_model(args.model)
     seed = _resolve_seed(args)
@@ -128,7 +143,7 @@ def cmd_simulate(args):
         samples = models.simulate(model, args.t, args.shots, seed)
     else:
         _fail("simulate expects a classical model or a unitary-form QHMM")
-    alphabet = _model_alphabet(model)
+    alphabet = model.alphabet
     with open(out / "sequences.csv", "w") as fh:
         fh.write("sequence\n")
         for s in samples:
@@ -142,10 +157,9 @@ def cmd_simulate(args):
 def cmd_distribution(args):
     model = load_model(args.model)
     out = _outdir(args)
-    table = _model_tables(model, [args.t]).get(args.t) if args.t > 0 else \
-        lang.DistributionTable(t=0, probs={(): 1.0})
+    table = lang.exact_tables(*_model_operators(model), [args.t])[args.t]
     lang.write_tables_csv(out / f"distribution_t{args.t}.csv", [table],
-                          _model_alphabet(model))
+                          model.alphabet)
     total = table.total()
     print(f"t={args.t}: {len(table)} sequences, total={total:.12g}",
           file=sys.stderr)
@@ -155,16 +169,12 @@ def cmd_distribution(args):
 def cmd_hankel(args):
     if args.model:
         model = load_model(args.model)
-        alphabet = _model_alphabet(model)
-        m = len(alphabet)
-        if isinstance(model, classical.ClassicalHmm):
-            f = lambda s: classical.sequence_probability(model, s)
-        else:
-            q = models.to_kraus(model) if isinstance(model, models.QhmmUnitary) else model
-            f = lambda s: models.sequence_probability(q, s)
-        h = lang.hankel(f, args.max_len, args.max_len, m)
+        alphabet = model.alphabet
+        levels = partial(lang.forward_probs, *_model_operators(model))
+        h = lang.hankel_blocks(levels, args.max_len, args.max_len, len(alphabet))
     elif args.target:
         alphabet, tables = _load_target(args.target, 2 * args.max_len)
+        _require_lengths(args.target, tables, 2 * args.max_len)
         m = len(alphabet)
         h = lang.hankel_from_tables(tables, args.max_len, args.max_len, m)
     else:
@@ -203,16 +213,16 @@ def cmd_quantize(args):
     return 0
 
 
-def _space_from_config(alphabet, tables, cfg: dict, args) -> LearnSpace:
+def _space_from_config(alphabet, tables, cfg: dict) -> LearnSpace:
     m = len(alphabet)
-    if "dim_s" in cfg:
-        dim_s = int(cfg["dim_s"])
-    else:
-        max_ps = max(t for t in tables) // 2 or 1
-        h = lang.hankel_from_tables(tables, max_ps, max_ps, m)
-        dim_s = max(lang.order_estimate(h).quantum_dim, 2)
-    dim_e = int(cfg.get("dim_e", next_power_of_two(m)))
     try:
+        if "dim_s" in cfg:
+            dim_s = int(cfg["dim_s"])
+        else:  # the Hankel estimate, which the side budget may refuse
+            max_ps = max(t for t in tables) // 2 or 1
+            h = lang.hankel_from_tables(tables, max_ps, max_ps, m)
+            dim_s = max(lang.order_estimate(h).quantum_dim, 2)
+        dim_e = int(cfg.get("dim_e", next_power_of_two(m)))
         return LearnSpace(
             alphabet=alphabet,
             dim_s=dim_s,
@@ -235,23 +245,29 @@ def cmd_learn_evo(args):
             cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             _fail(f"cannot read config {args.config}: {exc}")
+        if not isinstance(cfg, dict):
+            _fail(f"invalid config {args.config}: expected a JSON object")
     seed = args.seed if args.seed is not None else cfg.get("seed")
     args.seed = seed
     seed = _resolve_seed(args)
-    alphabet, tables = _load_target(args.target, int(cfg.get("n_max", 5)))
+    try:
+        alphabet, tables = _load_target(args.target, int(cfg.get("n_max", 5)))
+        _require_lengths(args.target, tables, max(tables))
+        hp = HyperParams(
+            mu=int(cfg.get("mu", 30)),
+            lam=int(cfg.get("lambda", 10)),
+            gamma_bandit=float(cfg.get("gamma", 0.3)),
+            prog_window=int(cfg.get("prog_window", 10)),
+            g_max=int(cfg.get("g_max", 60)),
+            target_fitness=float(cfg.get("target_fitness", -0.01)),
+            c_q=float(cfg.get("c_q", 0.01)),
+            c_e=float(cfg.get("c_e", 0.01)),
+            n_max=int(cfg.get("n_max", min(7, max(tables)))),
+        )
+    except (ValueError, TypeError) as exc:
+        _fail(f"invalid config {args.config}: {exc}")
     target = [tables[t] for t in sorted(tables)]
-    space = _space_from_config(alphabet, tables, cfg, args)
-    hp = HyperParams(
-        mu=int(cfg.get("mu", 30)),
-        lam=int(cfg.get("lambda", 10)),
-        gamma_bandit=float(cfg.get("gamma", 0.3)),
-        prog_window=int(cfg.get("prog_window", 10)),
-        g_max=int(cfg.get("g_max", 60)),
-        target_fitness=float(cfg.get("target_fitness", -0.01)),
-        c_q=float(cfg.get("c_q", 0.01)),
-        c_e=float(cfg.get("c_e", 0.01)),
-        n_max=int(cfg.get("n_max", min(7, max(tables)))),
-    )
+    space = _space_from_config(alphabet, tables, cfg)
     out = _outdir(args)
     report = evolve(target, space, hp, seed=seed)
     best_q = report.best.to_qhmm()
@@ -350,6 +366,9 @@ def _walk_origin(q, path: str) -> Hypothesis:
 
 
 def cmd_landscape(args):
+    if args.steps < experiments.MIN_WALK_SAMPLES:
+        _fail(f"--steps must be >= {experiments.MIN_WALK_SAMPLES} for a "
+              f"correlation, got {args.steps}")
     seed = _resolve_seed(args)
     if args.model:
         hyp = _walk_origin(load_model(args.model), args.model)
@@ -357,9 +376,8 @@ def cmd_landscape(args):
         # fixed training seed: --seed varies the walk, not the walk origin
         hyp = experiments.trained_market_hypothesis(seed=0)
     out = _outdir(args)
-    rates = [float(r) for r in args.rates.split(",")]
     samples_by_rate = {}
-    for i, rate in enumerate(rates):
+    for i, rate in enumerate(args.rates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         samples_by_rate[rate] = experiments.landscape_walk(
             hyp, args.steps, rate, rng
@@ -445,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", default=None)
     sp.add_argument("--max-len", type=_nonnegative, default=3, dest="max_len",
                     help="max prefix/suffix length")
-    sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("--tol", type=_positive_float, default=1e-7,
+                    help="relative singular-value cut-off for the rank")
     sp.set_defaults(func=cmd_hankel)
 
     sp = sub.add_parser("quantize", help="classical model -> QHMM")
@@ -464,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--entanglement", default="full",
                     choices=["full", "linear"])
     sp.add_argument("--reps", type=_nonnegative, default=1)
-    sp.add_argument("--optimizer", default="nm")
+    sp.add_argument("--optimizer", default="nm", choices=OPTIMIZER_LABELS)
     sp.add_argument("--restarts", type=_positive, default=10)
     sp.add_argument("--budget", type=_positive, default=4000)
     sp.add_argument("--t", type=int, default=5, help="max corpus window length")
@@ -477,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default=None,
                     help="unitary-form model JSON (default: trained market)")
     sp.add_argument("--steps", type=_positive, default=500)
-    sp.add_argument("--rates", default="0.1", help="comma-separated fractions")
+    sp.add_argument("--rates", type=_rates, default="0.1",
+                    help="comma-separated fractions > 0")
     sp.set_defaults(func=cmd_landscape)
 
     sp = sub.add_parser(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classical, models
 from .circuits import efficient_su2, real_amplitudes
-from .lang import hankel, sequences_of_length
+from .lang import forward_probs, hankel_blocks, sequences_of_length
 from .learning import (
     AnsatzSpec,
     ChannelEngine,
@@ -60,9 +60,11 @@ class LandscapeSample:
             raise ValueError("operator distance must lie in [0, 2]")
 
 
-# the walk compares lengths 1..5 and restarts at the optimum every 25 steps
+# the walk compares lengths 1..5 and restarts at the optimum every 25 steps;
+# a correlation needs at least 30 samples per rate
 WALK_LENGTHS = (1, 2, 3, 4, 5)
 WALK_RESTART_EVERY = 25
+MIN_WALK_SAMPLES = 30
 
 
 def landscape_walk(
@@ -141,8 +143,9 @@ def landscape_correlation(
     """Pearson r between total divergence and operator distance, per rate."""
     out = {}
     for rate, samples in samples_by_rate.items():
-        if len(samples) < 30:
-            raise ValueError("need at least 30 samples per mutation rate")
+        if len(samples) < MIN_WALK_SAMPLES:
+            raise ValueError(
+                f"need at least {MIN_WALK_SAMPLES} samples per mutation rate")
         out[rate] = pearson(
             [s.total for s in samples], [s.op_distance for s in samples]
         )
@@ -171,7 +174,8 @@ class ReproduceReport:
 def _damping_report(seed: Optional[int] = None) -> ReproduceReport:
     # exact: the seed is accepted like every reproduction's, and unused
     q = models.amplitude_damping_qhmm(math.pi / 2)
-    h = hankel(lambda s: models.sequence_probability(q, s), 2, 2, 2)
+    h = hankel_blocks(partial(forward_probs, *models.forward_operators(q)),
+                      2, 2, 2)
     err = float(np.abs(h.values - DAMPING_REFERENCE_TABLE).max())
     rows = [
         {

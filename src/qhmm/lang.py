@@ -161,20 +161,24 @@ def exact_tables(ops, init, final, lengths) -> dict[int, DistributionTable]:
     }
 
 
+def _check_hankel_sides(m: int, max_prefix_len: int, max_suffix_len: int):
+    rows, cols = (sum(m**t for t in range(n + 1))
+                  for n in (max_prefix_len, max_suffix_len))
+    if max(rows, cols) > HANKEL_MAX_SIDE:
+        raise ValueError(f"Hankel budget exceeded: {rows} x {cols} "
+                         f"(limit {HANKEL_MAX_SIDE} per side)")
+
+
 def hankel(
     f: Callable[[Sequence], float],
     max_prefix_len: int,
     max_suffix_len: int,
     n_symbols: int,
 ) -> HankelMatrix:
-    """Prefix x suffix array H[p, s] = f(ps), axes ordered length-then-lex."""
+    """H[p, s] = f(ps), one call per cell, axes ordered length-then-lex."""
+    _check_hankel_sides(n_symbols, max_prefix_len, max_suffix_len)
     prefixes = enumerate_sequences(n_symbols, max_prefix_len)
     suffixes = enumerate_sequences(n_symbols, max_suffix_len)
-    if len(prefixes) > HANKEL_MAX_SIDE or len(suffixes) > HANKEL_MAX_SIDE:
-        raise ValueError(
-            f"Hankel budget exceeded: {len(prefixes)} x {len(suffixes)} "
-            f"(limit {HANKEL_MAX_SIDE} per side)"
-        )
     values = np.empty((len(prefixes), len(suffixes)))
     for i, p in enumerate(prefixes):
         for j, s in enumerate(suffixes):
@@ -182,22 +186,40 @@ def hankel(
     return HankelMatrix(prefixes=prefixes, suffixes=suffixes, values=values)
 
 
+def hankel_blocks(levels, max_prefix_len: int, max_suffix_len: int,
+                  m: int) -> HankelMatrix:
+    """The matrix of ``hankel`` from ``levels(lengths)``, which returns one
+    lex-ordered probability vector per length, as does
+    ``partial(forward_probs, ops, init, final)``. Since lex(ps) = lex(p) *
+    m**j + lex(s), the block for prefix length i and suffix length j is the
+    length-(i + j) vector reshaped to (m**i, m**j). The side budget is checked
+    before ``levels`` is called; with ``forward_probs`` the top level then
+    holds m**(P+S-1) <= 2**15 states of N**2 complex entries, N**2 x 0.5 MiB."""
+    _check_hankel_sides(m, max_prefix_len, max_suffix_len)
+    vecs = levels(list(range(max_prefix_len + max_suffix_len + 1)))
+    values = np.block([[vecs[i + j].reshape(m**i, m**j)
+                        for j in range(max_suffix_len + 1)]
+                       for i in range(max_prefix_len + 1)])
+    return HankelMatrix(enumerate_sequences(m, max_prefix_len),
+                        enumerate_sequences(m, max_suffix_len), values)
+
+
+def table_vector(table: DistributionTable, m: int) -> np.ndarray:
+    """Probabilities of all m**t sequences in lex order, unlisted ones 0."""
+    return np.array([table.prob(s) for s in sequences_of_length(m, table.t)])
+
+
 def hankel_from_tables(tables: dict[int, DistributionTable],
                        max_prefix_len: int, max_suffix_len: int,
                        n_symbols: int) -> HankelMatrix:
     """Hankel matrix read off a finite set of per-length tables (f(eps) = 1)."""
-
-    def f(seq: Sequence) -> float:
-        if len(seq) == 0:
-            return 1.0
-        table = tables.get(len(seq))
-        return table.prob(seq) if table is not None else 0.0
-
     max_needed = max_prefix_len + max_suffix_len
     missing = [t for t in range(1, max_needed + 1) if t not in tables]
     if missing:
         raise ValueError(f"tables missing for lengths {missing}")
-    return hankel(f, max_prefix_len, max_suffix_len, n_symbols)
+    tables = {**tables, 0: DistributionTable(t=0, probs={(): 1.0})}
+    return hankel_blocks(lambda ls: [table_vector(tables[t], n_symbols) for t in ls],
+                         max_prefix_len, max_suffix_len, n_symbols)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -19,9 +18,10 @@ import numpy as np
 from . import circuits as qc
 from .channels import symbol_transfer_matrices
 from .circuits import Circuit, GateSpace, GateStack, compile_circuit
-from .lang import DistributionTable, Sequence, divergence_avg, forward_probs
+from .lang import (DistributionTable, Sequence, divergence_avg, forward_probs,
+                   table_vector)
 from .models import QhmmKraus, QhmmUnitary, distribution_tables, to_kraus
-from .optimize import ObjectiveSpec, get_optimizer
+from .optimize import OPTIMIZER_LABELS, ObjectiveSpec, get_optimizer
 
 
 # --- hypotheses ---------------------------------------------------------------
@@ -130,6 +130,12 @@ class LearnSpace:
         from .models import block_symbol_map
 
         register_qubits(self.dim_s, self.dim_e)
+        for kind, names, known in (("gate type", self.gate_set, qc.GATE_ARITY),
+                                   ("optimizer label", self.optimizers,
+                                    OPTIMIZER_LABELS)):
+            unknown = [n for n in names if n not in known]
+            if unknown:
+                raise ValueError(f"unknown {kind}s {unknown}")
         self.alphabet = [str(a) for a in self.alphabet]
         if self.symbol_map is None:
             self.symbol_map = block_symbol_map(self.alphabet, self.dim_e)
@@ -181,6 +187,8 @@ class HyperParams:
             raise ValueError("offspring size must be >= 1")
         if not 0.0 <= self.gamma_bandit <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
 
 
 # --- compiled evaluation engine -------------------------------------------------
@@ -277,11 +285,7 @@ class FitnessEngine:
         self.complexity = complexity(hyp, c_q, c_e)
         targets = sorted(target, key=lambda tab: tab.t)
         self.lengths = [tab.t for tab in targets]
-        m = self.engine.n_symbols
-        vectors = [
-            np.array([tab.prob(s) for s in product(range(m), repeat=tab.t)])
-            for tab in targets
-        ]
+        vectors = [table_vector(tab, self.engine.n_symbols) for tab in targets]
         self.target = np.concatenate(vectors)
         self.level_starts = np.cumsum([0] + [len(v) for v in vectors[:-1]])
 

@@ -199,15 +199,20 @@ def sequence_probability(q: QhmmKraus, seq: Sequence) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def distribution_tables(q: QhmmKraus, lengths) -> dict[int, DistributionTable]:
-    """Exact tables for several lengths from one forward pass over the
-    per-symbol transfer matrices."""
+def forward_operators(q: QhmmKraus):
+    """(ops, init, final) of ``lang.forward_probs``: the per-symbol transfer
+    matrices on row-major vec(rho), vec(rho0) and vec(I)."""
     zero = np.zeros((q.dim, q.dim), dtype=np.complex128)
     groups = [q.channel.groups[a] or [zero] for a in q.alphabet]
     starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
     ops = ch.symbol_transfer_matrices(np.stack([k for g in groups for k in g]),
                                       starts)
-    return exact_tables(ops, q.rho0.ravel(), np.eye(q.dim).ravel(), lengths)
+    return ops, q.rho0.ravel(), np.eye(q.dim).ravel()
+
+
+def distribution_tables(q: QhmmKraus, lengths) -> dict[int, DistributionTable]:
+    """Exact tables for several lengths from one forward pass."""
+    return exact_tables(*forward_operators(q), lengths)
 
 
 def distribution(q: QhmmKraus, t: int) -> DistributionTable:

@@ -283,6 +283,7 @@ _REGISTRY = {
     "slsqp": fd_gradient_descent,
     "nm": nelder_mead,
 }
+OPTIMIZER_LABELS = tuple(_REGISTRY)
 
 
 def get_optimizer(label: str) -> Callable:

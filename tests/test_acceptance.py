@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printed as a
 pass/fail line with its runtime so the whole gate reads off `pytest -s`."""
 
+import json
 import math
 import sys
 import time
@@ -20,6 +21,7 @@ from qhmm.channels import (
     validate_cptp,
 )
 from qhmm.circuits import Circuit, GateSpace, random_gate
+from qhmm.cli import main
 from qhmm.lang import hankel, sequences_of_length
 from qhmm.learning import (
     AdaptiveDistribution,
@@ -124,6 +126,28 @@ def test_criterion_4_monras_advantage_and_rank_bound():
     assert uniform_err < 1e-12
     assert monras_rank == 3
     assert bound_ok
+
+
+def test_criterion_4_quantized_gaussian4_hankel_rank(tmp_path):
+    # `qhmm hankel --model` at prefix and suffix length 4 (341 x 341 cells)
+    # on the quantized four-state gaussian4 model: rank <= N^2, and equal
+    # to the classical order 4
+    t0 = time.perf_counter()
+    q = models.quantize_classical(classical.gaussian4_model())
+    path = tmp_path / "gaussian4_quantized.json"
+    path.write_text(json.dumps(models.qhmm_to_json(q)))
+    out = tmp_path / "out"
+    assert main(["hankel", "--model", str(path), "--max-len", "4",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "rank.json").read_text())
+    elapsed = time.perf_counter() - t0
+    passed = report["rank"] <= q.dim**2 and report["rank"] == 4
+    _report("4 Hankel rank bound N^2 (quantized gaussian4, 4/4)", passed,
+            f"rank {report['rank']}, N^2 {q.dim**2}, "
+            f"{report['prefixes']} x {report['suffixes']}", elapsed)
+    assert report["prefixes"] == report["suffixes"] == 341
+    assert report["rank"] <= q.dim**2
+    assert report["rank"] == 4
 
 
 def test_criterion_5_sampling_consistency():

@@ -487,18 +487,33 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
 
 # each used to fail inside the engine or the symbol map with exit 1; a
 # dim_e of 1 is a power of two but too small for the two market symbols
+# so did a config that is not an object, a population below 2, an n_max of
+# 0, an unknown gate type or optimizer label in a config, an unknown
+# --optimizer and a dim_s that is not an integer; n_max 0 and the unknown
+# gate type and label also left --out behind
 @pytest.mark.parametrize("flags,config,message", [
     (["--dim-s", "3"], None, "power of two"),
     (["--dim-e", "1"], None, "smaller than the alphabet"),
     (None, {"dim_s": 3}, "power of two"),
     (None, {"dim_e": 1}, "smaller than the alphabet"),
-], ids=["ansatz-dim-s", "ansatz-dim-e", "evo-dim-s", "evo-dim-e"])
+    (None, [1, 2], "expected a JSON object"),
+    (None, {"mu": 1}, "population size must be >= 2"),
+    (None, {"n_max": 0}, "n_max must be >= 1"),
+    (None, {"gate_set": ["X", "CX", "SWAP"]}, "unknown gate types ['SWAP']"),
+    (None, {"optimizers": ["nm", "foo"]}, "unknown optimizer labels ['foo']"),
+    (["--optimizer", "foo"], None, "invalid choice: 'foo'"),
+    (None, {"dim_s": "two"}, "invalid literal for int()"),
+], ids=["ansatz-dim-s", "ansatz-dim-e", "evo-dim-s", "evo-dim-e",
+        "evo-config-list", "evo-mu", "evo-n-max", "evo-gate-type",
+        "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text"])
 def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     target, cfg = quick_learn_evo_inputs(tmp_path)
     if flags:
         argv = ["learn-ansatz", *flags, "--restarts", "1", "--budget", "10"]
     else:
-        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **config}))
+        if isinstance(config, dict):
+            config = {**json.loads(cfg.read_text()), **config}
+        cfg.write_text(json.dumps(config))
         argv = ["learn-evo", "--config", str(cfg)]
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -510,15 +525,27 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
 
 # each count used to be a plain int: hankel and learn-ansatz --reps exited 0
 # on -1, learn-ansatz --restarts 0 and --budget 0 and landscape --steps -3
-# exited 1 from inside the library
+# exited 1 from inside the library. hankel --tol -1 exited 1 and --tol nan
+# exited 0 with rank 0; landscape --steps 29 exited 1 after the walk had
+# written samples.csv, and --rates abc and -0.5 exited 1
 @pytest.mark.parametrize("argv,message", [
     (["hankel", "--target", "{target}", "--max-len", "-1"], "must be >= 0"),
     (["learn-ansatz", "--target", "{target}", "--reps", "-1"], "must be >= 0"),
     (["learn-ansatz", "--target", "{target}", "--restarts", "0"], "must be >= 1"),
     (["learn-ansatz", "--target", "{target}", "--budget", "0"], "must be >= 1"),
     (["landscape", "--steps", "-3"], "must be >= 1"),
+    (["hankel", "--target", "{target}", "--max-len", "1", "--tol", "-1"],
+     "must be finite and > 0"),
+    (["hankel", "--target", "{target}", "--max-len", "1", "--tol", "nan"],
+     "must be finite and > 0"),
+    (["landscape", "--steps", "29"], "--steps must be >= 30"),
+    (["landscape", "--steps", "30", "--rates", "abc"], "invalid _rates value"),
+    (["landscape", "--steps", "30", "--rates", "0.1,-0.5"],
+     "must be finite and > 0"),
 ], ids=["hankel-max-len", "ansatz-reps", "ansatz-restarts", "ansatz-budget",
-        "landscape-steps"])
+        "landscape-steps", "hankel-tol-negative", "hankel-tol-nan",
+        "landscape-steps-below-30", "landscape-rates-text",
+        "landscape-rates-negative"])
 def test_bad_count_exits_2(argv, message, tmp_path, capsys):
     target, _ = quick_learn_evo_inputs(tmp_path)
     out = tmp_path / "out"
@@ -534,9 +561,27 @@ def test_hankel_rejected_target_leaves_no_output(tmp_path, capsys):
     # the output directory used to be made before the target was loaded
     repeated = tmp_path / "repeated.csv"
     repeated.write_text("sequence,probability\n0,0.5\n0,0.5\n1,0.5\n")
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["hankel", "--target", str(repeated), "--out", str(out)])
-    assert exc.value.code == 2
-    assert "invalid target file" in capsys.readouterr().err
-    assert not out.exists()
+    # a table short of a needed length, and a gap in the lengths, exited 1
+    from qhmm.lang import write_tables_csv
+
+    market = classical.market_model()
+    short, gap = tmp_path / "short.csv", tmp_path / "gap.csv"
+    for path, lengths in ((short, (1, 2, 3)), (gap, (1, 3))):
+        write_tables_csv(path, [classical.distribution(market, t)
+                                for t in lengths], market.alphabet)
+    _, cfg = quick_learn_evo_inputs(tmp_path)
+    cases = [
+        (["hankel", "--target", str(repeated)], "listed twice"),
+        (["hankel", "--target", str(short), "--max-len", "2"],
+         "tables missing for lengths [4]"),
+        (["learn-evo", "--target", str(gap), "--config", str(cfg)],
+         "tables missing for lengths [2]"),
+    ]
+    for i, (argv, message) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid target file" in err and message in err, err
+        assert not out.exists()

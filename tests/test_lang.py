@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhmm import classical, models
+from qhmm.channels import random_channel
+from qhmm.cli import _model_operators
 from qhmm.lang import (
     DistributionTable,
     delta,
@@ -15,6 +18,7 @@ from qhmm.lang import (
     enumerate_sequences,
     forward_probs,
     hankel,
+    hankel_blocks,
     hankel_from_tables,
     kl_divergence,
     order_estimate,
@@ -24,10 +28,12 @@ from qhmm.lang import (
     render_sequence,
     sequences_of_length,
     subsequence_sample,
+    table_vector,
     tables_from_corpus,
     total_variation,
     write_tables_csv,
 )
+from qhmm.linalg import random_density
 
 
 def test_sequence_rendering_round_trip():
@@ -115,6 +121,55 @@ def test_hankel_zero_function_rank_one():
 def test_hankel_budget():
     with pytest.raises(ValueError):
         hankel(lambda s: 0.0, 6, 6, 4)
+
+
+def _random_model(kind, m, rng):
+    """A random model of one kind over m symbols and its per-cell oracle."""
+    if kind == "classical":
+        n = int(rng.integers(1, 4))
+        a, b, x0 = rng.random((n, n)) + 0.05, rng.random((m, n)), rng.random(n)
+        h = classical.ClassicalHmm(alphabet=[str(i) for i in range(m)],
+                                   A=a / a.sum(axis=0), B=b / b.sum(axis=0),
+                                   x0=x0 / x0.sum())
+        return h, lambda s: classical.sequence_probability(h, s)
+    dim = int(rng.integers(1, 4))
+    n_kraus = m + int(rng.integers(0, 3))
+    q = models.QhmmKraus(alphabet=[str(i) for i in range(m)],
+                         channel=random_channel(dim, n_kraus, rng, n_symbols=m),
+                         rho0=random_density(dim, rng))
+    model = q if kind == "kraus" else models.from_kraus(q, n_kraus)
+    if kind == "unitary":
+        q = models.to_kraus(model)
+    return model, lambda s: models.sequence_probability(q, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["classical", "kraus", "unitary"]),
+       st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+def test_hankel_blocks_match_cell_oracle(seed, kind, m, max_p, max_s):
+    # the production Hankel matrix of `qhmm hankel --model` against one
+    # sequence_probability call per cell
+    model, f = _random_model(kind, m, np.random.default_rng(seed))
+    h = hankel_blocks(partial(forward_probs, *_model_operators(model)),
+                      max_p, max_s, m)
+    oracle = hankel(f, max_p, max_s, m)
+    assert h.prefixes == oracle.prefixes and h.suffixes == oracle.suffixes
+    assert np.abs(h.values - oracle.values).max() < 1e-12
+
+
+def test_hankel_blocks_budget_checked_before_levels():
+    asked = []
+    with pytest.raises(ValueError, match="Hankel budget exceeded"):
+        hankel_blocks(asked.append, 6, 6, 4)
+    with pytest.raises(ValueError, match="Hankel budget exceeded"):
+        hankel_blocks(asked.append, 1, 9, 2)  # 1023 suffixes
+    assert asked == []
+
+
+def test_table_vector_lex_order_and_unlisted_zero():
+    tab = DistributionTable(t=2, probs={(0, 1): 0.25, (1, 0): 0.75})
+    assert table_vector(tab, 2).tolist() == [0.0, 0.25, 0.75, 0.0]
+    assert table_vector(DistributionTable(t=0, probs={(): 1.0}), 3).tolist() == [1.0]
 
 
 def test_hankel_from_tables_matches_direct(market):
