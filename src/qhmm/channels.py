@@ -22,6 +22,7 @@ from .linalg import (
 )
 
 CPTP_TOL = 1e-9
+SAMPLE_CHUNK = 16384  # shots drawn and stepped together by sample_trajectories
 
 
 @dataclass
@@ -215,6 +216,24 @@ def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:
             k, sel = kraus[o][None], taken == o
             nxt[sel] = (k @ states[prefix[sel], None] @ k.conj().swapaxes(2, 3)).sum(1)
         states = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
+    return out
+
+
+def sample_trajectories(groups, rho0: np.ndarray, shots: int, t: int,
+                        seed: int) -> np.ndarray:
+    """(shots, t) outcome indices of ``sample_outcomes``, in the smallest
+    unsigned dtype that holds them, with draws from ``default_rng(seed)``.
+
+    Shots are drawn and stepped SAMPLE_CHUNK at a time, so temporary memory
+    does not grow with ``shots``. The result equals one (shots, t) draw: the
+    chunks read the same stream in the same row-major order, and each shot's
+    state depends on its own outcome prefix only.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((shots, t), dtype=np.min_scalar_type(len(groups)))
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = rng.random((min(SAMPLE_CHUNK, shots - start), t))
+        out[start:start + len(draws)] = sample_outcomes(groups, rho0, draws)
     return out
 
 

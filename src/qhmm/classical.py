@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import sample_outcomes
+from .channels import sample_trajectories
 from .lang import (
     DistributionTable,
     Sequence,
@@ -112,12 +112,18 @@ def sample(
     h: ClassicalHmm, t: int, n_seq: int, seed: int
 ) -> list[Sequence]:
     """n_seq length-t sequences, drawn symbol by symbol from the filtering
-    state of the diagonal embedding, one uniform per (sequence, step)."""
+    state of the diagonal embedding, one uniform per (sequence, step), by
+    ``channels.sample_trajectories``.
+
+    Returns tuples rather than the sampler's array because the language
+    benchmark digests ``repr`` of this output, and numpy summarizes the
+    ``repr`` of a large array; returning the array waits for the next change
+    to the benchmark."""
     from .models import quantize_classical  # models imports this module
 
     q = quantize_classical(h)
-    draws = np.random.default_rng(seed).random((n_seq, t))
-    outcomes = sample_outcomes(list(q.channel.groups.values()), q.rho0, draws)
+    outcomes = sample_trajectories(list(q.channel.groups.values()), q.rho0,
+                                   n_seq, t, seed)
     return list(zip(*outcomes.T.tolist())) or [()] * n_seq
 
 

@@ -36,6 +36,9 @@ from .models import block_symbol_map
 from .optimize import OPTIMIZER_LABELS
 
 
+_WRITE_CHUNK = 65536  # lines of sequences.csv rendered per write
+
+
 def _fail(msg: str, code: int = 2):
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(code)
@@ -103,6 +106,9 @@ def _model_operators(model):
     if isinstance(model, classical.ClassicalHmm):
         return classical.forward_operators(model)
     if isinstance(model, models.QhmmUnitary):
+        if model.reset_mode != "reset":
+            _fail("exact tables need a reset-mode model: design b (carry) "
+                  "has no stationary Kraus family")
         model = models.to_kraus(model)
     return models.forward_operators(model)
 
@@ -133,22 +139,37 @@ def _require_lengths(path: str, tables, top: int) -> None:
         _fail(f"invalid target file {path}: tables missing for lengths {missing}")
 
 
+def _check_hankel_sides(m: int, max_len: int) -> None:
+    try:
+        lang.check_hankel_sides(m, max_len, max_len)
+    except ValueError as exc:
+        _fail(f"--max-len {max_len}: {exc}")
+
+
 def cmd_simulate(args):
     model = load_model(args.model)
+    if not isinstance(model, (classical.ClassicalHmm, models.QhmmUnitary)):
+        _fail("simulate expects a classical model or a unitary-form QHMM")
     seed = _resolve_seed(args)
     out = _outdir(args)
     if isinstance(model, classical.ClassicalHmm):
-        samples = classical.sample(model, args.t, args.shots, seed)
-    elif isinstance(model, models.QhmmUnitary):
-        samples = models.simulate(model, args.t, args.shots, seed)
+        samples = np.array(classical.sample(model, args.t, args.shots, seed),
+                           dtype=np.intp).reshape(args.shots, args.t)
     else:
-        _fail("simulate expects a classical model or a unitary-form QHMM")
+        samples = models.simulate(model, args.t, args.shots, seed)
     alphabet = model.alphabet
+    table = models.empirical_table(samples, args.t)
+    # the sorted distinct codes and the table's sorted keys both list the
+    # distinct rows in lex order, so a row's line sits at its code's index
+    codes = models.lex_codes(samples, len(alphabet))
+    distinct = np.unique(codes)
+    lines = np.array([render_sequence(s, alphabet) + "\n"
+                      for s in sorted(table.probs)], dtype=object)
     with open(out / "sequences.csv", "w") as fh:
         fh.write("sequence\n")
-        for s in samples:
-            fh.write(render_sequence(s, alphabet) + "\n")
-    table = models.empirical_table(samples, args.t)
+        for start in range(0, len(codes), _WRITE_CHUNK):
+            chunk = codes[start:start + _WRITE_CHUNK]
+            fh.write("".join(lines[np.searchsorted(distinct, chunk)].tolist()))
     lang.write_tables_csv(out / "empirical.csv", [table], alphabet)
     print(f"wrote {len(samples)} sequences to {out}", file=sys.stderr)
     return 0
@@ -156,8 +177,8 @@ def cmd_simulate(args):
 
 def cmd_distribution(args):
     model = load_model(args.model)
-    out = _outdir(args)
     table = lang.exact_tables(*_model_operators(model), [args.t])[args.t]
+    out = _outdir(args)
     lang.write_tables_csv(out / f"distribution_t{args.t}.csv", [table],
                           model.alphabet)
     total = table.total()
@@ -170,10 +191,12 @@ def cmd_hankel(args):
     if args.model:
         model = load_model(args.model)
         alphabet = model.alphabet
+        _check_hankel_sides(len(alphabet), args.max_len)
         levels = partial(lang.forward_probs, *_model_operators(model))
         h = lang.hankel_blocks(levels, args.max_len, args.max_len, len(alphabet))
     elif args.target:
         alphabet, tables = _load_target(args.target, 2 * args.max_len)
+        _check_hankel_sides(len(alphabet), args.max_len)
         _require_lengths(args.target, tables, 2 * args.max_len)
         m = len(alphabet)
         h = lang.hankel_from_tables(tables, args.max_len, args.max_len, m)

@@ -161,7 +161,9 @@ def exact_tables(ops, init, final, lengths) -> dict[int, DistributionTable]:
     }
 
 
-def _check_hankel_sides(m: int, max_prefix_len: int, max_suffix_len: int):
+def check_hankel_sides(m: int, max_prefix_len: int, max_suffix_len: int):
+    """Raise ValueError if a side would list more than HANKEL_MAX_SIDE
+    sequences."""
     rows, cols = (sum(m**t for t in range(n + 1))
                   for n in (max_prefix_len, max_suffix_len))
     if max(rows, cols) > HANKEL_MAX_SIDE:
@@ -176,7 +178,7 @@ def hankel(
     n_symbols: int,
 ) -> HankelMatrix:
     """H[p, s] = f(ps), one call per cell, axes ordered length-then-lex."""
-    _check_hankel_sides(n_symbols, max_prefix_len, max_suffix_len)
+    check_hankel_sides(n_symbols, max_prefix_len, max_suffix_len)
     prefixes = enumerate_sequences(n_symbols, max_prefix_len)
     suffixes = enumerate_sequences(n_symbols, max_suffix_len)
     values = np.empty((len(prefixes), len(suffixes)))
@@ -195,7 +197,7 @@ def hankel_blocks(levels, max_prefix_len: int, max_suffix_len: int,
     length-(i + j) vector reshaped to (m**i, m**j). The side budget is checked
     before ``levels`` is called; with ``forward_probs`` the top level then
     holds m**(P+S-1) <= 2**15 states of N**2 complex entries, N**2 x 0.5 MiB."""
-    _check_hankel_sides(m, max_prefix_len, max_suffix_len)
+    check_hankel_sides(m, max_prefix_len, max_suffix_len)
     vecs = levels(list(range(max_prefix_len + max_suffix_len + 1)))
     values = np.block([[vecs[i + j].reshape(m**i, m**j)
                         for j in range(max_suffix_len + 1)]

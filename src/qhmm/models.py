@@ -226,13 +226,16 @@ def steady_state(q: QhmmKraus) -> np.ndarray:
     return ch.steady_state(q.channel)
 
 
-def simulate(
-    q: QhmmUnitary, t: int, shots: int, seed: int
-) -> list[Sequence]:
+def simulate(q: QhmmUnitary, t: int, shots: int, seed: int) -> np.ndarray:
     """Trajectory sampling: per step apply U, projectively measure the
     designated register and emit the outcome's symbol. Reset mode samples the
     outcomes' Kraus sub-channels on the state space, carry mode the masked
-    unitaries M_o U on rho0 (x) |e0><e0|; one uniform per (shot, step)."""
+    unitaries M_o U on rho0 (x) |e0><e0|; one uniform per (shot, step).
+
+    Returns a (shots, t) array of symbol indices in the smallest unsigned
+    dtype that holds the outcome indices, drawn by
+    ``channels.sample_trajectories``.
+    """
     u = q.unitary()
     if q.reset_mode == "reset":
         groups, rho = _outcome_kraus(q, u), q.rho0
@@ -242,20 +245,37 @@ def simulate(
         groups = [[np.where((outcome_of == o)[:, None], u, 0)]
                   for o in range(len(q.symbol_map))]
         rho = tensor_product(q.rho0, projector(q.e0, q.dim_e))
-    symbol_of = np.array([q.alphabet.index(s) for s in q.symbol_map])
-    draws = np.random.default_rng(seed).random((shots, t))
-    outcomes = ch.sample_outcomes(groups, rho, draws)
-    del draws  # free it first: the tuples below are the largest allocation
-    # built column-wise, so no per-shot list is made; zip yields none at t = 0
-    return list(zip(*symbol_of[outcomes].T.tolist())) or [()] * shots
+    outcomes = ch.sample_trajectories(groups, rho, shots, t, seed)
+    symbol_of = np.array([q.alphabet.index(s) for s in q.symbol_map],
+                         dtype=outcomes.dtype)
+    return symbol_of[outcomes]
 
 
-def empirical_table(samples: list[Sequence], t: int) -> DistributionTable:
-    counts: dict[Sequence, int] = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
+def lex_codes(samples: np.ndarray, base: int) -> np.ndarray:
+    """One integer per row of a (shots, t) array of symbol indices below
+    ``base``, in the rows' lex order: Horner's rule over the columns. Codes
+    are int64 while base**t fits, Python ints beyond."""
+    t = samples.shape[1]
+    codes = np.zeros(len(samples), dtype=np.int64 if base**t < 2**63 else object)
+    for col in samples.T:
+        codes *= base
+        codes += col
+    return codes
+
+
+def empirical_table(samples: np.ndarray, t: int) -> DistributionTable:
+    """Empirical frequencies of the rows of a (shots, t) array of symbol
+    indices, as ``simulate`` returns: counted by lex code, with tuple keys
+    built for the distinct rows only. Counts are exact integers; no rows
+    give an empty table."""
+    base = int(samples.max()) + 1 if samples.size else 1
+    codes, counts = np.unique(lex_codes(samples, base), return_counts=True)
+    rows = np.empty((len(codes), samples.shape[1]), dtype=samples.dtype)
+    for j in reversed(range(rows.shape[1])):
+        codes, rows[:, j] = codes // base, codes % base
     n = len(samples)
-    return DistributionTable(t=t, probs={s: c / n for s, c in counts.items()})
+    return DistributionTable(t=t, probs={
+        s: c / n for s, c in zip(map(tuple, rows.tolist()), counts.tolist())})
 
 
 # --- fixtures -----------------------------------------------------------------

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qhmm
 from qhmm import classical, experiments, models
 from qhmm.cli import main
 
@@ -117,6 +122,32 @@ def test_simulate_single_shot(damping_file, tmp_path):
     assert len(lines) == 2  # header + one sequence
 
 
+@pytest.mark.parametrize("kind,t,shots", [
+    ("damping", 3, 200), ("market", 4, 100), ("damping", 0, 4), ("market", 2, 0),
+], ids=["damping", "market", "t0", "shots0"])
+def test_simulate_files_list_the_sampled_rows(kind, t, shots, market_file,
+                                              damping_file, tmp_path, monkeypatch):
+    from qhmm import cli
+    from qhmm.lang import (DistributionTable, empirical_estimate,
+                           render_sequence, write_tables_csv)
+
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)  # lines written 7 at a time
+    path = {"damping": damping_file, "market": market_file}[kind]
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", path, "--t", str(t), "--shots",
+                 str(shots), "--seed", "4", "--out", str(out)]) == 0
+    model = cli.load_model(path)
+    if kind == "market":
+        rows = classical.sample(model, t, shots, seed=4)
+    else:
+        rows = [tuple(r) for r in models.simulate(model, t, shots, 4).tolist()]
+    lines = [render_sequence(r, model.alphabet) + "\n" for r in rows]
+    assert (out / "sequences.csv").read_text() == "sequence\n" + "".join(lines)
+    table = empirical_estimate(rows, t) if rows else DistributionTable(t=t)
+    write_tables_csv(tmp_path / "want.csv", [table], model.alphabet)
+    assert (out / "empirical.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_simulate_empirical_close_to_exact(damping_file, tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--model", damping_file, "--t", "2",
@@ -124,6 +155,34 @@ def test_simulate_empirical_close_to_exact(damping_file, tmp_path):
     emp = read_table(out / "empirical.csv")
     assert abs(emp.get("00", 0.0) - 0.75) < 0.02
     assert "01" not in emp  # impossible sequence never sampled
+
+
+# the child prints its own peak RSS in KiB. With one Python tuple per shot,
+# 400,000 shots at t = 4 peaked 59 MiB above one shot; with one array of
+# symbol indices sampled in chunks, 9 to 11 MiB above
+SIMULATE_RSS_GROWTH_MIB = 30
+RSS_CHILD = ("import resource, sys\n"
+             "from qhmm.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_simulate_memory_does_not_grow_with_shots(damping_file, tmp_path):
+    src = str(Path(qhmm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    peak = {}
+    for shots in (1, 400_000):
+        run = subprocess.run(
+            [sys.executable, "-c", RSS_CHILD, "simulate", "--model", damping_file,
+             "--t", "4", "--shots", str(shots), "--seed", "0",
+             "--out", str(tmp_path / str(shots))],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        code, kib = run.stdout.split()
+        assert code == "0"
+        peak[shots] = int(kib) / 1024
+    assert peak[400_000] - peak[1] < SIMULATE_RSS_GROWTH_MIB, peak
 
 
 def test_invalid_model_file(tmp_path, capsys):
@@ -396,6 +455,29 @@ def test_invalid_circuit_model_file_fails_cleanly(bad_circuit_files, tmp_path,
         assert not out.exists()
 
 
+# each exited only after --out was made: simulate on a Kraus-form file with
+# 2, distribution on a carry-mode file with 1; hankel on it also exited 1
+@pytest.mark.parametrize("kind,argv,message", [
+    ("kraus", ["simulate", "--t", "2", "--shots", "10", "--seed", "1"],
+     "simulate expects a classical model or a unitary-form QHMM"),
+    ("carry", ["distribution", "--t", "2"], "has no stationary Kraus family"),
+    ("carry", ["hankel", "--max-len", "2"], "has no stationary Kraus family"),
+], ids=["simulate-kraus", "distribution-carry", "hankel-carry"])
+def test_unsupported_model_kind_exits_2(kind, argv, message, damping_file,
+                                        tmp_path, capsys):
+    data = {"kraus": models.qhmm_to_json(models.monras_qhmm()),
+            "carry": {**json.loads(open(damping_file).read()),
+                      "reset_mode": "carry"}}[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_file_not_an_object(tmp_path, capsys):
     # regression: a JSON list died with an AttributeError and exit 1
     bad = tmp_path / "bad.json"
@@ -527,7 +609,8 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
 # on -1, learn-ansatz --restarts 0 and --budget 0 and landscape --steps -3
 # exited 1 from inside the library. hankel --tol -1 exited 1 and --tol nan
 # exited 0 with rank 0; landscape --steps 29 exited 1 after the walk had
-# written samples.csv, and --rates abc and -0.5 exited 1
+# written samples.csv, and --rates abc and -0.5 exited 1; hankel --max-len 9
+# exited 1 from the side budget inside the library
 @pytest.mark.parametrize("argv,message", [
     (["hankel", "--target", "{target}", "--max-len", "-1"], "must be >= 0"),
     (["learn-ansatz", "--target", "{target}", "--reps", "-1"], "must be >= 0"),
@@ -542,14 +625,19 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     (["landscape", "--steps", "30", "--rates", "abc"], "invalid _rates value"),
     (["landscape", "--steps", "30", "--rates", "0.1,-0.5"],
      "must be finite and > 0"),
+    (["hankel", "--model", "{market}", "--max-len", "9"],
+     "Hankel budget exceeded: 1023 x 1023"),
+    (["hankel", "--target", "{target}", "--max-len", "9"],
+     "Hankel budget exceeded: 1023 x 1023"),
 ], ids=["hankel-max-len", "ansatz-reps", "ansatz-restarts", "ansatz-budget",
         "landscape-steps", "hankel-tol-negative", "hankel-tol-nan",
         "landscape-steps-below-30", "landscape-rates-text",
-        "landscape-rates-negative"])
-def test_bad_count_exits_2(argv, message, tmp_path, capsys):
+        "landscape-rates-negative", "hankel-model-max-len-budget",
+        "hankel-target-max-len-budget"])
+def test_bad_count_exits_2(argv, message, market_file, tmp_path, capsys):
     target, _ = quick_learn_evo_inputs(tmp_path)
     out = tmp_path / "out"
-    argv = [a.format(target=target) for a in argv]
+    argv = [a.format(target=target, market=market_file) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "0", "--out", str(out)])
     assert exc.value.code == 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qhmm import classical, models
 from qhmm.channels import KrausChannel, choi, random_channel
-from qhmm.lang import hankel, sequences_of_length
+from qhmm.lang import empirical_estimate, hankel, sequences_of_length
 from qhmm.linalg import numerical_rank, random_density
 from qhmm.models import (
     QhmmKraus,
@@ -246,14 +246,35 @@ def test_steady_state_quantized_market(market):
 def test_simulate_deterministic_identity():
     m = identity_unitary_model()
     out = simulate(m, 3, 20, seed=0)
-    assert all(s == (0, 0, 0) for s in out)
+    assert all(tuple(s) == (0, 0, 0) for s in out.tolist())
 
 
 def test_simulate_seed_repeatability(damping_model):
     a = simulate(damping_model, 2, 200, seed=3)
     b = simulate(damping_model, 2, 200, seed=3)
-    assert a == b
-    assert a != simulate(damping_model, 2, 200, seed=4)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, simulate(damping_model, 2, 200, seed=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 4), st.integers(1, 300),
+       st.sampled_from([np.uint8, np.intp]), st.integers(0, 2**31 - 1))
+def test_empirical_table_matches_empirical_estimate(t, m, shots, dtype, seed):
+    # counting by lex code against the dict count over the rows as tuples
+    rows = np.random.default_rng(seed).integers(0, m, size=(shots, t)).astype(dtype)
+    got = empirical_table(rows, t)
+    want = empirical_estimate([tuple(r) for r in rows.tolist()], t)
+    assert got.t == want.t and got.probs == want.probs
+    assert all(type(a) is int for s in got.probs for a in s)
+
+
+def test_empirical_table_without_rows_and_beyond_int64_codes():
+    assert empirical_table(np.zeros((0, 3), dtype=np.uint8), 3).probs == {}
+    # 2**70 codes do not fit int64, so they are counted as Python ints
+    rows = np.random.default_rng(0).integers(0, 2, size=(40, 70), dtype=np.uint8)
+    rows[1] = rows[0]
+    want = empirical_estimate([tuple(r) for r in rows.tolist()], 70)
+    assert empirical_table(rows, 70).probs == want.probs
 
 
 def test_simulate_matches_exact(damping_model, damping_qhmm):

@@ -80,9 +80,30 @@ def test_simulate_matches_frozen_reference(case):
     make, t, shots, seed = CASES[case]
     q = make()
     got = models.simulate(q, t, shots, seed)
-    assert got == _reference_simulate(q, t, shots, seed)
-    assert len(got) == shots and all(len(s) == t for s in got)
-    assert all(type(a) is int for s in got for a in s)
+    assert [tuple(s) for s in got.tolist()] == _reference_simulate(q, t, shots, seed)
+    assert got.shape == (shots, t)
+    assert np.issubdtype(got.dtype, np.integer)
+
+
+# shot counts that are not multiples of the patched chunk size of 7
+CHUNK_CASES = {
+    "reset_emission": lambda: models.simulate(
+        _damping_variant(math.pi / 3, "reset", "emission"), 4, 103, 5),
+    "reset_system": lambda: models.simulate(
+        models.amplitude_damping_model(math.pi / 2), 3, 150, 6),
+    "carry": lambda: models.simulate(
+        _damping_variant(math.pi / 3, "carry", "system"), 4, 101, 7),
+    "classical": lambda: np.array(
+        classical.sample(classical.market_model(), 4, 150, seed=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunked_draws_equal_one_chunk(case, monkeypatch):
+    whole = CHUNK_CASES[case]()
+    monkeypatch.setattr(channels, "SAMPLE_CHUNK", 7)
+    chunked = CHUNK_CASES[case]()
+    assert chunked.shape == whole.shape and np.array_equal(chunked, whole)
 
 
 def test_classical_sample_python_ints_and_shapes(market):
