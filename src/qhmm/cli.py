@@ -21,13 +21,11 @@ from . import __version__, classical, experiments, lang, models
 from .circuits import Circuit, efficient_su2, real_amplitudes
 from .lang import render_sequence
 from .learning import (
-    RHO0_KINDS,
     AnsatzSpec,
     HyperParams,
     LearnSpace,
     Hypothesis,
     evolve,
-    initial_state,
     register_qubits,
     train_ansatz_restarts,
 )
@@ -177,7 +175,11 @@ def cmd_simulate(args):
 
 def cmd_distribution(args):
     model = load_model(args.model)
-    table = lang.exact_tables(*_model_operators(model), [args.t])[args.t]
+    ops = _model_operators(model)
+    try:  # the table budget
+        table = lang.exact_tables(*ops, [args.t])[args.t]
+    except ValueError as exc:
+        _fail(f"--t {args.t}: {exc}")
     out = _outdir(args)
     lang.write_tables_csv(out / f"distribution_t{args.t}.csv", [table],
                           model.alphabet)
@@ -293,7 +295,7 @@ def cmd_learn_evo(args):
     space = _space_from_config(alphabet, tables, cfg)
     out = _outdir(args)
     report = evolve(target, space, hp, seed=seed)
-    best_q = report.best.to_qhmm()
+    best_q = report.best.model(report.best.circuit.parameters())
     (out / "best_model.json").write_text(
         json.dumps(models.qhmm_to_json(best_q), indent=2) + "\n"
     )
@@ -371,19 +373,15 @@ def cmd_learn_ansatz(args):
 def _walk_origin(q, path: str) -> Hypothesis:
     """The walk's hypothesis for a model file. The walk engine steps a
     circuit in reset mode with the emission register measured and reset to
-    |0>, from one of the hypothesis start states; other models are refused."""
+    |0>, from the file's start state; other models are refused."""
     if not (isinstance(q, models.QhmmUnitary) and isinstance(q.u, Circuit)
             and q.reset_mode == "reset" and q.measured == "emission"
             and q.e0 == 0):
         _fail(f"landscape needs a circuit-form, reset-mode, emission-measured "
               f"model with e0 = 0: {path}")
-    kind = next((k for k in RHO0_KINDS if np.allclose(
-        q.rho0, initial_state(k, q.dim_s), rtol=0.0, atol=1e-12)), None)
-    if kind is None:
-        _fail(f"landscape needs rho0 to be one of {RHO0_KINDS}: {path}")
     try:
         return Hypothesis(circuit=q.u, dim_s=q.dim_s, dim_e=q.dim_e,
-                          symbol_map=q.symbol_map, rho0_kind=kind)
+                          symbol_map=q.symbol_map, rho0=q.rho0)
     except ValueError as exc:
         _fail(f"invalid model file {path}: {exc}")
 

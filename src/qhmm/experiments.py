@@ -19,12 +19,10 @@ from .circuits import efficient_su2, real_amplitudes
 from .lang import forward_probs, hankel_blocks, sequences_of_length
 from .learning import (
     AnsatzSpec,
-    ChannelEngine,
     HyperParams,
     Hypothesis,
     LearnSpace,
     evolve,
-    initial_state,
     train_ansatz_restarts,
 )
 from .linalg import spectral_norm
@@ -86,10 +84,7 @@ def landscape_walk(
     """
     if hyp.circuit.num_parameters < 1:
         raise ValueError("landscape walk needs a parametric hypothesis")
-    engine = ChannelEngine(
-        hyp.circuit, hyp.dim_s, hyp.dim_e, tuple(hyp.symbol_map),
-        initial_state(hyp.rho0_kind, hyp.dim_s),
-    )
+    engine = hyp.engine()
     x_opt = np.array([float(p) for p in hyp.circuit.parameters()])
     u_opt = engine.unitary(x_opt)
     ref = engine.level_probs(x_opt, WALK_LENGTHS)
@@ -256,7 +251,6 @@ def market_space() -> LearnSpace:
         gate_set=("X", "Y", "RX", "RY", "CX", "CRY"),
         min_gates=3,
         max_gates=14,
-        rho0_kind="maximally_mixed",
         opt_budget=80,
     )
 
@@ -355,6 +349,4 @@ def trained_market_hypothesis(seed: int = 0) -> Hypothesis:
         dim_s=MARKET_ANSATZ.dim_s,
         dim_e=MARKET_ANSATZ.dim_e,
         symbol_map=MARKET_ANSATZ.symbol_map,
-        rho0_kind="maximally_mixed",
-        optimal_params=res.params,
     )

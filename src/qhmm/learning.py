@@ -56,16 +56,6 @@ def symbol_order(symbol_map) -> list[str]:
     return list(dict.fromkeys(symbol_map))
 
 
-def _circuit_qhmm(circuit: Circuit, dim_s: int, dim_e: int, symbol_map,
-                  rho0: np.ndarray) -> QhmmKraus:
-    """Kraus form of a reset-mode circuit with the emission register
-    measured and reset to |0>, alphabet in symbol-map order."""
-    return to_kraus(QhmmUnitary(
-        alphabet=symbol_order(symbol_map), dim_s=dim_s, dim_e=dim_e,
-        u=compile_circuit(circuit), symbol_map=tuple(symbol_map), rho0=rho0,
-    ))
-
-
 def register_qubits(dim_s: int, dim_e: int) -> int:
     """Qubit count of a system register and an emission register; each
     dimension must be a power of two."""
@@ -82,30 +72,45 @@ def _check_circuit_size(circuit: Circuit, dim_s: int, dim_e: int) -> None:
 
 
 @dataclass
-class Hypothesis:
+class AnsatzSpec:
+    """The circuit model both learners search: a reset-mode circuit on a
+    system and an emission register, the emission register measured and reset
+    to |0>, a symbol map over the emission indices and a start state. The
+    circuit's angles may be unbound (a template to fit) or bound."""
+
     circuit: Circuit
     dim_s: int
     dim_e: int
     symbol_map: tuple[str, ...]
-    rho0_kind: str = "maximally_mixed"
-    fitness: Optional[float] = None
-    optimal_params: Optional[np.ndarray] = None
+    rho0: Optional[np.ndarray] = None  # default: the maximally mixed state
 
     def __post_init__(self):
         _check_circuit_size(self.circuit, self.dim_s, self.dim_e)
 
-    @property
-    def alphabet(self) -> list[str]:
-        return symbol_order(self.symbol_map)
+    def initial_density(self) -> np.ndarray:
+        if self.rho0 is not None:
+            return np.asarray(self.rho0, dtype=np.complex128)
+        return initial_state("maximally_mixed", self.dim_s)
 
-    def to_qhmm(self) -> QhmmKraus:
-        return _circuit_qhmm(self.circuit, self.dim_s, self.dim_e,
-                             self.symbol_map,
-                             initial_state(self.rho0_kind, self.dim_s))
+    def engine(self) -> ChannelEngine:
+        return ChannelEngine(self.circuit, self.dim_s, self.dim_e,
+                             tuple(self.symbol_map), self.initial_density())
 
-    def tables(self, lengths) -> list[DistributionTable]:
-        by_len = distribution_tables(self.to_qhmm(), lengths)
-        return [by_len[t] for t in sorted(set(int(x) for x in lengths))]
+    def model(self, params) -> QhmmKraus:
+        """Kraus form at the given angles, alphabet in symbol-map order."""
+        return to_kraus(QhmmUnitary(
+            alphabet=symbol_order(self.symbol_map), dim_s=self.dim_s,
+            dim_e=self.dim_e,
+            u=compile_circuit(self.circuit.with_parameters(params)),
+            symbol_map=tuple(self.symbol_map), rho0=self.initial_density(),
+        ))
+
+
+@dataclass
+class Hypothesis(AnsatzSpec):
+    """A member of the evolutionary search, angles bound once fitted."""
+
+    fitness: Optional[float] = None
 
 
 @dataclass
@@ -136,6 +141,14 @@ class LearnSpace:
             unknown = [n for n in names if n not in known]
             if unknown:
                 raise ValueError(f"unknown {kind}s {unknown}")
+            if not names:
+                raise ValueError(f"no {kind}s given")
+        if self.rho0_kind not in RHO0_KINDS:
+            raise ValueError(f"unknown initial-state kind {self.rho0_kind!r}; "
+                             f"choose from {RHO0_KINDS}")
+        if not 0 <= self.min_gates <= self.max_gates:
+            raise ValueError(f"gate counts need 0 <= min_gates <= max_gates, "
+                             f"got {self.min_gates} and {self.max_gates}")
         self.alphabet = [str(a) for a in self.alphabet]
         if self.symbol_map is None:
             self.symbol_map = block_symbol_map(self.alphabet, self.dim_e)
@@ -208,7 +221,7 @@ class ChannelEngine:
     vector's alone bit for bit.
 
     This is the hot path behind fitness and ansatz cost; the object-based
-    route (Hypothesis.tables / models.distribution_tables) computes the same
+    route (AnsatzSpec.model / models.distribution_tables) computes the same
     quantities independently and cross-checks it.
     """
 
@@ -278,10 +291,7 @@ class FitnessEngine:
 
     def __init__(self, hyp: Hypothesis, target: list[DistributionTable],
                  c_q: float = 0.01, c_e: float = 0.01):
-        self.engine = ChannelEngine(
-            hyp.circuit, hyp.dim_s, hyp.dim_e, tuple(hyp.symbol_map),
-            initial_state(hyp.rho0_kind, hyp.dim_s),
-        )
+        self.engine = hyp.engine()
         self.complexity = complexity(hyp, c_q, c_e)
         targets = sorted(target, key=lambda tab: tab.t)
         self.lengths = [tab.t for tab in targets]
@@ -328,8 +338,9 @@ def fitness_reference(
 ) -> float:
     """Object-path fitness used to cross-check the compiled engine."""
     targets = sorted(target, key=lambda tab: tab.t)
-    hyp_tables = hyp.tables([tab.t for tab in targets])
-    div = divergence_avg(targets, hyp_tables)
+    by_len = distribution_tables(hyp.model(hyp.circuit.parameters()),
+                                 [tab.t for tab in targets])
+    div = divergence_avg(targets, [by_len[tab.t] for tab in targets])
     return -(div + complexity(hyp, c_q, c_e))
 
 
@@ -349,12 +360,7 @@ def optimize_parameters(
     obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget)
     res = get_optimizer(optimizer_label)(obj, x0)
     tuned = hyp.circuit.with_parameters(res.best_params)
-    return replace(
-        hyp,
-        circuit=tuned,
-        fitness=-res.best_value,
-        optimal_params=np.array(res.best_params),
-    )
+    return replace(hyp, circuit=tuned, fitness=-res.best_value)
 
 
 # --- adaptive distributions ----------------------------------------------------
@@ -562,7 +568,7 @@ def random_hypothesis(
         dim_s=space.dim_s,
         dim_e=space.dim_e,
         symbol_map=tuple(space.symbol_map),
-        rho0_kind=space.rho0_kind,
+        rho0=initial_state(space.rho0_kind, space.dim_s),
     )
     label = dists["optimizer"].sample(rng) if "optimizer" in dists else space.optimizers[0]
     budget = space.budget_for(hyp.circuit.num_parameters)
@@ -629,8 +635,7 @@ def modify_hypothesis(
         if mutated is current.circuit:
             candidate = current
         else:
-            candidate = replace(hyp, circuit=mutated, fitness=None,
-                                optimal_params=None)
+            candidate = replace(hyp, circuit=mutated, fitness=None)
             label = dists["optimizer"].sample(rng)
             budget = space.budget_for(candidate.circuit.num_parameters)
             candidate = optimize_parameters(
@@ -770,30 +775,6 @@ def evolve(
 
 # --- ansatz training ---------------------------------------------------------------
 
-@dataclass
-class AnsatzSpec:
-    """A fixed template to fit: circuit with unbound angles plus the model
-    designation used to turn it into a generator."""
-
-    circuit: Circuit
-    dim_s: int
-    dim_e: int
-    symbol_map: tuple[str, ...]
-    rho0: Optional[np.ndarray] = None  # default: maximally mixed state system
-
-    def __post_init__(self):
-        _check_circuit_size(self.circuit, self.dim_s, self.dim_e)
-
-    def initial_density(self) -> np.ndarray:
-        if self.rho0 is not None:
-            return np.asarray(self.rho0, dtype=np.complex128)
-        return initial_state("maximally_mixed", self.dim_s)
-
-    def model(self, params) -> QhmmKraus:
-        return _circuit_qhmm(self.circuit.with_parameters(params), self.dim_s,
-                             self.dim_e, self.symbol_map, self.initial_density())
-
-
 def ansatz_cost(
     target: list[tuple[Sequence, float]], current: list[tuple[Sequence, float]]
 ) -> float:
@@ -824,10 +805,7 @@ def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
     lengths = sorted({len(seq) for seq, _ in target})
     if not lengths or lengths[0] == 0:
         raise ValueError("target support must be nonempty sequences")
-    engine = ChannelEngine(
-        spec.circuit, spec.dim_s, spec.dim_e, tuple(spec.symbol_map),
-        spec.initial_density(),
-    )
+    engine = spec.engine()
     m = engine.n_symbols
     # each supported sequence's position in the concatenated lex-ordered
     # levels, its reference probability and its length as the weight

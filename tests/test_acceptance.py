@@ -201,7 +201,9 @@ def _planted_target(seed: int, space: LearnSpace):
     gates = tuple(random_gate(gspace, rng) for _ in range(n))
     hyp = Hypothesis(circuit=Circuit(2, gates), dim_s=2, dim_e=2,
                      symbol_map=("0", "1"))
-    return hyp.tables([1, 2, 3, 4])
+    tables = models.distribution_tables(hyp.model(hyp.circuit.parameters()),
+                                        [1, 2, 3, 4])
+    return list(tables.values())
 
 
 def test_criterion_7_evolutionary_learning():

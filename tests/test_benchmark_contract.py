@@ -72,3 +72,24 @@ def test_counted_evaluations_equal_rows_evaluated(monkeypatch):
         assert inst.evals - restarts == sum(rows) == 57
     finally:
         inst.uninstall()
+
+
+def test_benchmark_workloads_build_and_check_a_fit(monkeypatch, tmp_path):
+    # the benchmark also calls qhmm's names to build its workloads and check
+    # their outputs; a refactor that changes one of those signatures would
+    # otherwise show only in a full benchmark run
+    import numpy as np
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    import workloads
+
+    from qhmm import learning
+
+    built = {name: cls(0, tmp_path, lambda: 0)
+             for name, cls in workloads.WORKLOADS.items()}
+    ansatz = built["ansatz"]
+    res = learning.train_ansatz(ansatz.market, ansatz.market_target, "nm",
+                                budget=50, rng=np.random.default_rng(0))
+    assert res.evaluations == 50
+    assert workloads._fit_matches_tables(ansatz.market, ansatz.market_target,
+                                         res)

@@ -506,26 +506,28 @@ def _walk_model(tmp_path, name, **changes):
 
 def test_landscape_model_start_state_changes_walk(tmp_path):
     # regression: the walk rebuilt the model from its circuit alone, so a
-    # |0><0| start wrote the same samples as the maximally mixed one
-    ground = np.diag([1.0, 0.0])
+    # |0><0| start wrote the same samples as the maximally mixed one; a start
+    # state that is none of the learners' named kinds was refused
+    starts = {"mixed": np.eye(2) / 2, "ground": np.diag([1.0, 0.0]),
+              "skewed": np.diag([0.3, 0.7])}
     samples = {}
-    for name, rho0 in (("mixed", np.eye(2) / 2), ("ground", ground)):
+    for name, rho0 in starts.items():
         out = tmp_path / name
         model = _walk_model(tmp_path, name, rho0=rho0)
         assert main(["landscape", "--model", model, "--steps", "30",
                      "--seed", "5", "--out", str(out)]) == 0
         samples[name] = (out / "samples.csv").read_text()
     assert samples["mixed"] != samples["ground"]
+    assert samples["mixed"] != samples["skewed"]
 
 
 def test_landscape_rejects_unsupported_models(tmp_path, capsys):
-    # regression: carry mode, a measured system register and another start
-    # state were dropped silently; a missing file exited 1
+    # regression: carry mode and a measured system register were dropped
+    # silently; a missing file exited 1
     unsupported = {
         "carry": _walk_model(tmp_path, "carry", reset_mode="carry"),
         "system": _walk_model(tmp_path, "system", measured="system"),
         "e0": _walk_model(tmp_path, "e0", e0=1),
-        "rho0": _walk_model(tmp_path, "rho0", rho0=np.diag([0.3, 0.7])),
         "missing": str(tmp_path / "missing.json"),
     }
     for name, model in unsupported.items():
@@ -572,7 +574,9 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
 # so did a config that is not an object, a population below 2, an n_max of
 # 0, an unknown gate type or optimizer label in a config, an unknown
 # --optimizer and a dim_s that is not an integer; n_max 0 and the unknown
-# gate type and label also left --out behind
+# gate type and label also left --out behind. An unknown rho0_kind,
+# min_gates above max_gates and an empty gate_set or optimizers list exited 1
+# from inside the search after --out was made
 @pytest.mark.parametrize("flags,config,message", [
     (["--dim-s", "3"], None, "power of two"),
     (["--dim-e", "1"], None, "smaller than the alphabet"),
@@ -585,9 +589,14 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
     (None, {"optimizers": ["nm", "foo"]}, "unknown optimizer labels ['foo']"),
     (["--optimizer", "foo"], None, "invalid choice: 'foo'"),
     (None, {"dim_s": "two"}, "invalid literal for int()"),
+    (None, {"rho0_kind": "bogus"}, "unknown initial-state kind 'bogus'"),
+    (None, {"min_gates": 6, "max_gates": 3}, "0 <= min_gates <= max_gates"),
+    (None, {"gate_set": []}, "no gate types given"),
+    (None, {"optimizers": []}, "no optimizer labels given"),
 ], ids=["ansatz-dim-s", "ansatz-dim-e", "evo-dim-s", "evo-dim-e",
         "evo-config-list", "evo-mu", "evo-n-max", "evo-gate-type",
-        "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text"])
+        "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text", "evo-rho0-kind",
+        "evo-gate-counts", "evo-empty-gate-set", "evo-empty-optimizers"])
 def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     target, cfg = quick_learn_evo_inputs(tmp_path)
     if flags:
@@ -610,7 +619,7 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
 # exited 1 from inside the library. hankel --tol -1 exited 1 and --tol nan
 # exited 0 with rank 0; landscape --steps 29 exited 1 after the walk had
 # written samples.csv, and --rates abc and -0.5 exited 1; hankel --max-len 9
-# exited 1 from the side budget inside the library
+# and distribution --t 13 exited 1 from a budget inside the library
 @pytest.mark.parametrize("argv,message", [
     (["hankel", "--target", "{target}", "--max-len", "-1"], "must be >= 0"),
     (["learn-ansatz", "--target", "{target}", "--reps", "-1"], "must be >= 0"),
@@ -629,11 +638,13 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
      "Hankel budget exceeded: 1023 x 1023"),
     (["hankel", "--target", "{target}", "--max-len", "9"],
      "Hankel budget exceeded: 1023 x 1023"),
+    (["distribution", "--model", "{market}", "--t", "13"],
+     "table of size 2^13 exceeds the supported budget"),
 ], ids=["hankel-max-len", "ansatz-reps", "ansatz-restarts", "ansatz-budget",
         "landscape-steps", "hankel-tol-negative", "hankel-tol-nan",
         "landscape-steps-below-30", "landscape-rates-text",
         "landscape-rates-negative", "hankel-model-max-len-budget",
-        "hankel-target-max-len-budget"])
+        "hankel-target-max-len-budget", "distribution-t-budget"])
 def test_bad_count_exits_2(argv, message, market_file, tmp_path, capsys):
     target, _ = quick_learn_evo_inputs(tmp_path)
     out = tmp_path / "out"

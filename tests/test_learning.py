@@ -9,6 +9,7 @@ from qhmm import circuits as qc
 from qhmm import classical
 from qhmm.circuits import Circuit, GateSpec, real_amplitudes
 from qhmm.lang import DistributionTable
+from qhmm.models import distribution_tables
 from qhmm.learning import (
     AdaptiveDistribution,
     AnsatzSpec,
@@ -59,6 +60,12 @@ def make_hyp(gates, fitness_value=None):
     )
 
 
+def tables_of(hyp, lengths):
+    """The object path's tables of a hypothesis at its bound angles."""
+    by_len = distribution_tables(hyp.model(hyp.circuit.parameters()), lengths)
+    return [by_len[t] for t in lengths]
+
+
 # --- initial states -----------------------------------------------------------
 
 def test_initial_states():
@@ -77,13 +84,13 @@ def test_initial_states():
 def test_fitness_zero_divergence_zero_weights(market_target):
     # fitness can never exceed zero; equal distributions at zero weights hit it
     hyp = make_hyp([GateSpec("RY", (0,), (0.5,))])
-    own_tables = hyp.tables([1, 2, 3])
+    own_tables = tables_of(hyp, [1, 2, 3])
     assert abs(fitness(hyp, own_tables, c_q=0.0, c_e=0.0)) < 1e-12
 
 
 def test_fitness_zero_divergence_only_emission_term():
     hyp = make_hyp([GateSpec("RY", (0,), (0.5,))])
-    own_tables = hyp.tables([1, 2])
+    own_tables = tables_of(hyp, [1, 2])
     f = fitness(hyp, own_tables, c_q=0.0, c_e=0.01)
     assert abs(f + 0.01 * 2 / 4) < 1e-12  # -c_e * M / N^2
 
@@ -119,10 +126,9 @@ def test_alphabet_keeps_caller_order():
                      symbol_map=space.symbol_map)
     always_b = [DistributionTable(t=1, probs={(0,): 1.0}),
                 DistributionTable(t=2, probs={(0, 0): 1.0})]
-    assert hyp.alphabet == ["b", "a"]
     assert fitness(hyp, always_b, c_q=0.0, c_e=0.0) == 0.0
     assert fitness_reference(hyp, always_b, c_q=0.0, c_e=0.0) == 0.0
-    assert hyp.to_qhmm().alphabet == ["b", "a"]
+    assert hyp.model([]).alphabet == ["b", "a"]
 
 
 def test_engine_rejects_symbol_map_of_wrong_length():
@@ -174,15 +180,17 @@ def test_optimize_parameters_never_decreases(space, market_target, rng):
     start = fitness(hyp, market_target)
     tuned = optimize_parameters(hyp, market_target, "nm", budget=60)
     assert tuned.fitness >= start - 1e-12
-    # Lamarckian write-back: genotype carries the tuned angles
-    assert tuned.circuit.parameters() == list(tuned.optimal_params)
+    # Lamarckian write-back: the genotype carries the angles that reached
+    # the recorded fitness
+    assert tuned.circuit.parameters() != hyp.circuit.parameters()
+    assert abs(fitness(tuned, market_target) - tuned.fitness) < 1e-12
 
 
 def test_optimize_parameters_parameterless(market_target):
     hyp = make_hyp([GateSpec("X", (0,))])
     tuned = optimize_parameters(hyp, market_target, "nm", budget=10)
     assert tuned.fitness == fitness(hyp, market_target)
-    assert tuned.optimal_params.size == 0
+    assert tuned.circuit == hyp.circuit
 
 
 def test_optimize_parameters_budget_one(space, market_target):
@@ -438,7 +446,7 @@ def test_evolve_best_trace_nondecreasing(space, market_target):
 def test_evolve_self_recovery_small():
     # plant a one-gate model and ask the search to find its language
     planted = make_hyp([GateSpec("RY", (0,), (1.2,))])
-    target = planted.tables([1, 2, 3])
+    target = tables_of(planted, [1, 2, 3])
     space = LearnSpace(alphabet=["0", "1"], min_gates=1, max_gates=4,
                        opt_budget=50)
     hp = HyperParams(mu=8, lam=4, g_max=25, target_fitness=-1e-4,
@@ -507,9 +515,10 @@ def test_train_ansatz_restart_improves(market_target):
 
 
 def test_circuit_models_slice_kraus_in_emission_order():
-    # Hypothesis.to_qhmm and AnsatzSpec.model go through models.to_kraus; the
-    # operators must be U's (emission e, e0 = 0) blocks grouped by symbol in
-    # emission order, with the alphabet in order of first appearance
+    # AnsatzSpec.model goes through models.to_kraus, for a template and for
+    # a hypothesis with bound angles; the operators must be U's (emission e,
+    # e0 = 0) blocks grouped by symbol in emission order, with the alphabet
+    # in order of first appearance
     from qhmm.circuits import compile_circuit, efficient_su2
 
     template = efficient_su2(3, reps=1, entanglement="linear",
@@ -521,10 +530,10 @@ def test_circuit_models_slice_kraus_in_emission_order():
             "a": [u4[:, 1, :, 0], u4[:, 3, :, 0]]}
     rho0 = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=np.complex128)
     hyp = Hypothesis(circuit=template.with_parameters(x), dim_s=2, dim_e=4,
-                     symbol_map=symbol_map, rho0_kind="ground")
+                     symbol_map=symbol_map, rho0=initial_state("ground", 2))
     spec = AnsatzSpec(circuit=template, dim_s=2, dim_e=4,
                       symbol_map=symbol_map, rho0=rho0)
-    for q, start in ((hyp.to_qhmm(), initial_state("ground", 2)),
+    for q, start in ((hyp.model(x), initial_state("ground", 2)),
                      (spec.model(x), rho0)):
         assert q.alphabet == ["b", "a"]
         assert list(q.channel.groups) == ["b", "a"]
