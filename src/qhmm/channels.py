@@ -1,8 +1,8 @@
 """CPTP maps as symbol-labeled Kraus families.
 
-A channel is stored as an ordered mapping symbol -> list of Kraus operators;
-summing every group gives the full trace-preserving map, while each group is
-the sub-channel realized when its symbol is observed.
+A channel is stored as an ordered mapping symbol -> (k, N, N) stack of Kraus
+operators, k >= 0; summing every group gives the full trace-preserving map,
+while each group is the sub-channel realized when its symbol is observed.
 """
 
 from __future__ import annotations
@@ -27,35 +27,40 @@ SAMPLE_CHUNK = 16384  # shots drawn and stepped together by sample_trajectories
 
 @dataclass
 class KrausChannel:
-    """Kraus operators grouped per observable symbol, all N x N."""
+    """Kraus operators grouped per observable symbol: each group is one
+    complex (k, N, N) stack, and an empty group is a (0, N, N) stack."""
 
     dim: int
-    groups: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    groups: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.groups = {
-            str(sym): [as_matrix(k) for k in ops] for sym, ops in self.groups.items()
-        }
+        n = self.dim
+        stacks = {}
         for sym, ops in self.groups.items():
             for k in ops:
-                if k.shape != (self.dim, self.dim):
-                    raise ValueError(
-                        f"Kraus operator for symbol {sym!r} is {k.shape}, "
-                        f"expected ({self.dim}, {self.dim})"
-                    )
+                if np.shape(k) != (n, n):
+                    raise ValueError(f"Kraus operator for symbol {sym!r} is "
+                                     f"{np.shape(k)}, expected ({n}, {n})")
+            stack = np.asarray(ops, dtype=np.complex128).reshape(-1, n, n)
+            if not np.isfinite(stack).all():
+                raise ValueError(f"Kraus operators for symbol {sym!r} have "
+                                 f"non-finite entries")
+            stacks[str(sym)] = stack
+        self.groups = stacks
 
     @property
     def symbols(self) -> list[str]:
         return list(self.groups)
 
-    def operators(self) -> list[np.ndarray]:
-        """All Kraus operators flattened in group order."""
-        return [k for ops in self.groups.values() for k in ops]
+    def operators(self) -> np.ndarray:
+        """All Kraus operators as one (K, N, N) stack in group order."""
+        return np.concatenate([np.empty((0, self.dim, self.dim), np.complex128),
+                               *self.groups.values()])
 
     def completeness_defect(self) -> float:
-        s = sum((dagger(k) @ k for k in self.operators()),
-                start=np.zeros((self.dim, self.dim), dtype=np.complex128))
-        return float(np.abs(s - np.eye(self.dim)).max())
+        ops = self.operators()
+        defect = (dagger(ops) @ ops).sum(axis=0) - np.eye(self.dim)
+        return float(np.abs(defect).max())
 
 
 @dataclass
@@ -75,20 +80,16 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"state dim {rho.shape} does not match channel dim {ch.dim}")
-    out = np.zeros_like(rho)
-    for k in ch.operators():
-        out += k @ rho @ dagger(k)
-    return out
+    ops = ch.operators()
+    return (ops @ rho @ dagger(ops)).sum(axis=0)
 
 
 def apply_symbol(ch: KrausChannel, rho: np.ndarray, a: str) -> np.ndarray:
     """Unnormalized post-state for symbol a: sum over that group only."""
     if a not in ch.groups:
         raise KeyError(f"unknown symbol {a!r}")
-    out = np.zeros((ch.dim, ch.dim), dtype=np.complex128)
-    for k in ch.groups[a]:
-        out += k @ rho @ dagger(k)
-    return out
+    ops = ch.groups[a]
+    return (ops @ rho @ dagger(ops)).sum(axis=0)
 
 
 def symbol_probability(ch: KrausChannel, rho: np.ndarray, a: str) -> float:
@@ -99,14 +100,9 @@ def symbol_probability(ch: KrausChannel, rho: np.ndarray, a: str) -> float:
 def choi(ch: KrausChannel) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) T(|i><j|), an N^2 x N^2 PSD operator."""
     n = ch.dim
-    j = np.zeros((n * n, n * n), dtype=np.complex128)
-    for k in ch.operators():
-        # vec over the (input basis) index: column i holds K|i> blocks
-        v = np.zeros(n * n, dtype=np.complex128)
-        for i in range(n):
-            v[i * n : (i + 1) * n] = k[:, i]
-        j += np.outer(v, v.conj())
-    return j
+    # row K holds the blocks K|i> in input-basis order
+    v = ch.operators().swapaxes(1, 2).reshape(-1, n * n)
+    return v.T @ v.conj()
 
 
 def kraus_rank(ch: KrausChannel, rel_tol: float = 1e-7) -> int:
@@ -122,15 +118,16 @@ def kraus_rank(ch: KrausChannel, rel_tol: float = 1e-7) -> int:
 
 def kraus_from_unitary(
     u: np.ndarray, dim_s: int, dim_e: int, e0: int = 0
-) -> list[np.ndarray]:
-    """Slice K_e[s, s'] = U[s*dim_e + e, s'*dim_e + e0] for every emission e."""
+) -> np.ndarray:
+    """(dim_e, dim_s, dim_s) stack of K_e[s, s'] = U[s*dim_e + e, s'*dim_e + e0]
+    over the emissions e."""
     u = as_matrix(u)
     if u.shape != (dim_s * dim_e, dim_s * dim_e):
         raise ValueError("unitary dim does not equal dim_s * dim_e")
     if not 0 <= e0 < dim_e:
         raise ValueError("e0 out of range")
     u4 = u.reshape(dim_s, dim_e, dim_s, dim_e)
-    return [np.ascontiguousarray(u4[:, e, :, e0]) for e in range(dim_e)]
+    return np.ascontiguousarray(u4[:, :, :, e0].transpose(1, 0, 2))
 
 
 def stinespring_dilate(ch: KrausChannel, dim_e: int, e0: int = 0) -> np.ndarray:
@@ -142,19 +139,16 @@ def stinespring_dilate(ch: KrausChannel, dim_e: int, e0: int = 0) -> np.ndarray:
     """
     ops = ch.operators()
     if dim_e < len(ops):
-        raise ValueError(
-            f"dim_e={dim_e} too small for {len(ops)} Kraus operators"
-        )
+        raise ValueError(f"dim_e={dim_e} too small for {len(ops)} Kraus operators")
     rep = validate_cptp(ch)
     if not rep.complete:
         raise ValueError(
             f"channel is not trace preserving (violation {rep.max_violation:.3g})"
         )
     n = ch.dim
-    v = np.zeros((n * dim_e, n), dtype=np.complex128)
-    for e, k in enumerate(ops):
-        v[e::dim_e, :] = k  # rows (s*dim_e + e) for all s
-    return complete_isometry_to_unitary(v, e0=e0)
+    v = np.zeros((n, dim_e, n), dtype=np.complex128)
+    v[:, :len(ops)] = ops.swapaxes(0, 1)  # row s*dim_e + e holds K_e[s]
+    return complete_isometry_to_unitary(v.reshape(n * dim_e, n), e0=e0)
 
 
 @dataclass
@@ -165,13 +159,17 @@ class SteadyStateInfo:
     degenerate: bool
 
 
+def kraus_transfer_matrix(kraus: np.ndarray) -> np.ndarray:
+    """N^2 x N^2 matrix acting on row-major vec(rho): sum_K K (x) conj(K) over
+    a (k, N, N) stack, the zero matrix for an empty one."""
+    k, n = kraus.shape[:2]
+    pairs = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
+    return pairs.reshape(k, n * n, n * n).sum(axis=0)
+
+
 def transfer_matrix(ch: KrausChannel) -> np.ndarray:
-    """N^2 x N^2 matrix acting on row-major vec(rho): sum_K K (x) conj(K)."""
-    n = ch.dim
-    t = np.zeros((n * n, n * n), dtype=np.complex128)
-    for k in ch.operators():
-        t += np.kron(k, k.conj())
-    return t
+    """The full channel's ``kraus_transfer_matrix``."""
+    return kraus_transfer_matrix(ch.operators())
 
 
 def symbol_transfer_matrices(kraus: np.ndarray, group_starts) -> np.ndarray:
@@ -298,18 +296,14 @@ def random_channel(
     their completeness sum, split into n_symbols consecutive groups."""
     if n_kraus < n_symbols:
         raise ValueError("need at least one Kraus operator per symbol")
-    blocks = [
-        rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        for _ in range(n_kraus)
-    ]
-    s = sum(dagger(b) @ b for b in blocks)
-    w, v = np.linalg.eigh(s)
-    s_inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v)
-    ops = [b @ s_inv_sqrt for b in blocks]
-    groups: dict[str, list[np.ndarray]] = {str(a): [] for a in range(n_symbols)}
-    for i, k in enumerate(ops):
-        groups[str(min(i * n_symbols // n_kraus, n_symbols - 1))].append(k)
-    return KrausChannel(dim=dim, groups=groups)
+    # per block its real then its imaginary part, in one row-major draw
+    parts = rng.normal(size=(n_kraus, 2, dim, dim))
+    blocks = parts[:, 0] + 1j * parts[:, 1]
+    w, v = np.linalg.eigh((dagger(blocks) @ blocks).sum(axis=0))
+    ops = blocks @ (v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v))
+    symbol = np.minimum(np.arange(n_kraus) * n_symbols // n_kraus, n_symbols - 1)
+    return KrausChannel(dim=dim, groups={str(a): ops[symbol == a]
+                                         for a in range(n_symbols)})
 
 
 def channel_to_json(ch: KrausChannel) -> dict:

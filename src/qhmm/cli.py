@@ -241,6 +241,10 @@ def cmd_quantize(args):
 def _space_from_config(alphabet, tables, cfg: dict) -> LearnSpace:
     m = len(alphabet)
     try:
+        for key in ("gate_set", "optimizers"):
+            names = cfg.get(key, [])
+            if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+                raise ValueError(f"{key} must be a JSON list of strings, got {names!r}")
         if "dim_s" in cfg:
             dim_s = int(cfg["dim_s"])
         else:  # the Hankel estimate, which the side budget may refuse
@@ -379,6 +383,8 @@ def _walk_origin(q, path: str) -> Hypothesis:
             and q.e0 == 0):
         _fail(f"landscape needs a circuit-form, reset-mode, emission-measured "
               f"model with e0 = 0: {path}")
+    if q.u.num_parameters == 0:
+        _fail(f"landscape needs a circuit with parameters to walk: {path}")
     try:
         return Hypothesis(circuit=q.u, dim_s=q.dim_s, dim_e=q.dim_e,
                           symbol_map=q.symbol_map, rho0=q.rho0)

@@ -692,8 +692,6 @@ def evolve(
         random_hypothesis(space, target, rng, dists, hp.c_q, hp.c_e)
         for _ in range(hp.mu)
     ]
-    for d in dists.values():
-        d.clear_draws()
     pop = _ranked(pop)
     best = pop[0]
     best_trace = [best.fitness]
@@ -714,6 +712,7 @@ def evolve(
         children = []
         improved_children = 0
         for parent in parents:
+            # credit each child for its own draws only
             for d in dists.values():
                 d.clear_draws()
             child = modify_hypothesis(
@@ -724,8 +723,6 @@ def evolve(
                 improved_children += 1
                 for d in dists.values():
                     d.credit_draws()
-        for d in dists.values():
-            d.clear_draws()
 
         surv_type = dists["survival_type"].sample(rng)
         surv_strength = dists["survival_strength"].sample(rng)
@@ -740,8 +737,6 @@ def evolve(
             dists["selection_strength"].reward_value(sel_strength)
             dists["survival_type"].reward_value(surv_type)
             dists["survival_strength"].reward_value(surv_strength)
-        for d in dists.values():
-            d.clear_draws()
         best_trace.append(best.fitness)
 
         if g - last_improvement >= hp.prog_window:

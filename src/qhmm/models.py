@@ -110,15 +110,17 @@ def block_symbol_map(alphabet, dim: int) -> tuple[str, ...]:
     return tuple(str(alphabet[min(i * m // dim, m - 1)]) for i in range(dim))
 
 
-def _outcome_kraus(q: QhmmUnitary, u: np.ndarray) -> list[list[np.ndarray]]:
-    """Reset-mode Kraus operators on the state space, one list per basis state
-    of the measured register: [K_e] for a measured emission register, the
-    nonzero projector compositions [P_o K_e]_e for a measured system one."""
+def _outcome_kraus(q: QhmmUnitary, u: np.ndarray) -> list[np.ndarray]:
+    """Reset-mode Kraus operators on the state space, one (k, N, N) stack per
+    basis state of the measured register: K_e alone for a measured emission
+    register, the nonzero compositions P_o K_e for a measured system one."""
     kraus = ch.kraus_from_unitary(u, q.dim_s, q.dim_e, q.e0)
     if q.measured == "emission":
-        return [[k] for k in kraus]
-    composed = [[projector(o, q.dim_s) @ k for k in kraus] for o in range(q.dim_s)]
-    return [[pk for pk in ops if np.abs(pk).max() > 1e-15] for ops in composed]
+        return list(kraus[:, None])
+    projectors = np.stack([projector(o, q.dim_s) for o in range(q.dim_s)])
+    composed = projectors[:, None] @ kraus
+    nonzero = np.abs(composed).max(axis=(2, 3)) > 1e-15
+    return [ops[keep] for ops, keep in zip(composed, nonzero)]
 
 
 def to_kraus(q: QhmmUnitary) -> QhmmKraus:
@@ -130,27 +132,26 @@ def to_kraus(q: QhmmUnitary) -> QhmmKraus:
     """
     if q.reset_mode != "reset":
         raise ValueError("design b (carry) has no stationary Kraus family")
-    groups: dict[str, list[np.ndarray]] = {a: [] for a in q.alphabet}
-    for sym, ops in zip(q.symbol_map, _outcome_kraus(q, q.unitary())):
-        groups[sym].extend(ops)
-    # an all-zero group still needs one operator to keep the partition intact
-    zero = np.zeros((q.dim_s, q.dim_s), dtype=np.complex128)
-    groups = {a: ops or [zero] for a, ops in groups.items()}
-    channel = KrausChannel(dim=q.dim_s, groups=groups)
-    return QhmmKraus(alphabet=list(q.alphabet), channel=channel, rho0=q.rho0)
+    outcomes = _outcome_kraus(q, q.unitary())
+    # a symbol whose outcomes have no nonzero operator gets a (0, N, N) group
+    groups = {a: np.concatenate([ops for sym, ops in zip(q.symbol_map, outcomes)
+                                 if sym == a])
+              for a in q.alphabet}
+    return QhmmKraus(alphabet=list(q.alphabet),
+                     channel=KrausChannel(dim=q.dim_s, groups=groups), rho0=q.rho0)
 
 
 def from_kraus(q: QhmmKraus, dim_e: int, e0: int = 0) -> QhmmUnitary:
-    """Stinespring dilation with one emission index per Kraus operator;
-    emission indices keep the group order, leftovers map to the last symbol."""
-    ops = q.channel.operators()
-    if dim_e < len(ops):
-        raise ValueError(f"dim_e={dim_e} too small for {len(ops)} Kraus operators")
+    """Stinespring dilation with one emission index per Kraus operator in
+    group order. The leftover indices hold zero operators: one goes to each
+    symbol with an empty group, the rest to the last symbol."""
     u = ch.stinespring_dilate(q.channel, dim_e, e0)
-    labels: list[str] = []
-    for sym, group in q.channel.groups.items():
-        labels.extend([sym] * len(group))
-    labels.extend([q.alphabet[-1]] * (dim_e - len(labels)))
+    sizes = [len(ops) for ops in q.channel.groups.values()]
+    labels = np.repeat(q.alphabet, sizes).tolist()
+    labels += [a for a, k in zip(q.alphabet, sizes) if k == 0]
+    if len(labels) > dim_e:
+        raise ValueError(f"dim_e={dim_e} leaves no index for an empty group")
+    labels += [q.alphabet[-1]] * (dim_e - len(labels))
     return QhmmUnitary(
         alphabet=list(q.alphabet),
         dim_s=q.dim,
@@ -166,24 +167,14 @@ def quantize_classical(h: ClassicalHmm) -> QhmmKraus:
     """Diagonal embedding of a classical model: one rank-one Kraus operator
     sqrt(O_a[i, j]) |i><j| per positive observable-operator entry, initial
     state diag(x0)."""
-    n = h.n
-    obs = observable_operators(h)
-    groups: dict[str, list[np.ndarray]] = {}
-    for a in h.alphabet:
-        ops = []
-        o = obs[a]
-        for i in range(n):
-            for j in range(n):
-                if o[i, j] > 0.0:
-                    k = np.zeros((n, n), dtype=np.complex128)
-                    k[i, j] = np.sqrt(o[i, j])
-                    ops.append(k)
-        if not ops:
-            ops.append(np.zeros((n, n), dtype=np.complex128))
-        groups[a] = ops
+    obs = np.stack(list(observable_operators(h).values()))
+    sym, rows, cols = np.nonzero(obs > 0.0)  # row-major within each symbol
+    ops = np.zeros((len(sym), h.n, h.n), dtype=np.complex128)
+    ops[np.arange(len(sym)), rows, cols] = np.sqrt(obs[sym, rows, cols])
+    groups = {a: ops[sym == i] for i, a in enumerate(h.alphabet)}
     return QhmmKraus(
         alphabet=list(h.alphabet),
-        channel=KrausChannel(dim=n, groups=groups),
+        channel=KrausChannel(dim=h.n, groups=groups),
         rho0=np.diag(h.x0).astype(np.complex128),
     )
 
@@ -202,11 +193,8 @@ def sequence_probability(q: QhmmKraus, seq: Sequence) -> float:
 def forward_operators(q: QhmmKraus):
     """(ops, init, final) of ``lang.forward_probs``: the per-symbol transfer
     matrices on row-major vec(rho), vec(rho0) and vec(I)."""
-    zero = np.zeros((q.dim, q.dim), dtype=np.complex128)
-    groups = [q.channel.groups[a] or [zero] for a in q.alphabet]
-    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-    ops = ch.symbol_transfer_matrices(np.stack([k for g in groups for k in g]),
-                                      starts)
+    ops = np.stack([ch.kraus_transfer_matrix(q.channel.groups[a])
+                    for a in q.alphabet])
     return ops, q.rho0.ravel(), np.eye(q.dim).ravel()
 
 
@@ -242,8 +230,8 @@ def simulate(q: QhmmUnitary, t: int, shots: int, seed: int) -> np.ndarray:
     else:
         idx = np.arange(q.dim_s * q.dim_e)
         outcome_of = idx % q.dim_e if q.measured == "emission" else idx // q.dim_e
-        groups = [[np.where((outcome_of == o)[:, None], u, 0)]
-                  for o in range(len(q.symbol_map))]
+        masks = outcome_of == np.arange(len(q.symbol_map))[:, None]
+        groups = np.where(masks[:, :, None], u, 0)[:, None]
         rho = tensor_product(q.rho0, projector(q.e0, q.dim_e))
     outcomes = ch.sample_trajectories(groups, rho, shots, t, seed)
     symbol_of = np.array([q.alphabet.index(s) for s in q.symbol_map],
@@ -300,16 +288,11 @@ def monras_qhmm() -> QhmmKraus:
     )
 
 
-def amplitude_damping_kraus_pair(gamma: float) -> list[np.ndarray]:
-    """State-first damping operators K0 = diag(1, sqrt(1-gamma)),
-    K1 = sqrt(gamma)|0><1|."""
+def amplitude_damping_channel(gamma: float) -> KrausChannel:
+    """State-first damping operators K0 = diag(1, sqrt(1-gamma)) for symbol 0
+    and K1 = sqrt(gamma)|0><1| for symbol 1."""
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
-    return [k0, k1]
-
-
-def amplitude_damping_channel(gamma: float) -> KrausChannel:
-    k0, k1 = amplitude_damping_kraus_pair(gamma)
     return KrausChannel(dim=2, groups={"0": [k0], "1": [k1]})
 
 

@@ -93,3 +93,30 @@ def test_benchmark_workloads_build_and_check_a_fit(monkeypatch, tmp_path):
     assert res.evaluations == 50
     assert workloads._fit_matches_tables(ansatz.market, ansatz.market_target,
                                          res)
+
+
+def test_oracle_calls_apply_symbol_once_per_symbol(monkeypatch):
+    # the benchmark's selftest requires an exact count of apply_symbol calls
+    # from the language workload's oracle Hankel matrices, hooked on the
+    # channels module: one per symbol of every cell, 2·|S|·Σ|s| per matrix
+    from qhmm import channels, classical, lang, models
+
+    calls = []
+    apply_symbol = channels.apply_symbol
+
+    def counting(*args):
+        calls.append(1)
+        return apply_symbol(*args)
+
+    monkeypatch.setattr(channels, "apply_symbol", counting)
+    q = models.quantize_classical(classical.market_model())
+    for seq in [(), (0,), (1, 0, 1)]:
+        calls.clear()
+        models.sequence_probability(q, seq)
+        assert len(calls) == len(seq)
+    calls.clear()
+    h = lang.hankel(lambda s: models.sequence_probability(q, s), 2, 2,
+                    len(q.alphabet))
+    side = [len(s) for s in h.suffixes]
+    assert [len(p) for p in h.prefixes] == side
+    assert len(calls) == 2 * len(side) * sum(side) == 140

@@ -300,6 +300,48 @@ def test_symbol_transfer_matrices_act_as_sub_channels(rng):
         assert np.abs(t_a @ rho.ravel() - want).max() < 1e-14
 
 
+def test_stack_operations_match_per_operator_loops():
+    # each group is one (k, N, N) stack; the per-operator loops it replaced
+    # stay here as the reference, including an empty group's zero terms
+    rng = np.random.default_rng(3)
+    chan = random_channel(3, 5, rng, n_symbols=3)
+    chan = KrausChannel(dim=3, groups={**chan.groups, "3": []})
+    ops = list(chan.operators())
+    assert [len(g) for g in chan.groups.values()] == [2, 2, 1, 0]
+    assert all(g.dtype == np.complex128 for g in chan.groups.values())
+    rho = random_density(3, rng)
+
+    def sandwich(group):
+        return sum((k @ rho @ k.conj().T for k in group), np.zeros((3, 3)))
+
+    assert np.abs(apply(chan, rho) - sandwich(ops)).max() < 1e-15
+    for a, group in chan.groups.items():
+        assert np.abs(ch.apply_symbol(chan, rho, a) - sandwich(group)).max() < 1e-15
+    kron = sum(np.kron(k, k.conj()) for k in ops)
+    assert np.abs(transfer_matrix(chan) - kron).max() < 1e-15
+    assert not ch.kraus_transfer_matrix(chan.groups["3"]).any()
+    vecs = [k.T.ravel() for k in ops]  # the blocks K|i> in input order
+    want = sum(np.outer(v, v.conj()) for v in vecs)
+    assert np.abs(choi(chan) - want).max() < 1e-15
+    effect = sum(k.conj().T @ k for k in ops)
+    assert chan.completeness_defect() == np.abs(effect - np.eye(3)).max()
+    back = kraus_from_unitary(stinespring_dilate(chan, 6), 3, 6)
+    assert np.abs(back[:5] - np.stack(ops)).max() < 1e-12
+    assert np.abs(back[5]).max() < 1e-12
+
+
+def test_random_channel_keeps_the_per_block_draw_order():
+    # each block draws its real part, then its imaginary part
+    chan = random_channel(2, 3, np.random.default_rng(8), n_symbols=2)
+    rng = np.random.default_rng(8)
+    blocks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+              for _ in range(3)]
+    w, v = np.linalg.eigh(sum(b.conj().T @ b for b in blocks))
+    ops = [b @ v @ np.diag(w ** -0.5) @ v.conj().T for b in blocks]
+    assert np.abs(chan.operators() - np.stack(ops)).max() < 1e-14
+    assert [len(g) for g in chan.groups.values()] == [2, 1]
+
+
 def test_channel_json_round_trip(monras):
     d = ch.channel_to_json(monras.channel)
     back = ch.channel_from_json(d)

@@ -455,6 +455,32 @@ def test_invalid_circuit_model_file_fails_cleanly(bad_circuit_files, tmp_path,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("group,message", [
+    ([np.eye(3)], "Kraus operator for symbol '0' is (3, 3), expected (2, 2)"),
+    ([np.eye(2), np.eye(3)],
+     "Kraus operator for symbol '0' is (3, 3), expected (2, 2)"),
+    ([np.array([[np.nan, 0.0], [0.0, 1.0]])],
+     "Kraus operators for symbol '0' have non-finite entries"),
+], ids=["wrong-size", "ragged", "nan"])
+def test_invalid_kraus_model_file_exits_2(group, message, tmp_path, capsys):
+    # a Kraus-form file is checked where its operators are stacked: the
+    # message names the symbol and the bad shape, also for a ragged group
+    data = models.qhmm_to_json(models.monras_qhmm())
+    data["channel"]["groups"]["0"] = [
+        {"rows": len(k), "cols": len(k), "re": k.ravel().tolist(),
+         "im": [0.0] * k.size} for k in group]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["distribution", "--model", str(bad), "--t", "2",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid model file" in err and message in err
+    assert not out.exists()
+
+
 # each exited only after --out was made: simulate on a Kraus-form file with
 # 2, distribution on a carry-mode file with 1; hankel on it also exited 1
 @pytest.mark.parametrize("kind,argv,message", [
@@ -523,12 +549,17 @@ def test_landscape_model_start_state_changes_walk(tmp_path):
 
 def test_landscape_rejects_unsupported_models(tmp_path, capsys):
     # regression: carry mode and a measured system register were dropped
-    # silently; a missing file exited 1
+    # silently; a missing file exited 1, and so did a circuit without
+    # parameters, after --out was made
+    from qhmm.circuits import Circuit, GateSpec
+
     unsupported = {
         "carry": _walk_model(tmp_path, "carry", reset_mode="carry"),
         "system": _walk_model(tmp_path, "system", measured="system"),
         "e0": _walk_model(tmp_path, "e0", e0=1),
         "missing": str(tmp_path / "missing.json"),
+        "no-params": _walk_model(tmp_path, "no-params",
+                                 u=Circuit(2, (GateSpec("X", (0,)),))),
     }
     for name, model in unsupported.items():
         out = tmp_path / f"out-{name}"
@@ -576,7 +607,8 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
 # --optimizer and a dim_s that is not an integer; n_max 0 and the unknown
 # gate type and label also left --out behind. An unknown rho0_kind,
 # min_gates above max_gates and an empty gate_set or optimizers list exited 1
-# from inside the search after --out was made
+# from inside the search after --out was made; a gate_set or optimizers string
+# was read one character per entry and exited 0
 @pytest.mark.parametrize("flags,config,message", [
     (["--dim-s", "3"], None, "power of two"),
     (["--dim-e", "1"], None, "smaller than the alphabet"),
@@ -593,10 +625,14 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
     (None, {"min_gates": 6, "max_gates": 3}, "0 <= min_gates <= max_gates"),
     (None, {"gate_set": []}, "no gate types given"),
     (None, {"optimizers": []}, "no optimizer labels given"),
+    (None, {"gate_set": "XY"}, "gate_set must be a JSON list of strings"),
+    (None, {"optimizers": "nm"}, "optimizers must be a JSON list of strings"),
+    (None, {"gate_set": ["X", 1]}, "gate_set must be a JSON list of strings"),
 ], ids=["ansatz-dim-s", "ansatz-dim-e", "evo-dim-s", "evo-dim-e",
         "evo-config-list", "evo-mu", "evo-n-max", "evo-gate-type",
         "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text", "evo-rho0-kind",
-        "evo-gate-counts", "evo-empty-gate-set", "evo-empty-optimizers"])
+        "evo-gate-counts", "evo-empty-gate-set", "evo-empty-optimizers",
+        "evo-gate-set-string", "evo-optimizers-string", "evo-gate-set-number"])
 def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     target, cfg = quick_learn_evo_inputs(tmp_path)
     if flags:

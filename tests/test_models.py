@@ -209,6 +209,34 @@ def test_distribution_tables_match_oracle_random_channels(seed, m, dim):
             assert abs(p - sequence_probability(q, seq)) < 1e-12
 
 
+def test_never_emitted_symbol_is_an_empty_group():
+    # a symbol without operators is a (0, N, N) group, written as [], and
+    # keeps probability 0 through dilation and extraction; a file from before,
+    # which padded that group with one zero operator, still loads the same
+    h = classical.ClassicalHmm(alphabet=["a", "b", "c"],
+                               A=[[0.9, 0.2], [0.1, 0.8]],
+                               B=[[0.7, 0.4], [0.3, 0.6], [0.0, 0.0]],
+                               x0=[0.5, 0.5])
+    q = quantize_classical(h)
+    assert q.channel.groups["c"].shape == (0, 2, 2)
+    data = qhmm_to_json(q)
+    assert data["channel"]["groups"]["c"] == []
+    padded = json.loads(json.dumps(data))
+    padded["channel"]["groups"]["c"] = [
+        {"rows": 2, "cols": 2, "re": [0.0] * 4, "im": [0.0] * 4}]
+    want = classical.distribution(h, 3)
+    dilated = from_kraus(q, dim_e=len(q.channel.operators()) + 1)
+    assert dilated.symbol_map.count("c") == 1
+    back = to_kraus(dilated)  # one operator per emission index, here zero
+    assert not back.channel.groups["c"].any()
+    for model in (q, qhmm_from_json(data), qhmm_from_json(padded), back):
+        got = distribution(model, 3)
+        assert max(abs(got.prob(s) - p) for s, p in want.items()) < 1e-12
+        assert all(got.prob(s) == 0.0 for s in got.probs if 2 in s)
+    with pytest.raises(ValueError, match="no index for an empty group"):
+        from_kraus(q, dim_e=len(q.channel.operators()))
+
+
 def test_distribution_tables_empty_symbol_group():
     # an empty group between two others must read as probability zero, not
     # borrow the neighbouring group's operators
