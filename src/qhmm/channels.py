@@ -133,9 +133,10 @@ def kraus_from_unitary(
 def stinespring_dilate(ch: KrausChannel, dim_e: int, e0: int = 0) -> np.ndarray:
     """Dilate to a unitary on H_S (x) H_E with one emission index per Kraus op.
 
-    The isometry sends |v> to sum_k K_k|v> (x) |e_k>; Gram-Schmidt completes it
-    to a unitary. Extracting Kraus operators back with ``kraus_from_unitary``
-    recovers the original family (zero-padded up to dim_e).
+    The isometry sends |v> to sum_k K_k|v> (x) |e_k>, and one Householder QR
+    completes it to a unitary (``linalg.complete_isometry_to_unitary``).
+    Extracting Kraus operators back with ``kraus_from_unitary`` recovers the
+    original family, zero-padded up to dim_e.
     """
     ops = ch.operators()
     if dim_e < len(ops):
@@ -207,7 +208,12 @@ def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:
         cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
         picked = (cdf[node] < draws[:, step, None]).sum(axis=1)
         out[:, step] = np.minimum(picked, m - 1)
-        keys, node = np.unique(node * m + out[:, step], return_inverse=True)
+        # dense rank of the (prefix, outcome) keys: their sorted order, no sort
+        key = node * m + out[:, step]
+        present = np.zeros(len(states) * m, dtype=bool)
+        present[key] = True
+        keys = np.flatnonzero(present)
+        node = (np.cumsum(present) - 1)[key]
         prefix, taken = np.divmod(keys, m)
         nxt = np.empty((len(keys), n, n), dtype=np.complex128)
         for o in np.unique(taken):

@@ -151,16 +151,16 @@ def numerical_rank(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
 def complete_isometry_to_unitary(
     v: np.ndarray, e0: int = 0, tol: float = TOL_UNITARY
 ) -> np.ndarray:
-    """Extend a D x N isometry to a D x D unitary by Gram-Schmidt.
+    """Extend a D x N isometry to a D x D unitary by one Householder QR.
 
     Column s of ``v`` becomes column s*M + e0 of the unitary, M = D // N,
     matching the embedding |s> -> |s>|e0> of the state register into the
     composite space. One Newton-Schulz step, v (3I - v†v) / 2, first
     orthonormalizes the columns of ``v``: it differs from v (v†v)^(-1/2)
     only at second order in the defect, so an isometry accepted within the
-    default ``tol`` gives a unitary to rounding. The remaining columns are produced
-    by orthonormalizing canonical basis vectors, skipping candidates whose
-    residual norm falls below 1e-8.
+    default ``tol`` gives a unitary to rounding. The last D - N columns of
+    the complete QR of ``v`` are an orthonormal basis of the complement of
+    its range; they fill the remaining columns in order.
     """
     v = as_matrix(v)
     d, n = v.shape
@@ -176,29 +176,11 @@ def complete_isometry_to_unitary(
     if not 0 <= e0 < m:
         raise ValueError("e0 out of range")
 
-    u = np.zeros((d, d), dtype=np.complex128)
-    fixed = [s * m + e0 for s in range(n)]
-    for s, col in enumerate(fixed):
-        u[:, col] = v[:, s]
-
-    built = list(fixed)
-    candidate = 0
-    for col in range(d):
-        if col in fixed:
-            continue
-        while True:
-            if candidate >= d:
-                raise RuntimeError("ran out of basis candidates")  # unreachable
-            r = ket(candidate, d)
-            candidate += 1
-            basis = u[:, built]
-            r = r - basis @ (dagger(basis) @ r)
-            nrm = np.linalg.norm(r)
-            if nrm >= 1e-8:
-                u[:, col] = r / nrm
-                built.append(col)
-                break
-    return u
+    q = np.linalg.qr(v, mode="complete")[0]
+    q[:, :n] = v
+    # column s*M + e gathers v's column s at e == e0, else the next free one
+    free = np.arange(n, d).reshape(n, m - 1)
+    return q[:, np.insert(free, e0, np.arange(n), axis=1).ravel()]
 
 
 def density_basis(n: int) -> list[np.ndarray]:

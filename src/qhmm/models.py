@@ -113,12 +113,14 @@ def block_symbol_map(alphabet, dim: int) -> tuple[str, ...]:
 def _outcome_kraus(q: QhmmUnitary, u: np.ndarray) -> list[np.ndarray]:
     """Reset-mode Kraus operators on the state space, one (k, N, N) stack per
     basis state of the measured register: K_e alone for a measured emission
-    register, the nonzero compositions P_o K_e for a measured system one."""
+    register, the compositions P_o K_e for a measured system one. Operators
+    whose entries are all at most 1e-15 in modulus are dropped."""
     kraus = ch.kraus_from_unitary(u, q.dim_s, q.dim_e, q.e0)
     if q.measured == "emission":
-        return list(kraus[:, None])
-    projectors = np.stack([projector(o, q.dim_s) for o in range(q.dim_s)])
-    composed = projectors[:, None] @ kraus
+        composed = kraus[:, None]
+    else:
+        projectors = np.stack([projector(o, q.dim_s) for o in range(q.dim_s)])
+        composed = projectors[:, None] @ kraus
     nonzero = np.abs(composed).max(axis=(2, 3)) > 1e-15
     return [ops[keep] for ops, keep in zip(composed, nonzero)]
 
@@ -142,9 +144,10 @@ def to_kraus(q: QhmmUnitary) -> QhmmKraus:
 
 
 def from_kraus(q: QhmmKraus, dim_e: int, e0: int = 0) -> QhmmUnitary:
-    """Stinespring dilation with one emission index per Kraus operator in
-    group order. The leftover indices hold zero operators: one goes to each
-    symbol with an empty group, the rest to the last symbol."""
+    """Stinespring dilation (``channels.stinespring_dilate``, completed by one
+    Householder QR) with one emission index per Kraus operator in group
+    order. The leftover indices hold zero operators: one goes to each symbol
+    with an empty group, the rest to the last symbol."""
     u = ch.stinespring_dilate(q.channel, dim_e, e0)
     sizes = [len(ops) for ops in q.channel.groups.values()]
     labels = np.repeat(q.alphabet, sizes).tolist()

@@ -236,16 +236,24 @@ def test_stinespring_quantized_market_round_trip(market):
     assert _choi_distance(rebuilt, flat) < 1e-8
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
-def test_stinespring_round_trip_random(dim, n_kraus, seed):
-    rng = np.random.default_rng(seed)
-    chan = random_channel(dim, n_kraus, rng, n_symbols=1)
-    dim_e = max(n_kraus, 2)
-    u = stinespring_dilate(chan, dim_e=dim_e)
-    ks = kraus_from_unitary(u, dim, dim_e, 0)
-    rebuilt = KrausChannel(dim=dim, groups={"0": ks})
-    assert _choi_distance(rebuilt, chan) < 1e-8
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 3), st.integers(0, 8),
+       st.integers(0, 2**31 - 1))
+def test_stinespring_round_trip_random(dim, n_kraus, extra, e0, seed):
+    # extraction reads back exactly the embedded columns: the operators after
+    # the completion's Newton-Schulz step, then dim_e - k exact zeros
+    chan = random_channel(dim, n_kraus, np.random.default_rng(seed))
+    dim_e, e0 = n_kraus + extra, e0 % (n_kraus + extra)
+    u = stinespring_dilate(chan, dim_e, e0)
+    assert is_unitary(u, 1e-13)
+    ks = kraus_from_unitary(u, dim, dim_e, e0)
+    v = np.zeros((dim, dim_e, dim), dtype=complex)
+    v[:, :n_kraus] = chan.operators().swapaxes(0, 1)
+    v = v.reshape(dim * dim_e, dim)
+    v = v @ (1.5 * np.eye(dim) - 0.5 * (v.conj().T @ v))
+    assert np.array_equal(ks, v.reshape(dim, dim_e, dim).swapaxes(0, 1))
+    assert not ks[n_kraus:].any()
+    assert np.abs(ks[:n_kraus] - chan.operators()).max() < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

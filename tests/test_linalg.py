@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhmm import linalg
+from qhmm import classical, linalg, models
 from qhmm.linalg import (
     complete_isometry_to_unitary,
+    dagger,
     density_basis,
     eig_hermitian,
     is_density,
@@ -206,17 +207,99 @@ def test_eigh_and_svd_reconstruction(dim, seed):
     assert abs(spectral_norm(g) - s[0]) < 1e-12
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31 - 1))
-def test_isometry_completion_property(n, m, seed):
+def _newton_schulz(v):
+    """The orthonormalizing step applied to the isometry before embedding."""
+    return v @ (1.5 * np.eye(v.shape[1]) - 0.5 * (dagger(v) @ v))
+
+
+def _gram_schmidt_completion(v, e0):
+    """Oracle: the column-by-column completion used before the QR one. Column
+    s of v goes to s*M + e0; canonical basis vectors, orthonormalized against
+    every column built so far, fill the rest in order, skipping candidates
+    whose residual norm falls below 1e-8."""
+    d, n = v.shape
+    m = d // n
+    u = np.zeros((d, d), dtype=np.complex128)
+    fixed = [s * m + e0 for s in range(n)]
+    u[:, fixed] = v
+    built = list(fixed)
+    candidates = iter(np.eye(d, dtype=np.complex128))
+    for col in range(d):
+        if col in fixed:
+            continue
+        while True:
+            basis = u[:, built]
+            r = next(candidates)
+            r = r - basis @ (dagger(basis) @ r)
+            nrm = np.linalg.norm(r)
+            if nrm >= 1e-8:
+                u[:, col] = r / nrm
+                built.append(col)
+                break
+    return u
+
+
+def _check_completion(v, e0):
+    d, n = v.shape
+    fixed = np.arange(n) * (d // n) + e0
+    u = complete_isometry_to_unitary(v, e0=e0)
+    assert np.abs(dagger(u) @ u - np.eye(d)).max() <= 1e-13
+    assert np.array_equal(u[:, fixed], _newton_schulz(v))
+    oracle = _gram_schmidt_completion(_newton_schulz(v), e0)
+    assert np.array_equal(oracle[:, fixed], u[:, fixed])
+    # both fill the complement of range(v): the same projector onto it
+    free = np.setdiff1d(np.arange(d), fixed)
+    p, p_oracle = (w[:, free] @ dagger(w[:, free]) for w in (u, oracle))
+    assert np.abs(p - p_oracle).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 32), st.integers(0, 31),
+       st.integers(0, 2**31 - 1))
+@example(n=4, m=1, e0=0, seed=0)  # N = D: nothing to complete
+@example(n=1, m=32, e0=31, seed=0)
+def test_isometry_completion_property(n, m, e0, seed):
+    # any n orthonormal columns form an isometry
+    v = random_unitary(n * m, np.random.default_rng(seed))[:, :n]
+    _check_completion(v, e0 % m)
+
+
+def _quantized_isometry(h, extra):
+    """The dilation isometry of a quantized classical model, as
+    ``stinespring_dilate`` lays it out: basis-aligned, so Gram-Schmidt
+    skips candidates already in its range."""
+    ops = models.quantize_classical(h).channel.operators()
+    k, n = ops.shape[:2]
+    v = np.zeros((n, k + extra, n), dtype=np.complex128)
+    v[:, :k] = ops.swapaxes(0, 1)
+    return v.reshape(-1, n)
+
+
+@pytest.mark.parametrize("name", sorted(classical.fixtures()))
+@pytest.mark.parametrize("extra", [0, 5])
+def test_qr_completion_of_quantized_fixture(name, extra):
+    v = _quantized_isometry(classical.fixtures()[name], extra)
+    for e0 in (0, v.shape[0] // v.shape[1] - 1):
+        _check_completion(v, e0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 4), st.integers(0, 63),
+       st.integers(0, 2**31 - 1))
+def test_qr_completion_of_random_quantized_model(n, n_symbols, extra, e0, seed):
     rng = np.random.default_rng(seed)
-    d = n * m
-    u0 = random_unitary(d, rng)
-    v = u0[:, :n]  # any n orthonormal columns form an isometry
-    u = complete_isometry_to_unitary(v, e0=0)
-    assert is_unitary(u)
-    for s in range(n):
-        assert np.abs(u[:, s * m] - v[:, s]).max() < 1e-9
+
+    def sparse_stochastic(rows):
+        # random columns summing to 1, about half of their entries zero
+        w = rng.random((rows, n)) * (rng.random((rows, n)) < 0.5)
+        w[rng.integers(rows, size=n), np.arange(n)] += 1.0
+        return w / w.sum(axis=0)
+
+    h = classical.ClassicalHmm(alphabet=[str(a) for a in range(n_symbols)],
+                               A=sparse_stochastic(n), B=sparse_stochastic(n_symbols),
+                               x0=np.full(n, 1.0 / n))
+    v = _quantized_isometry(h, extra)
+    _check_completion(v, e0 % (v.shape[0] // n))
 
 
 def test_matrix_json_round_trip(rng):

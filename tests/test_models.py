@@ -227,8 +227,13 @@ def test_never_emitted_symbol_is_an_empty_group():
     want = classical.distribution(h, 3)
     dilated = from_kraus(q, dim_e=len(q.channel.operators()) + 1)
     assert dilated.symbol_map.count("c") == 1
-    back = to_kraus(dilated)  # one operator per emission index, here zero
-    assert not back.channel.groups["c"].any()
+    back = to_kraus(dilated)  # the zero operator of index "c" is dropped
+    assert back.channel.groups["c"].shape == (0, 2, 2)
+    assert all(np.abs(ops).max(axis=(1, 2)).all()
+               for ops in back.channel.groups.values())
+    padded_dilation = from_kraus(q, dim_e=len(q.channel.operators()) + 3)
+    assert all(np.abs(ops).max(axis=(1, 2)).all()
+               for ops in to_kraus(padded_dilation).channel.groups.values())
     for model in (q, qhmm_from_json(data), qhmm_from_json(padded), back):
         got = distribution(model, 3)
         assert max(abs(got.prob(s) - p) for s, p in want.items()) < 1e-12
