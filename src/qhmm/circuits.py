@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,19 +59,6 @@ def _angle_weights(theta: np.ndarray) -> np.ndarray:
     t = theta[..., None] * _HALF_AND_FULL
     return np.concatenate((np.ones(theta.shape + (1,)), np.cos(t), np.sin(t)),
                           axis=-1)
-
-
-def _base_matrix(gate: str, params: tuple) -> np.ndarray:
-    """2x2 matrix of the gate's data-qubit action."""
-    if gate not in _GATE_TERMS:
-        raise ValueError(f"unknown gate type {gate!r}")
-    terms = _GATE_TERMS[gate]
-    if not GATE_ARITY[gate]:
-        return terms[0]
-    if params[0] is None:
-        raise ValueError(f"gate {gate} has an unbound parameter")
-    w = _angle_weights(np.array([params[0]], dtype=float))
-    return (w @ terms.reshape(5, 4)).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -359,62 +346,31 @@ def amplitude_damping_circuit(theta: float) -> AmplitudeDampingDesign:
 
 # --- random gates and mutations ---------------------------------------------
 
-@dataclass
-class GateSpace:
-    """Sampling space for random gates: allowed types and register sizes.
-
-    ``distributions`` may carry objects with a ``sample(rng)`` method under the
-    keys 'gates', 'qubit' and 'qubit_pair'; missing entries sample uniformly.
-    """
-
-    gate_set: tuple[str, ...]
-    n_state_qubits: int
-    n_emission_qubits: int
-    distributions: dict = field(default_factory=dict)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.n_state_qubits + self.n_emission_qubits
-
-
-def _sample(space: GateSpace, key: str, rng, fallback):
-    dist = space.distributions.get(key)
-    return dist.sample(rng) if dist is not None else fallback()
-
-
-def random_gate(space: GateSpace, rng: np.random.Generator) -> GateSpec:
-    """Type from the gates distribution, qubit(s) from the qubit
-    distributions, angles uniform over [0, 8*pi]."""
-    if not space.gate_set:
-        raise ValueError("gate set is empty")
-    gate = _sample(space, "gates", rng,
-                   lambda: space.gate_set[rng.integers(len(space.gate_set))])
-    if gate in TWO_QUBIT_GATES:
-        qubits = tuple(_sample(space, "qubit_pair", rng,
-                               lambda: _uniform_pair(space.n_qubits, rng)))
-    else:
-        q = _sample(space, "qubit", rng,
-                    lambda: int(rng.integers(space.n_qubits)))
-        qubits = (int(q),)
+def _random_angles(gate: str, rng: np.random.Generator) -> tuple:
     lo, hi = PARAM_RANGE
-    params = tuple(float(rng.uniform(lo, hi)) for _ in range(GATE_ARITY[gate]))
-    return GateSpec(gate, qubits, params)
+    return tuple(float(rng.uniform(lo, hi)) for _ in range(GATE_ARITY[gate]))
 
 
-def _uniform_pair(n_qubits: int, rng) -> tuple[int, int]:
-    if n_qubits < 2:
-        raise ValueError("two-qubit gate needs at least two qubits")
-    c = int(rng.integers(n_qubits))
-    d = int(rng.integers(n_qubits - 1))
-    if d >= c:
-        d += 1
-    return (c, d)
+def _draw_qubits(two_qubit: bool, dists: dict, rng: np.random.Generator) -> tuple:
+    if two_qubit:
+        return tuple(dists["qubit_pair"].sample(rng))
+    return (dists["qubit"].sample(rng),)
+
+
+def random_gate(dists: dict, rng: np.random.Generator) -> GateSpec:
+    """Type from ``dists['gates']``, qubit(s) from ``dists['qubit']`` or
+    ``dists['qubit_pair']`` (objects with a ``sample(rng)`` method), angles
+    uniform over [0, 8*pi]."""
+    gate = dists["gates"].sample(rng)
+    return GateSpec(gate, _draw_qubits(gate in TWO_QUBIT_GATES, dists, rng),
+                    _random_angles(gate, rng))
 
 
 def mutate(
-    c: Circuit, pos: int, m_type: str, space: GateSpace, rng: np.random.Generator
+    c: Circuit, pos: int, m_type: str, dists: dict, rng: np.random.Generator
 ) -> Circuit:
-    """One structural mutation at a position; other gates stay untouched.
+    """One structural mutation at a position, drawing from the distributions
+    of ``random_gate``; other gates stay untouched.
 
     'dlt' on an empty circuit returns the input circuit unchanged (the caller
     can detect the no-op by identity).
@@ -423,7 +379,7 @@ def mutate(
     if m_type == "ins":
         if not 0 <= pos <= len(gates):
             raise IndexError("insert position out of range")
-        gates.insert(pos, random_gate(space, rng))
+        gates.insert(pos, random_gate(dists, rng))
         return Circuit(c.n_qubits, tuple(gates))
     if not gates:
         if m_type == "dlt":
@@ -433,32 +389,22 @@ def mutate(
         raise IndexError("mutation position out of range")
     old = gates[pos]
     if m_type == "gte":
-        new_type = _sample(space, "gates", rng,
-                           lambda: space.gate_set[rng.integers(len(space.gate_set))])
+        new_type = dists["gates"].sample(rng)
         qubits = old.qubits
         if (new_type in TWO_QUBIT_GATES) != old.is_two_qubit:
             if new_type in TWO_QUBIT_GATES:
-                qubits = _sample(space, "qubit_pair", rng,
-                                 lambda: _uniform_pair(space.n_qubits, rng))
+                qubits = tuple(dists["qubit_pair"].sample(rng))
             else:
                 qubits = (old.qubits[-1],)
         if GATE_ARITY[new_type] == GATE_ARITY[old.gate]:
             params = old.params
         else:
-            lo, hi = PARAM_RANGE
-            params = tuple(float(rng.uniform(lo, hi))
-                           for _ in range(GATE_ARITY[new_type]))
-        gates[pos] = GateSpec(new_type, tuple(qubits), params)
+            params = _random_angles(new_type, rng)
+        gates[pos] = GateSpec(new_type, qubits, params)
     elif m_type == "qbt":
-        if old.is_two_qubit:
-            qubits = _sample(space, "qubit_pair", rng,
-                             lambda: _uniform_pair(space.n_qubits, rng))
-        else:
-            qubits = (_sample(space, "qubit", rng,
-                              lambda: int(rng.integers(space.n_qubits))),)
-        gates[pos] = replace(old, qubits=tuple(qubits))
+        gates[pos] = replace(old, qubits=_draw_qubits(old.is_two_qubit, dists, rng))
     elif m_type == "rpl":
-        gates[pos] = random_gate(space, rng)
+        gates[pos] = random_gate(dists, rng)
     elif m_type == "dlt":
         del gates[pos]
     else:

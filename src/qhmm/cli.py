@@ -111,8 +111,10 @@ def _model_operators(model):
     return models.forward_operators(model)
 
 
-def _load_target(path: str, max_len: int):
-    """A target file is either a sequence,probability CSV or a raw corpus."""
+def _load_target(path: str, max_len: int, check_alphabet=lambda alphabet: None):
+    """A target file is either a sequence,probability CSV or a raw corpus;
+    ``check_alphabet`` sees the alphabet as soon as it is read, before a
+    corpus is tabulated."""
     try:
         with open(path) as fh:
             first = fh.readline()
@@ -121,8 +123,10 @@ def _load_target(path: str, max_len: int):
     try:
         if "," in first or first.strip().lower().startswith("sequence"):
             alphabet, tables = lang.read_tables_csv(path)
+            check_alphabet(alphabet)
         else:
             alphabet, corpus = lang.read_corpus(path)
+            check_alphabet(alphabet)
             tables = lang.tables_from_corpus(corpus, max_len)
     except ValueError as exc:
         _fail(f"invalid target file {path}: {exc}")
@@ -137,9 +141,9 @@ def _require_lengths(path: str, tables, top: int) -> None:
         _fail(f"invalid target file {path}: tables missing for lengths {missing}")
 
 
-def _check_hankel_sides(m: int, max_len: int) -> None:
+def _check_hankel_sides(alphabet, max_len: int) -> None:
     try:
-        lang.check_hankel_sides(m, max_len, max_len)
+        lang.check_hankel_sides(len(alphabet), max_len, max_len)
     except ValueError as exc:
         _fail(f"--max-len {max_len}: {exc}")
 
@@ -193,12 +197,13 @@ def cmd_hankel(args):
     if args.model:
         model = load_model(args.model)
         alphabet = model.alphabet
-        _check_hankel_sides(len(alphabet), args.max_len)
+        _check_hankel_sides(alphabet, args.max_len)
         levels = partial(lang.forward_probs, *_model_operators(model))
         h = lang.hankel_blocks(levels, args.max_len, args.max_len, len(alphabet))
     elif args.target:
-        alphabet, tables = _load_target(args.target, 2 * args.max_len)
-        _check_hankel_sides(len(alphabet), args.max_len)
+        alphabet, tables = _load_target(
+            args.target, 2 * args.max_len,
+            partial(_check_hankel_sides, max_len=args.max_len))
         _require_lengths(args.target, tables, 2 * args.max_len)
         m = len(alphabet)
         h = lang.hankel_from_tables(tables, args.max_len, args.max_len, m)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import circuits as qc
 from .channels import symbol_transfer_matrices
-from .circuits import Circuit, GateSpace, GateStack, compile_circuit
+from .circuits import Circuit, GateStack, compile_circuit
 from .lang import (DistributionTable, Sequence, divergence_avg, forward_probs,
                    table_vector)
 from .models import QhmmKraus, QhmmUnitary, distribution_tables, to_kraus
@@ -158,6 +158,11 @@ class LearnSpace:
                 f"symbol_map must list the alphabet {self.alphabet} in order "
                 f"of first appearance, got {symbol_order(self.symbol_map)}"
             )
+        if self.n_qubits < 2:  # the qubit-pair distribution needs a pair
+            raise ValueError(
+                f"the search needs at least two qubits, got dim_s "
+                f"{self.dim_s} and dim_e {self.dim_e}"
+            )
 
     def budget_for(self, n_params: int) -> int:
         """Total evaluations for one Lamarckian fit; simplex methods need
@@ -165,20 +170,8 @@ class LearnSpace:
         return max(40, self.opt_budget * max(1, n_params))
 
     @property
-    def n_state_qubits(self) -> int:
-        return int(math.log2(self.dim_s))
-
-    @property
-    def n_emission_qubits(self) -> int:
-        return int(math.log2(self.dim_e))
-
-    def gate_space(self, distributions=None) -> GateSpace:
-        return GateSpace(
-            gate_set=tuple(self.gate_set),
-            n_state_qubits=self.n_state_qubits,
-            n_emission_qubits=self.n_emission_qubits,
-            distributions=distributions or {},
-        )
+    def n_qubits(self) -> int:
+        return register_qubits(self.dim_s, self.dim_e)
 
 
 @dataclass
@@ -202,6 +195,13 @@ class HyperParams:
             raise ValueError("gamma must lie in [0, 1]")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        for name in ("c_q", "c_e"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not math.isfinite(self.target_fitness):
+            raise ValueError(
+                f"target_fitness must be finite, got {self.target_fitness}")
 
 
 # --- compiled evaluation engine -------------------------------------------------
@@ -425,7 +425,7 @@ MUTATION_TYPES = ["gte", "qbt", "rpl", "dlt", "ins"]
 
 
 def default_distributions(space: LearnSpace) -> dict[str, AdaptiveDistribution]:
-    nq = space.n_state_qubits + space.n_emission_qubits
+    nq = space.n_qubits
     pairs = [(c, d) for c in range(nq) for d in range(nq) if c != d]
     return {
         "selection_type": AdaptiveDistribution(["fitness", "rank", "tournament"]),
@@ -551,26 +551,23 @@ def random_hypothesis(
     space: LearnSpace,
     target: list[DistributionTable],
     rng: np.random.Generator,
-    distributions: Optional[dict] = None,
+    dists: dict[str, AdaptiveDistribution],
     c_q: float = 0.01,
     c_e: float = 0.01,
 ) -> Hypothesis:
-    """Uniform random gate count in [min_gates, max_gates], random gates,
-    then a Lamarckian parameter fit."""
-    dists = distributions or {}
-    gspace = space.gate_space(
-        {k: dists[k] for k in ("gates", "qubit", "qubit_pair") if k in dists}
-    )
+    """Uniform random gate count in [min_gates, max_gates], random gates
+    from the gate and qubit distributions, then a Lamarckian parameter fit
+    by an optimizer from the optimizer distribution."""
     n_gates = int(rng.integers(space.min_gates, space.max_gates + 1))
-    gates = tuple(qc.random_gate(gspace, rng) for _ in range(n_gates))
+    gates = tuple(qc.random_gate(dists, rng) for _ in range(n_gates))
     hyp = Hypothesis(
-        circuit=Circuit(gspace.n_qubits, gates),
+        circuit=Circuit(space.n_qubits, gates),
         dim_s=space.dim_s,
         dim_e=space.dim_e,
         symbol_map=tuple(space.symbol_map),
         rho0=initial_state(space.rho0_kind, space.dim_s),
     )
-    label = dists["optimizer"].sample(rng) if "optimizer" in dists else space.optimizers[0]
+    label = dists["optimizer"].sample(rng)
     budget = space.budget_for(hyp.circuit.num_parameters)
     return optimize_parameters(hyp, target, label, budget, c_q, c_e)
 
@@ -578,7 +575,6 @@ def random_hypothesis(
 def _mutate_sweep(
     circuit: Circuit,
     rate: float,
-    gspace: GateSpace,
     dists: dict,
     rng: np.random.Generator,
 ) -> Circuit:
@@ -589,7 +585,7 @@ def _mutate_sweep(
         if rng.random() < rate:
             m_type = dists["mutation_type"].sample(rng)
             before = len(c.gates)
-            c = qc.mutate(c, pos, m_type, gspace, rng)
+            c = qc.mutate(c, pos, m_type, dists, rng)
             if len(c.gates) > before:
                 pos += 2  # skip the freshly inserted gate
             elif len(c.gates) == before:
@@ -599,7 +595,7 @@ def _mutate_sweep(
             pos += 1
     if not c.gates and rng.random() < rate:
         # an empty genotype would be an absorbing state; give it one insert try
-        c = qc.mutate(c, 0, "ins", gspace, rng)
+        c = qc.mutate(c, 0, "ins", dists, rng)
     return c
 
 
@@ -621,9 +617,6 @@ def modify_hypothesis(
     anchor pinned at the parent). A final temperature acceptance may hand back
     the last candidate instead of the best one.
     """
-    gspace = space.gate_space(
-        {k: dists[k] for k in ("gates", "qubit", "qubit_pair") if k in dists}
-    )
     best = hyp
     current = hyp
     candidate = hyp
@@ -631,7 +624,7 @@ def modify_hypothesis(
     for _ in range(steps):
         s_type = dists["local_search_type"].sample(rng)
         rate = dists["mutation_rate"].sample(rng)
-        mutated = _mutate_sweep(current.circuit, rate, gspace, dists, rng)
+        mutated = _mutate_sweep(current.circuit, rate, dists, rng)
         if mutated is current.circuit:
             candidate = current
         else:

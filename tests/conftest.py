@@ -9,6 +9,36 @@ from qhmm import classical, models
 from qhmm.circuits import amplitude_damping_circuit
 
 
+class UniformDraw:
+    """Uniform draw from a finite domain by one ``rng.integers`` call."""
+
+    def __init__(self, domain):
+        self.domain = list(domain)
+
+    def sample(self, rng):
+        return self.domain[int(rng.integers(len(self.domain)))]
+
+
+class UniformPair:
+    """Uniform ordered pair of distinct qubits: the control by one
+    ``rng.integers`` call, then the data qubit among the others by a second."""
+
+    def __init__(self, n_qubits):
+        self.n_qubits = n_qubits
+
+    def sample(self, rng):
+        c = int(rng.integers(self.n_qubits))
+        d = int(rng.integers(self.n_qubits - 1))
+        return (c, d + (d >= c))
+
+
+def uniform_gate_dists(gate_set, n_qubits):
+    """Uniform gate-type, qubit and qubit-pair samplers for
+    ``circuits.random_gate`` and ``circuits.mutate``."""
+    return {"gates": UniformDraw(gate_set), "qubit": UniformDraw(range(n_qubits)),
+            "qubit_pair": UniformPair(n_qubits)}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -20,7 +20,7 @@ from qhmm.channels import (
     stinespring_dilate,
     validate_cptp,
 )
-from qhmm.circuits import Circuit, GateSpace, random_gate
+from qhmm.circuits import Circuit, random_gate
 from qhmm.cli import main
 from qhmm.lang import hankel, sequences_of_length
 from qhmm.learning import (
@@ -41,6 +41,8 @@ from qhmm.linalg import (
     random_density,
     spectral_norm,
 )
+
+from conftest import uniform_gate_dists
 
 
 def _report(criterion: str, passed: bool, detail: str, elapsed: float):
@@ -195,10 +197,9 @@ def test_criterion_6_ansatz_learning():
 
 def _planted_target(seed: int, space: LearnSpace):
     rng = np.random.default_rng(seed)
-    gspace = GateSpace(gate_set=space.gate_set, n_state_qubits=1,
-                       n_emission_qubits=1)
+    dists = uniform_gate_dists(space.gate_set, 2)
     n = int(rng.integers(1, 3))
-    gates = tuple(random_gate(gspace, rng) for _ in range(n))
+    gates = tuple(random_gate(dists, rng) for _ in range(n))
     hyp = Hypothesis(circuit=Circuit(2, gates), dim_s=2, dim_e=2,
                      symbol_map=("0", "1"))
     tables = models.distribution_tables(hyp.model(hyp.circuit.parameters()),
@@ -286,9 +287,8 @@ def test_criterion_9_property_suites():
     all_gates = ("X", "Y", "Z", "H", "P", "RX", "RY", "RZ", "CX", "CRY", "CRZ")
     for _ in range(1000):
         nq = int(rng.integers(2, 5))
-        gspace = GateSpace(gate_set=all_gates, n_state_qubits=1,
-                           n_emission_qubits=nq - 1)
-        c = Circuit(nq, tuple(random_gate(gspace, rng)
+        dists = uniform_gate_dists(all_gates, nq)
+        c = Circuit(nq, tuple(random_gate(dists, rng)
                               for _ in range(int(rng.integers(0, 13)))))
         assert is_unitary(compile_circuit(c))
 

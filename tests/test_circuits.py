@@ -10,7 +10,6 @@ from qhmm.channels import kraus_from_unitary
 from qhmm.circuits import (
     Circuit,
     GateSpec,
-    GateSpace,
     amplitude_damping_circuit,
     circuit_from_json,
     circuit_to_json,
@@ -22,17 +21,18 @@ from qhmm.circuits import (
 )
 from qhmm.linalg import is_unitary
 
+from conftest import uniform_gate_dists
+
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def default_space(n_state=1, n_emission=1, gate_set=("X", "Y", "RX", "RY")):
-    return GateSpace(gate_set=tuple(gate_set), n_state_qubits=n_state,
-                     n_emission_qubits=n_emission)
+def default_dists(n_qubits=2, gate_set=("X", "Y", "RX", "RY")):
+    return uniform_gate_dists(gate_set, n_qubits)
 
 
-def random_circuit(space, n_gates, rng):
-    return Circuit(space.n_qubits,
-                   tuple(random_gate(space, rng) for _ in range(n_gates)))
+def random_circuit(dists, n_gates, rng, n_qubits=2):
+    return Circuit(n_qubits,
+                   tuple(random_gate(dists, rng) for _ in range(n_gates)))
 
 
 def test_compile_empty():
@@ -59,21 +59,21 @@ def test_gate_order_first_acts_first():
 
 
 def test_compile_concatenation_order(rng):
-    space = default_space()
-    c1, c2 = random_circuit(space, 3, rng), random_circuit(space, 4, rng)
+    dists = default_dists()
+    c1, c2 = random_circuit(dists, 3, rng), random_circuit(dists, 4, rng)
     u = compile_circuit(c1 + c2)
     assert np.abs(u - compile_circuit(c2) @ compile_circuit(c1)).max() < 1e-12
 
 
 def test_gate_matrix_matches_kron_oracle():
     # explicit kron products as the independent reference
-    ry = qc._base_matrix("RY", (0.7,))
+    ry = _oracle_base("RY", 0.7)
     got = compile_circuit(Circuit(3, (GateSpec("RY", (1,), (0.7,)),)))
     want = np.kron(np.kron(np.eye(2), ry), np.eye(2))
     assert np.abs(got - want).max() < 1e-15
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     got = compile_circuit(Circuit(3, (GateSpec("CX", (2, 0)),)))
-    x = qc._base_matrix("X", ())
+    x = _oracle_base("X", 0.0)
     want = np.kron(np.kron(np.eye(2), np.eye(2)), p0) + np.kron(
         np.kron(x, np.eye(2)), p1
     )
@@ -193,12 +193,9 @@ def test_zero_gate_circuit_is_exact_identity(n_qubits):
 @given(st.integers(0, 2**31 - 1), st.integers(0, 12), st.integers(2, 4))
 def test_compile_always_unitary(seed, n_gates, n_qubits):
     rng = np.random.default_rng(seed)
-    space = GateSpace(
-        gate_set=("X", "Y", "Z", "H", "P", "RX", "RY", "RZ", "CX", "CRY", "CRZ"),
-        n_state_qubits=1,
-        n_emission_qubits=n_qubits - 1,
-    )
-    c = random_circuit(space, n_gates, rng)
+    dists = default_dists(
+        n_qubits, ("X", "Y", "Z", "H", "P", "RX", "RY", "RZ", "CX", "CRY", "CRZ"))
+    c = random_circuit(dists, n_gates, rng, n_qubits)
     assert is_unitary(compile_circuit(c))
 
 
@@ -303,9 +300,9 @@ def test_with_parameters_binding():
 # --- random gates and mutation -----------------------------------------------------
 
 def test_random_gate_singleton_set(rng):
-    space = default_space(gate_set=("RY",))
+    dists = default_dists(gate_set=("RY",))
     for _ in range(20):
-        g = random_gate(space, rng)
+        g = random_gate(dists, rng)
         assert g.gate == "RY"
         assert g.qubits[0] in (0, 1)
         assert 0.0 <= g.params[0] <= 8 * math.pi
@@ -313,68 +310,68 @@ def test_random_gate_singleton_set(rng):
 
 def test_random_gate_uniformity_chi2():
     rng = np.random.default_rng(77)
-    space = default_space(gate_set=("X", "Y", "RX", "RY"))
-    counts = {g: 0 for g in space.gate_set}
+    dists = default_dists(gate_set=("X", "Y", "RX", "RY"))
+    counts = {g: 0 for g in dists["gates"].domain}
     n = 10000
     for _ in range(n):
-        counts[random_gate(space, rng).gate] += 1
+        counts[random_gate(dists, rng).gate] += 1
     expected = n / 4
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 11.34  # chi-square 0.99 quantile, 3 dof
 
 
 def test_random_gate_seed_repeatability():
-    space = default_space()
-    a = [random_gate(space, np.random.default_rng(5)) for _ in range(10)]
-    b = [random_gate(space, np.random.default_rng(5)) for _ in range(10)]
+    dists = default_dists()
+    a = [random_gate(dists, np.random.default_rng(5)) for _ in range(10)]
+    b = [random_gate(dists, np.random.default_rng(5)) for _ in range(10)]
     assert a == b
 
 
 def test_mutate_delete_to_empty(rng):
-    space = default_space()
+    dists = default_dists()
     c = Circuit(2, (GateSpec("X", (0,)),))
-    out = mutate(c, 0, "dlt", space, rng)
+    out = mutate(c, 0, "dlt", dists, rng)
     assert len(out.gates) == 0
 
 
 def test_mutate_delete_on_empty_returns_same_object(rng):
-    space = default_space()
+    dists = default_dists()
     c = Circuit(2)
-    assert mutate(c, 0, "dlt", space, rng) is c
+    assert mutate(c, 0, "dlt", dists, rng) is c
 
 
 def test_mutate_insert_on_empty(rng):
-    space = default_space()
-    out = mutate(Circuit(2), 0, "ins", space, rng)
+    dists = default_dists()
+    out = mutate(Circuit(2), 0, "ins", dists, rng)
     assert len(out.gates) == 1
 
 
 def test_mutate_gte_touches_only_position(rng):
-    space = default_space(gate_set=("X", "Y", "RX", "RY"))
-    c = random_circuit(space, 5, rng)
-    out = mutate(c, 2, "gte", space, rng)
+    dists = default_dists(gate_set=("X", "Y", "RX", "RY"))
+    c = random_circuit(dists, 5, rng)
+    out = mutate(c, 2, "gte", dists, rng)
     assert len(out.gates) == 5
     for i in (0, 1, 3, 4):
         assert out.gates[i] == c.gates[i]
 
 
 def test_mutate_qbt_keeps_type(rng):
-    space = default_space()
+    dists = default_dists()
     c = Circuit(2, (GateSpec("RY", (0,), (1.0,)),))
-    out = mutate(c, 0, "qbt", space, rng)
+    out = mutate(c, 0, "qbt", dists, rng)
     assert out.gates[0].gate == "RY"
     assert out.gates[0].params == (1.0,)
 
 
 def test_mutate_replace_and_insert_lengths(rng):
-    space = default_space()
-    c = random_circuit(space, 4, rng)
-    assert len(mutate(c, 1, "rpl", space, rng).gates) == 4
-    assert len(mutate(c, 4, "ins", space, rng).gates) == 5
+    dists = default_dists()
+    c = random_circuit(dists, 4, rng)
+    assert len(mutate(c, 1, "rpl", dists, rng).gates) == 4
+    assert len(mutate(c, 4, "ins", dists, rng).gates) == 5
 
 
 def test_circuit_json_round_trip(rng):
-    space = default_space(gate_set=("X", "RY", "CX", "CRY"), n_state=1, n_emission=1)
-    c = random_circuit(space, 6, rng)
+    dists = default_dists(gate_set=("X", "RY", "CX", "CRY"))
+    c = random_circuit(dists, 6, rng)
     back = circuit_from_json(circuit_to_json(c))
     assert back == c

@@ -608,7 +608,11 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
 # gate type and label also left --out behind. An unknown rho0_kind,
 # min_gates above max_gates and an empty gate_set or optimizers list exited 1
 # from inside the search after --out was made; a gate_set or optimizers string
-# was read one character per entry and exited 0
+# was read one character per entry and exited 0. A one-qubit register (dim_s
+# 1 beside the market's dim_e 2) exited 1 after --out was made, even with only
+# single-qubit gates; a NaN c_q did the same, a negative c_e gave a positive
+# fitness and reached the target at once, and a NaN target_fitness exited 0
+# without a generation
 @pytest.mark.parametrize("flags,config,message", [
     (["--dim-s", "3"], None, "power of two"),
     (["--dim-e", "1"], None, "smaller than the alphabet"),
@@ -628,11 +632,18 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
     (None, {"gate_set": "XY"}, "gate_set must be a JSON list of strings"),
     (None, {"optimizers": "nm"}, "optimizers must be a JSON list of strings"),
     (None, {"gate_set": ["X", 1]}, "gate_set must be a JSON list of strings"),
+    (None, {"dim_s": 1}, "needs at least two qubits"),
+    (None, {"dim_s": 1, "gate_set": ["X", "RY"]}, "needs at least two qubits"),
+    (None, {"c_q": math.nan}, "c_q must be finite and >= 0, got nan"),
+    (None, {"c_e": -5}, "c_e must be finite and >= 0, got -5"),
+    (None, {"target_fitness": math.nan}, "target_fitness must be finite"),
 ], ids=["ansatz-dim-s", "ansatz-dim-e", "evo-dim-s", "evo-dim-e",
         "evo-config-list", "evo-mu", "evo-n-max", "evo-gate-type",
         "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text", "evo-rho0-kind",
         "evo-gate-counts", "evo-empty-gate-set", "evo-empty-optimizers",
-        "evo-gate-set-string", "evo-optimizers-string", "evo-gate-set-number"])
+        "evo-gate-set-string", "evo-optimizers-string", "evo-gate-set-number",
+        "evo-one-qubit", "evo-one-qubit-single-gates", "evo-c-q-nan",
+        "evo-c-e-negative", "evo-target-fitness-nan"])
 def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     target, cfg = quick_learn_evo_inputs(tmp_path)
     if flags:
@@ -655,7 +666,10 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
 # exited 1 from inside the library. hankel --tol -1 exited 1 and --tol nan
 # exited 0 with rank 0; landscape --steps 29 exited 1 after the walk had
 # written samples.csv, and --rates abc and -0.5 exited 1; hankel --max-len 9
-# and distribution --t 13 exited 1 from a budget inside the library
+# and distribution --t 13 exited 1 from a budget inside the library. On a
+# corpus target, hankel built every window table up to 2 * --max-len before
+# the side budget refused --max-len, which on a large corpus took hundreds of
+# MB; no case may tabulate a corpus
 @pytest.mark.parametrize("argv,message", [
     (["hankel", "--target", "{target}", "--max-len", "-1"], "must be >= 0"),
     (["learn-ansatz", "--target", "{target}", "--reps", "-1"], "must be >= 0"),
@@ -674,17 +688,28 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
      "Hankel budget exceeded: 1023 x 1023"),
     (["hankel", "--target", "{target}", "--max-len", "9"],
      "Hankel budget exceeded: 1023 x 1023"),
+    (["hankel", "--target", "{corpus}", "--max-len", "12"],
+     "Hankel budget exceeded: 8191 x 8191"),
     (["distribution", "--model", "{market}", "--t", "13"],
      "table of size 2^13 exceeds the supported budget"),
 ], ids=["hankel-max-len", "ansatz-reps", "ansatz-restarts", "ansatz-budget",
         "landscape-steps", "hankel-tol-negative", "hankel-tol-nan",
         "landscape-steps-below-30", "landscape-rates-text",
         "landscape-rates-negative", "hankel-model-max-len-budget",
-        "hankel-target-max-len-budget", "distribution-t-budget"])
-def test_bad_count_exits_2(argv, message, market_file, tmp_path, capsys):
+        "hankel-target-max-len-budget", "hankel-corpus-max-len-budget",
+        "distribution-t-budget"])
+def test_bad_count_exits_2(argv, message, market_file, tmp_path, capsys,
+                           monkeypatch):
+    def tabulate(corpus, max_len):
+        raise AssertionError("corpus tabulated before the input checks")
+
+    monkeypatch.setattr(qhmm.lang, "tables_from_corpus", tabulate)
     target, _ = quick_learn_evo_inputs(tmp_path)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("0110100110\n1001011001\n")
     out = tmp_path / "out"
-    argv = [a.format(target=target, market=market_file) for a in argv]
+    argv = [a.format(target=target, market=market_file, corpus=corpus)
+            for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "0", "--out", str(out)])
     assert exc.value.code == 2

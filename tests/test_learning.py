@@ -97,7 +97,8 @@ def test_fitness_zero_divergence_only_emission_term():
 
 def test_fitness_nonpositive_random(space, market_target, rng):
     for _ in range(5):
-        hyp = random_hypothesis(space, market_target, rng, c_q=0.01, c_e=0.01)
+        hyp = random_hypothesis(space, market_target, rng,
+                                default_distributions(space), 0.01, 0.01)
         assert hyp.fitness <= 0.0
         assert fitness(hyp, market_target) < 0.0
 
@@ -168,7 +169,7 @@ def test_engine_matches_reference_path(seed):
                                  "CX", "CRY", "CRZ"))
     h = classical.market_model()
     target = [classical.distribution(h, t) for t in (1, 2, 3)]
-    hyp = random_hypothesis(space, target, rng)
+    hyp = random_hypothesis(space, target, rng, default_distributions(space))
     f_fast = fitness(hyp, target, 0.01, 0.02)
     f_ref = fitness_reference(hyp, target, 0.01, 0.02)
     assert abs(f_fast - f_ref) < 1e-12
@@ -200,11 +201,14 @@ def test_optimize_parameters_budget_one(space, market_target):
 
 
 def test_random_hypothesis_bounds_and_seeds(space, market_target):
-    a = random_hypothesis(space, market_target, np.random.default_rng(3))
-    b = random_hypothesis(space, market_target, np.random.default_rng(3))
-    assert a.circuit == b.circuit
-    for _ in range(10):
-        h = random_hypothesis(space, market_target, np.random.default_rng(_))
+    def draw(seed):
+        return random_hypothesis(space, market_target,
+                                 np.random.default_rng(seed),
+                                 default_distributions(space))
+
+    assert draw(3).circuit == draw(3).circuit
+    for seed in range(10):
+        h = draw(seed)
         assert space.min_gates <= len(h.circuit.gates) <= space.max_gates
         assert h.fitness is not None and h.fitness <= 0.0
 
@@ -212,7 +216,8 @@ def test_random_hypothesis_bounds_and_seeds(space, market_target):
 def test_random_hypothesis_forced_gate_count(market_target):
     space = LearnSpace(alphabet=["0", "1"], min_gates=1, max_gates=1,
                        opt_budget=5)
-    h = random_hypothesis(space, market_target, np.random.default_rng(0))
+    h = random_hypothesis(space, market_target, np.random.default_rng(0),
+                          default_distributions(space))
     assert len(h.circuit.gates) == 1
 
 
@@ -414,11 +419,27 @@ def test_modify_insert_on_empty_parent(space, market_target):
 
 def test_modify_returns_valid_hypothesis(space, market_target, rng):
     dists = default_distributions(space)
-    parent = random_hypothesis(space, market_target, rng)
+    parent = random_hypothesis(space, market_target, rng, dists)
     for _ in range(5):
         child = modify_hypothesis(parent, 0.8, dists, space, market_target, rng)
         assert child.fitness is not None and child.fitness <= 0.0
         assert child.circuit.n_qubits == 2
+
+
+def test_gate_distributions_are_the_only_gate_source(space, market_target):
+    # one-point gate and qubit-pair distributions: every random gate and
+    # every mutation of the search lands on that gate and that pair
+    dists = _dists_with(space, gates=["CRY"], qubit_pair=[(1, 0)],
+                        mutation_rate=[1.0])
+    rng = np.random.default_rng(4)
+    parent = random_hypothesis(space, market_target, rng, dists)
+    circuits = [parent.circuit]
+    for _ in range(4):
+        child = modify_hypothesis(parent, 1.0, dists, space, market_target, rng)
+        circuits.append(child.circuit)
+    for c in circuits:
+        assert {(g.gate, g.qubits) for g in c.gates} <= {("CRY", (1, 0))}
+    assert any(len(c.gates) != len(parent.circuit.gates) for c in circuits)
 
 
 # --- evolve --------------------------------------------------------------------------
