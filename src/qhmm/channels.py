@@ -173,21 +173,6 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     return kraus_transfer_matrix(ch.operators())
 
 
-def symbol_transfer_matrices(kraus: np.ndarray, group_starts) -> np.ndarray:
-    """(..., m, N^2, N^2) per-symbol transfer matrices sum_K K (x) conj(K) on
-    row-major vec(rho), from a group-ordered (..., k, N, N) Kraus stack.
-
-    Group a holds kraus[..., group_starts[a]:group_starts[a + 1], :, :]; the
-    starts must strictly increase (pad an empty group with a zero operator),
-    since ``reduceat`` would otherwise read the neighbouring group's first
-    term.
-    """
-    k, n = kraus.shape[-3], kraus.shape[-1]
-    pairs = kraus[..., :, None, :, None] * kraus.conj()[..., None, :, None, :]
-    return np.add.reduceat(pairs.reshape(kraus.shape[:-3] + (k, n * n, n * n)),
-                           group_starts, axis=-3)
-
-
 def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """(shots, t) outcome indices of measurement trajectories from rho0.
 
@@ -305,8 +290,12 @@ def random_channel(
     # per block its real then its imaginary part, in one row-major draw
     parts = rng.normal(size=(n_kraus, 2, dim, dim))
     blocks = parts[:, 0] + 1j * parts[:, 1]
-    w, v = np.linalg.eigh((dagger(blocks) @ blocks).sum(axis=0))
-    ops = blocks @ (v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v))
+    # the normalized stack M (M^dagger M)^(-1/2) is the polar factor U V^dagger
+    # of the stacked blocks M = U S V^dagger, complete to rounding however
+    # ill-conditioned M is (inverting the square root of M^dagger M squares
+    # the condition number)
+    u, _, vh = np.linalg.svd(blocks.reshape(-1, dim), full_matrices=False)
+    ops = (u @ vh).reshape(n_kraus, dim, dim)
     symbol = np.minimum(np.arange(n_kraus) * n_symbols // n_kraus, n_symbols - 1)
     return KrausChannel(dim=dim, groups={str(a): ops[symbol == a]
                                          for a in range(n_symbols)})

@@ -9,6 +9,7 @@ unitary indexes as s*M + e without permutation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,39 +27,57 @@ GATE_ARITY = {
 TWO_QUBIT_GATES = frozenset({"CX", "CRY", "CRZ"})
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+_O2 = [[0, 0], [0, 0]]
 _I2 = [[1, 0], [0, 1]]
 _X = [[0, 1], [1, 0]]
 _ROT_Y = [[0, -1], [1, 0]]
 _ROT_Z = [[-1j, 0], [0, 1j]]
-# Each gate type's data-qubit 2x2 is A0 + Ac cos(t/2) + Bc cos(t)
-# + As sin(t/2) + Bs sin(t); the rows list (A0, Ac, Bc, As, Bs), and a gate
-# without an angle is A0 alone.
+# Each gate is a sum of terms, one per nonzero angle weight: the weight code
+# (0: 1, 1: cos t/2, 2: cos t, 3: sin t/2, 4: sin t) and the 2x2 on the data
+# qubit. A two-qubit gate's 2x2 acts where its control is set; its constant
+# term, listed first, also holds the identity where the control is clear.
 _GATE_TERMS = {
-    gate: np.array([np.broadcast_to(np.asarray(t, dtype=np.complex128), (2, 2))
-                    for t in terms])
+    gate: (np.array([code for code, _ in terms]),
+           np.array([two for _, two in terms], dtype=np.complex128))
     for gate, terms in {
-        "X": (_X, 0, 0, 0, 0),
-        "Y": ([[0, -1j], [1j, 0]], 0, 0, 0, 0),
-        "Z": ([[1, 0], [0, -1]], 0, 0, 0, 0),
-        "H": ([[_SQ2, _SQ2], [_SQ2, -_SQ2]], 0, 0, 0, 0),
-        "P": ([[1, 0], [0, 0]], 0, [[0, 0], [0, 1]], 0, [[0, 0], [0, 1j]]),
-        "RX": (0, _I2, 0, [[0, -1j], [-1j, 0]], 0),
-        "RY": (0, _I2, 0, _ROT_Y, 0),
-        "RZ": (0, _I2, 0, _ROT_Z, 0),
-        "CX": (_X, 0, 0, 0, 0),
-        "CRY": (0, _I2, 0, _ROT_Y, 0),
-        "CRZ": (0, _I2, 0, _ROT_Z, 0),
+        "X": ((0, _X),),
+        "Y": ((0, [[0, -1j], [1j, 0]]),),
+        "Z": ((0, [[1, 0], [0, -1]]),),
+        "H": ((0, [[_SQ2, _SQ2], [_SQ2, -_SQ2]]),),
+        "P": ((0, [[1, 0], [0, 0]]), (2, [[0, 0], [0, 1]]), (4, [[0, 0], [0, 1j]])),
+        "RX": ((1, _I2), (3, [[0, -1j], [-1j, 0]])),
+        "RY": ((1, _I2), (3, _ROT_Y)),
+        "RZ": ((1, _I2), (3, _ROT_Z)),
+        "CX": ((0, _X),),
+        "CRY": ((0, _O2), (1, _I2), (3, _ROT_Y)),
+        "CRZ": ((0, _O2), (1, _I2), (3, _ROT_Z)),
     }.items()
 }
 _HALF_AND_FULL = np.array([0.5, 1.0])
+# A factor's term table holds at most max(3, FACTOR_ENTRIES // D**2) D x D
+# matrices (``GateStack``): 64 on two qubits, 16 on three, 4 on four, and 3,
+# one angle gate's terms, from five qubits on
+FACTOR_ENTRIES = 1024
 
 
 def _angle_weights(theta: np.ndarray) -> np.ndarray:
-    """(..., P, 5) weights (1, cos t/2, cos t, sin t/2, sin t) of the gate
-    terms for (..., P) angles."""
-    t = theta[..., None] * _HALF_AND_FULL
-    return np.concatenate((np.ones(theta.shape + (1,)), np.cos(t), np.sin(t)),
-                          axis=-1)
+    """(..., 1 + 4P) weights of (..., P) angles: 1, then the cosines of every
+    angle's (t/2, t) pair, then their sines; ``_weight_columns`` says where
+    each weight code of each angle sits."""
+    lead, pairs = theta.shape[:-1], 2 * theta.shape[-1]
+    t = (theta[..., None] * _HALF_AND_FULL).reshape(lead + (pairs,))
+    w = np.empty(lead + (1 + 2 * pairs,))
+    w[..., 0] = 1.0
+    np.cos(t, out=w[..., 1:1 + pairs])
+    np.sin(t, out=w[..., 1 + pairs:])
+    return w
+
+
+def _weight_columns(codes: np.ndarray, param: np.ndarray, n_params: int):
+    """Column of ``_angle_weights`` holding weight code w (0: 1, 1: cos t/2,
+    2: cos t, 3: sin t/2, 4: sin t) of angle ``param``, elementwise."""
+    half, trig = (codes - 1) % 2, (codes - 1) // 2
+    return np.where(codes, 1 + 2 * param + half + 2 * n_params * trig, 0)
 
 
 @dataclass(frozen=True)
@@ -145,34 +164,27 @@ class Circuit:
         return Circuit(self.n_qubits, self.gates + other.gates)
 
 
-def _qubit_masks(n_qubits: int, qubit: int):
-    """Composite indices with the given qubit (MSB order) clear, paired with
-    the same indices with it set."""
-    d = 2**n_qubits
-    bit = 1 << (n_qubits - 1 - qubit)
-    idx = np.arange(d)
-    lo = idx[(idx & bit) == 0]
-    return lo, lo | bit
+@functools.cache  # keyed by qubit count, gate type and qubits: few keys
+def _term_entries(n_qubits: int, gate: str, qubits: tuple[int, ...]):
+    """Nonzero entries of a gate's terms as D x D matrices: flat offsets
+    into their (n_terms, D, D) stack and values, both read-only.
 
-
-@functools.cache  # keyed by qubit count and qubit tuple: few distinct keys
-def _gate_layout(n_qubits: int, qubits: tuple[int, ...]):
-    """Where a gate on ``qubits`` sits in a D x D matrix: the flat offsets
-    of its four 2x2 entries, the entry number (0-3) of each offset, and the
-    diagonal offsets of a controlled gate's identity block, all read-only."""
-    d = 2**n_qubits
-    r0, r1 = _qubit_masks(n_qubits, qubits[-1])
-    eye = np.zeros(0, dtype=int)
+    Entry [i, j] of a term is its 2x2 at the data-qubit bits of i and j
+    where i and j agree on every other qubit; where a two-qubit gate's
+    control is clear, its constant term is the identity and its other terms
+    are zero."""
+    d, (codes, two) = 2**n_qubits, _GATE_TERMS[gate]
+    data = 1 << (n_qubits - 1 - qubits[-1])
+    i, j = np.arange(d)[:, None], np.arange(d)
+    mats = two[:, i // data & 1, j // data & 1] * (((i ^ j) & ~data) == 0)
     if len(qubits) == 2:
-        off, _ = _qubit_masks(n_qubits, qubits[0])
-        eye = off * (d + 1)  # control clear: identity
-        on = (r0 & (1 << (n_qubits - 1 - qubits[0]))) != 0
-        r0, r1 = r0[on], r1[on]
-    where = np.concatenate([r0 * d + r0, r0 * d + r1, r1 * d + r0, r1 * d + r1])
-    layout = (where, np.repeat(np.arange(4), len(r0)), eye)
-    for a in layout:
+        clear = (i & (1 << (n_qubits - 1 - qubits[0]))) == 0
+        mats = np.where(clear, (codes == 0)[:, None, None] & (i == j), mats)
+    at = np.flatnonzero(mats)
+    entries = (at, mats.reshape(-1)[at])
+    for a in entries:
         a.setflags(write=False)
-    return layout
+    return entries
 
 
 def _tree_product(f: np.ndarray) -> np.ndarray:
@@ -195,48 +207,73 @@ def _tree_product(f: np.ndarray) -> np.ndarray:
 class GateStack:
     """Unitary of one circuit structure as a function of its angles.
 
-    Built once: every angle gate is a factor of its own and each run of
-    consecutive fixed gates is multiplied into one factor; the factors sit
-    in a (k, D, D) stack, and for each angle slot the flat stack indices of
-    its four 2x2 entries are recorded. A call takes (P,) angles or a (B, P)
-    block of them, evaluates all angle blocks at once, writes them into a
-    copy of the stack and multiplies it as a pairwise tree, U = G_k ... G_1
-    with the first gate acting first; a block gives a (B, D, D) stack of
-    unitaries, each equal bit for bit to its row's unitary alone.
+    Built once: each gate is the sum of its terms, a weight of its angle
+    times a D x D matrix (``_GATE_TERMS``). Consecutive gates share one
+    factor until an angle gate would take the factor's term table past
+    max(3, FACTOR_ENTRIES // D**2) matrices; the table holds every product of
+    one term per angle gate, with the fixed gates between them multiplied in,
+    and ``stack`` holds the tables as (k, T, D, D), zero-padded to the
+    longest. A call takes (P,) angles or a (B, P) block of them, forms each
+    table entry's coefficient as the product of its angle weights (one
+    gather of every gate slot's weights, one product over the slots), sums
+    every table in one batched matmul and multiplies the k factors as a
+    pairwise tree, U = G_k ... G_1 with the first gate acting first; a block
+    gives a (B, D, D) stack of unitaries, each equal bit for bit to its
+    row's unitary alone.
     """
 
     def __init__(self, c: Circuit):
         n, d = c.n_qubits, 2**c.n_qubits
-        self.dim = d
-        gates = np.zeros((len(c.gates), d, d), dtype=np.complex128)
-        none = np.zeros(0, dtype=int)
-        # per group (fixed gates, angle slots): terms, stack offsets, entries;
-        # fixed entries go into the gate stack, angle entries into the factor
-        # stack, where a new factor starts at every angle gate and after it
-        fixed, slots = ([], [none], [none]), ([], [none], [none])
-        eyes, first = [none], []
+        self.dim, self.n_params = d, c.num_parameters
+        codes = [_GATE_TERMS[g.gate][0] for g in c.gates]
+        count = [len(w) for w in codes]
+        start = list(itertools.accumulate(count, initial=0))
+        # gates per factor: a new factor starts at the angle gate that would
+        # take the current table past the budget
+        budget, groups, size = max(3, FACTOR_ENTRIES // (d * d)), [[]], 1
         for i, g in enumerate(c.gates):
-            if i == 0 or g.params or c.gates[i - 1].params:
-                first.append(i)
-            where, which, eye = _gate_layout(n, g.qubits)
-            terms, at, entry = slots if g.params else fixed
-            at.append((len(first) - 1 if g.params else i) * d * d + where)
-            entry.append(4 * len(terms) + which)
-            terms.append(_GATE_TERMS[g.gate].reshape(5, 4))
-            eyes.append(i * d * d + eye)
-        flat_gates = gates.reshape(-1)
-        flat_gates[np.concatenate(eyes)] = 1.0
-        terms, at, entry = fixed
-        a0 = np.array(terms).reshape(-1, 5, 4)[:, 0]
-        flat_gates[np.concatenate(at)] = a0.reshape(-1)[np.concatenate(entry)]
-        self.stack = gates[first]
-        for i, (a, b) in enumerate(zip(first, first[1:] + [len(gates)])):
-            if b - a > 1:  # a run of fixed gates
-                self.stack[i] = _tree_product(gates[a:b])
-        terms, at, entry = slots
-        self.n_params = len(terms)
-        self.terms = np.array(terms).reshape(-1, 5, 4)
-        self.flat, self.entry = np.concatenate(at), np.concatenate(entry)
+            if g.params and size > 1 and size * count[i] > budget:
+                groups.append([])
+                size = 1
+            groups[-1].append(i)
+            size *= count[i]
+        # every term of every gate as D rows of one (terms * D, D) stack
+        rows = np.zeros((start[-1] * d, d), dtype=np.complex128)
+        if c.gates:
+            at, values = zip(*(_term_entries(n, g.gate, g.qubits) for g in c.gates))
+            shift = np.repeat(np.array(start[:-1]) * d * d, [len(a) for a in at])
+            rows.reshape(-1)[shift + np.concatenate(at)] = np.concatenate(values)
+        # each table as (D, T*D), [i, t*D + j] = entry t's [i, j]: a gate's
+        # terms multiply every entry in one matmul, the last gate's term the
+        # most significant digit of the entry index
+        tables = []
+        for group in groups:
+            table = np.eye(d, dtype=np.complex128)
+            for i in group:
+                table = rows[start[i] * d:start[i + 1] * d] @ table
+                if count[i] > 1:
+                    table = table.reshape(count[i], d, -1).swapaxes(0, 1).reshape(d, -1)
+            tables.append(table.reshape(d, -1, d).swapaxes(0, 1))
+        width = max(len(table) for table in tables)
+        self.stack = np.zeros((len(tables), width, d, d), dtype=np.complex128)
+        # slots[j, f, e]: weight column of the term that factor f's entry e
+        # takes from its j-th angle gate, whose term index is that digit of
+        # e; an entry or slot past a factor's own reads column 0, weight 1
+        term_param = np.repeat(np.cumsum([0] + [len(g.params) for g in c.gates])[:-1],
+                               count)
+        col = _weight_columns(np.concatenate([np.zeros(0, dtype=int)] + codes),
+                              term_param, self.n_params)
+        angle_gates = [[i for i in group if count[i] > 1] for group in groups]
+        self.slots = np.zeros((max(1, *map(len, angle_gates)), len(tables), width),
+                              dtype=np.intp)
+        for f, (table, gates) in enumerate(zip(tables, angle_gates)):
+            self.stack[f, :len(table)] = table
+            if gates:
+                digits = np.unravel_index(np.arange(len(table)),
+                                          [count[i] for i in reversed(gates)])
+                self.slots[:len(gates), f, :len(table)] = col[
+                    np.array([start[i] for i in gates])[:, None] + digits[::-1]]
+        self.tables = self.stack.reshape(len(tables), width, d * d).view(float)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -245,15 +282,12 @@ class GateStack:
                 f"expected {self.n_params} angles or rows of them, "
                 f"got shape {x.shape}"
             )
-        lead = x.shape[:-1]
-        if len(self.stack) == 0:
-            return np.tile(np.eye(self.dim, dtype=np.complex128), lead + (1, 1))
-        f = np.empty(lead + self.stack.shape, dtype=np.complex128)
-        f[...] = self.stack
-        if self.n_params:
-            blocks = _angle_weights(x)[..., None, :] @ self.terms
-            f.reshape(lead + (-1,))[..., self.flat] = \
-                blocks.reshape(lead + (-1,)).take(self.entry, axis=-1)
+        weights = _angle_weights(x)
+        coef = np.multiply.reduce(weights.take(self.slots, axis=-1), axis=-3)
+        # one real matmul per factor: the coefficients are real, the table
+        # entries complex, read as pairs of reals
+        f = (coef[..., None, :] @ self.tables).view(np.complex128)
+        f = f.reshape(x.shape[:-1] + (len(self.stack), self.dim, self.dim))
         return _tree_product(f.swapaxes(0, -3))  # factors first
 
 

@@ -109,35 +109,43 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     per-symbol transfer matrices on row-major vec(rho), vec(rho0) and vec(I).
     Returns one vector of m**t entries per entry of ``lengths``, in order.
     A (..., m, D, D) operator stack gives (..., m**t) vectors, each row equal
-    bit for bit to its operators' vectors alone.
-
-    The states of a level are advanced by every symbol at once, in one
-    matmul against the operators laid out as (D, m*D), so no operator chain
-    is re-multiplied; the last level's probabilities come from final.ops[a]
-    applied to the states before it, which are never expanded.
+    bit for bit to its operators' vectors alone. The operators are laid out
+    as the step and effects of ``forward_levels``, which runs the recursion.
     """
     ops = np.asarray(ops)
+    m, d = ops.shape[-3], ops.shape[-1]
+    # step[..., j, a*D + i] = ops[..., a, i, j]
+    step = ops.swapaxes(-1, -2).swapaxes(-2, -3).reshape(ops.shape[:-3] + (d, m * d))
+    effects = (np.asarray(final) @ ops).swapaxes(-1, -2)  # (..., D, m)
+    return forward_levels(step, effects, init, final, lengths)
+
+
+def forward_levels(step, effects, init, final, lengths) -> list[np.ndarray]:
+    """The recursion behind ``forward_probs``, on the operators of m symbols
+    laid out as one (..., D, m*D) step, step[..., j, a*D + i] = ops[a][i, j],
+    and (..., D, m) effects, effects[..., j, a] = (final . ops[a])[j].
+
+    The states of a level are advanced by every symbol at once, in one
+    matmul against the step, so no operator chain is re-multiplied; the last
+    level's probabilities come from the effects applied to the states before
+    it, which are never expanded.
+    """
     lengths = [int(t) for t in lengths]
     if not lengths:
         return []
     if min(lengths) < 0:
         raise ValueError("sequence lengths must be >= 0")
-    m, d = ops.shape[-3], ops.shape[-1]
-    # step[..., j, a*D + i] = ops[..., a, i, j]
-    step = ops.swapaxes(-1, -2).swapaxes(-2, -3).reshape(ops.shape[:-3] + (d, m * d))
-    effects = (np.asarray(final) @ ops).swapaxes(-1, -2)  # (..., D, m)
+    lead, (d, m) = step.shape[:-2], effects.shape[-2:]
     states = np.asarray(init)[..., None, :]  # (..., m**t, D) at level t
     by_len: dict[int, np.ndarray] = {}
     if 0 in lengths:  # the empty sequence, once per operator stack
-        by_len[0] = np.zeros(ops.shape[:-3] + (1,)) + (states @ final).real
+        by_len[0] = np.zeros(lead + (1,)) + (states @ final).real
     top = max(lengths)
     for t in range(1, top + 1):
         if t in lengths:
-            probs = (states @ effects).real
-            by_len[t] = probs.reshape(probs.shape[:-2] + (-1,))
+            by_len[t] = (states @ effects).real.reshape(lead + (m**t,))
         if t < top:
-            states = states @ step
-            states = states.reshape(states.shape[:-2] + (-1, d))
+            states = (states @ step).reshape(lead + (m**t, d))
     return [by_len[t] for t in lengths]
 
 

@@ -9,6 +9,7 @@ fits fixed ansatz templates by nonlinear cost minimization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -16,9 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import circuits as qc
-from .channels import symbol_transfer_matrices
 from .circuits import Circuit, GateStack, compile_circuit
-from .lang import (DistributionTable, Sequence, divergence_avg, forward_probs,
+from .lang import (DistributionTable, Sequence, divergence_avg, forward_levels,
                    table_vector)
 from .models import QhmmKraus, QhmmUnitary, distribution_tables, to_kraus
 from .optimize import OPTIMIZER_LABELS, ObjectiveSpec, get_optimizer
@@ -195,6 +195,10 @@ class HyperParams:
             raise ValueError("gamma must lie in [0, 1]")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.g_max < 0:
+            raise ValueError(f"g_max must be >= 0, got {self.g_max}")
+        if self.prog_window < 1:
+            raise ValueError(f"prog_window must be >= 1, got {self.prog_window}")
         for name in ("c_q", "c_e"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -212,13 +216,42 @@ class HyperParams:
 BLOCK_BYTES = 1 << 20
 
 
+@functools.cache  # keyed by register sizes and symbol map: few keys
+def _step_offsets(dim_s: int, dim_e: int, symbol_map: tuple[str, ...]):
+    """Where ``ChannelEngine`` gathers its step from U: the (N^2, dim_e*N^2)
+    flat offsets of K_e[r, c] and of K_e[r', c'] at [(c, c'), (e, r, r')],
+    emissions in symbol order, and the index of each symbol's first
+    emission in that order; all read-only."""
+    alphabet = symbol_order(symbol_map)
+    sym = np.array([alphabet.index(s) for s in symbol_map])
+    counts = np.bincount(sym)
+    # at[c, e, r]: flat offset of K_e[r, c] = U[r*dim_e + e, c*dim_e]
+    n, s = dim_s, np.arange(dim_s) * dim_e
+    rows = s[None, None, :] + np.argsort(sym, kind="stable")[None, :, None]
+    at = rows * (n * dim_e) + s[:, None, None]
+    shape = (n, n, dim_e, n, n)  # (c, c', e, r, r')
+    offsets = (np.broadcast_to(at[:, None, :, :, None], shape).reshape(n * n, -1),
+               np.broadcast_to(at[None, :, :, None, :], shape).reshape(n * n, -1),
+               np.cumsum(counts) - counts)
+    for a in offsets:
+        a.setflags(write=False)
+    return offsets
+
+
 class ChannelEngine:
-    """Parameter vector -> unitary -> symbol-grouped Kraus stack -> per-symbol
-    transfer matrices -> exact lex-ordered probability vectors from
-    ``lang.forward_probs``, with all structure precomputed. A (B, P) block
-    of parameter vectors runs through the same path with a leading batch
-    axis, in runs of at most BLOCK_BYTES, and each row's result equals that
-    vector's alone bit for bit.
+    """Parameter vector -> unitary (``GateStack``) -> forward step gathered
+    from the unitary -> exact lex-ordered probability vectors from
+    ``lang.forward_levels``, with all structure precomputed.
+
+    The Kraus operator of emission e, the emission register reset to 0, is
+    K_e[s, s'] = U[s*dim_e + e, s'*dim_e]. The step on row-major vec(rho) is
+    step[(c, c'), a*N^2 + (r, r')] = sum over the emissions e of symbol a of
+    K_e[r, c] conj(K_e[r', c']): two arrays of flat offsets into U pick both
+    factors of every product, with the emissions in symbol order, and a
+    ``reduceat`` sums the products only where a symbol owns more than one
+    emission. A (B, P) block of parameter vectors runs through the same path
+    with a leading batch axis, in runs of at most BLOCK_BYTES, and each
+    row's result equals that vector's alone bit for bit.
 
     This is the hot path behind fitness and ansatz cost; the object-based
     route (AnsatzSpec.model / models.distribution_tables) computes the same
@@ -233,22 +266,18 @@ class ChannelEngine:
         self.dim_s, self.dim_e = dim_s, dim_e
         self.gates = GateStack(circuit)
         self.rho0 = np.asarray(rho0, dtype=np.complex128).ravel()
-        self.trace = np.eye(dim_s).ravel()
-        alphabet = symbol_order(symbol_map)
-        self.n_symbols = len(alphabet)
-        # emission indices grouped by symbol; every group is nonempty
-        sym = np.array([alphabet.index(s) for s in symbol_map])
-        order = np.argsort(sym, kind="stable")
-        self.group_starts = np.concatenate([[0], np.cumsum(np.bincount(sym))[:-1]])
-        # Kraus operator K_e[s, s'] = U[s*dim_e + e, s'*dim_e] (emission reset
-        # to 0), as flat offsets into U, in symbol-group order
-        s = np.arange(dim_s) * dim_e
-        rows = s[None, :, None] + order[:, None, None]
-        self.kraus_at = rows * (dim_s * dim_e) + s[None, None, :]
-        # complex entries per row of the factor stack and its tree product,
-        # the Kraus pairs, and the transfer matrices with their matmul layout
-        self.row_entries = (2 * self.gates.stack.size
-                            + (dim_e + 2 * self.n_symbols) * dim_s**4)
+        self.trace = np.eye(dim_s, dtype=np.complex128).ravel()
+        self.n_symbols = len(symbol_order(symbol_map))
+        self.left, self.right, self.group_starts = _step_offsets(
+            dim_s, dim_e, tuple(symbol_map))
+        # bytes of all that one row allocates: the angles' halves and
+        # weights, the gathered and the multiplied coefficients (reals), the
+        # factors, their tree product, the two gathers and the conjugate, the
+        # summed step and the effects (complex)
+        slots, k, width = self.gates.slots.shape
+        self.row_bytes = (8 * (6 * self.gates.n_params + 1 + (slots + 1) * k * width)
+                          + 16 * (2 * k * self.gates.dim**2 + dim_s**2 * self.n_symbols
+                                  + (3 * dim_e + self.n_symbols) * dim_s**4))
 
     def unitary(self, x) -> np.ndarray:
         return self.gates(x)
@@ -260,8 +289,8 @@ class ChannelEngine:
         if x.ndim == 2 and len(x) > 1:
             # plus the two deepest levels of states and the probabilities
             m, top = self.n_symbols, max(lengths, default=0)
-            row = 16 * (self.row_entries + m**top
-                        + 2 * m ** max(top - 1, 0) * self.dim_s**2)
+            row = self.row_bytes + 16 * (m**top + 2 * m ** max(top - 1, 0)
+                                         * self.dim_s**2)
             runs = min(len(x), -(-len(x) * row // BLOCK_BYTES))
             if runs > 1:
                 pieces = [self._probs(rows, lengths)
@@ -269,11 +298,24 @@ class ChannelEngine:
                 return [np.concatenate(level) for level in zip(*pieces)]
         return self._probs(x, lengths)
 
-    def _probs(self, x, lengths) -> list[np.ndarray]:
+    def step(self, x) -> np.ndarray:
+        """The (..., N^2, m*N^2) step of ``lang.forward_levels`` at (P,)
+        parameters or a (B, P) block."""
         u = self.unitary(x)
-        kraus = u.reshape(u.shape[:-2] + (-1,)).take(self.kraus_at, axis=-1)
-        ops = symbol_transfer_matrices(kraus, self.group_starts)
-        return forward_probs(ops, self.rho0, self.trace, lengths)
+        lead, n2 = u.shape[:-2], self.dim_s**2
+        flat = u.reshape(lead + (u.shape[-1] ** 2,))
+        step = flat.take(self.left, axis=-1)
+        step *= flat.take(self.right, axis=-1).conj()
+        if len(self.group_starts) < self.dim_e:  # a symbol owns several emissions
+            step = np.add.reduceat(step.reshape(lead + (n2, self.dim_e, n2)),
+                                   self.group_starts, axis=-2)
+        return step.reshape(lead + (n2, self.n_symbols * n2))
+
+    def _probs(self, x, lengths) -> list[np.ndarray]:
+        step = self.step(x)
+        n2 = self.dim_s**2
+        effects = step.reshape(step.shape[:-1] + (self.n_symbols, n2)) @ self.trace
+        return forward_levels(step, effects, self.rho0, self.trace, lengths)
 
 
 # --- fitness ------------------------------------------------------------------
@@ -286,6 +328,12 @@ def complexity(hyp: Hypothesis, c_q: float, c_e: float) -> float:
     return c_q * gate_term + c_e * hyp.dim_e / hyp.dim_s**2
 
 
+def _sorted_target(target: list[DistributionTable]) -> list[DistributionTable]:
+    if not target:
+        raise ValueError("the target needs at least one distribution table")
+    return sorted(target, key=lambda tab: tab.t)
+
+
 class FitnessEngine:
     """Compiled fitness of one circuit structure against fixed target tables."""
 
@@ -293,7 +341,7 @@ class FitnessEngine:
                  c_q: float = 0.01, c_e: float = 0.01):
         self.engine = hyp.engine()
         self.complexity = complexity(hyp, c_q, c_e)
-        targets = sorted(target, key=lambda tab: tab.t)
+        targets = _sorted_target(target)
         self.lengths = [tab.t for tab in targets]
         vectors = [table_vector(tab, self.engine.n_symbols) for tab in targets]
         self.target = np.concatenate(vectors)
@@ -337,7 +385,7 @@ def fitness_reference(
     c_e: float = 0.01,
 ) -> float:
     """Object-path fitness used to cross-check the compiled engine."""
-    targets = sorted(target, key=lambda tab: tab.t)
+    targets = _sorted_target(target)
     by_len = distribution_tables(hyp.model(hyp.circuit.parameters()),
                                  [tab.t for tab in targets])
     div = divergence_avg(targets, [by_len[tab.t] for tab in targets])

@@ -120,3 +120,16 @@ def test_oracle_calls_apply_symbol_once_per_symbol(monkeypatch):
     side = [len(s) for s in h.suffixes]
     assert [len(p) for p in h.prefixes] == side
     assert len(calls) == 2 * len(side) * sum(side) == 140
+
+
+def test_benchmark_templates_keep_their_fused_factors(monkeypatch, tmp_path):
+    # the gate kernel folds fixed gates and runs of angle gates into a few
+    # factors; the ansatz workload's speed rests on it, so a change that
+    # undoes the fusion fails here before any benchmark run: the Monras
+    # template (21 gate factors unfused) stays at most 5, market at 1
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    import workloads
+
+    ansatz = workloads.WORKLOADS["ansatz"](0, tmp_path, lambda: 0)
+    assert len(ansatz.monras.engine().gates.stack) <= 5
+    assert len(ansatz.market.engine().gates.stack) == 1

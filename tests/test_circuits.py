@@ -178,6 +178,67 @@ def test_gate_stack_matches_kron_product(seed, n_qubits, n_gates):
         assert np.array_equal(got_compiled, np.eye(2**n_qubits))
 
 
+def _oracle_unitary(circuit, angles):
+    """Product of the per-gate Kronecker matrices, the first gate acting
+    first."""
+    want = np.eye(2**circuit.n_qubits, dtype=complex)
+    angles = iter(angles)
+    for g in circuit.gates:
+        theta = next(angles) if g.params else 0.0
+        want = _kron_gate(g.gate, g.qubits, theta, circuit.n_qubits) @ want
+    return want
+
+
+def _gates(n_qubits, spec):
+    """Unbound GateSpecs from (type, qubits) pairs."""
+    return Circuit(n_qubits, tuple(
+        GateSpec(gate, qubits, (None,) * qc.GATE_ARITY[gate])
+        for gate, qubits in spec))
+
+
+_MIXES = {
+    # 18 angle gates of 2 terms on 8 x 8: 16 terms per factor, 5 factors
+    "monras-split": (efficient_su2(3, 3, "full", "RZ_RX"), 5),
+    "fixed-after-last-angle": (_gates(2, [
+        ("RY", (0,)), ("RX", (1,)), ("CX", (0, 1)), ("H", (1,)), ("X", (0,)),
+        ("Z", (1,))]), 1),
+    "all-fixed": (_gates(3, [
+        ("H", (0,)), ("CX", (0, 2)), ("Y", (1,)), ("Z", (2,)), ("X", (0,))]), 1),
+    # three terms each: 27 fit a 4 x 4 factor's 64, a fourth would not, and
+    # the RX after it shares the second factor; on 8 x 8, 9 fit 16
+    "p-cry-crz": (_gates(2, [
+        ("P", (0,)), ("CRY", (0, 1)), ("CRZ", (1, 0)), ("CX", (1, 0)),
+        ("P", (1,)), ("RX", (0,)), ("CRY", (1, 0))]), 2),
+    "p-cry-crz-3q": (_gates(3, [
+        ("CRZ", (2, 0)), ("P", (1,)), ("RY", (2,)), ("CRY", (0, 2)),
+        ("H", (1,)), ("CRZ", (1, 2)), ("P", (0,)), ("RZ", (1,))]), 4),
+    # 32 x 32 and 64 x 64: at most 3 terms per factor, one angle gate each
+    "five-qubits": (efficient_su2(5, 1) + _gates(5, [
+        ("P", (4,)), ("CRY", (3, 0)), ("CRZ", (0, 4)), ("CX", (2, 1))]), 13),
+    "six-qubits": (efficient_su2(6, 1, "linear") + _gates(6, [
+        ("CRZ", (5, 0)), ("P", (2,)), ("CRY", (1, 4))]), 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXES))
+def test_fused_factors_match_kron_oracle(name):
+    # factors that split at the term budget, fixed gates folded in after the
+    # last angle gate, a circuit without angles and gates of 1, 2 and 3
+    # terms side by side, on up to six qubits, against per-gate Kronecker
+    # products; a block's rows equal the points alone
+    from qhmm.circuits import GateStack
+
+    template, n_factors = _MIXES[name]
+    stack = GateStack(template)
+    assert len(stack.stack) == n_factors
+    rng = np.random.default_rng(len(name))
+    x = rng.uniform(-8 * np.pi, 8 * np.pi, size=(3, template.num_parameters))
+    block = stack(x)
+    for row, u in zip(x, block):
+        assert np.abs(u - _oracle_unitary(template, row)).max() < 1e-13
+        assert np.array_equal(stack(row), u)
+
+
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
 def test_zero_gate_circuit_is_exact_identity(n_qubits):
     from qhmm.learning import ChannelEngine

@@ -612,7 +612,7 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
 # 1 beside the market's dim_e 2) exited 1 after --out was made, even with only
 # single-qubit gates; a NaN c_q did the same, a negative c_e gave a positive
 # fitness and reached the target at once, and a NaN target_fitness exited 0
-# without a generation
+# without a generation, as did a negative g_max or prog_window
 @pytest.mark.parametrize("flags,config,message", [
     (["--dim-s", "3"], None, "power of two"),
     (["--dim-e", "1"], None, "smaller than the alphabet"),
@@ -637,13 +637,17 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
     (None, {"c_q": math.nan}, "c_q must be finite and >= 0, got nan"),
     (None, {"c_e": -5}, "c_e must be finite and >= 0, got -5"),
     (None, {"target_fitness": math.nan}, "target_fitness must be finite"),
+    (None, {"g_max": -3}, "g_max must be >= 0, got -3"),
+    (None, {"prog_window": -2}, "prog_window must be >= 1, got -2"),
+    (None, {"prog_window": 0}, "prog_window must be >= 1, got 0"),
 ], ids=["ansatz-dim-s", "ansatz-dim-e", "evo-dim-s", "evo-dim-e",
         "evo-config-list", "evo-mu", "evo-n-max", "evo-gate-type",
         "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text", "evo-rho0-kind",
         "evo-gate-counts", "evo-empty-gate-set", "evo-empty-optimizers",
         "evo-gate-set-string", "evo-optimizers-string", "evo-gate-set-number",
         "evo-one-qubit", "evo-one-qubit-single-gates", "evo-c-q-nan",
-        "evo-c-e-negative", "evo-target-fitness-nan"])
+        "evo-c-e-negative", "evo-target-fitness-nan", "evo-g-max-negative",
+        "evo-prog-window-negative", "evo-prog-window-zero"])
 def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     target, cfg = quick_learn_evo_inputs(tmp_path)
     if flags:

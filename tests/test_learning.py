@@ -112,6 +112,18 @@ def test_fitness_unbound_params_rejected(market_target):
         fitness(hyp, market_target)
 
 
+def test_fitness_and_reference_refuse_an_empty_target():
+    # the compiled fitness used to fail inside numpy's concatenate while the
+    # object path returned the complexity term alone
+    hyp = Hypothesis(circuit=real_amplitudes(2, 1, "linear").with_parameters(
+        [0.3, 1.1]), dim_s=2, dim_e=2, symbol_map=("0", "1"))
+    for fit in (fitness, fitness_reference):
+        with pytest.raises(ValueError, match="at least one distribution table"):
+            fit(hyp, [])
+    with pytest.raises(ValueError, match="at least one distribution table"):
+        FitnessEngine(hyp, [])
+
+
 def test_fitness_two_qubit_gate_term(market_target):
     hyp = make_hyp([GateSpec("CX", (0, 1))])
     f_without = fitness(hyp, market_target, c_q=0.0, c_e=0.0)
@@ -636,6 +648,19 @@ def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
                 assert divs[i] == want_div and costs[i] == want_cost
 
 
+@pytest.mark.parametrize("symbol_map", [("0", "1", "2", "3"),
+                                        ("a", "a", "a", "b")])
+def test_empty_block_gives_empty_levels(symbol_map):
+    # a (0, P) block used to fail with "cannot reshape array of size 0"
+    from qhmm.circuits import efficient_su2
+
+    engine = ChannelEngine(efficient_su2(3, 1), 2, 4, symbol_map,
+                           initial_state("ground", 2))
+    m = engine.n_symbols
+    probs = engine.level_probs(np.zeros((0, 6)), [0, 1, 3])
+    assert [p.shape for p in probs] == [(0, 1), (0, m), (0, m**3)]
+
+
 def _counting_unitary(engine):
     """Record the rows of every unitary call the engine makes."""
     calls, unitary = [], engine.unitary
@@ -677,6 +702,34 @@ def test_row_larger_than_block_bytes_runs_alone():
     for i in range(2):
         assert all(np.array_equal(p[i], w)
                    for p, w in zip(probs, engine.level_probs(x[i], [1, 2])))
+
+
+@pytest.mark.parametrize("symbol_map", [
+    ("a", "a", "b", "b"), ("b", "a", "b", "a"), ("a", "a", "a", "b"),
+    ("a", "b", "c", "d"),
+], ids=["block", "interleaved", "uneven", "one-emission-each"])
+def test_engine_step_is_model_transfer_matrices(symbol_map):
+    # the step the engine gathers straight from U holds, symbol by symbol,
+    # the transfer matrix sum K (x) conj(K) of the model's Kraus group, laid
+    # out as (D, m*D) with step[j, a*D + i] = T_a[i, j], and so advances
+    # vec(rho) to every symbol's sub-channel output at once
+    from qhmm.channels import apply_symbol, kraus_transfer_matrix
+    from qhmm.circuits import efficient_su2
+    from qhmm.linalg import random_density
+
+    rng = np.random.default_rng(5)
+    spec = AnsatzSpec(efficient_su2(3, 1), 2, 4, symbol_map,
+                      rho0=random_density(2, rng))
+    x = rng.uniform(0.0, 2 * np.pi, size=spec.circuit.num_parameters)
+    step = spec.engine().step(x)
+    q = spec.model(x)
+    want = np.stack([kraus_transfer_matrix(q.channel.groups[a])
+                     for a in q.alphabet])
+    assert step.shape == (4, 4 * len(q.alphabet))
+    assert np.abs(step - want.transpose(2, 0, 1).reshape(4, -1)).max() < 1e-14
+    post = (q.rho0.ravel() @ step).reshape(len(q.alphabet), 2, 2)
+    for a, rho_a in zip(q.alphabet, post):
+        assert np.abs(rho_a - apply_symbol(q.channel, q.rho0, a)).max() < 1e-14
 
 
 def _market_items(market_target):
