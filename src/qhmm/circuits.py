@@ -28,56 +28,44 @@ TWO_QUBIT_GATES = frozenset({"CX", "CRY", "CRZ"})
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _O2 = [[0, 0], [0, 0]]
-_I2 = [[1, 0], [0, 1]]
 _X = [[0, 1], [1, 0]]
-_ROT_Y = [[0, -1], [1, 0]]
-_ROT_Z = [[-1j, 0], [0, 1j]]
-# Each gate is a sum of terms, one per nonzero angle weight: the weight code
-# (0: 1, 1: cos t/2, 2: cos t, 3: sin t/2, 4: sin t) and the 2x2 on the data
-# qubit. A two-qubit gate's 2x2 acts where its control is set; its constant
-# term, listed first, also holds the identity where the control is clear.
+_Y = [[0, -1j], [1j, 0]]
+_Z = [[1, 0], [0, -1]]
+
+
+def _rotation(pauli) -> tuple:
+    """exp(-i t/2 pauli) as its two eigenprojector terms: e^{-it/2} (I + pauli)/2
+    and e^{it/2} (I - pauli)/2."""
+    half = np.array(pauli) / 2
+    return ((-1, np.eye(2) / 2 + half), (1, np.eye(2) / 2 - half))
+
+
+# Each gate is a sum of terms e^{ikt/2} M, one per eigenspace of its
+# generator: the multiplier k of the half angle (0 for a fixed gate) and the
+# 2x2 M on the data qubit. A two-qubit gate's 2x2 acts where its control is
+# set; its first term, k = 0, also holds the identity where the control is
+# clear.
 _GATE_TERMS = {
-    gate: (np.array([code for code, _ in terms]),
+    gate: (np.array([k for k, _ in terms]),
            np.array([two for _, two in terms], dtype=np.complex128))
     for gate, terms in {
         "X": ((0, _X),),
-        "Y": ((0, [[0, -1j], [1j, 0]]),),
-        "Z": ((0, [[1, 0], [0, -1]]),),
+        "Y": ((0, _Y),),
+        "Z": ((0, _Z),),
         "H": ((0, [[_SQ2, _SQ2], [_SQ2, -_SQ2]]),),
-        "P": ((0, [[1, 0], [0, 0]]), (2, [[0, 0], [0, 1]]), (4, [[0, 0], [0, 1j]])),
-        "RX": ((1, _I2), (3, [[0, -1j], [-1j, 0]])),
-        "RY": ((1, _I2), (3, _ROT_Y)),
-        "RZ": ((1, _I2), (3, _ROT_Z)),
+        "P": ((0, [[1, 0], [0, 0]]), (2, [[0, 0], [0, 1]])),
+        "RX": _rotation(_X),
+        "RY": _rotation(_Y),
+        "RZ": _rotation(_Z),
         "CX": ((0, _X),),
-        "CRY": ((0, _O2), (1, _I2), (3, _ROT_Y)),
-        "CRZ": ((0, _O2), (1, _I2), (3, _ROT_Z)),
+        "CRY": ((0, _O2),) + _rotation(_Y),
+        "CRZ": ((0, _O2),) + _rotation(_Z),
     }.items()
 }
-_HALF_AND_FULL = np.array([0.5, 1.0])
 # A factor's term table holds at most max(3, FACTOR_ENTRIES // D**2) D x D
 # matrices (``GateStack``): 64 on two qubits, 16 on three, 4 on four, and 3,
 # one angle gate's terms, from five qubits on
 FACTOR_ENTRIES = 1024
-
-
-def _angle_weights(theta: np.ndarray) -> np.ndarray:
-    """(..., 1 + 4P) weights of (..., P) angles: 1, then the cosines of every
-    angle's (t/2, t) pair, then their sines; ``_weight_columns`` says where
-    each weight code of each angle sits."""
-    lead, pairs = theta.shape[:-1], 2 * theta.shape[-1]
-    t = (theta[..., None] * _HALF_AND_FULL).reshape(lead + (pairs,))
-    w = np.empty(lead + (1 + 2 * pairs,))
-    w[..., 0] = 1.0
-    np.cos(t, out=w[..., 1:1 + pairs])
-    np.sin(t, out=w[..., 1 + pairs:])
-    return w
-
-
-def _weight_columns(codes: np.ndarray, param: np.ndarray, n_params: int):
-    """Column of ``_angle_weights`` holding weight code w (0: 1, 1: cos t/2,
-    2: cos t, 3: sin t/2, 4: sin t) of angle ``param``, elementwise."""
-    half, trig = (codes - 1) % 2, (codes - 1) // 2
-    return np.where(codes, 1 + 2 * param + half + 2 * n_params * trig, 0)
 
 
 @dataclass(frozen=True)
@@ -120,9 +108,9 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if max(g.qubits) >= self.n_qubits:
+            if min(g.qubits) < 0 or max(g.qubits) >= self.n_qubits:
                 raise ValueError(
-                    f"gate {g} addresses qubit >= n_qubits={self.n_qubits}"
+                    f"gate {g} addresses a qubit outside [0, {self.n_qubits})"
                 )
 
     @property
@@ -171,15 +159,16 @@ def _term_entries(n_qubits: int, gate: str, qubits: tuple[int, ...]):
 
     Entry [i, j] of a term is its 2x2 at the data-qubit bits of i and j
     where i and j agree on every other qubit; where a two-qubit gate's
-    control is clear, its constant term is the identity and its other terms
+    control is clear, its first term is the identity and its other terms
     are zero."""
-    d, (codes, two) = 2**n_qubits, _GATE_TERMS[gate]
+    d, two = 2**n_qubits, _GATE_TERMS[gate][1]
     data = 1 << (n_qubits - 1 - qubits[-1])
     i, j = np.arange(d)[:, None], np.arange(d)
     mats = two[:, i // data & 1, j // data & 1] * (((i ^ j) & ~data) == 0)
     if len(qubits) == 2:
         clear = (i & (1 << (n_qubits - 1 - qubits[0]))) == 0
-        mats = np.where(clear, (codes == 0)[:, None, None] & (i == j), mats)
+        first = (np.arange(len(two)) == 0)[:, None, None]
+        mats = np.where(clear, first & (i == j), mats)
     at = np.flatnonzero(mats)
     entries = (at, mats.reshape(-1)[at])
     for a in entries:
@@ -207,26 +196,29 @@ def _tree_product(f: np.ndarray) -> np.ndarray:
 class GateStack:
     """Unitary of one circuit structure as a function of its angles.
 
-    Built once: each gate is the sum of its terms, a weight of its angle
-    times a D x D matrix (``_GATE_TERMS``). Consecutive gates share one
-    factor until an angle gate would take the factor's term table past
+    Built once: each gate is the sum of its terms, a phase e^{ikt/2} of its
+    angle t times a D x D matrix (``_GATE_TERMS``). Consecutive gates share
+    one factor until an angle gate would take the factor's term table past
     max(3, FACTOR_ENTRIES // D**2) matrices; the table holds every product of
     one term per angle gate, with the fixed gates between them multiplied in,
-    and ``stack`` holds the tables as (k, T, D, D), zero-padded to the
-    longest. A call takes (P,) angles or a (B, P) block of them, forms each
-    table entry's coefficient as the product of its angle weights (one
-    gather of every gate slot's weights, one product over the slots), sums
-    every table in one batched matmul and multiplies the k factors as a
-    pairwise tree, U = G_k ... G_1 with the first gate acting first; a block
-    gives a (B, D, D) stack of unitaries, each equal bit for bit to its
-    row's unitary alone.
+    so each entry's coefficient is e^{i phase}, its phase the sum of its
+    terms' k t/2. ``stack`` holds the tables as (k, T, D, D), zero-padded to
+    the longest, and ``phases`` is the real (P, k*T) matrix whose entry
+    (j, f*T + e) is the multiple of angle j in the phase of factor f's entry
+    e (0 on padding). A call takes (P,) angles or a (B, P) block of them,
+    forms every phase in one real matmul and every coefficient in one
+    complex exp, sums every table in one batched matmul and multiplies the
+    k factors as a pairwise tree, U = G_k ... G_1 with the first gate acting
+    first; a block gives a (B, D, D) stack of unitaries. Each row of a block
+    runs through its own (1, P) and (1, T) products, so it equals bit for
+    bit its row's unitary alone.
     """
 
     def __init__(self, c: Circuit):
         n, d = c.n_qubits, 2**c.n_qubits
         self.dim, self.n_params = d, c.num_parameters
-        codes = [_GATE_TERMS[g.gate][0] for g in c.gates]
-        count = [len(w) for w in codes]
+        mults = [_GATE_TERMS[g.gate][0] for g in c.gates]
+        count = [len(k) for k in mults]
         start = list(itertools.accumulate(count, initial=0))
         # gates per factor: a new factor starts at the angle gate that would
         # take the current table past the budget
@@ -256,24 +248,21 @@ class GateStack:
             tables.append(table.reshape(d, -1, d).swapaxes(0, 1))
         width = max(len(table) for table in tables)
         self.stack = np.zeros((len(tables), width, d, d), dtype=np.complex128)
-        # slots[j, f, e]: weight column of the term that factor f's entry e
-        # takes from its j-th angle gate, whose term index is that digit of
-        # e; an entry or slot past a factor's own reads column 0, weight 1
-        term_param = np.repeat(np.cumsum([0] + [len(g.params) for g in c.gates])[:-1],
-                               count)
-        col = _weight_columns(np.concatenate([np.zeros(0, dtype=int)] + codes),
-                              term_param, self.n_params)
-        angle_gates = [[i for i in group if count[i] > 1] for group in groups]
-        self.slots = np.zeros((max(1, *map(len, angle_gates)), len(tables), width),
-                              dtype=np.intp)
-        for f, (table, gates) in enumerate(zip(tables, angle_gates)):
+        self.phases = np.zeros((self.n_params, len(tables) * width))
+        # factor f's entry e takes from each of its angle gates the term
+        # whose index is that gate's digit of e, and with it k/2 of the
+        # gate's angle
+        half = np.concatenate([np.zeros(0)] + mults) / 2
+        angle = np.cumsum([0] + [len(g.params) for g in c.gates])
+        for f, (table, group) in enumerate(zip(tables, groups)):
             self.stack[f, :len(table)] = table
-            if gates:
+            gates = np.array([i for i in group if count[i] > 1], dtype=int)
+            if len(gates):
                 digits = np.unravel_index(np.arange(len(table)),
                                           [count[i] for i in reversed(gates)])
-                self.slots[:len(gates), f, :len(table)] = col[
-                    np.array([start[i] for i in gates])[:, None] + digits[::-1]]
-        self.tables = self.stack.reshape(len(tables), width, d * d).view(float)
+                self.phases[angle[gates, None], f * width + np.arange(len(table))] = (
+                    half[np.array(start)[gates, None] + digits[::-1]])
+        self.tables = self.stack.reshape(len(tables), width, d * d)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -282,13 +271,10 @@ class GateStack:
                 f"expected {self.n_params} angles or rows of them, "
                 f"got shape {x.shape}"
             )
-        weights = _angle_weights(x)
-        coef = np.multiply.reduce(weights.take(self.slots, axis=-1), axis=-3)
-        # one real matmul per factor: the coefficients are real, the table
-        # entries complex, read as pairs of reals
-        f = (coef[..., None, :] @ self.tables).view(np.complex128)
-        f = f.reshape(x.shape[:-1] + (len(self.stack), self.dim, self.dim))
-        return _tree_product(f.swapaxes(0, -3))  # factors first
+        lead, (k, width) = x.shape[:-1], self.stack.shape[:2]
+        coef = np.exp(1j * (x[..., None, :] @ self.phases))
+        f = coef.reshape(lead + (k, 1, width)) @ self.tables
+        return _tree_product(f.reshape(lead + (k, self.dim, self.dim)).swapaxes(0, -3))
 
 
 def compile_circuit(c: Circuit) -> np.ndarray:

@@ -340,7 +340,7 @@ def cmd_learn_ansatz(args):
     alphabet, tables = _load_target(args.target, args.t)
     m = len(alphabet)
     dim_s = args.dim_s
-    dim_e = args.dim_e or next_power_of_two(m)
+    dim_e = next_power_of_two(m) if args.dim_e is None else args.dim_e
     try:
         nq = register_qubits(dim_s, dim_e)
         spec = AnsatzSpec(
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, model=False, target=False):
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_nonnegative, default=None)
         sp.add_argument("--out", default="out", help="output directory")
         if model:
             sp.add_argument("--model", required=True, help="model JSON file")

@@ -110,42 +110,52 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     Returns one vector of m**t entries per entry of ``lengths``, in order.
     A (..., m, D, D) operator stack gives (..., m**t) vectors, each row equal
     bit for bit to its operators' vectors alone. The operators are laid out
-    as the step and effects of ``forward_levels``, which runs the recursion.
+    once as the augmented step of ``forward_levels``, which runs the
+    recursion.
     """
     ops = np.asarray(ops)
     m, d = ops.shape[-3], ops.shape[-1]
-    # step[..., j, a*D + i] = ops[..., a, i, j]
-    step = ops.swapaxes(-1, -2).swapaxes(-2, -3).reshape(ops.shape[:-3] + (d, m * d))
-    effects = (np.asarray(final) @ ops).swapaxes(-1, -2)  # (..., D, m)
-    return forward_levels(step, effects, init, final, lengths)
+    # step[..., j, a, i] = ops[..., a, i, j], then effect a at i = D
+    step = ops.swapaxes(-1, -2).swapaxes(-2, -3)
+    effects = np.asarray(final) @ ops  # (..., m, D)
+    step = np.concatenate([step, effects.swapaxes(-1, -2)[..., None]], axis=-1)
+    return forward_levels(step.reshape(step.shape[:-2] + (m * (d + 1),)), init,
+                          final, lengths)
 
 
-def forward_levels(step, effects, init, final, lengths) -> list[np.ndarray]:
+def forward_levels(step, init, final, lengths) -> list[np.ndarray]:
     """The recursion behind ``forward_probs``, on the operators of m symbols
-    laid out as one (..., D, m*D) step, step[..., j, a*D + i] = ops[a][i, j],
-    and (..., D, m) effects, effects[..., j, a] = (final . ops[a])[j].
+    and their effects laid out as one augmented (..., D, m*(D + 1)) step:
+    symbol a's D operator columns, step[..., j, a*(D + 1) + i] =
+    ops[a][i, j], then its effect column, step[..., j, a*(D + 1) + D] =
+    (final . ops[a])[j].
 
-    The states of a level are advanced by every symbol at once, in one
-    matmul against the step, so no operator chain is re-multiplied; the last
-    level's probabilities come from the effects applied to the states before
-    it, which are never expanded.
+    One matmul of a level's states against the augmented step gives, read as
+    (m**t, D + 1) rows, the next level's states and that level's
+    probabilities, every symbol at once, both as views of the product: no
+    operator chain is re-multiplied and no level is copied. The last level
+    takes the effect columns alone, and its states are never expanded.
     """
     lengths = [int(t) for t in lengths]
     if not lengths:
         return []
     if min(lengths) < 0:
         raise ValueError("sequence lengths must be >= 0")
-    lead, (d, m) = step.shape[:-2], effects.shape[-2:]
+    lead, d = step.shape[:-2], step.shape[-2]
+    m = step.shape[-1] // (d + 1)
     states = np.asarray(init)[..., None, :]  # (..., m**t, D) at level t
     by_len: dict[int, np.ndarray] = {}
     if 0 in lengths:  # the empty sequence, once per operator stack
         by_len[0] = np.zeros(lead + (1,)) + (states @ final).real
     top = max(lengths)
-    for t in range(1, top + 1):
+    for t in range(1, top):
+        rows = (states @ step).reshape(lead + (m**t, d + 1))
         if t in lengths:
-            by_len[t] = (states @ effects).real.reshape(lead + (m**t,))
-        if t < top:
-            states = (states @ step).reshape(lead + (m**t, d))
+            by_len[t] = rows[..., d].real
+        states = rows[..., :d]
+    if top:
+        effects = np.ascontiguousarray(step[..., d::d + 1])
+        by_len[top] = (states @ effects).reshape(lead + (m**top,)).real
     return [by_len[t] for t in lengths]
 
 
@@ -203,8 +213,10 @@ def hankel_blocks(levels, max_prefix_len: int, max_suffix_len: int,
     ``partial(forward_probs, ops, init, final)``. Since lex(ps) = lex(p) *
     m**j + lex(s), the block for prefix length i and suffix length j is the
     length-(i + j) vector reshaped to (m**i, m**j). The side budget is checked
-    before ``levels`` is called; with ``forward_probs`` the top level then
-    holds m**(P+S-1) <= 2**15 states of N**2 complex entries, N**2 x 0.5 MiB."""
+    before ``levels`` is called; with ``forward_probs`` the deepest expanded
+    level then holds m**(P+S-1) <= 2**15 rows of N**2 + 1 complex entries,
+    (N**2 + 1) x 0.5 MiB, and every expanded level, whose product the
+    probabilities view, at most twice that."""
     check_hankel_sides(m, max_prefix_len, max_suffix_len)
     vecs = levels(list(range(max_prefix_len + max_suffix_len + 1)))
     values = np.block([[vecs[i + j].reshape(m**i, m**j)

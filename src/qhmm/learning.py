@@ -218,40 +218,55 @@ BLOCK_BYTES = 1 << 20
 
 @functools.cache  # keyed by register sizes and symbol map: few keys
 def _step_offsets(dim_s: int, dim_e: int, symbol_map: tuple[str, ...]):
-    """Where ``ChannelEngine`` gathers its step from U: the (N^2, dim_e*N^2)
-    flat offsets of K_e[r, c] and of K_e[r', c'] at [(c, c'), (e, r, r')],
-    emissions in symbol order, and the index of each symbol's first
-    emission in that order; all read-only."""
+    """Where ``ChannelEngine`` gathers its augmented step from U: at row
+    (c, c'), the flat offsets of K_e[r, c] and of K_e[r', c'] for every
+    product it sums, and where each sum starts; all read-only.
+
+    Symbol a's sums are its N^2 step columns (r, r'), each over the
+    emissions e of a, then its effect column, over the emissions and every
+    r of K_e[r, c] conj(K_e[r, c'])."""
     alphabet = symbol_order(symbol_map)
     sym = np.array([alphabet.index(s) for s in symbol_map])
-    counts = np.bincount(sym)
-    # at[c, e, r]: flat offset of K_e[r, c] = U[r*dim_e + e, c*dim_e]
-    n, s = dim_s, np.arange(dim_s) * dim_e
-    rows = s[None, None, :] + np.argsort(sym, kind="stable")[None, :, None]
-    at = rows * (n * dim_e) + s[:, None, None]
-    shape = (n, n, dim_e, n, n)  # (c, c', e, r, r')
-    offsets = (np.broadcast_to(at[:, None, :, :, None], shape).reshape(n * n, -1),
-               np.broadcast_to(at[None, :, :, None, :], shape).reshape(n * n, -1),
-               np.cumsum(counts) - counts)
+    n = dim_s
+    terms, starts, size = [], [], 0
+    for a in range(len(alphabet)):
+        own = np.flatnonzero(sym == a)
+        k = len(own)
+        # (r, r', emission) of every product: the step columns, then the
+        # effect column's diagonal
+        r, r2, j = np.indices((n, n, k)).reshape(3, -1)
+        rd, jd = np.indices((n, k)).reshape(2, -1)
+        terms.append([np.r_[r, rd], np.r_[r2, rd], own[np.r_[j, jd]]])
+        starts.append(size + k * np.arange(n * n + 1))
+        size += k * n * (n + 1)
+    r, r2, e = np.concatenate(terms, axis=1)
+    # K_e[r, c] = U[r*dim_e + e, c*dim_e]
+    cols, shape = np.arange(n) * dim_e, (n, n, size)  # (c, c', product)
+    offsets = (np.broadcast_to(((r * dim_e + e) * n * dim_e)[None, None, :]
+                               + cols[:, None, None], shape).reshape(n * n, -1),
+               np.broadcast_to(((r2 * dim_e + e) * n * dim_e)[None, None, :]
+                               + cols[None, :, None], shape).reshape(n * n, -1),
+               np.concatenate(starts))
     for a in offsets:
         a.setflags(write=False)
     return offsets
 
 
 class ChannelEngine:
-    """Parameter vector -> unitary (``GateStack``) -> forward step gathered
-    from the unitary -> exact lex-ordered probability vectors from
+    """Parameter vector -> unitary (``GateStack``) -> augmented forward step
+    gathered from the unitary -> exact lex-ordered probability vectors from
     ``lang.forward_levels``, with all structure precomputed.
 
     The Kraus operator of emission e, the emission register reset to 0, is
     K_e[s, s'] = U[s*dim_e + e, s'*dim_e]. The step on row-major vec(rho) is
-    step[(c, c'), a*N^2 + (r, r')] = sum over the emissions e of symbol a of
-    K_e[r, c] conj(K_e[r', c']): two arrays of flat offsets into U pick both
-    factors of every product, with the emissions in symbol order, and a
-    ``reduceat`` sums the products only where a symbol owns more than one
-    emission. A (B, P) block of parameter vectors runs through the same path
-    with a leading batch axis, in runs of at most BLOCK_BYTES, and each
-    row's result equals that vector's alone bit for bit.
+    step[(c, c'), a*(N^2 + 1) + (r, r')] = sum over the emissions e of
+    symbol a of K_e[r, c] conj(K_e[r', c']), and symbol a's effect column
+    a*(N^2 + 1) + N^2 holds the same sum over r' = r and every r: two arrays
+    of flat offsets into U pick both factors of every product, and one
+    ``reduceat`` sums them into all m*(N^2 + 1) columns. A (B, P) block of
+    parameter vectors runs through the same path with a leading batch axis,
+    in runs of at most BLOCK_BYTES, and each row's result equals that
+    vector's alone bit for bit.
 
     This is the hot path behind fitness and ansatz cost; the object-based
     route (AnsatzSpec.model / models.distribution_tables) computes the same
@@ -268,16 +283,16 @@ class ChannelEngine:
         self.rho0 = np.asarray(rho0, dtype=np.complex128).ravel()
         self.trace = np.eye(dim_s, dtype=np.complex128).ravel()
         self.n_symbols = len(symbol_order(symbol_map))
-        self.left, self.right, self.group_starts = _step_offsets(
+        self.left, self.right, self.sums = _step_offsets(
             dim_s, dim_e, tuple(symbol_map))
-        # bytes of all that one row allocates: the angles' halves and
-        # weights, the gathered and the multiplied coefficients (reals), the
-        # factors, their tree product, the two gathers and the conjugate, the
-        # summed step and the effects (complex)
-        slots, k, width = self.gates.slots.shape
-        self.row_bytes = (8 * (6 * self.gates.n_params + 1 + (slots + 1) * k * width)
-                          + 16 * (2 * k * self.gates.dim**2 + dim_s**2 * self.n_symbols
-                                  + (3 * dim_e + self.n_symbols) * dim_s**4))
+        # bytes of all that one row allocates: the phases (reals), their
+        # complex form and the coefficients, the factors and their tree
+        # product, the two gathers, the conjugate and the augmented step
+        # (complex)
+        k, width = self.gates.stack.shape[:2]
+        self.row_bytes = 8 * k * width + 16 * (
+            2 * k * width + 2 * k * self.gates.dim**2
+            + 3 * self.left.size + self.sums.size * dim_s**2)
 
     def unitary(self, x) -> np.ndarray:
         return self.gates(x)
@@ -287,10 +302,11 @@ class ChannelEngine:
         (m**t,) for (P,) parameters, (B, m**t) for a (B, P) block."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 2 and len(x) > 1:
-            # plus the two deepest levels of states and the probabilities
+            # plus the top level's probabilities and every expanded level's
+            # product, which its probabilities and the next states view
             m, top = self.n_symbols, max(lengths, default=0)
             row = self.row_bytes + 16 * (m**top + 2 * m ** max(top - 1, 0)
-                                         * self.dim_s**2)
+                                         * (self.dim_s**2 + 1))
             runs = min(len(x), -(-len(x) * row // BLOCK_BYTES))
             if runs > 1:
                 pieces = [self._probs(rows, lengths)
@@ -299,23 +315,16 @@ class ChannelEngine:
         return self._probs(x, lengths)
 
     def step(self, x) -> np.ndarray:
-        """The (..., N^2, m*N^2) step of ``lang.forward_levels`` at (P,)
-        parameters or a (B, P) block."""
+        """The (..., N^2, m*(N^2 + 1)) augmented step of
+        ``lang.forward_levels`` at (P,) parameters or a (B, P) block."""
         u = self.unitary(x)
-        lead, n2 = u.shape[:-2], self.dim_s**2
-        flat = u.reshape(lead + (u.shape[-1] ** 2,))
-        step = flat.take(self.left, axis=-1)
-        step *= flat.take(self.right, axis=-1).conj()
-        if len(self.group_starts) < self.dim_e:  # a symbol owns several emissions
-            step = np.add.reduceat(step.reshape(lead + (n2, self.dim_e, n2)),
-                                   self.group_starts, axis=-2)
-        return step.reshape(lead + (n2, self.n_symbols * n2))
+        flat = u.reshape(u.shape[:-2] + (u.shape[-1] ** 2,))
+        terms = flat.take(self.left, axis=-1)
+        terms *= flat.take(self.right, axis=-1).conj()
+        return np.add.reduceat(terms, self.sums, axis=-1)
 
     def _probs(self, x, lengths) -> list[np.ndarray]:
-        step = self.step(x)
-        n2 = self.dim_s**2
-        effects = step.reshape(step.shape[:-1] + (self.n_symbols, n2)) @ self.trace
-        return forward_levels(step, effects, self.rho0, self.trace, lengths)
+        return forward_levels(self.step(x), self.rho0, self.trace, lengths)
 
 
 # --- fitness ------------------------------------------------------------------
@@ -843,6 +852,11 @@ def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
         raise ValueError("target support must be nonempty sequences")
     engine = spec.engine()
     m = engine.n_symbols
+    for seq, _ in target:
+        bad = [a for a in seq if not 0 <= a < m]
+        if bad:
+            raise ValueError(f"symbol index {bad[0]} of {seq} out of range "
+                             f"for {m} symbols")
     # each supported sequence's position in the concatenated lex-ordered
     # levels, its reference probability and its length as the weight
     offset = dict(zip(lengths, np.cumsum([0] + [m**t for t in lengths[:-1]])))

@@ -71,7 +71,8 @@ def damping_qhmm():
 
 @pytest.fixture
 def bad_circuit_files(damping_model):
-    """Circuit-form model files with a wrong qubit count or a bad angle."""
+    """Circuit-form model files with a wrong qubit count, a bad angle or a
+    qubit index outside the register."""
     step = amplitude_damping_circuit(math.pi / 2).step
     good = models.qhmm_to_json(replace(damping_model, u=step))
     models.qhmm_from_json(good)
@@ -82,5 +83,9 @@ def bad_circuit_files(damping_model):
     for label, angle in (("null", None), ("nan", math.nan), ("inf", math.inf)):
         d = json.loads(json.dumps(good))
         d["circuit"]["gates"][0]["p"] = [angle]
+        out[label] = d
+    for label, qubit in (("qubit -1", -1), ("qubit 2", 2)):
+        d = json.loads(json.dumps(good))
+        d["circuit"]["gates"][0] = {"t": "RY", "q": [qubit], "p": [0.3]}
         out[label] = d
     return out

@@ -6,6 +6,8 @@ so every hooked name must resolve where the benchmark looks it up."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -133,3 +135,57 @@ def test_benchmark_templates_keep_their_fused_factors(monkeypatch, tmp_path):
     ansatz = workloads.WORKLOADS["ansatz"](0, tmp_path, lambda: 0)
     assert len(ansatz.monras.engine().gates.stack) <= 5
     assert len(ansatz.market.engine().gates.stack) == 1
+
+
+@pytest.mark.parametrize("fit", ["train_ansatz", "optimize_parameters"])
+def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, monkeypatch,
+                                                            tmp_path):
+    # the prediction table marks ChannelEngine.unitary and level_probs
+    # active on ansatz and evolve, and compile_circuit and
+    # distribution_tables idle there: a kernel that bypasses unitary, or a
+    # fit that compiles or tabulates its circuit, fails here before any
+    # benchmark run
+    import numpy as np
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    import workloads
+
+    from qhmm import circuits, learning
+    from qhmm.circuits import Circuit, GateSpec
+
+    calls = {"objective": 0, "unitary": 0, "level_probs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def idle(*args, **kwargs):
+        raise AssertionError("an idle layer ran inside a fit")
+
+    spec_type = learning.ObjectiveSpec
+    monkeypatch.setattr(learning, "ObjectiveSpec", lambda arity, evaluate, budget:
+                        spec_type(arity, counted("objective", evaluate), budget))
+    for name in ("unitary", "level_probs"):
+        monkeypatch.setattr(learning.ChannelEngine, name,
+                            counted(name, getattr(learning.ChannelEngine, name)))
+    for owner, name in ((learning, "compile_circuit"), (circuits, "compile_circuit"),
+                        (learning, "distribution_tables")):
+        monkeypatch.setattr(owner, name, idle)
+
+    if fit == "train_ansatz":
+        ansatz = workloads.WORKLOADS["ansatz"](0, tmp_path, lambda: 0)
+        learning.train_ansatz(ansatz.monras, ansatz.monras_target, "bfsg",
+                              budget=120, rng=np.random.default_rng(0))
+    else:
+        evolve = workloads.WORKLOADS["evolve"](0, tmp_path, lambda: 0)
+        space = evolve.spaces["gaussian4"]
+        hyp = learning.Hypothesis(Circuit(space.n_qubits, (
+            GateSpec("P", (0,), (0.4,)), GateSpec("CRY", (0, 2), (1.1,)),
+            GateSpec("RX", (1,), (2.0,)), GateSpec("CX", (2, 1)))),
+            space.dim_s, space.dim_e, space.symbol_map)
+        learning.optimize_parameters(hyp, evolve.targets["gaussian4"], "nm",
+                                     budget=60)
+    assert calls["objective"] > 1
+    assert calls["unitary"] == calls["level_probs"] == calls["objective"], calls

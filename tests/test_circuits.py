@@ -204,14 +204,16 @@ _MIXES = {
         ("Z", (1,))]), 1),
     "all-fixed": (_gates(3, [
         ("H", (0,)), ("CX", (0, 2)), ("Y", (1,)), ("Z", (2,)), ("X", (0,))]), 1),
-    # three terms each: 27 fit a 4 x 4 factor's 64, a fourth would not, and
-    # the RX after it shares the second factor; on 8 x 8, 9 fit 16
+    # P has two terms and CRY and CRZ three: P, CRY, CRZ and P make 36 of a
+    # 4 x 4 factor's 64, the RX would make 72, so it and the CRY after it
+    # share the second factor; on 8 x 8, CRZ P RY make 12 of 16, then
+    # CRY CRZ 9, then P RZ 4
     "p-cry-crz": (_gates(2, [
         ("P", (0,)), ("CRY", (0, 1)), ("CRZ", (1, 0)), ("CX", (1, 0)),
         ("P", (1,)), ("RX", (0,)), ("CRY", (1, 0))]), 2),
     "p-cry-crz-3q": (_gates(3, [
         ("CRZ", (2, 0)), ("P", (1,)), ("RY", (2,)), ("CRY", (0, 2)),
-        ("H", (1,)), ("CRZ", (1, 2)), ("P", (0,)), ("RZ", (1,))]), 4),
+        ("H", (1,)), ("CRZ", (1, 2)), ("P", (0,)), ("RZ", (1,))]), 3),
     # 32 x 32 and 64 x 64: at most 3 terms per factor, one angle gate each
     "five-qubits": (efficient_su2(5, 1) + _gates(5, [
         ("P", (4,)), ("CRY", (3, 0)), ("CRZ", (0, 4)), ("CX", (2, 1))]), 13),

@@ -442,17 +442,20 @@ def test_non_unitary_model_file_fails_cleanly(damping_file, tmp_path, capsys):
 def test_invalid_circuit_model_file_fails_cleanly(bad_circuit_files, tmp_path,
                                                   capsys):
     # regression: a circuit of the wrong size or with a null angle exited 1
-    # with a dimension error or a float() TypeError
+    # with a dimension error or a float() TypeError; an RY on qubit -1 of 2
+    # compiled to 0.989 I, so simulate exited 0 and wrote its sequences while
+    # distribution exited 1 on a channel that is not trace preserving
     for label, data in bad_circuit_files.items():
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["distribution", "--model", str(bad), "--t", "2",
-                  "--out", str(out)])
-        assert exc.value.code == 2, label
-        assert "invalid model file" in capsys.readouterr().err
-        assert not out.exists()
+        for argv in (["distribution", "--t", "2"],
+                     ["simulate", "--t", "2", "--shots", "1000", "--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--model", str(bad), "--out", str(out)])
+            assert exc.value.code == 2, (label, argv[0])
+            assert "invalid model file" in capsys.readouterr().err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("group,message", [
@@ -616,6 +619,7 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
 @pytest.mark.parametrize("flags,config,message", [
     (["--dim-s", "3"], None, "power of two"),
     (["--dim-e", "1"], None, "smaller than the alphabet"),
+    (["--dim-e", "0"], None, "dim_e must be a power of two, got 0"),
     (None, {"dim_s": 3}, "power of two"),
     (None, {"dim_e": 1}, "smaller than the alphabet"),
     (None, [1, 2], "expected a JSON object"),
@@ -640,7 +644,7 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
     (None, {"g_max": -3}, "g_max must be >= 0, got -3"),
     (None, {"prog_window": -2}, "prog_window must be >= 1, got -2"),
     (None, {"prog_window": 0}, "prog_window must be >= 1, got 0"),
-], ids=["ansatz-dim-s", "ansatz-dim-e", "evo-dim-s", "evo-dim-e",
+], ids=["ansatz-dim-s", "ansatz-dim-e", "ansatz-dim-e-zero", "evo-dim-s", "evo-dim-e",
         "evo-config-list", "evo-mu", "evo-n-max", "evo-gate-type",
         "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text", "evo-rho0-kind",
         "evo-gate-counts", "evo-empty-gate-set", "evo-empty-optimizers",
@@ -673,7 +677,8 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
 # and distribution --t 13 exited 1 from a budget inside the library. On a
 # corpus target, hankel built every window table up to 2 * --max-len before
 # the side budget refused --max-len, which on a large corpus took hundreds of
-# MB; no case may tabulate a corpus
+# MB; no case may tabulate a corpus. A --seed of -1 exited 1 from numpy's
+# "expected non-negative integer", and reproduce table2 exited 0 on it
 @pytest.mark.parametrize("argv,message", [
     (["hankel", "--target", "{target}", "--max-len", "-1"], "must be >= 0"),
     (["learn-ansatz", "--target", "{target}", "--reps", "-1"], "must be >= 0"),
@@ -696,12 +701,21 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
      "Hankel budget exceeded: 8191 x 8191"),
     (["distribution", "--model", "{market}", "--t", "13"],
      "table of size 2^13 exceeds the supported budget"),
+    (["simulate", "--model", "{market}", "--t", "2", "--seed", "-1"],
+     "must be >= 0, got -1"),
+    (["learn-ansatz", "--target", "{target}", "--seed", "-1"],
+     "must be >= 0, got -1"),
+    (["learn-evo", "--target", "{target}", "--seed", "-1"],
+     "must be >= 0, got -1"),
+    (["landscape", "--seed", "-1"], "must be >= 0, got -1"),
+    (["reproduce", "table2", "--seed", "-1"], "must be >= 0, got -1"),
 ], ids=["hankel-max-len", "ansatz-reps", "ansatz-restarts", "ansatz-budget",
         "landscape-steps", "hankel-tol-negative", "hankel-tol-nan",
         "landscape-steps-below-30", "landscape-rates-text",
         "landscape-rates-negative", "hankel-model-max-len-budget",
         "hankel-target-max-len-budget", "hankel-corpus-max-len-budget",
-        "distribution-t-budget"])
+        "distribution-t-budget", "simulate-seed", "ansatz-seed", "evo-seed",
+        "landscape-seed", "reproduce-seed"])
 def test_bad_count_exits_2(argv, message, market_file, tmp_path, capsys,
                            monkeypatch):
     def tabulate(corpus, max_len):
@@ -714,8 +728,10 @@ def test_bad_count_exits_2(argv, message, market_file, tmp_path, capsys,
     out = tmp_path / "out"
     argv = [a.format(target=target, market=market_file, corpus=corpus)
             for a in argv]
+    if "--seed" not in argv:
+        argv += ["--seed", "0"]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--seed", "0", "--out", str(out)])
+        main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -515,6 +515,20 @@ def test_ansatz_cost_misaligned():
         ansatz_cost([((0,), 0.5)], [])
 
 
+@pytest.mark.parametrize("target,bad", [
+    ([((0,), 0.5), ((1,), 0.4), ((3,), 0.1)], 3),
+    ([((-1,), 0.5), ((0,), 0.5)], -1),
+    ([((2,), 0.5), ((0,), 0.5)], 2),
+    ([((0, 1), 0.5), ((1, 2), 0.5)], 2),
+], ids=["aliased-to-level-2", "negative", "one-past-the-end", "inside-a-pair"])
+def test_ansatz_objective_refuses_out_of_range_symbols(target, bad):
+    # on two symbols, a 3 landed on the level-2 entry (0, 1), a -1 read the
+    # last entry of its level (cost 0.0), and a 2 raised a bare IndexError
+    spec = AnsatzSpec(real_amplitudes(2, 1, "linear"), 2, 2, ("0", "1"))
+    with pytest.raises(ValueError, match=f"symbol index {bad} .*out of range"):
+        ansatz_objective(spec, target)
+
+
 def test_train_ansatz_zero_parameter_template():
     spec = AnsatzSpec(
         circuit=Circuit(2, (GateSpec("X", (0,)),)),
@@ -711,8 +725,10 @@ def test_row_larger_than_block_bytes_runs_alone():
 def test_engine_step_is_model_transfer_matrices(symbol_map):
     # the step the engine gathers straight from U holds, symbol by symbol,
     # the transfer matrix sum K (x) conj(K) of the model's Kraus group, laid
-    # out as (D, m*D) with step[j, a*D + i] = T_a[i, j], and so advances
-    # vec(rho) to every symbol's sub-channel output at once
+    # out as (D, m*(D + 1)) with step[j, a*(D + 1) + i] = T_a[i, j], and so
+    # advances vec(rho) to every symbol's sub-channel output at once; each
+    # symbol's last column is its effect vec(I) . T_a, which gives the
+    # output's trace
     from qhmm.channels import apply_symbol, kraus_transfer_matrix
     from qhmm.circuits import efficient_su2
     from qhmm.linalg import random_density
@@ -725,11 +741,17 @@ def test_engine_step_is_model_transfer_matrices(symbol_map):
     q = spec.model(x)
     want = np.stack([kraus_transfer_matrix(q.channel.groups[a])
                      for a in q.alphabet])
-    assert step.shape == (4, 4 * len(q.alphabet))
-    assert np.abs(step - want.transpose(2, 0, 1).reshape(4, -1)).max() < 1e-14
-    post = (q.rho0.ravel() @ step).reshape(len(q.alphabet), 2, 2)
-    for a, rho_a in zip(q.alphabet, post):
-        assert np.abs(rho_a - apply_symbol(q.channel, q.rho0, a)).max() < 1e-14
+    m = len(q.alphabet)
+    assert step.shape == (4, m * 5)
+    blocks = step.reshape(4, m, 5)
+    assert np.abs(blocks[..., :4] - want.transpose(2, 0, 1)).max() < 1e-14
+    effects = np.eye(2).ravel() @ want
+    assert np.abs(blocks[..., 4] - effects.T).max() < 1e-14
+    post = (q.rho0.ravel() @ step).reshape(m, 5)
+    for a, row in zip(q.alphabet, post):
+        sub = apply_symbol(q.channel, q.rho0, a)
+        assert np.abs(row[:4].reshape(2, 2) - sub).max() < 1e-14
+        assert abs(row[4] - np.trace(sub)) < 1e-14
 
 
 def _market_items(market_target):
