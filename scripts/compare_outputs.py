@@ -1,0 +1,217 @@
+#!/usr/bin/env python3
+"""Run one fixed matrix of qhmm commands in two source trees and compare
+every output file.
+
+    python3 scripts/compare_outputs.py PARENT CHANGE --out DIR [--quick]
+
+PARENT and CHANGE are checkouts of qhmm (each with its own ``src/``). Each
+tree writes the fixtures with its ``scripts/make_fixture_models.py`` into
+DIR/parent/fixtures and DIR/change/fixtures, which are compared like any
+output; both trees then run every command of the matrix on PARENT's
+fixtures, each command in its own process with that tree's ``src`` on
+PYTHONPATH, and write to DIR/parent/CASE and DIR/change/CASE. A command's
+stdout is kept as CASE/stdout.txt; stderr, which carries timings, is not
+compared.
+
+Every output file gets one line with one verdict:
+
+- ``identical``: the same bytes;
+- ``numeric``: the same text once every number is masked, and as many
+  numbers, with the largest absolute and relative difference between them;
+- ``different``: anything else (a file on one side only, a changed word, a
+  different count of numbers, a different exit code), with the first line
+  that differs.
+
+The exit code is 0 only when every file is ``identical``, so a declared
+output change reads as a nonzero exit plus the table to report. ``--quick``
+runs a reduced matrix of fast commands.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+# a circuit-form model with the gates whose phases differ most (P, CRY, CRZ)
+# beside fixed gates, written here so that neither tree's code builds it
+CIRCUIT_MODEL = {
+    "type": "unitary", "alphabet": ["0", "1"], "dim_s": 2, "dim_e": 2,
+    "symbol_map": ["0", "1"],
+    "rho0": {"rows": 2, "cols": 2, "re": [0.5, 0.0, 0.0, 0.5],
+             "im": [0.0, 0.0, 0.0, 0.0]},
+    "e0": 0, "reset_mode": "reset", "measured": "emission",
+    "circuit": {"n_qubits": 2, "gates": [
+        {"t": "H", "q": [0], "p": []},
+        {"t": "P", "q": [1], "p": [0.9]},
+        {"t": "CRY", "q": [0, 1], "p": [1.1]},
+        {"t": "CRZ", "q": [1, 0], "p": [0.7]},
+        {"t": "RX", "q": [1], "p": [0.4]},
+        {"t": "CX", "q": [0, 1], "p": []},
+    ]},
+}
+EVO_CONFIGS = {
+    "market": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3},
+    "gaussian4": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3, "n_max": 3,
+                  "dim_s": 2, "dim_e": 4, "opt_budget": 30,
+                  "gate_set": ["X", "Y", "RX", "RY", "P", "CX", "CRY"]},
+}
+MODELS = ["market", "gaussian4", "damping", "monras", "market_quantized",
+          "circuit"]
+# simulate takes classical and unitary-form models only
+SIMULATED = ["market", "gaussian4", "damping", "circuit"]
+
+
+def matrix(quick: bool) -> list[tuple[str, list[str]]]:
+    """(case, arguments) of every command; paths are relative to the
+    fixtures directory, written as {fx}."""
+    model = "{fx}/%s.json"
+    market, gauss = "{fx}/market_target.csv", "{fx}/gaussian4_target.csv"
+    if quick:
+        return [
+            ("distribution-market", ["distribution", "--model", model % "market",
+                                     "--t", "3"]),
+            ("hankel-circuit", ["hankel", "--model", model % "circuit",
+                                "--max-len", "1"]),
+            ("simulate-circuit", ["simulate", "--model", model % "circuit",
+                                  "--t", "3", "--shots", "200", "--seed", "5"]),
+            ("quantize-market", ["quantize", "--model", model % "market"]),
+            ("learn-ansatz-cbla", ["learn-ansatz", "--target", market,
+                                   "--optimizer", "cbla", "--restarts", "2",
+                                   "--budget", "120", "--seed", "3"]),
+            ("learn-evo-market", ["learn-evo", "--target", market, "--config",
+                                  "{fx}/evo_market.json"]),
+        ]
+    cases = []
+    for name in MODELS:
+        cases.append((f"distribution-{name}", ["distribution", "--model",
+                                               model % name, "--t", "4"]))
+        cases.append((f"hankel-{name}", ["hankel", "--model", model % name,
+                                         "--max-len", "2"]))
+    for name in SIMULATED:
+        cases.append((f"simulate-{name}", ["simulate", "--model", model % name,
+                                           "--t", "3", "--shots", "2000",
+                                           "--seed", "5"]))
+    for name in ("market", "gaussian4"):
+        cases.append((f"quantize-{name}", ["quantize", "--model", model % name]))
+    cases.append(("hankel-target", ["hankel", "--target", market,
+                                    "--max-len", "2"]))
+    for name, target in (("market", market), ("gaussian4", gauss)):
+        cases.append((f"learn-evo-{name}", ["learn-evo", "--target", target,
+                                            "--config", f"{{fx}}/evo_{name}.json"]))
+    for label in ("nm", "cbla", "bfsg"):
+        cases.append((f"learn-ansatz-{label}", [
+            "learn-ansatz", "--target", market, "--optimizer", label,
+            "--restarts", "2", "--budget", "300", "--seed", "3"]))
+    cases.append(("landscape", ["landscape", "--steps", "40", "--seed", "0"]))
+    cases.append(("reproduce-all", ["reproduce", "all", "--seed", "3"]))
+    return cases
+
+
+def write_fixtures(tree: Path, out: Path) -> None:
+    run_in(tree, [str(tree / "scripts" / "make_fixture_models.py"), "--out",
+                  str(out)], None, module=False)
+    (out / "circuit.json").write_text(json.dumps(CIRCUIT_MODEL, indent=2) + "\n")
+    for name, cfg in EVO_CONFIGS.items():
+        (out / f"evo_{name}.json").write_text(json.dumps(cfg) + "\n")
+
+
+def run_in(tree: Path, args: list[str], log: Path | None, module=True) -> int:
+    """Run qhmm's CLI (or a script) with the tree's src first on the path,
+    its stdout to ``log`` (or nowhere); returns the exit code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cmd = [sys.executable] + (["-m", "qhmm.cli"] if module else []) + args
+    with open(log or os.devnull, "w") as fh:
+        return subprocess.run(cmd, env=env, stdout=fh, stderr=subprocess.DEVNULL,
+                              cwd=tree).returncode
+
+
+def run_matrix(tree: Path, fixtures: Path, out: Path, cases) -> dict[str, int]:
+    codes = {}
+    for case, args in cases:
+        target = out / case
+        target.mkdir(parents=True, exist_ok=True)
+        args = [a.format(fx=fixtures) for a in args] + ["--out", str(target)]
+        codes[case] = run_in(tree, args, target / "stdout.txt")
+    return codes
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def verdict(a: bytes, b: bytes) -> tuple[str, str]:
+    """(verdict, detail) of one file's two versions."""
+    if a == b:
+        return "identical", ""
+    ta, tb = a.decode(errors="replace"), b.decode(errors="replace")
+    na, nb = NUMBER.findall(ta), NUMBER.findall(tb)
+    if NUMBER.sub("#", ta) == NUMBER.sub("#", tb) and len(na) == len(nb):
+        pairs = [(float(x), float(y)) for x, y in zip(na, nb) if x != y]
+        abs_diff = max(abs(x - y) for x, y in pairs)
+        rel_diff = max(abs(x - y) / (max(abs(x), abs(y)) or 1) for x, y in pairs)
+        return "numeric", f"max abs {abs_diff:.3g}, max rel {rel_diff:.3g}"
+    la, lb = ta.splitlines(), tb.splitlines()
+    line = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y),
+                min(len(la), len(lb)))
+    shown = [lines[line][:60] if line < len(lines) else "<end>"
+             for lines in (la, lb)]
+    return "different", f"line {line + 1}: {shown[0]!r} vs {shown[1]!r}"
+
+
+def compare(parent: Path, change: Path) -> list[tuple[str, str, str]]:
+    """(path, verdict, detail) of every file under either directory."""
+    files = sorted({p.relative_to(root) for root in (parent, change)
+                    for p in root.rglob("*") if p.is_file()})
+    rows = []
+    for rel in files:
+        a, b = parent / rel, change / rel
+        if not (a.exists() and b.exists()):
+            rows.append((str(rel), "different",
+                         f"only in {'parent' if a.exists() else 'change'}"))
+        else:
+            rows.append((str(rel), *verdict(a.read_bytes(), b.read_bytes())))
+    return rows
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="the parent tree")
+    ap.add_argument("change", type=Path, help="the changed tree")
+    ap.add_argument("--out", type=Path, required=True,
+                    help="output directory, new or empty")
+    ap.add_argument("--quick", action="store_true", help="the reduced matrix")
+    args = ap.parse_args()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    out = args.out.resolve()
+    if out.exists() and any(out.iterdir()):
+        ap.error(f"--out {out} is not empty: its old files would be compared")
+    for side, tree in trees.items():
+        (out / side / "fixtures").mkdir(parents=True)
+        write_fixtures(tree, out / side / "fixtures")
+    cases = matrix(args.quick)
+    codes = {side: run_matrix(tree, out / "parent" / "fixtures", out / side, cases)
+             for side, tree in trees.items()}
+    rows = [(f"{case}/exit", "identical", "")
+            if codes["parent"][case] == codes["change"][case] == 0 else
+            (f"{case}/exit", "different",
+             f"exit {codes['parent'][case]} vs {codes['change'][case]}")
+            for case, _ in cases]
+    rows += compare(out / "parent", out / "change")
+    width = max(len(path) for path, _, _ in rows)
+    report = "\n".join(f"{v:<10} {path:<{width}} {detail}".rstrip()
+                       for path, v, detail in rows)
+    (out / "report.txt").write_text(report + "\n")
+    print(report)
+    counts = {v: sum(r[1] == v for r in rows)
+              for v in ("identical", "numeric", "different")}
+    print(", ".join(f"{n} {v}" for v, n in counts.items()), file=sys.stderr)
+    return 0 if counts["identical"] == len(rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -211,13 +211,17 @@ class GateStack:
     k factors as a pairwise tree, U = G_k ... G_1 with the first gate acting
     first; a block gives a (B, D, D) stack of unitaries. Each row of a block
     runs through its own (1, P) and (1, T) products, so it equals bit for
-    bit its row's unitary alone.
+    bit its row's unitary alone. ``multipliers`` lists, per angle, the
+    multipliers k of its half angle in its gate's terms: the only way that
+    angle enters U.
     """
 
     def __init__(self, c: Circuit):
         n, d = c.n_qubits, 2**c.n_qubits
         self.dim, self.n_params = d, c.num_parameters
         mults = [_GATE_TERMS[g.gate][0] for g in c.gates]
+        self.multipliers = tuple(k for g, k in zip(c.gates, mults)
+                                 for _ in g.params)
         count = [len(k) for k in mults]
         start = list(itertools.accumulate(count, initial=0))
         # gates per factor: a new factor starts at the angle gate that would

@@ -111,10 +111,13 @@ def _model_operators(model):
     return models.forward_operators(model)
 
 
-def _load_target(path: str, max_len: int, check_alphabet=lambda alphabet: None):
+def _load_target(path: str, max_len: int, check_alphabet=lambda alphabet: None,
+                 exact: bool = False):
     """A target file is either a sequence,probability CSV or a raw corpus;
     ``check_alphabet`` sees the alphabet as soon as it is read, before a
-    corpus is tabulated."""
+    corpus is tabulated. With ``exact``, for the learners, which hold every
+    sequence of each length, a corpus whose tables up to max_len would pass
+    ``lang.TABLE_BUDGET`` is refused before it is tabulated."""
     try:
         with open(path) as fh:
             first = fh.readline()
@@ -127,6 +130,8 @@ def _load_target(path: str, max_len: int, check_alphabet=lambda alphabet: None):
         else:
             alphabet, corpus = lang.read_corpus(path)
             check_alphabet(alphabet)
+            if exact:
+                lang.check_table_budget(len(alphabet), max_len)
             tables = lang.tables_from_corpus(corpus, max_len)
     except ValueError as exc:
         _fail(f"invalid target file {path}: {exc}")
@@ -139,6 +144,13 @@ def _require_lengths(path: str, tables, top: int) -> None:
     missing = [t for t in range(1, top + 1) if t not in tables]
     if missing:
         _fail(f"invalid target file {path}: tables missing for lengths {missing}")
+
+
+def _check_table_budget(path: str, alphabet, top: int) -> None:
+    try:
+        lang.check_table_budget(len(alphabet), top)
+    except ValueError as exc:
+        _fail(f"invalid target file {path}: {exc}")
 
 
 def _check_hankel_sides(alphabet, max_len: int) -> None:
@@ -285,7 +297,8 @@ def cmd_learn_evo(args):
     args.seed = seed
     seed = _resolve_seed(args)
     try:
-        alphabet, tables = _load_target(args.target, int(cfg.get("n_max", 5)))
+        alphabet, tables = _load_target(args.target, int(cfg.get("n_max", 5)),
+                                        exact=True)
         _require_lengths(args.target, tables, max(tables))
         hp = HyperParams(
             mu=int(cfg.get("mu", 30)),
@@ -301,6 +314,7 @@ def cmd_learn_evo(args):
     except (ValueError, TypeError) as exc:
         _fail(f"invalid config {args.config}: {exc}")
     target = [tables[t] for t in sorted(tables)]
+    _check_table_budget(args.target, alphabet, target[:hp.n_max][-1].t)
     space = _space_from_config(alphabet, tables, cfg)
     out = _outdir(args)
     report = evolve(target, space, hp, seed=seed)
@@ -337,7 +351,8 @@ _TEMPLATES = {
 
 def cmd_learn_ansatz(args):
     seed = _resolve_seed(args)
-    alphabet, tables = _load_target(args.target, args.t)
+    alphabet, tables = _load_target(args.target, args.t, exact=True)
+    _check_table_budget(args.target, alphabet, max(tables))
     m = len(alphabet)
     dim_s = args.dim_s
     dim_e = next_power_of_two(m) if args.dim_e is None else args.dim_e
@@ -518,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--optimizer", default="nm", choices=OPTIMIZER_LABELS)
     sp.add_argument("--restarts", type=_positive, default=10)
     sp.add_argument("--budget", type=_positive, default=4000)
-    sp.add_argument("--t", type=int, default=5, help="max corpus window length")
+    sp.add_argument("--t", type=_positive, default=5,
+                    help="max corpus window length")
     sp.add_argument("--dim-s", type=int, default=2, dest="dim_s")
     sp.add_argument("--dim-e", type=int, default=None, dest="dim_e")
     sp.set_defaults(func=cmd_learn_ansatz)

@@ -159,6 +159,13 @@ def forward_levels(step, init, final, lengths) -> list[np.ndarray]:
     return [by_len[t] for t in lengths]
 
 
+def check_table_budget(m: int, t: int) -> None:
+    """Refuse a table of all m**t sequences larger than TABLE_BUDGET."""
+    if m**t > TABLE_BUDGET:
+        raise ValueError(f"table of size {m}^{t} exceeds the supported budget "
+                         f"of {TABLE_BUDGET} sequences")
+
+
 def exact_tables(ops, init, final, lengths) -> dict[int, DistributionTable]:
     """Exact tables for several lengths from one ``forward_probs`` pass over
     one operator per symbol; rounding below zero is clipped to 0."""
@@ -166,10 +173,7 @@ def exact_tables(ops, init, final, lengths) -> dict[int, DistributionTable]:
     if not lengths:
         return {}
     m = len(ops)
-    if m ** max(lengths) > TABLE_BUDGET:
-        raise ValueError(
-            f"table of size {m}^{max(lengths)} exceeds the supported budget"
-        )
+    check_table_budget(m, max(lengths))
     vecs = forward_probs(ops, init, final, lengths)
     return {
         t: DistributionTable(t=t, probs={

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import circuits as qc
 from .circuits import Circuit, GateStack, compile_circuit
-from .lang import (DistributionTable, Sequence, divergence_avg, forward_levels,
-                   table_vector)
+from .lang import (DistributionTable, Sequence, check_table_budget, divergence_avg,
+                   forward_levels, table_vector)
 from .models import QhmmKraus, QhmmUnitary, distribution_tables, to_kraus
 from .optimize import OPTIMIZER_LABELS, ObjectiveSpec, get_optimizer
 
@@ -252,6 +252,22 @@ def _step_offsets(dim_s: int, dim_e: int, symbol_map: tuple[str, ...]):
     return offsets
 
 
+@functools.cache  # keyed by sample count: few keys
+def _dft_rows(size: int) -> np.ndarray:
+    """The real (2(n + 1), S) map from S = 2n + 1 equispaced samples of a
+    real trigonometric polynomial of degree n to its coefficients c_j, as
+    rows (Re c_j, -Im c_j) for j = 0..n with each pair j > 0 doubled: the
+    polynomial at phase phi is e^{ij phi}, viewed as real pairs, times
+    them. Read-only."""
+    j, s = np.arange(size // 2 + 1)[:, None], np.arange(size)
+    turn = 2 * math.pi / size * (j * s % size)
+    rows = np.stack([np.cos(turn), np.sin(turn)], axis=1) * np.where(
+        j > 0, 2.0, 1.0)[:, None] / size
+    rows = rows.reshape(-1, size)
+    rows.setflags(write=False)
+    return rows
+
+
 class ChannelEngine:
     """Parameter vector -> unitary (``GateStack``) -> augmented forward step
     gathered from the unitary -> exact lex-ordered probability vectors from
@@ -266,7 +282,8 @@ class ChannelEngine:
     ``reduceat`` sums them into all m*(N^2 + 1) columns. A (B, P) block of
     parameter vectors runs through the same path with a leading batch axis,
     in runs of at most BLOCK_BYTES, and each row's result equals that
-    vector's alone bit for bit.
+    vector's alone bit for bit. ``line_probs`` gives the probabilities along
+    one angle from one such block.
 
     This is the hot path behind fitness and ansatz cost; the object-based
     route (AnsatzSpec.model / models.distribution_tables) computes the same
@@ -314,6 +331,35 @@ class ChannelEngine:
                 return [np.concatenate(level) for level in zip(*pieces)]
         return self._probs(x, lengths)
 
+    def line_probs(self, x, axis: int, lengths):
+        """The concatenated level probabilities of (P,) parameters x as a
+        function of angle ``axis``, exact up to rounding.
+
+        The angle enters U only as e^{ikt/2} in its own gate's terms
+        (``GateStack.multipliers``), and each step entry is quadratic in U,
+        so a length-L probability is a trigonometric polynomial in t whose
+        frequencies are multiples of g = gcd(k - k')/2 up to L max|k - k'|/2:
+        n_max = L max|k - k'|/2 / g of them, g = 1 for RX, RY, RZ and P and
+        1/2 for CRY and CRZ. One block of S = 2 n_max + 1 equispaced samples
+        over the period 2 pi/g, through ``level_probs``, and one real matmul
+        by their DFT rows give the polynomial's coefficients; the returned
+        function sums them at an angle with no kernel call.
+        """
+        k = self.gates.multipliers[axis]
+        spread, unit = k.max() - k.min(), np.gcd.reduce(k - k.min())
+        n = max(lengths) * spread // unit
+        period, size = 4 * math.pi / unit, 2 * n + 1
+        samples = np.tile(np.asarray(x, dtype=float), (size, 1))
+        samples[:, axis] = period * np.arange(size) / size
+        probs = np.concatenate(self.level_probs(samples, lengths), axis=-1)
+        coef = _dft_rows(size) @ probs
+        phases = 2j * math.pi / period * np.arange(n + 1)
+
+        def at(t: float) -> np.ndarray:
+            return np.exp(phases * (t % period)).view(float) @ coef
+
+        return at
+
     def step(self, x) -> np.ndarray:
         """The (..., N^2, m*(N^2 + 1)) augmented step of
         ``lang.forward_levels`` at (P,) parameters or a (B, P) block."""
@@ -343,23 +389,54 @@ def _sorted_target(target: list[DistributionTable]) -> list[DistributionTable]:
     return sorted(target, key=lambda tab: tab.t)
 
 
-class FitnessEngine:
-    """Compiled fitness of one circuit structure against fixed target tables."""
+@dataclass(frozen=True)
+class TargetLevels:
+    """Target tables in the engine's layout: their lengths in ascending
+    order, their lex-ordered vectors over m symbols concatenated, and where
+    each length starts in that vector."""
 
-    def __init__(self, hyp: Hypothesis, target: list[DistributionTable],
+    n_symbols: int
+    lengths: list
+    vector: np.ndarray
+    starts: np.ndarray
+
+
+def target_levels(target: list[DistributionTable], m: int) -> TargetLevels:
+    """The tables' ``TargetLevels`` over m symbols; a table past
+    ``lang.TABLE_BUDGET`` is refused."""
+    targets = _sorted_target(target)
+    check_table_budget(m, targets[-1].t)
+    vectors = [table_vector(tab, m) for tab in targets]
+    return TargetLevels(m, [tab.t for tab in targets], np.concatenate(vectors),
+                        np.cumsum([0] + [len(v) for v in vectors[:-1]]))
+
+
+class FitnessEngine:
+    """Compiled fitness of one circuit structure against fixed target tables,
+    given as tables or as their ``TargetLevels``, which a search prepares
+    once for all its engines."""
+
+    def __init__(self, hyp: Hypothesis,
+                 target: list[DistributionTable] | TargetLevels,
                  c_q: float = 0.01, c_e: float = 0.01):
         self.engine = hyp.engine()
         self.complexity = complexity(hyp, c_q, c_e)
-        targets = _sorted_target(target)
-        self.lengths = [tab.t for tab in targets]
-        vectors = [table_vector(tab, self.engine.n_symbols) for tab in targets]
-        self.target = np.concatenate(vectors)
-        self.level_starts = np.cumsum([0] + [len(v) for v in vectors[:-1]])
+        m = self.engine.n_symbols
+        if not isinstance(target, TargetLevels):
+            target = target_levels(target, m)
+        elif target.n_symbols != m:
+            raise ValueError(f"target over {target.n_symbols} symbols for a "
+                             f"hypothesis over {m}")
+        self.lengths, self.target = target.lengths, target.vector
+        self.level_starts = target.starts
 
     def divergence(self, x):
         """Average over lengths of the max-divergence; a float for (P,)
         parameters, (B,) values for a (B, P) block."""
-        probs = np.concatenate(self.engine.level_probs(x, self.lengths), axis=-1)
+        return self._divergence(
+            np.concatenate(self.engine.level_probs(x, self.lengths), axis=-1))
+
+    def _divergence(self, probs):
         gaps = np.abs(probs - self.target)
         per_length = np.maximum.reduceat(gaps, self.level_starts, axis=-1)
         return per_length.sum(axis=-1) / len(self.lengths)
@@ -369,6 +446,12 @@ class FitnessEngine:
 
     def neg_fitness(self, x):
         return -self.fitness(x)
+
+    def line(self, x, axis: int):
+        """``neg_fitness`` along angle ``axis`` of (P,) parameters x, as a
+        function of that angle (``ChannelEngine.line_probs``)."""
+        probs = self.engine.line_probs(x, axis, self.lengths)
+        return lambda t: self._divergence(probs(t)) + self.complexity
 
 
 def fitness(
@@ -403,18 +486,20 @@ def fitness_reference(
 
 def optimize_parameters(
     hyp: Hypothesis,
-    target: list[DistributionTable],
+    target: list[DistributionTable] | TargetLevels,
     optimizer_label: str = "nm",
     budget: int = 80,
     c_q: float = 0.01,
     c_e: float = 0.01,
 ) -> Hypothesis:
-    """Lamarckian step: fit all circuit angles, write them back into the
-    genotype, and record the reached fitness."""
+    """Lamarckian step: fit all circuit angles against the target (tables
+    or their ``TargetLevels``), write them back into the genotype, and
+    record the reached fitness."""
     n_par = hyp.circuit.num_parameters
     engine = FitnessEngine(hyp, target, c_q, c_e)
     x0 = np.array([p if p is not None else 0.0 for p in hyp.circuit.parameters()])
-    obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget)
+    obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget,
+                        line=engine.line)
     res = get_optimizer(optimizer_label)(obj, x0)
     tuned = hyp.circuit.with_parameters(res.best_params)
     return replace(hyp, circuit=tuned, fitness=-res.best_value)
@@ -606,7 +691,7 @@ def select_survivors(
 
 def random_hypothesis(
     space: LearnSpace,
-    target: list[DistributionTable],
+    target: list[DistributionTable] | TargetLevels,
     rng: np.random.Generator,
     dists: dict[str, AdaptiveDistribution],
     c_q: float = 0.01,
@@ -661,7 +746,7 @@ def modify_hypothesis(
     tau: float,
     dists: dict[str, AdaptiveDistribution],
     space: LearnSpace,
-    target: list[DistributionTable],
+    target: list[DistributionTable] | TargetLevels,
     rng: np.random.Generator,
     c_q: float = 0.01,
     c_e: float = 0.01,
@@ -736,7 +821,8 @@ def evolve(
     """
     rng = np.random.default_rng(seed)
     dists = default_distributions(space)
-    target = sorted(target, key=lambda tab: tab.t)[: hp.n_max]
+    target = target_levels(sorted(target, key=lambda tab: tab.t)[: hp.n_max],
+                           len(space.alphabet))
 
     pop = [
         random_hypothesis(space, target, rng, dists, hp.c_q, hp.c_e)
@@ -846,12 +932,15 @@ def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
                      budget: int = 4000) -> ObjectiveSpec:
     """The length-weighted squared error of the template's sequence
     probabilities against the target, for (P,) parameters or a (B, P) block
-    of them (one code path, row values equal bit for bit)."""
+    of them (one code path, row values equal bit for bit), and along one
+    angle (``ChannelEngine.line_probs``). A length whose table would pass
+    ``lang.TABLE_BUDGET`` is refused."""
     lengths = sorted({len(seq) for seq, _ in target})
     if not lengths or lengths[0] == 0:
         raise ValueError("target support must be nonempty sequences")
     engine = spec.engine()
     m = engine.n_symbols
+    check_table_budget(m, lengths[-1])
     for seq, _ in target:
         bad = [a for a in seq if not 0 <= a < m]
         if bad:
@@ -866,13 +955,19 @@ def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
     refs = np.array([p for _, p in target], dtype=float)
     weights = np.array([len(seq) for seq, _ in target], dtype=float)
 
-    def cost(x):
-        probs = np.concatenate(engine.level_probs(x, lengths), axis=-1)
+    def value(probs):
         gap = probs.take(at, axis=-1) - refs
         return (weights * gap * gap).sum(axis=-1)
 
+    def cost(x):
+        return value(np.concatenate(engine.level_probs(x, lengths), axis=-1))
+
+    def line(x, axis):
+        probs = engine.line_probs(x, axis, lengths)
+        return lambda t: value(probs(t))
+
     return ObjectiveSpec(arity=spec.circuit.num_parameters, evaluate=cost,
-                         budget=budget)
+                         budget=budget, line=line)
 
 
 def _train_result(res) -> TrainResult:

@@ -4,9 +4,10 @@ Three self-contained families cover the roles of the usual scipy solvers:
 a Nelder-Mead simplex, central-difference gradient descent with backtracking,
 and cyclic coordinate descent with golden-section refinement. Each family is
 a generator body that yields the points it wants evaluated, one point or a
-(B, P) block at a time, and is sent their values; ``_run`` evaluates them
-against the budget. Given an (R, P) array of starts, it runs R fits in
-lockstep, one evaluation of every live fit's asks per tick. The label table
+(B, P) block at a time, or a golden-section point along one axis, and is
+sent their values; ``_run`` evaluates them against the budget. Given an
+(R, P) array of starts, it runs R fits in lockstep, one evaluation of every
+live fit's asks per tick. The label table
 maps the conventional solver labels onto these families so adaptive solver
 selection can keep its full label set.
 """
@@ -15,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Generator, Union
+from typing import Callable, Generator, Optional, Union
 
 import numpy as np
 
-# yields a point or a (B, P) block; is sent its value or the (B,) values
-Body = Generator[np.ndarray, Union[float, np.ndarray], None]
+# yields a point, a (B, P) block or a golden-section point (x, axis, t); is
+# sent its value or the (B,) values
+Body = Generator[Union[np.ndarray, tuple], Union[float, np.ndarray], None]
 
 NM_INITIAL_STEP, NM_VALUE_TOL, NM_DIAMETER_TOL = 0.25, 1e-10, 1e-8
 FD_STEP, FD_EPSILON, FD_GRAD_TOL = 0.5, 1e-5, 1e-7
@@ -30,11 +32,16 @@ COORD_SPAN, COORD_AXIS_TOL, COORD_VALUE_TOL = 1.0, 1e-8, 1e-12
 @dataclass
 class ObjectiveSpec:
     """The function to minimize: ``evaluate`` maps (P,) parameters to their
-    value and a (B, P) block to the (B,) values of its rows."""
+    value and a (B, P) block to the (B,) values of its rows. The optional
+    ``line`` maps (P,) parameters x and an axis j to the function
+    t -> evaluate(x with x[j] = t), equal up to rounding; coordinate search
+    then reads the golden-section points of each axis search from one line
+    instead of evaluating each."""
 
     arity: int
     evaluate: Callable[[np.ndarray], Union[float, np.ndarray]]
     budget: int = 1000
+    line: Optional[Callable[[np.ndarray, int], Callable[[float], float]]] = None
 
     def __post_init__(self):
         if self.arity < 0:
@@ -76,12 +83,37 @@ class _Fit:
     count, incumbent and trace."""
 
     def __init__(self, obj: ObjectiveSpec, x0: np.ndarray, body):
-        self.budget = obj.budget
-        self.points = _requests(obj, x0, body)
-        self.ask = next(self.points)
+        self.budget, self.line = obj.budget, obj.line
+        self.along = None  # (x, line) of the last golden-section search
         self.count = 0
         self.best_x, self.best_f = np.array(x0), math.inf
         self.trace: list[float] = []
+        self.points = _requests(obj, x0, body)
+        self.ask = self._point(next(self.points))
+
+    def _point(self, ask):
+        """The body's next ask for the objective. A golden-section point
+        (x, axis, t) is the point x with x[axis] = t or, when the objective
+        has a line, is read from the line along that axis through x, built
+        once per search (its x, one object for all its points). Each such
+        point is one evaluation, counted, traced and kept as the incumbent
+        like any other."""
+        while isinstance(ask, tuple) and self.count < self.budget:
+            x, axis, t = ask
+            if self.line is None:
+                point = np.array(x)
+                point[axis] = t
+                return point
+            if self.along is None or self.along[0] is not x:
+                self.along = (x, self.line(x, axis))
+            f = float(self.along[1](t))
+            if f < self.best_f:
+                self.best_x, self.best_f = np.array(x), f
+                self.best_x[axis] = t
+            self.trace.append(self.best_f)
+            self.count += 1
+            ask = self.points.send(f)
+        return ask
 
     @property
     def open(self) -> bool:
@@ -103,9 +135,9 @@ class _Fit:
             self.trace.append(self.best_f)
         self.count += len(values)
         if self.ask.ndim == 1:
-            self.ask = self.points.send(values[0])
+            self.ask = self._point(self.points.send(values[0]))
         elif len(values) == len(self.ask):
-            self.ask = self.points.send(np.array(values))
+            self.ask = self._point(self.points.send(np.array(values)))
 
     def result(self) -> OptResult:
         return OptResult(self.best_x, self.best_f, self.count, self.ask is None,
@@ -230,26 +262,23 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _golden(x: np.ndarray, axis: int, a: float, b: float):
     """Golden-section search along one axis of x on [a, b]; returns the
-    best abscissa and its value."""
-
-    def at(t):
-        xt = np.array(x)
-        xt[axis] = t
-        return xt
-
+    best abscissa and its value. Each point t is asked as (x, axis, t), with
+    one copy of x for the whole search, which ``_Fit`` evaluates as a point
+    or reads from the objective's line."""
+    x = np.array(x)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = yield at(c)
-    fd = yield at(d)
+    fc = yield x, axis, c
+    fd = yield x, axis, d
     while abs(b - a) > COORD_AXIS_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = yield at(c)
+            fc = yield x, axis, c
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = yield at(d)
+            fd = yield x, axis, d
     return (c, fc) if fc < fd else (d, fd)
 
 
@@ -271,7 +300,9 @@ def _coordinate_body(x0: np.ndarray) -> Body:
 
 def coordinate_search(obj: ObjectiveSpec, x0) -> OptResult:
     """Cyclic coordinate descent; each axis is refined by golden-section
-    search on a bracket of +-COORD_SPAN around the current point."""
+    search on a bracket of +-COORD_SPAN around the current point. With the
+    objective's ``line``, each axis costs one line and no further objective
+    call; every golden-section point still counts as one evaluation."""
     return _run(obj, x0, _coordinate_body)
 
 

@@ -137,14 +137,21 @@ def test_benchmark_templates_keep_their_fused_factors(monkeypatch, tmp_path):
     assert len(ansatz.market.engine().gates.stack) == 1
 
 
-@pytest.mark.parametrize("fit", ["train_ansatz", "optimize_parameters"])
-def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, monkeypatch,
+@pytest.mark.parametrize("fit,label", [
+    ("train_ansatz", "bfsg"), ("optimize_parameters", "nm"),
+    ("train_ansatz", "cbla"), ("optimize_parameters", "cbla")],
+    ids=["train_ansatz", "optimize_parameters", "train_ansatz-cbla",
+         "optimize_parameters-cbla"])
+def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, label,
+                                                            monkeypatch,
                                                             tmp_path):
     # the prediction table marks ChannelEngine.unitary and level_probs
     # active on ansatz and evolve, and compile_circuit and
     # distribution_tables idle there: a kernel that bypasses unitary, or a
     # fit that compiles or tabulates its circuit, fails here before any
-    # benchmark run
+    # benchmark run. Coordinate search reads its golden-section points from
+    # one line per axis, and each line runs the hooked kernel once on its
+    # block of samples
     import numpy as np
 
     monkeypatch.syspath_prepend(str(TRACING.parent))
@@ -153,7 +160,7 @@ def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, monkeypatch,
     from qhmm import circuits, learning
     from qhmm.circuits import Circuit, GateSpec
 
-    calls = {"objective": 0, "unitary": 0, "level_probs": 0}
+    calls = {"objective": 0, "line": 0, "unitary": 0, "level_probs": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -165,8 +172,12 @@ def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, monkeypatch,
         raise AssertionError("an idle layer ran inside a fit")
 
     spec_type = learning.ObjectiveSpec
-    monkeypatch.setattr(learning, "ObjectiveSpec", lambda arity, evaluate, budget:
-                        spec_type(arity, counted("objective", evaluate), budget))
+
+    def spec(arity, evaluate, budget, line=None):
+        return spec_type(arity, counted("objective", evaluate), budget,
+                         line and counted("line", line))
+
+    monkeypatch.setattr(learning, "ObjectiveSpec", spec)
     for name in ("unitary", "level_probs"):
         monkeypatch.setattr(learning.ChannelEngine, name,
                             counted(name, getattr(learning.ChannelEngine, name)))
@@ -176,7 +187,7 @@ def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, monkeypatch,
 
     if fit == "train_ansatz":
         ansatz = workloads.WORKLOADS["ansatz"](0, tmp_path, lambda: 0)
-        learning.train_ansatz(ansatz.monras, ansatz.monras_target, "bfsg",
+        learning.train_ansatz(ansatz.monras, ansatz.monras_target, label,
                               budget=120, rng=np.random.default_rng(0))
     else:
         evolve = workloads.WORKLOADS["evolve"](0, tmp_path, lambda: 0)
@@ -185,7 +196,11 @@ def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, monkeypatch,
             GateSpec("P", (0,), (0.4,)), GateSpec("CRY", (0, 2), (1.1,)),
             GateSpec("RX", (1,), (2.0,)), GateSpec("CX", (2, 1)))),
             space.dim_s, space.dim_e, space.symbol_map)
-        learning.optimize_parameters(hyp, evolve.targets["gaussian4"], "nm",
-                                     budget=60)
-    assert calls["objective"] > 1
-    assert calls["unitary"] == calls["level_probs"] == calls["objective"], calls
+        learning.optimize_parameters(hyp, evolve.targets["gaussian4"], label,
+                                     budget=60 if label == "nm" else 120)
+    if label == "cbla":  # the start point, then a line per axis search
+        assert calls["objective"] == 1 and calls["line"] > 1, calls
+    else:
+        assert calls["objective"] > 1 and calls["line"] == 0, calls
+    assert (calls["unitary"] == calls["level_probs"]
+            == calls["objective"] + calls["line"]), calls

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -284,6 +285,34 @@ def test_learn_evo_deterministic_outputs(tmp_path):
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+COMPARE = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself(tmp_path):
+    # the byte-identity contract across processes: every command of the
+    # reduced matrix, run twice from the same tree, writes the same files
+    root = COMPARE.parents[1]
+    run = subprocess.run([sys.executable, str(COMPARE), str(root), str(root),
+                          "--out", str(tmp_path), "--quick"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()]
+    assert len(rows) > 20 and {row[0] for row in rows} == {"identical"}
+    assert any(row[1] == "learn-ansatz-cbla/params.json" for row in rows)
+
+
+def test_compare_outputs_verdicts():
+    spec = importlib.util.spec_from_file_location("compare_outputs", COMPARE)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    assert compare.verdict(b"a,1.5\n", b"a,1.5\n") == ("identical", "")
+    assert compare.verdict(b"x 0.5 y 2e-3 0\n", b"x 0.25 y 2e-3 0.0\n") == (
+        "numeric", "max abs 0.25, max rel 0.5")
+    kind, detail = compare.verdict(b"fit 1\nok\n", b"fit 1\nfailed\n")
+    assert kind == "different" and detail.startswith("line 2: 'ok'")
+    assert compare.verdict(b"1,2\n", b"1,2,3\n")[0] == "different"
 
 
 def test_landscape_outputs(tmp_path):
@@ -678,7 +707,11 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
 # corpus target, hankel built every window table up to 2 * --max-len before
 # the side budget refused --max-len, which on a large corpus took hundreds of
 # MB; no case may tabulate a corpus. A --seed of -1 exited 1 from numpy's
-# "expected non-negative integer", and reproduce table2 exited 0 on it
+# "expected non-negative integer", and reproduce table2 exited 0 on it.
+# The learners held every sequence of each target length with no budget:
+# learn-evo with n_max 20 on a binary corpus exited 0 at a 1.43 GB peak,
+# learn-ansatz --t 24 died allocating its levels, and a table of length 13
+# in a CSV target was fitted; learn-ansatz --t 0 was a plain int
 @pytest.mark.parametrize("argv,message", [
     (["hankel", "--target", "{target}", "--max-len", "-1"], "must be >= 0"),
     (["learn-ansatz", "--target", "{target}", "--reps", "-1"], "must be >= 0"),
@@ -709,24 +742,37 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
      "must be >= 0, got -1"),
     (["landscape", "--seed", "-1"], "must be >= 0, got -1"),
     (["reproduce", "table2", "--seed", "-1"], "must be >= 0, got -1"),
+    (["learn-evo", "--target", "{corpus}", "--config", "{config}"],
+     "table of size 2^20 exceeds the supported budget"),
+    (["learn-ansatz", "--target", "{corpus}", "--t", "24"],
+     "table of size 2^24 exceeds the supported budget"),
+    (["learn-ansatz", "--target", "{long}"],
+     "table of size 2^13 exceeds the supported budget"),
+    (["learn-ansatz", "--target", "{target}", "--t", "0"], "must be >= 1, got 0"),
 ], ids=["hankel-max-len", "ansatz-reps", "ansatz-restarts", "ansatz-budget",
         "landscape-steps", "hankel-tol-negative", "hankel-tol-nan",
         "landscape-steps-below-30", "landscape-rates-text",
         "landscape-rates-negative", "hankel-model-max-len-budget",
         "hankel-target-max-len-budget", "hankel-corpus-max-len-budget",
         "distribution-t-budget", "simulate-seed", "ansatz-seed", "evo-seed",
-        "landscape-seed", "reproduce-seed"])
+        "landscape-seed", "reproduce-seed", "evo-n-max-budget",
+        "ansatz-t-budget", "ansatz-csv-budget", "ansatz-t-zero"])
 def test_bad_count_exits_2(argv, message, market_file, tmp_path, capsys,
                            monkeypatch):
     def tabulate(corpus, max_len):
         raise AssertionError("corpus tabulated before the input checks")
 
     monkeypatch.setattr(qhmm.lang, "tables_from_corpus", tabulate)
-    target, _ = quick_learn_evo_inputs(tmp_path)
+    target, config = quick_learn_evo_inputs(tmp_path)
+    config.write_text(json.dumps({"n_max": 20, "dim_s": 2, "dim_e": 2, "mu": 2,
+                                  "lambda": 1, "g_max": 0}))
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("0110100110\n1001011001\n")
+    long = tmp_path / "long.csv"
+    long.write_text("sequence,probability\n0101010101010,1.0\n")
     out = tmp_path / "out"
-    argv = [a.format(target=target, market=market_file, corpus=corpus)
+    argv = [a.format(target=target, market=market_file, corpus=corpus,
+                     config=config, long=long)
             for a in argv]
     if "--seed" not in argv:
         argv += ["--seed", "0"]

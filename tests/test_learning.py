@@ -32,6 +32,7 @@ from qhmm.learning import (
     random_hypothesis,
     select_parents,
     select_survivors,
+    target_levels,
     temperature,
     train_ansatz,
     train_ansatz_restarts,
@@ -122,6 +123,25 @@ def test_fitness_and_reference_refuse_an_empty_target():
             fit(hyp, [])
     with pytest.raises(ValueError, match="at least one distribution table"):
         FitnessEngine(hyp, [])
+
+
+def test_learners_refuse_targets_past_the_table_budget(market_target):
+    # both objectives hold all m**t sequences of each target length; a
+    # length-20 target used to run at a 1.43 GB peak
+    hyp = Hypothesis(circuit=real_amplitudes(2, 1, "linear").with_parameters(
+        [0.3, 1.1]), dim_s=2, dim_e=2, symbol_map=("0", "1"))
+    seq = (0, 1) * 6 + (0,)
+    long = DistributionTable(t=13, probs={seq: 1.0})
+    with pytest.raises(ValueError, match=r"2\^13 exceeds the supported budget"):
+        FitnessEngine(hyp, market_target + [long])
+    with pytest.raises(ValueError, match=r"2\^13 exceeds the supported budget"):
+        ansatz_objective(hyp, [(seq, 1.0)])
+    # a target prepared once for a search must match the hypothesis
+    levels = target_levels(market_target, 2)
+    assert FitnessEngine(hyp, levels).fitness(np.array([0.3, 1.1])) == (
+        FitnessEngine(hyp, market_target).fitness(np.array([0.3, 1.1])))
+    with pytest.raises(ValueError, match="target over 3 symbols"):
+        FitnessEngine(hyp, target_levels(market_target, 3))
 
 
 def test_fitness_two_qubit_gate_term(market_target):
@@ -660,6 +680,87 @@ def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
                 assert all(np.array_equal(p[i], w)
                            for p, w in zip(probs, want_probs))
                 assert divs[i] == want_div and costs[i] == want_cost
+
+
+ANGLE_GATES = sorted(g for g, arity in qc.GATE_ARITY.items() if arity)
+
+
+def _random_gates(rng, n_qubits, count):
+    gates = []
+    for _ in range(count):
+        gate = sorted(qc.GATE_ARITY)[rng.integers(len(qc.GATE_ARITY))]
+        gates.append(_placed(rng, n_qubits, gate))
+    return gates
+
+
+def _placed(rng, n_qubits, gate):
+    if gate in qc.TWO_QUBIT_GATES:
+        qubits = tuple(int(q) for q in rng.choice(n_qubits, 2, replace=False))
+    else:
+        qubits = (int(rng.integers(n_qubits)),)
+    return GateSpec(gate, qubits, tuple(
+        rng.uniform(-8 * np.pi, 8 * np.pi, size=qc.GATE_ARITY[gate])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(ANGLE_GATES),
+       st.sampled_from([2, 4]), st.integers(0, 5))
+def test_line_equals_points_along_each_angle(seed, gate, dim_e, top):
+    # along one angle, every level probability is a trigonometric polynomial
+    # that one block of samples fixes: the line equals direct evaluation at
+    # any angle, for each angle gate between random gates of all 11 types,
+    # and so do both objectives' lines
+    from qhmm.models import block_symbol_map
+
+    rng = np.random.default_rng(seed)
+    n_qubits = 1 + int(math.log2(dim_e))
+    before = _random_gates(rng, n_qubits, int(rng.integers(4)))
+    after = _random_gates(rng, n_qubits, int(rng.integers(4)))
+    circuit = Circuit(n_qubits, tuple(before + [_placed(rng, n_qubits, gate)]
+                                      + after))
+    axis = sum(len(g.params) for g in before)
+    x = np.array(circuit.parameters())
+    model = classical.market_model() if dim_e == 2 else classical.gaussian4_model()
+    symbol_map = block_symbol_map(model.alphabet, dim_e)
+    lengths = list(range(top + 1))
+    tables = [classical.distribution(model, t) for t in lengths]
+    items = [(s, tab.prob(s)) for tab in tables[1:] for s in sorted(tab.probs)]
+    hyp = Hypothesis(circuit, 2, dim_e, symbol_map)
+    engine = hyp.engine()
+    fit = FitnessEngine(hyp, tables, 0.01, 0.01)
+    probs = engine.line_probs(x, axis, lengths)
+    fitness_line = fit.line(x, axis)
+    if items:
+        cost = ansatz_objective(hyp, items)
+        cost_line = cost.line(x, axis)
+    for t in np.r_[x[axis], rng.uniform(-8 * np.pi, 8 * np.pi, size=6)]:
+        xt = x.copy()
+        xt[axis] = t
+        want = np.concatenate(engine.level_probs(xt, lengths))
+        assert np.abs(probs(t) - want).max() <= 1e-13
+        assert abs(fitness_line(t) - fit.neg_fitness(xt)) <= 1e-13
+        if items:
+            assert abs(cost_line(t) - cost.evaluate(xt)) <= 1e-13
+
+
+def test_line_block_size_follows_the_gate():
+    # S = 2L + 1 samples for RX, RY, RZ and P, 4L + 1 for CRY and CRZ
+    rows = []
+    lengths = [1, 2, 3]
+
+    class Counting(ChannelEngine):
+        def level_probs(self, x, lengths):
+            rows.append(len(x))
+            return super().level_probs(x, lengths)
+
+    for gate in ANGLE_GATES:
+        qubits = (0, 1) if gate in qc.TWO_QUBIT_GATES else (1,)
+        circuit = Circuit(2, (GateSpec(gate, qubits, (0.3,)),))
+        engine = Counting(circuit, 2, 2, ("0", "1"),
+                          initial_state("maximally_mixed", 2))
+        engine.line_probs(np.array([0.3]), 0, lengths)
+    assert rows == [4 * 3 + 1 if g in qc.TWO_QUBIT_GATES else 2 * 3 + 1
+                    for g in ANGLE_GATES]
 
 
 @pytest.mark.parametrize("symbol_map", [("0", "1", "2", "3"),

@@ -470,6 +470,44 @@ def test_blocks_are_asked():
     assert _block_spans("coord", "quadratic", 1) == []
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "abs", "rugged", "empty"])
+@pytest.mark.parametrize("budget", [1, 2, 60, 3000])
+def test_coordinate_search_reads_golden_points_from_the_line(kind, budget):
+    # with a line equal to the objective, every golden-section point is read
+    # from one line per axis search: the objective sees only the start, and
+    # the points, values, count, incumbent and trace are the plain run's
+    dim, f, x0 = _seeded_objective(kind, 2)
+    plain, evaluated, read, lines = [], [], [], []
+
+    def line(x, axis):
+        lines.append(axis)
+        base = np.delete(x, axis)
+
+        def at(t):
+            xt = np.array(x)
+            xt[axis] = t
+            assert np.array_equal(np.delete(xt, axis), base)
+            read.append(xt)
+            return f(xt)
+
+        return at
+
+    ref = coordinate_search(ObjectiveSpec(dim, _recording(f, plain), budget), x0)
+    res = coordinate_search(
+        ObjectiveSpec(dim, _recording(f, evaluated), budget, line), x0)
+    assert len(evaluated) == 1
+    got = evaluated + read
+    assert len(got) == len(plain) == res.evaluations == ref.evaluations
+    assert all(np.array_equal(a, b) for a, b in zip(got, plain))
+    assert np.array_equal(res.best_params, ref.best_params)
+    assert (res.best_value, res.converged, res.trace) == (
+        ref.best_value, ref.converged, ref.trace)
+    assert lines == [i % dim for i in range(len(lines))]
+    # a search on a bracket of 2 narrows to 1e-8 in 40 steps after its
+    # first two points
+    assert len(lines) == -(-len(read) // 42)
+
+
 @pytest.mark.parametrize("family", sorted(FROZEN))
 @pytest.mark.parametrize("kind", ["quadratic", "abs", "rugged", "empty"])
 @pytest.mark.parametrize("budget", [1, 9, 200])
