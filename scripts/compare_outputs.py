@@ -9,9 +9,11 @@ tree writes the fixtures with its ``scripts/make_fixture_models.py`` into
 DIR/parent/fixtures and DIR/change/fixtures, which are compared like any
 output; both trees then run every command of the matrix on PARENT's
 fixtures, each command in its own process with that tree's ``src`` on
-PYTHONPATH, and write to DIR/parent/CASE and DIR/change/CASE. A command's
-stdout is kept as CASE/stdout.txt; stderr, which carries timings, is not
-compared.
+PYTHONPATH, and write to DIR/parent/CASE and DIR/change/CASE. A raw
+corpus, two circuit-form models (two and three qubits) and two learn-evo
+configs are written beside the fixtures by this script, so that neither
+tree's code builds them. A command's stdout is kept as CASE/stdout.txt;
+stderr, which carries timings, is not compared.
 
 Every output file gets one line with one verdict:
 
@@ -54,6 +56,26 @@ CIRCUIT_MODEL = {
         {"t": "CX", "q": [0, 1], "p": []},
     ]},
 }
+# a three-qubit circuit-form model: a 2-dim system and a 4-dim emission
+# register, one symbol per emission, angle gates on every qubit
+CIRCUIT3_MODEL = {
+    "type": "unitary", "alphabet": ["a", "b", "c", "d"], "dim_s": 2,
+    "dim_e": 4, "symbol_map": ["a", "b", "c", "d"],
+    "rho0": {"rows": 2, "cols": 2, "re": [0.7, 0.1, 0.1, 0.3],
+             "im": [0.0, 0.2, -0.2, 0.0]},
+    "e0": 0, "reset_mode": "reset", "measured": "emission",
+    "circuit": {"n_qubits": 3, "gates": [
+        {"t": "H", "q": [1], "p": []},
+        {"t": "RY", "q": [0], "p": [0.8]},
+        {"t": "CRY", "q": [0, 2], "p": [1.3]},
+        {"t": "CX", "q": [1, 0], "p": []},
+        {"t": "RZ", "q": [2], "p": [0.5]},
+        {"t": "CRZ", "q": [2, 1], "p": [2.1]},
+        {"t": "RX", "q": [1], "p": [0.3]},
+        {"t": "P", "q": [0], "p": [1.7]},
+        {"t": "CX", "q": [2, 0], "p": []},
+    ]},
+}
 EVO_CONFIGS = {
     "market": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3},
     "gaussian4": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3, "n_max": 3,
@@ -61,9 +83,25 @@ EVO_CONFIGS = {
                   "gate_set": ["X", "Y", "RX", "RY", "P", "CX", "CRY"]},
 }
 MODELS = ["market", "gaussian4", "damping", "monras", "market_quantized",
-          "circuit"]
+          "circuit", "circuit3"]
 # simulate takes classical and unitary-form models only
-SIMULATED = ["market", "gaussian4", "damping", "circuit"]
+SIMULATED = ["market", "gaussian4", "damping", "circuit", "circuit3"]
+
+
+def corpus_lines(count: int = 60, length: int = 16) -> list[str]:
+    """A raw two-symbol corpus from a fixed linear congruential sequence: a
+    symbol repeats the last one unless the generator's top bits say
+    otherwise, so the windows of each length are not uniform."""
+    state, last, lines = 12345, 0, []
+    for _ in range(count):
+        line = []
+        for _ in range(length):
+            state = (state * 1103515245 + 12345) % 2**31
+            if state >> 29 == 0:  # one time in four
+                last = 1 - last
+            line.append("01"[last])
+        lines.append("".join(line))
+    return lines
 
 
 def matrix(quick: bool) -> list[tuple[str, list[str]]]:
@@ -71,6 +109,9 @@ def matrix(quick: bool) -> list[tuple[str, list[str]]]:
     fixtures directory, written as {fx}."""
     model = "{fx}/%s.json"
     market, gauss = "{fx}/market_target.csv", "{fx}/gaussian4_target.csv"
+    # the multi-factor, three-qubit kernel of the Monras fits
+    su2 = ["learn-ansatz", "--target", gauss, "--template",
+           "efficient_su2_rz_rx", "--reps", "3", "--restarts", "2", "--seed", "3"]
     if quick:
         return [
             ("distribution-market", ["distribution", "--model", model % "market",
@@ -85,6 +126,7 @@ def matrix(quick: bool) -> list[tuple[str, list[str]]]:
                                    "--budget", "120", "--seed", "3"]),
             ("learn-evo-market", ["learn-evo", "--target", market, "--config",
                                   "{fx}/evo_market.json"]),
+            ("learn-ansatz-su2-gaussian4", su2 + ["--budget", "40"]),
         ]
     cases = []
     for name in MODELS:
@@ -100,6 +142,14 @@ def matrix(quick: bool) -> list[tuple[str, list[str]]]:
         cases.append((f"quantize-{name}", ["quantize", "--model", model % name]))
     cases.append(("hankel-target", ["hankel", "--target", market,
                                     "--max-len", "2"]))
+    corpus = "{fx}/corpus.txt"
+    cases.append(("hankel-corpus", ["hankel", "--target", corpus,
+                                    "--max-len", "2"]))
+    cases.append(("learn-evo-corpus", ["learn-evo", "--target", corpus,
+                                       "--config", "{fx}/evo_market.json"]))
+    cases.append(("learn-ansatz-corpus", [
+        "learn-ansatz", "--target", corpus, "--t", "3", "--restarts", "2",
+        "--budget", "300", "--seed", "3"]))
     for name, target in (("market", market), ("gaussian4", gauss)):
         cases.append((f"learn-evo-{name}", ["learn-evo", "--target", target,
                                             "--config", f"{{fx}}/evo_{name}.json"]))
@@ -107,6 +157,7 @@ def matrix(quick: bool) -> list[tuple[str, list[str]]]:
         cases.append((f"learn-ansatz-{label}", [
             "learn-ansatz", "--target", market, "--optimizer", label,
             "--restarts", "2", "--budget", "300", "--seed", "3"]))
+    cases.append(("learn-ansatz-su2-gaussian4", su2 + ["--budget", "300"]))
     cases.append(("landscape", ["landscape", "--steps", "40", "--seed", "0"]))
     cases.append(("reproduce-all", ["reproduce", "all", "--seed", "3"]))
     return cases
@@ -116,6 +167,8 @@ def write_fixtures(tree: Path, out: Path) -> None:
     run_in(tree, [str(tree / "scripts" / "make_fixture_models.py"), "--out",
                   str(out)], None, module=False)
     (out / "circuit.json").write_text(json.dumps(CIRCUIT_MODEL, indent=2) + "\n")
+    (out / "circuit3.json").write_text(json.dumps(CIRCUIT3_MODEL, indent=2) + "\n")
+    (out / "corpus.txt").write_text("\n".join(corpus_lines()) + "\n")
     for name, cfg in EVO_CONFIGS.items():
         (out / f"evo_{name}.json").write_text(json.dumps(cfg) + "\n")
 

@@ -176,17 +176,28 @@ def _term_entries(n_qubits: int, gate: str, qubits: tuple[int, ...]):
     return entries
 
 
-def _tree_product(f: np.ndarray) -> np.ndarray:
+def _tree_levels(k: int) -> tuple:
+    """The pairing of ``_tree_product`` for k >= 1 factors: per level, the
+    slices of its upper and lower neighbours and whether the factor at the
+    top of the level is left over (an odd level)."""
+    levels = []
+    while k > 1:
+        pairs = k // 2
+        levels.append((slice(1, 2 * pairs, 2), slice(0, 2 * pairs, 2), k % 2 == 1))
+        k = pairs
+    return tuple(levels)
+
+
+def _tree_product(f: np.ndarray, levels: tuple) -> np.ndarray:
     """G_k ... G_1 of a (k, ..., D, D) stack, k >= 1, the first factor
-    acting first, multiplied as a pairwise tree: neighbours are paired level
-    by level, and the factor left over at the top of an odd level is
-    multiplied in at the end."""
+    acting first, multiplied as a pairwise tree (``_tree_levels(k)``):
+    neighbours are paired level by level, and the factor left over at the
+    top of an odd level is multiplied in at the end."""
     left = []
-    while len(f) > 1:
-        if len(f) % 2:
+    for upper, lower, odd in levels:
+        if odd:
             left.append(f[-1])
-            f = f[:-1]
-        f = f[1::2] @ f[0::2]
+        f = f[upper] @ f[lower]
     u = f[0]
     for g in reversed(left):
         u = g @ u
@@ -267,6 +278,11 @@ class GateStack:
                 self.phases[angle[gates, None], f * width + np.arange(len(table))] = (
                     half[np.array(start)[gates, None] + digits[::-1]])
         self.tables = self.stack.reshape(len(tables), width, d * d)
+        # a call's shapes after its leading axes: the coefficients as rows
+        # of each factor's table, then the factors
+        self.coef_shape = (len(tables), 1, width)
+        self.factor_shape = (len(tables), d, d)
+        self.levels = _tree_levels(len(tables))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -275,10 +291,12 @@ class GateStack:
                 f"expected {self.n_params} angles or rows of them, "
                 f"got shape {x.shape}"
             )
-        lead, (k, width) = x.shape[:-1], self.stack.shape[:2]
         coef = np.exp(1j * (x[..., None, :] @ self.phases))
-        f = coef.reshape(lead + (k, 1, width)) @ self.tables
-        return _tree_product(f.reshape(lead + (k, self.dim, self.dim)).swapaxes(0, -3))
+        lead = x.shape[:-1]
+        f = (coef.reshape(lead + self.coef_shape) @ self.tables).reshape(
+            lead + self.factor_shape)
+        # a block's (B, k, D, D) rows of factors are multiplied as (k, B, D, D)
+        return _tree_product(f.swapaxes(0, 1) if lead else f, self.levels)
 
 
 def compile_circuit(c: Circuit) -> np.ndarray:

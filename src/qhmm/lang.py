@@ -135,28 +135,28 @@ def forward_levels(step, init, final, lengths) -> list[np.ndarray]:
     probabilities, every symbol at once, both as views of the product: no
     operator chain is re-multiplied and no level is copied. The last level
     takes the effect columns alone, and its states are never expanded.
+    ``lengths`` is a list or tuple, in any order and with repeats allowed.
     """
-    lengths = [int(t) for t in lengths]
     if not lengths:
         return []
-    if min(lengths) < 0:
+    top, low = max(lengths), min(lengths)
+    if low < 0:
         raise ValueError("sequence lengths must be >= 0")
     lead, d = step.shape[:-2], step.shape[-2]
     m = step.shape[-1] // (d + 1)
     states = np.asarray(init)[..., None, :]  # (..., m**t, D) at level t
-    by_len: dict[int, np.ndarray] = {}
-    if 0 in lengths:  # the empty sequence, once per operator stack
-        by_len[0] = np.zeros(lead + (1,)) + (states @ final).real
-    top = max(lengths)
+    levels = [None] * (top + 1)  # the probabilities of each length asked for
+    if not low:  # the empty sequence, once per operator stack
+        levels[0] = np.zeros(lead + (1,)) + (states @ final).real
     for t in range(1, top):
         rows = (states @ step).reshape(lead + (m**t, d + 1))
         if t in lengths:
-            by_len[t] = rows[..., d].real
+            levels[t] = rows[..., d].real
         states = rows[..., :d]
     if top:
         effects = np.ascontiguousarray(step[..., d::d + 1])
-        by_len[top] = (states @ effects).reshape(lead + (m**top,)).real
-    return [by_len[t] for t in lengths]
+        levels[top] = (states @ effects).reshape(lead + (m**top,)).real
+    return [levels[t] for t in lengths]
 
 
 def check_table_budget(m: int, t: int) -> None:

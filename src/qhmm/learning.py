@@ -302,6 +302,7 @@ class ChannelEngine:
         self.n_symbols = len(symbol_order(symbol_map))
         self.left, self.right, self.sums = _step_offsets(
             dim_s, dim_e, tuple(symbol_map))
+        self.flat_shape = (self.gates.dim**2,)  # U's entries, row-major
         # bytes of all that one row allocates: the phases (reals), their
         # complex form and the coefficients, the factors and their tree
         # product, the two gathers, the conjugate and the augmented step
@@ -326,10 +327,11 @@ class ChannelEngine:
                                          * (self.dim_s**2 + 1))
             runs = min(len(x), -(-len(x) * row // BLOCK_BYTES))
             if runs > 1:
-                pieces = [self._probs(rows, lengths)
+                pieces = [forward_levels(self.step(rows), self.rho0, self.trace,
+                                         lengths)
                           for rows in np.array_split(x, runs)]
                 return [np.concatenate(level) for level in zip(*pieces)]
-        return self._probs(x, lengths)
+        return forward_levels(self.step(x), self.rho0, self.trace, lengths)
 
     def line_probs(self, x, axis: int, lengths):
         """The concatenated level probabilities of (P,) parameters x as a
@@ -364,13 +366,10 @@ class ChannelEngine:
         """The (..., N^2, m*(N^2 + 1)) augmented step of
         ``lang.forward_levels`` at (P,) parameters or a (B, P) block."""
         u = self.unitary(x)
-        flat = u.reshape(u.shape[:-2] + (u.shape[-1] ** 2,))
+        flat = u.reshape(u.shape[:-2] + self.flat_shape)
         terms = flat.take(self.left, axis=-1)
         terms *= flat.take(self.right, axis=-1).conj()
         return np.add.reduceat(terms, self.sums, axis=-1)
-
-    def _probs(self, x, lengths) -> list[np.ndarray]:
-        return forward_levels(self.step(x), self.rho0, self.trace, lengths)
 
 
 # --- fitness ------------------------------------------------------------------
@@ -439,13 +438,14 @@ class FitnessEngine:
     def _divergence(self, probs):
         gaps = np.abs(probs - self.target)
         per_length = np.maximum.reduceat(gaps, self.level_starts, axis=-1)
-        return per_length.sum(axis=-1) / len(self.lengths)
+        return np.add.reduce(per_length, axis=-1) / len(self.lengths)
 
     def fitness(self, x):
         return -(self.divergence(x) + self.complexity)
 
     def neg_fitness(self, x):
-        return -self.fitness(x)
+        """-fitness, bit for bit: divergence plus complexity."""
+        return self.divergence(x) + self.complexity
 
     def line(self, x, axis: int):
         """``neg_fitness`` along angle ``axis`` of (P,) parameters x, as a
@@ -957,7 +957,7 @@ def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
 
     def value(probs):
         gap = probs.take(at, axis=-1) - refs
-        return (weights * gap * gap).sum(axis=-1)
+        return np.add.reduce(weights * gap * gap, axis=-1)
 
     def cost(x):
         return value(np.concatenate(engine.level_probs(x, lengths), axis=-1))

@@ -68,19 +68,10 @@ class OptResult:
     best_fit: int = 0
 
 
-def _requests(obj: ObjectiveSpec, x0: np.ndarray, body):
-    """The points the body asks for, then ``None`` once it returns; with no
-    parameters, x0 alone."""
-    if obj.arity:
-        yield from body(x0)
-    else:
-        yield x0
-    yield None
-
-
 class _Fit:
-    """One body driven against the budget: its pending ask, evaluation
-    count, incumbent and trace."""
+    """One body driven against the budget: its pending ask (``None`` once
+    the body returned), evaluation count, incumbent and trace. A fit with
+    no parameters asks for x0 alone and runs no body."""
 
     def __init__(self, obj: ObjectiveSpec, x0: np.ndarray, body):
         self.budget, self.line = obj.budget, obj.line
@@ -88,17 +79,31 @@ class _Fit:
         self.count = 0
         self.best_x, self.best_f = np.array(x0), math.inf
         self.trace: list[float] = []
-        self.points = _requests(obj, x0, body)
-        self.ask = self._point(next(self.points))
+        if obj.arity:
+            self.points = body(x0)
+            self.ask = self._send(None)
+        else:
+            self.points, self.ask = None, x0
+
+    def _send(self, value):
+        """The body's next ask once it is sent ``value`` (``None`` starts
+        it), through ``_point``; ``None`` once the body returned, and at once
+        for a fit with no parameters."""
+        if self.points is None:
+            return None
+        try:
+            return self._point(self.points.send(value))
+        except StopIteration:
+            return None
 
     def _point(self, ask):
-        """The body's next ask for the objective. A golden-section point
-        (x, axis, t) is the point x with x[axis] = t or, when the objective
-        has a line, is read from the line along that axis through x, built
-        once per search (its x, one object for all its points). Each such
-        point is one evaluation, counted, traced and kept as the incumbent
-        like any other."""
-        while isinstance(ask, tuple) and self.count < self.budget:
+        """The body's next ask for the objective; a plain ask as it is. A
+        golden-section point (x, axis, t) is the point x with x[axis] = t
+        or, when the objective has a line, is read from the line along that
+        axis through x, built once per search (its x, one object for all its
+        points). Each such point is one evaluation, counted, traced and kept
+        as the incumbent like any other."""
+        while type(ask) is tuple and self.count < self.budget:
             x, axis, t = ask
             if self.line is None:
                 point = np.array(x)
@@ -124,20 +129,30 @@ class _Fit:
         rows = self.ask if self.ask.ndim == 2 else self.ask[None]
         return rows[:self.budget - self.count]
 
+    def tell_point(self, value) -> None:
+        """Record the value of the asked point."""
+        f = float(value)
+        if f < self.best_f:
+            self.best_x, self.best_f = np.array(self.ask, dtype=float), f
+        self.trace.append(self.best_f)
+        self.count += 1
+        self.ask = self._send(f)
+
     def tell(self, rows, values) -> None:
         """Record the values of the asked rows (all of them, or the block
         that the budget left room for); the body hears them once its whole
-        ask is evaluated."""
+        ask is evaluated. An asked point, as one row, is told as a point."""
+        if self.ask.ndim == 1:
+            self.tell_point(values[0])
+            return
         values = [float(f) for f in values]
         for x, f in zip(rows, values):
             if f < self.best_f:
                 self.best_x, self.best_f = np.array(x, dtype=float), f
             self.trace.append(self.best_f)
         self.count += len(values)
-        if self.ask.ndim == 1:
-            self.ask = self._point(self.points.send(values[0]))
-        elif len(values) == len(self.ask):
-            self.ask = self._point(self.points.send(np.array(values)))
+        if len(values) == len(self.ask):
+            self.ask = self._send(np.array(values))
 
     def result(self) -> OptResult:
         return OptResult(self.best_x, self.best_f, self.count, self.ask is None,
@@ -151,18 +166,22 @@ def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResul
     for a point past the budget. A block is cut where the budget ends, so
     the count, the incumbent and the flag are those of asking its rows one
     by one. The best point evaluated is returned either way. An (R, P) x0
-    runs R fits in lockstep (see ``OptResult``).
+    runs R fits in lockstep (see ``OptResult``). A start whose last axis is
+    not the objective's arity is refused.
     """
     x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2) or x0.shape[-1] != obj.arity:
+        raise ValueError(f"the objective takes {obj.arity} parameters, but "
+                         f"the start has shape {x0.shape}")
     if x0.ndim == 2:
         return _lockstep(obj, x0, body)
-    fit = _Fit(obj, x0, body)
+    fit, evaluate = _Fit(obj, x0, body), obj.evaluate
     while fit.open:
         if fit.ask.ndim == 1:
-            fit.tell((fit.ask,), (obj.evaluate(fit.ask),))
+            fit.tell_point(evaluate(fit.ask))
         else:
             rows = fit.block()
-            fit.tell(rows, obj.evaluate(rows))
+            fit.tell(rows, evaluate(rows))
     return fit.result()
 
 
@@ -182,19 +201,19 @@ def _lockstep(obj: ObjectiveSpec, starts: np.ndarray, body) -> OptResult:
 
 
 def _nelder_mead_body(x0: np.ndarray) -> Body:
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    gamma, rho, sigma = 2.0, 0.5, 0.5
     n = len(x0)
     simplex = np.tile(x0, (n + 1, 1))
     simplex[np.arange(1, n + 1), np.arange(n)] += NM_INITIAL_STEP
     values = yield simplex
     while True:
-        order = np.argsort(values)
-        simplex, values = simplex[order], values[order]
+        order = values.argsort()
+        simplex, values = simplex.take(order, 0), values[order]
         if (values[-1] - values[0] < NM_VALUE_TOL and np.linalg.norm(
                 simplex[1:] - simplex[0], axis=1).max() < NM_DIAMETER_TOL):
             return
-        centroid = simplex[:-1].sum(axis=0) / n  # np.mean's arithmetic
-        xr = centroid + alpha * (centroid - simplex[-1])
+        centroid = np.add.reduce(simplex[:-1], 0) / n  # np.mean's arithmetic
+        xr = centroid + (centroid - simplex[-1])  # alpha = 1
         fr = yield xr
         if fr < values[0]:
             xe = centroid + gamma * (xr - centroid)

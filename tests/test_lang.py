@@ -16,6 +16,7 @@ from qhmm.lang import (
     divergence_max,
     empirical_estimate,
     enumerate_sequences,
+    forward_levels,
     forward_probs,
     hankel,
     hankel_blocks,
@@ -99,6 +100,37 @@ def test_forward_probs_order_and_empty_length(market):
     assert forward_probs(ops, market.x0, np.ones(market.n), []) == []
     with pytest.raises(ValueError):
         forward_probs(ops, market.x0, np.ones(market.n), [-1])
+
+
+@pytest.mark.parametrize("lengths", [[2, 0, 2, 1], [3, 3], [0, 0], [1, 3, 0, 2, 1]])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["point", "block"])
+def test_forward_levels_repeated_unsorted_and_zero_lengths(lengths, lead):
+    # a repeated, unsorted or zero length changes no bit: each vector is the
+    # one its length gets among the sorted distinct lengths, and a stack's
+    # rows are their operators' vectors alone. The deepest length and length
+    # 0 are also the single-length call's bits; a shallower level is read
+    # from the full augmented product, which BLAS may round differently
+    # from the deepest level's effect columns alone
+    rng = np.random.default_rng(sum(lengths) + len(lead))
+    m, d = 3, 4
+    ops = rng.normal(size=lead + (m, d, d)) + 1j * rng.normal(size=lead + (m, d, d))
+    step = rng.normal(size=lead + (d, m * (d + 1))) + 0j
+    init, final = rng.normal(size=d) + 0j, rng.normal(size=d) + 0j
+    distinct = sorted(set(lengths))
+    for run, stack in ((forward_probs, ops), (forward_levels, step)):
+        vecs = run(stack, init, final, lengths)
+        assert [v.shape for v in vecs] == [lead + (m**t,) for t in lengths]
+        by_len = dict(zip(distinct, run(stack, init, final, distinct)))
+        for t, vec in zip(lengths, vecs):
+            assert np.array_equal(vec, by_len[t])
+            alone = run(stack, init, final, [t])[0]
+            if t in (0, max(lengths)):
+                assert np.array_equal(vec, alone)
+            else:
+                assert np.allclose(vec, alone, rtol=1e-12, atol=1e-12)
+        for i in range(lead[0] if lead else 0):
+            rows = run(stack[i], init, final, lengths)
+            assert all(np.array_equal(v[i], w) for v, w in zip(vecs, rows))
 
 
 def test_hankel_construction_oracle(damping_qhmm):

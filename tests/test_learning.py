@@ -639,9 +639,10 @@ BATCH_SIZES = (1, 2, 7, 36)
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4]), st.integers(0, 16))
 def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
-    # a point's level probabilities, divergence and ansatz cost are the same
-    # bits alone as at any position of a block, over random circuits of all
-    # 11 gate types; the empty sequence is a level of the divergence
+    # a point's level probabilities, divergence, neg_fitness and ansatz cost
+    # are the same bits alone as at any position of a block, over random
+    # circuits of all 11 gate types, and neg_fitness is -fitness bit for bit;
+    # the empty sequence is a level of the divergence
     from qhmm.models import block_symbol_map
 
     rng = np.random.default_rng(seed)
@@ -665,21 +666,25 @@ def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
     fit = FitnessEngine(Hypothesis(template, 2, dim_e, symbol_map), tables)
     cost = ansatz_objective(AnsatzSpec(template, 2, dim_e, symbol_map), items)
     points = rng.uniform(0.0, 8 * np.pi, size=(36, template.num_parameters))
-    alone = [(engine.level_probs(x, lengths), fit.divergence(x), cost.evaluate(x))
-             for x in points]
+    alone = [(engine.level_probs(x, lengths), fit.divergence(x), cost.evaluate(x),
+              fit.neg_fitness(x)) for x in points]
+    assert all(neg == -fit.fitness(x) for x, (*_, neg) in zip(points, alone))
     for size in BATCH_SIZES:
         for shift in (0, int(rng.integers(36))):
             rows = np.roll(points, -shift, axis=0)[:size]
             probs = engine.level_probs(rows, lengths)
             divs, costs = fit.divergence(rows), cost.evaluate(rows)
-            assert divs.shape == costs.shape == (size,)
+            negs = fit.neg_fitness(rows)
+            assert divs.shape == costs.shape == negs.shape == (size,)
+            assert np.array_equal(negs, -fit.fitness(rows))
             assert [p.shape for p in probs] == [
                 (size, engine.n_symbols**t) for t in lengths]
             for i in range(size):
-                want_probs, want_div, want_cost = alone[(i + shift) % 36]
+                want_probs, want_div, want_cost, want_neg = alone[(i + shift) % 36]
                 assert all(np.array_equal(p[i], w)
                            for p, w in zip(probs, want_probs))
                 assert divs[i] == want_div and costs[i] == want_cost
+                assert negs[i] == want_neg
 
 
 ANGLE_GATES = sorted(g for g, arity in qc.GATE_ARITY.items() if arity)

@@ -83,6 +83,24 @@ def test_zero_arity_returns_x0():
         assert res.converged
 
 
+@pytest.mark.parametrize("opt", ALL_OPTIMIZERS)
+@pytest.mark.parametrize("arity,shape", [(3, (2,)), (0, (4,)), (2, (3,)),
+                                         (3, (2, 5)), (0, (2, 1)), (1, ()),
+                                         (2, (2, 2, 2))])
+def test_start_must_match_the_arity(opt, arity, shape):
+    # a start whose last axis is not the arity used to run a fit of its own
+    # size (or, with no parameters, to evaluate it); it is refused before
+    # any evaluation, naming both sizes
+    seen = []
+    obj = ObjectiveSpec(arity=arity, evaluate=lambda x: seen.append(x) or 0.0,
+                        budget=50)
+    with pytest.raises(ValueError) as err:
+        opt(obj, np.ones(shape))
+    assert f"takes {arity} parameters" in str(err.value)
+    assert f"shape {shape}" in str(err.value)
+    assert seen == []
+
+
 def test_coordinate_search_separable_quadratic():
     obj = ObjectiveSpec(
         arity=3,
