@@ -9,7 +9,6 @@ unitary indexes as s*M + e without permutation.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -230,59 +229,42 @@ class GateStack:
     def __init__(self, c: Circuit):
         n, d = c.n_qubits, 2**c.n_qubits
         self.dim, self.n_params = d, c.num_parameters
-        mults = [_GATE_TERMS[g.gate][0] for g in c.gates]
-        self.multipliers = tuple(k for g, k in zip(c.gates, mults)
-                                 for _ in g.params)
-        count = [len(k) for k in mults]
-        start = list(itertools.accumulate(count, initial=0))
-        # gates per factor: a new factor starts at the angle gate that would
-        # take the current table past the budget
-        budget, groups, size = max(3, FACTOR_ENTRIES // (d * d)), [[]], 1
-        for i, g in enumerate(c.gates):
-            if g.params and size > 1 and size * count[i] > budget:
-                groups.append([])
-                size = 1
-            groups[-1].append(i)
-            size *= count[i]
-        # every term of every gate as D rows of one (terms * D, D) stack
-        rows = np.zeros((start[-1] * d, d), dtype=np.complex128)
-        if c.gates:
-            at, values = zip(*(_term_entries(n, g.gate, g.qubits) for g in c.gates))
-            shift = np.repeat(np.array(start[:-1]) * d * d, [len(a) for a in at])
-            rows.reshape(-1)[shift + np.concatenate(at)] = np.concatenate(values)
-        # each table as (D, T*D), [i, t*D + j] = entry t's [i, j]: a gate's
-        # terms multiply every entry in one matmul, the last gate's term the
-        # most significant digit of the entry index
-        tables = []
-        for group in groups:
-            table = np.eye(d, dtype=np.complex128)
-            for i in group:
-                table = rows[start[i] * d:start[i + 1] * d] @ table
-                if count[i] > 1:
-                    table = table.reshape(count[i], d, -1).swapaxes(0, 1).reshape(d, -1)
-            tables.append(table.reshape(d, -1, d).swapaxes(0, 1))
-        width = max(len(table) for table in tables)
-        self.stack = np.zeros((len(tables), width, d, d), dtype=np.complex128)
-        self.phases = np.zeros((self.n_params, len(tables) * width))
-        # factor f's entry e takes from each of its angle gates the term
-        # whose index is that gate's digit of e, and with it k/2 of the
-        # gate's angle
-        half = np.concatenate([np.zeros(0)] + mults) / 2
-        angle = np.cumsum([0] + [len(g.params) for g in c.gates])
-        for f, (table, group) in enumerate(zip(tables, groups)):
-            self.stack[f, :len(table)] = table
-            gates = np.array([i for i in group if count[i] > 1], dtype=int)
-            if len(gates):
-                digits = np.unravel_index(np.arange(len(table)),
-                                          [count[i] for i in reversed(gates)])
-                self.phases[angle[gates, None], f * width + np.arange(len(table))] = (
-                    half[np.array(start)[gates, None] + digits[::-1]])
-        self.tables = self.stack.reshape(len(tables), width, d * d)
+        budget, eye = max(3, FACTOR_ENTRIES // (d * d)), np.eye(d, dtype=np.complex128)
+        # per factor, its table as (D, T*D), [i, t*D + j] = entry t's [i, j],
+        # and its (P, T) phase multiples; a new factor starts at the angle
+        # gate that would take the current table past the budget
+        factors, table, phase, mults = [], eye, np.zeros((self.n_params, 1)), []
+        for g in c.gates:
+            ks = _GATE_TERMS[g.gate][0]
+            if g.params and 1 < phase.shape[1] and phase.shape[1] * len(ks) > budget:
+                factors.append((table, phase))
+                table, phase = eye, np.zeros((self.n_params, 1))
+            # the gate's terms as D rows each multiply every entry in one
+            # matmul; an angle gate's terms become the most significant digit
+            # of the entry index, each taking k/2 of its angle into its entries
+            at, values = _term_entries(n, g.gate, g.qubits)
+            rows = np.zeros((len(ks) * d, d), dtype=np.complex128)
+            rows.reshape(-1)[at] = values
+            table = rows @ table
+            if g.params:
+                table = table.reshape(len(ks), d, -1).swapaxes(0, 1).reshape(d, -1)
+                phase = np.concatenate([phase] * len(ks), axis=1)
+                phase.reshape(self.n_params, len(ks), -1)[len(mults)] += ks[:, None] / 2
+                mults.append(ks)
+        factors.append((table, phase))
+        self.multipliers = tuple(mults)
+        width = max(phase.shape[1] for _, phase in factors)
+        self.stack = np.zeros((len(factors), width, d, d), dtype=np.complex128)
+        self.phases = np.zeros((self.n_params, len(factors) * width))
+        for f, (table, phase) in enumerate(factors):
+            self.stack[f, :phase.shape[1]] = table.reshape(d, -1, d).swapaxes(0, 1)
+            self.phases[:, f * width:f * width + phase.shape[1]] = phase
+        self.tables = self.stack.reshape(len(factors), width, d * d)
         # a call's shapes after its leading axes: the coefficients as rows
         # of each factor's table, then the factors
-        self.coef_shape = (len(tables), 1, width)
-        self.factor_shape = (len(tables), d, d)
-        self.levels = _tree_levels(len(tables))
+        self.coef_shape = (len(factors), 1, width)
+        self.factor_shape = (len(factors), d, d)
+        self.levels = _tree_levels(len(factors))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -64,7 +64,11 @@ def _positive_float(text: str) -> float:
 
 
 def _rates(text: str) -> list[float]:
-    return [_positive_float(r) for r in text.split(",")]
+    rates = [_positive_float(r) for r in text.split(",")]
+    for i, rate in enumerate(rates):
+        if rate in rates[:i]:  # by value: 0.1 and 0.10 are one rate
+            raise argparse.ArgumentTypeError(f"rate {rate} is repeated in {text}")
+    return rates
 
 
 def _outdir(args) -> Path:
@@ -255,30 +259,56 @@ def cmd_quantize(args):
     return 0
 
 
+# the learn-evo config keys, each with the kind of JSON value it takes; any
+# other key, or a value of another kind, exits 2
+_JSON_KINDS = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "list of strings": lambda v: (isinstance(v, list)
+                                  and all(isinstance(n, str) for n in v)),
+}
+_EVO_CONFIG = {
+    **dict.fromkeys(("mu", "lambda", "prog_window", "g_max", "n_max", "min_gates",
+                     "max_gates", "opt_budget", "dim_s", "dim_e", "seed"), "integer"),
+    **dict.fromkeys(("gamma", "target_fitness", "c_q", "c_e"), "number"),
+    **dict.fromkeys(("gate_set", "optimizers"), "list of strings"),
+    "rho0_kind": "string",
+}
+
+
+def _check_config(cfg: dict, path: str) -> None:
+    for key, value in cfg.items():
+        if key not in _EVO_CONFIG:
+            _fail(f"invalid config {path}: unknown key {key!r}; the keys are "
+                  f"{', '.join(sorted(_EVO_CONFIG))}")
+        if not _JSON_KINDS[_EVO_CONFIG[key]](value):
+            _fail(f"invalid config {path}: {key} must be a JSON "
+                  f"{_EVO_CONFIG[key]}, got {value!r}")
+    if cfg.get("seed", 0) < 0:
+        _fail(f"invalid config {path}: seed must be >= 0, got {cfg['seed']}")
+
+
 def _space_from_config(alphabet, tables, cfg: dict) -> LearnSpace:
     m = len(alphabet)
     try:
-        for key in ("gate_set", "optimizers"):
-            names = cfg.get(key, [])
-            if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-                raise ValueError(f"{key} must be a JSON list of strings, got {names!r}")
         if "dim_s" in cfg:
-            dim_s = int(cfg["dim_s"])
+            dim_s = cfg["dim_s"]
         else:  # the Hankel estimate, which the side budget may refuse
             max_ps = max(t for t in tables) // 2 or 1
             h = lang.hankel_from_tables(tables, max_ps, max_ps, m)
             dim_s = max(lang.order_estimate(h).quantum_dim, 2)
-        dim_e = int(cfg.get("dim_e", next_power_of_two(m)))
+        dim_e = cfg.get("dim_e", next_power_of_two(m))
         return LearnSpace(
             alphabet=alphabet,
             dim_s=dim_s,
             dim_e=dim_e,
             gate_set=tuple(cfg.get("gate_set", ("X", "Y", "RX", "RY", "CX", "CRY"))),
-            min_gates=int(cfg.get("min_gates", 3)),
-            max_gates=int(cfg.get("max_gates", 12)),
+            min_gates=cfg.get("min_gates", 3),
+            max_gates=cfg.get("max_gates", 12),
             rho0_kind=cfg.get("rho0_kind", "maximally_mixed"),
             optimizers=tuple(cfg.get("optimizers", ("nm", "cbla", "bfsg"))),
-            opt_budget=int(cfg.get("opt_budget", 70)),
+            opt_budget=cfg.get("opt_budget", 70),
         )
     except ValueError as exc:
         _fail(f"invalid learning space: {exc}")
@@ -293,25 +323,26 @@ def cmd_learn_evo(args):
             _fail(f"cannot read config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             _fail(f"invalid config {args.config}: expected a JSON object")
+        _check_config(cfg, args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     args.seed = seed
     seed = _resolve_seed(args)
     try:
-        alphabet, tables = _load_target(args.target, int(cfg.get("n_max", 5)),
+        alphabet, tables = _load_target(args.target, cfg.get("n_max", 5),
                                         exact=True)
         _require_lengths(args.target, tables, max(tables))
         hp = HyperParams(
-            mu=int(cfg.get("mu", 30)),
-            lam=int(cfg.get("lambda", 10)),
+            mu=cfg.get("mu", 30),
+            lam=cfg.get("lambda", 10),
             gamma_bandit=float(cfg.get("gamma", 0.3)),
-            prog_window=int(cfg.get("prog_window", 10)),
-            g_max=int(cfg.get("g_max", 60)),
+            prog_window=cfg.get("prog_window", 10),
+            g_max=cfg.get("g_max", 60),
             target_fitness=float(cfg.get("target_fitness", -0.01)),
             c_q=float(cfg.get("c_q", 0.01)),
             c_e=float(cfg.get("c_e", 0.01)),
-            n_max=int(cfg.get("n_max", min(7, max(tables)))),
+            n_max=cfg.get("n_max", min(7, max(tables))),
         )
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         _fail(f"invalid config {args.config}: {exc}")
     target = [tables[t] for t in sorted(tables)]
     _check_table_budget(args.target, alphabet, target[:hp.n_max][-1].t)

@@ -240,12 +240,10 @@ def _step_offsets(dim_s: int, dim_e: int, symbol_map: tuple[str, ...]):
         starts.append(size + k * np.arange(n * n + 1))
         size += k * n * (n + 1)
     r, r2, e = np.concatenate(terms, axis=1)
-    # K_e[r, c] = U[r*dim_e + e, c*dim_e]
-    cols, shape = np.arange(n) * dim_e, (n, n, size)  # (c, c', product)
-    offsets = (np.broadcast_to(((r * dim_e + e) * n * dim_e)[None, None, :]
-                               + cols[:, None, None], shape).reshape(n * n, -1),
-               np.broadcast_to(((r2 * dim_e + e) * n * dim_e)[None, None, :]
-                               + cols[None, :, None], shape).reshape(n * n, -1),
+    # K_e[r, c] = U[r*dim_e + e, c*dim_e]; row c*N + c' takes c and c'
+    cols = np.arange(n) * dim_e
+    offsets = (np.repeat(cols, n)[:, None] + (r * dim_e + e) * n * dim_e,
+               np.tile(cols, n)[:, None] + (r2 * dim_e + e) * n * dim_e,
                np.concatenate(starts))
     for a in offsets:
         a.setflags(write=False)

@@ -644,7 +644,11 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
 # 1 beside the market's dim_e 2) exited 1 after --out was made, even with only
 # single-qubit gates; a NaN c_q did the same, a negative c_e gave a positive
 # fitness and reached the target at once, and a NaN target_fitness exited 0
-# without a generation, as did a negative g_max or prog_window
+# without a generation, as did a negative g_max or prog_window. A config key
+# outside the documented set was ignored ("lamda" ran with lambda 10); a
+# config seed of -1, 1.5 or "7" exited 1 after --out was made, and true ran
+# and wrote "seed": true; int() and float() turned "mu": 2.7 into 2, "mu":
+# "30" into 30, a bool into 0 or 1 and "gamma": "0.3" into 0.3
 @pytest.mark.parametrize("flags,config,message", [
     (["--dim-s", "3"], None, "power of two"),
     (["--dim-e", "1"], None, "smaller than the alphabet"),
@@ -657,7 +661,7 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
     (None, {"gate_set": ["X", "CX", "SWAP"]}, "unknown gate types ['SWAP']"),
     (None, {"optimizers": ["nm", "foo"]}, "unknown optimizer labels ['foo']"),
     (["--optimizer", "foo"], None, "invalid choice: 'foo'"),
-    (None, {"dim_s": "two"}, "invalid literal for int()"),
+    (None, {"dim_s": "two"}, "dim_s must be a JSON integer, got 'two'"),
     (None, {"rho0_kind": "bogus"}, "unknown initial-state kind 'bogus'"),
     (None, {"min_gates": 6, "max_gates": 3}, "0 <= min_gates <= max_gates"),
     (None, {"gate_set": []}, "no gate types given"),
@@ -673,6 +677,16 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
     (None, {"g_max": -3}, "g_max must be >= 0, got -3"),
     (None, {"prog_window": -2}, "prog_window must be >= 1, got -2"),
     (None, {"prog_window": 0}, "prog_window must be >= 1, got 0"),
+    (None, {"lamda": 3}, "unknown key 'lamda'"),
+    (None, {"seed": -1}, "seed must be >= 0, got -1"),
+    (None, {"seed": 1.5}, "seed must be a JSON integer, got 1.5"),
+    (None, {"seed": "7"}, "seed must be a JSON integer, got '7'"),
+    (None, {"seed": True}, "seed must be a JSON integer, got True"),
+    (None, {"mu": 2.7}, "mu must be a JSON integer, got 2.7"),
+    (None, {"mu": "30"}, "mu must be a JSON integer, got '30'"),
+    (None, {"g_max": True}, "g_max must be a JSON integer, got True"),
+    (None, {"c_q": True}, "c_q must be a JSON number, got True"),
+    (None, {"gamma": "0.3"}, "gamma must be a JSON number, got '0.3'"),
 ], ids=["ansatz-dim-s", "ansatz-dim-e", "ansatz-dim-e-zero", "evo-dim-s", "evo-dim-e",
         "evo-config-list", "evo-mu", "evo-n-max", "evo-gate-type",
         "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text", "evo-rho0-kind",
@@ -680,7 +694,10 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
         "evo-gate-set-string", "evo-optimizers-string", "evo-gate-set-number",
         "evo-one-qubit", "evo-one-qubit-single-gates", "evo-c-q-nan",
         "evo-c-e-negative", "evo-target-fitness-nan", "evo-g-max-negative",
-        "evo-prog-window-negative", "evo-prog-window-zero"])
+        "evo-prog-window-negative", "evo-prog-window-zero", "evo-unknown-key",
+        "evo-seed-negative", "evo-seed-float", "evo-seed-string", "evo-seed-bool",
+        "evo-mu-float", "evo-mu-string", "evo-g-max-bool", "evo-c-q-bool",
+        "evo-gamma-string"])
 def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     target, cfg = quick_learn_evo_inputs(tmp_path)
     if flags:
@@ -711,7 +728,8 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
 # The learners held every sequence of each target length with no budget:
 # learn-evo with n_max 20 on a binary corpus exited 0 at a 1.43 GB peak,
 # learn-ansatz --t 24 died allocating its levels, and a table of length 13
-# in a CSV target was fitted; learn-ansatz --t 0 was a plain int
+# in a CSV target was fitted; learn-ansatz --t 0 was a plain int. landscape
+# --rates 0.1,0.10 ran two walks and kept only the second
 @pytest.mark.parametrize("argv,message", [
     (["hankel", "--target", "{target}", "--max-len", "-1"], "must be >= 0"),
     (["learn-ansatz", "--target", "{target}", "--reps", "-1"], "must be >= 0"),
@@ -726,6 +744,8 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     (["landscape", "--steps", "30", "--rates", "abc"], "invalid _rates value"),
     (["landscape", "--steps", "30", "--rates", "0.1,-0.5"],
      "must be finite and > 0"),
+    (["landscape", "--steps", "30", "--rates", "0.1,0.10"],
+     "rate 0.1 is repeated in 0.1,0.10"),
     (["hankel", "--model", "{market}", "--max-len", "9"],
      "Hankel budget exceeded: 1023 x 1023"),
     (["hankel", "--target", "{target}", "--max-len", "9"],
@@ -752,7 +772,8 @@ def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
 ], ids=["hankel-max-len", "ansatz-reps", "ansatz-restarts", "ansatz-budget",
         "landscape-steps", "hankel-tol-negative", "hankel-tol-nan",
         "landscape-steps-below-30", "landscape-rates-text",
-        "landscape-rates-negative", "hankel-model-max-len-budget",
+        "landscape-rates-negative", "landscape-rates-repeated",
+        "hankel-model-max-len-budget",
         "hankel-target-max-len-budget", "hankel-corpus-max-len-budget",
         "distribution-t-budget", "simulate-seed", "ansatz-seed", "evo-seed",
         "landscape-seed", "reproduce-seed", "evo-n-max-budget",

@@ -30,6 +30,7 @@ from qhmm.learning import (
     modify_hypothesis,
     optimize_parameters,
     random_hypothesis,
+    register_qubits,
     select_parents,
     select_survivors,
     target_levels,
@@ -824,40 +825,43 @@ def test_row_larger_than_block_bytes_runs_alone():
                    for p, w in zip(probs, engine.level_probs(x[i], [1, 2])))
 
 
-@pytest.mark.parametrize("symbol_map", [
-    ("a", "a", "b", "b"), ("b", "a", "b", "a"), ("a", "a", "a", "b"),
-    ("a", "b", "c", "d"),
-], ids=["block", "interleaved", "uneven", "one-emission-each"])
-def test_engine_step_is_model_transfer_matrices(symbol_map):
+@pytest.mark.parametrize("dim_s,dim_e,symbol_map", [
+    (2, 4, ("a", "a", "b", "b")), (2, 4, ("b", "a", "b", "a")),
+    (2, 4, ("a", "a", "a", "b")), (2, 4, ("a", "b", "c", "d")),
+    (4, 2, ("b", "a")), (4, 2, ("a", "a")),
+    (4, 4, ("b", "a", "b", "a")), (4, 4, ("c", "a", "a", "b")),
+], ids=["block", "interleaved", "uneven", "one-emission-each",
+        "4x2-one-each", "4x2-one-symbol", "4x4-interleaved", "4x4-uneven"])
+def test_engine_step_is_model_transfer_matrices(dim_s, dim_e, symbol_map):
     # the step the engine gathers straight from U holds, symbol by symbol,
     # the transfer matrix sum K (x) conj(K) of the model's Kraus group, laid
-    # out as (D, m*(D + 1)) with step[j, a*(D + 1) + i] = T_a[i, j], and so
-    # advances vec(rho) to every symbol's sub-channel output at once; each
-    # symbol's last column is its effect vec(I) . T_a, which gives the
-    # output's trace
+    # out as (N^2, m*(N^2 + 1)) with step[j, a*(N^2 + 1) + i] = T_a[i, j],
+    # and so advances vec(rho) to every symbol's sub-channel output at once;
+    # each symbol's last column is its effect vec(I) . T_a, which gives the
+    # output's trace. At N = 4 the rows (c, c') run over a 16 x m*17 step
     from qhmm.channels import apply_symbol, kraus_transfer_matrix
     from qhmm.circuits import efficient_su2
     from qhmm.linalg import random_density
 
     rng = np.random.default_rng(5)
-    spec = AnsatzSpec(efficient_su2(3, 1), 2, 4, symbol_map,
-                      rho0=random_density(2, rng))
+    spec = AnsatzSpec(efficient_su2(register_qubits(dim_s, dim_e), 1), dim_s,
+                      dim_e, symbol_map, rho0=random_density(dim_s, rng))
     x = rng.uniform(0.0, 2 * np.pi, size=spec.circuit.num_parameters)
     step = spec.engine().step(x)
     q = spec.model(x)
     want = np.stack([kraus_transfer_matrix(q.channel.groups[a])
                      for a in q.alphabet])
-    m = len(q.alphabet)
-    assert step.shape == (4, m * 5)
-    blocks = step.reshape(4, m, 5)
-    assert np.abs(blocks[..., :4] - want.transpose(2, 0, 1)).max() < 1e-14
-    effects = np.eye(2).ravel() @ want
-    assert np.abs(blocks[..., 4] - effects.T).max() < 1e-14
-    post = (q.rho0.ravel() @ step).reshape(m, 5)
+    m, n2 = len(q.alphabet), dim_s**2
+    assert step.shape == (n2, m * (n2 + 1))
+    blocks = step.reshape(n2, m, n2 + 1)
+    assert np.abs(blocks[..., :n2] - want.transpose(2, 0, 1)).max() < 1e-14
+    effects = np.eye(dim_s).ravel() @ want
+    assert np.abs(blocks[..., n2] - effects.T).max() < 1e-14
+    post = (q.rho0.ravel() @ step).reshape(m, n2 + 1)
     for a, row in zip(q.alphabet, post):
         sub = apply_symbol(q.channel, q.rho0, a)
-        assert np.abs(row[:4].reshape(2, 2) - sub).max() < 1e-14
-        assert abs(row[4] - np.trace(sub)) < 1e-14
+        assert np.abs(row[:n2].reshape(dim_s, dim_s) - sub).max() < 1e-14
+        assert abs(row[n2] - np.trace(sub)) < 1e-14
 
 
 def _market_items(market_target):
