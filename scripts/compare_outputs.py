@@ -9,7 +9,8 @@ tree writes the fixtures with its ``scripts/make_fixture_models.py`` into
 DIR/parent/fixtures and DIR/change/fixtures, which are compared like any
 output; both trees then run every command of the matrix on PARENT's
 fixtures, each command in its own process with that tree's ``src`` on
-PYTHONPATH, and write to DIR/parent/CASE and DIR/change/CASE. A raw
+PYTHONPATH, the parent's run of a command right before the change's, and
+write to DIR/parent/CASE and DIR/change/CASE. A raw
 corpus, two circuit-form models (two and three qubits) and two learn-evo
 configs are written beside the fixtures by this script, so that neither
 tree's code builds them. A command's stdout is kept as CASE/stdout.txt;
@@ -25,8 +26,9 @@ Every output file gets one line with one verdict:
   that differs.
 
 The exit code is 0 only when every file is ``identical``, so a declared
-output change reads as a nonzero exit plus the table to report. ``--quick``
-runs a reduced matrix of fast commands.
+output change reads as a nonzero exit plus the table to report. Each
+command's wall time in both trees goes to stderr, beside the count of each
+verdict. ``--quick`` runs a reduced matrix of fast commands.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # a circuit-form model with the gates whose phases differ most (P, CRY, CRZ)
@@ -184,14 +187,14 @@ def run_in(tree: Path, args: list[str], log: Path | None, module=True) -> int:
                               cwd=tree).returncode
 
 
-def run_matrix(tree: Path, fixtures: Path, out: Path, cases) -> dict[str, int]:
-    codes = {}
-    for case, args in cases:
-        target = out / case
-        target.mkdir(parents=True, exist_ok=True)
-        args = [a.format(fx=fixtures) for a in args] + ["--out", str(target)]
-        codes[case] = run_in(tree, args, target / "stdout.txt")
-    return codes
+def run_case(tree: Path, fixtures: Path, target: Path, args) -> tuple[int, float]:
+    """Run one command of the matrix in the tree, writing to ``target``;
+    returns its exit code and wall time in seconds."""
+    target.mkdir(parents=True, exist_ok=True)
+    args = [a.format(fx=fixtures) for a in args] + ["--out", str(target)]
+    start = time.perf_counter()
+    code = run_in(tree, args, target / "stdout.txt")
+    return code, time.perf_counter() - start
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -247,12 +250,14 @@ def main() -> int:
         (out / side / "fixtures").mkdir(parents=True)
         write_fixtures(tree, out / side / "fixtures")
     cases = matrix(args.quick)
-    codes = {side: run_matrix(tree, out / "parent" / "fixtures", out / side, cases)
-             for side, tree in trees.items()}
-    rows = [(f"{case}/exit", "identical", "")
-            if codes["parent"][case] == codes["change"][case] == 0 else
+    runs = {case: {side: run_case(tree, out / "parent" / "fixtures",
+                                  out / side / case, case_args)
+                   for side, tree in trees.items()}
+            for case, case_args in cases}
+    codes = {case: [runs[case][side][0] for side in trees] for case, _ in cases}
+    rows = [(f"{case}/exit", "identical", "") if codes[case] == [0, 0] else
             (f"{case}/exit", "different",
-             f"exit {codes['parent'][case]} vs {codes['change'][case]}")
+             f"exit {codes[case][0]} vs {codes[case][1]}")
             for case, _ in cases]
     rows += compare(out / "parent", out / "change")
     width = max(len(path) for path, _, _ in rows)
@@ -262,6 +267,12 @@ def main() -> int:
     print(report)
     counts = {v: sum(r[1] == v for r in rows)
               for v in ("identical", "numeric", "different")}
+    name_width = max(len(case) for case, _ in cases)
+    print(f"{'wall time (s)':<{name_width}} {'parent':>8} {'change':>8}",
+          file=sys.stderr)
+    for case, _ in cases:
+        seconds = "".join(f" {runs[case][side][1]:8.2f}" for side in trees)
+        print(f"{case:<{name_width}}{seconds}", file=sys.stderr)
     print(", ".join(f"{n} {v}" for v, n in counts.items()), file=sys.stderr)
     return 0 if counts["identical"] == len(rows) else 1
 

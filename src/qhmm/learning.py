@@ -149,6 +149,8 @@ class LearnSpace:
         if not 0 <= self.min_gates <= self.max_gates:
             raise ValueError(f"gate counts need 0 <= min_gates <= max_gates, "
                              f"got {self.min_gates} and {self.max_gates}")
+        if self.opt_budget < 1:
+            raise ValueError(f"opt_budget must be >= 1, got {self.opt_budget}")
         self.alphabet = [str(a) for a in self.alphabet]
         if self.symbol_map is None:
             self.symbol_map = block_symbol_map(self.alphabet, self.dim_e)
@@ -505,15 +507,23 @@ def optimize_parameters(
 
 # --- adaptive distributions ----------------------------------------------------
 
+# how far selection probabilities may sum from 1, as Generator.choice allows
+PROBS_TOL = math.sqrt(np.finfo(float).eps)
+
+
 @dataclass
 class AdaptiveDistribution:
     """Bandit arm set: a finite domain with selection probabilities, reward
-    counts for the current generation, and a log of draws awaiting credit."""
+    counts for the current generation, and a log of draws awaiting credit.
+    The probabilities are checked once, as ``Generator.choice`` checks them,
+    and each draw takes one ``rng.random()`` and gives the index ``choice``
+    would give."""
 
     domain: list
     probs: np.ndarray = None
     rewards: np.ndarray = None
     draws: list = field(default_factory=list)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.domain)
@@ -522,12 +532,23 @@ class AdaptiveDistribution:
         if self.probs is None:
             self.probs = np.full(k, 1.0 / k)
         self.probs = np.asarray(self.probs, dtype=float)
+        if self.probs.shape != (k,):
+            raise ValueError(f"probs must hold one probability per arm ({k}), "
+                             f"got shape {self.probs.shape}")
+        if not ((self.probs >= 0).all()
+                and abs(math.fsum(self.probs) - 1.0) <= PROBS_TOL):
+            raise ValueError(f"probs must be non-negative and sum to 1, got "
+                             f"{self.probs.tolist()}")
+        # Generator.choice's CDF: the index of a draw u is the first entry
+        # above u
+        self.cdf = self.probs.cumsum()
+        self.cdf /= self.cdf[-1]
         if self.rewards is None:
             self.rewards = np.zeros(k)
         self.rewards = np.asarray(self.rewards, dtype=float)
 
     def sample(self, rng: np.random.Generator):
-        i = int(rng.choice(len(self.domain), p=self.probs))
+        i = int(self.cdf.searchsorted(rng.random(), side="right"))
         self.draws.append(i)
         return self.domain[i]
 

@@ -5,9 +5,10 @@ a Nelder-Mead simplex, central-difference gradient descent with backtracking,
 and cyclic coordinate descent with golden-section refinement. Each family is
 a generator body that yields the points it wants evaluated, one point or a
 (B, P) block at a time, or a golden-section point along one axis, and is
-sent their values; ``_run`` evaluates them against the budget. Given an
-(R, P) array of starts, it runs R fits in lockstep, one evaluation of every
-live fit's asks per tick. The label table
+sent their values; it may also name the points it will likely ask next, to
+be prepared as one block. ``_run`` evaluates them against the budget. Given
+an (R, P) array of starts, it runs R fits in lockstep, one evaluation of
+every live fit's asks per tick. The label table
 maps the conventional solver labels onto these families so adaptive solver
 selection can keep its full label set.
 """
@@ -20,12 +21,19 @@ from typing import Callable, Generator, Optional, Union
 
 import numpy as np
 
-# yields a point, a (B, P) block or a golden-section point (x, axis, t); is
-# sent its value or the (B,) values
-Body = Generator[Union[np.ndarray, tuple], Union[float, np.ndarray], None]
+# yields a point, a (B, P) block or a golden-section point (x, axis, t), and
+# is sent its value or the (B,) values; or yields a list of points to prepare,
+# and is sent None
+Body = Generator[Union[np.ndarray, tuple, list],
+                 Union[float, np.ndarray, None], None]
 
 NM_INITIAL_STEP, NM_VALUE_TOL, NM_DIAMETER_TOL = 0.25, 1e-10, 1e-8
+# a fit prepares its next contraction while at least this share of its
+# iterations after a contraction contracted again: a 2-row block costs
+# 1.3-1.4 single points, so a prepare pays above a share of 0.3-0.4
+NM_PREPARE_SHARE = 0.4
 FD_STEP, FD_EPSILON, FD_GRAD_TOL = 0.5, 1e-5, 1e-7
+FD_STEPS = [FD_STEP * 0.5**i for i in range(30)]  # the backtracking steps
 COORD_SPAN, COORD_AXIS_TOL, COORD_VALUE_TOL = 1.0, 1e-8, 1e-12
 
 
@@ -36,7 +44,13 @@ class ObjectiveSpec:
     ``line`` maps (P,) parameters x and an axis j to the function
     t -> evaluate(x with x[j] = t), equal up to rounding; coordinate search
     then reads the golden-section points of each axis search from one line
-    instead of evaluating each."""
+    instead of evaluating each.
+
+    An objective with a line may also be asked for rows that are not
+    evaluations: the samples of a line, and points a body prepared but did
+    not read. Its ``evaluate`` must give each row of a block the value of
+    that row alone, bit for bit. Every point a body reads, from a block,
+    from a line or prepared, is one evaluation."""
 
     arity: int
     evaluate: Callable[[np.ndarray], Union[float, np.ndarray]]
@@ -71,11 +85,21 @@ class OptResult:
 class _Fit:
     """One body driven against the budget: its pending ask (``None`` once
     the body returned), evaluation count, incumbent and trace. A fit with
-    no parameters asks for x0 alone and runs no body."""
+    no parameters asks for x0 alone and runs no body.
+
+    When the objective has a line, a list of points the body yields is
+    asked as one block, cut where the budget ends (unless that leaves a
+    single row), and a later ask of one of those points, the same object
+    unchanged, is answered from it. Without a line the list is passed over
+    and the points are evaluated when asked. Either way each point the body
+    reads is one evaluation, counted, traced and kept as the incumbent as
+    when it is asked alone."""
 
     def __init__(self, obj: ObjectiveSpec, x0: np.ndarray, body):
         self.budget, self.line = obj.budget, obj.line
         self.along = None  # (x, line) of the last golden-section search
+        self.prepared = None  # the points of the asked block being prepared
+        self.ready = {}  # id(point) -> (point, value) of the prepared points
         self.count = 0
         self.best_x, self.best_f = np.array(x0), math.inf
         self.trace: list[float] = []
@@ -101,20 +125,36 @@ class _Fit:
         golden-section point (x, axis, t) is the point x with x[axis] = t
         or, when the objective has a line, is read from the line along that
         axis through x, built once per search (its x, one object for all its
-        points). Each such point is one evaluation, counted, traced and kept
-        as the incumbent like any other."""
-        while type(ask) is tuple and self.count < self.budget:
-            x, axis, t = ask
-            if self.line is None:
-                point = np.array(x)
-                point[axis] = t
-                return point
-            if self.along is None or self.along[0] is not x:
-                self.along = (x, self.line(x, axis))
-            f = float(self.along[1](t))
-            if f < self.best_f:
-                self.best_x, self.best_f = np.array(x), f
-                self.best_x[axis] = t
+        points). A list of points to prepare is their block or passed over,
+        and a prepared point is read from its block (see ``_Fit``). Each
+        point read is one evaluation, counted, traced and kept as the
+        incumbent like any other."""
+        while self.count < self.budget:
+            if type(ask) is list:
+                rows = ask[:self.budget - self.count]
+                if self.line is not None and len(rows) > 1:
+                    self.prepared = rows
+                    return np.array(rows)
+                ask = self.points.send(None)
+                continue
+            if type(ask) is tuple:
+                x, axis, t = ask
+                if self.line is None:
+                    point = np.array(x)
+                    point[axis] = t
+                    return point
+                if self.along is None or self.along[0] is not x:
+                    self.along = (x, self.line(x, axis))
+                f = float(self.along[1](t))
+                if f < self.best_f:
+                    self.best_x, self.best_f = np.array(x), f
+                    self.best_x[axis] = t
+            elif self.ready and id(ask) in self.ready:
+                f = self.ready.pop(id(ask))[1]
+                if f < self.best_f:
+                    self.best_x, self.best_f = np.array(ask, dtype=float), f
+            else:
+                return ask
             self.trace.append(self.best_f)
             self.count += 1
             ask = self.points.send(f)
@@ -141,9 +181,16 @@ class _Fit:
     def tell(self, rows, values) -> None:
         """Record the values of the asked rows (all of them, or the block
         that the budget left room for); the body hears them once its whole
-        ask is evaluated. An asked point, as one row, is told as a point."""
+        ask is evaluated. An asked point, as one row, is told as a point,
+        and a prepared block is kept for the asks it answers."""
         if self.ask.ndim == 1:
             self.tell_point(values[0])
+            return
+        if self.prepared is not None:
+            self.ready = {id(x): (x, float(f))
+                          for x, f in zip(self.prepared, values)}
+            self.prepared = None
+            self.ask = self._send(None)
             return
         values = [float(f) for f in values]
         for x, f in zip(rows, values):
@@ -206,6 +253,7 @@ def _nelder_mead_body(x0: np.ndarray) -> Body:
     simplex = np.tile(x0, (n + 1, 1))
     simplex[np.arange(1, n + 1), np.arange(n)] += NM_INITIAL_STEP
     values = yield simplex
+    contracted, after, again = False, 1, 1  # one of each counted in
     while True:
         order = values.argsort()
         simplex, values = simplex.take(order, 0), values[order]
@@ -214,7 +262,12 @@ def _nelder_mead_body(x0: np.ndarray) -> Body:
             return
         centroid = np.add.reduce(simplex[:-1], 0) / n  # np.mean's arithmetic
         xr = centroid + (centroid - simplex[-1])  # alpha = 1
+        xc = None
+        if contracted and again >= NM_PREPARE_SHARE * after:
+            xc = centroid + rho * (simplex[-1] - centroid)
+            yield [xr, xc]  # likely to contract again: prepare both points
         fr = yield xr
+        follows, contracted = contracted, False
         if fr < values[0]:
             xe = centroid + gamma * (xr - centroid)
             fe = yield xe
@@ -225,13 +278,17 @@ def _nelder_mead_body(x0: np.ndarray) -> Body:
         elif fr < values[-2]:
             simplex[-1], values[-1] = xr, fr
         else:
-            xc = centroid + rho * (simplex[-1] - centroid)
+            contracted = True
+            if xc is None:
+                xc = centroid + rho * (simplex[-1] - centroid)
             fc = yield xc
             if fc < values[-1]:
                 simplex[-1], values[-1] = xc, fc
             else:
                 simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
                 values[1:] = yield simplex[1:]
+        if follows:
+            after, again = after + 1, again + contracted
 
 
 def nelder_mead(obj: ObjectiveSpec, x0) -> OptResult:
@@ -248,6 +305,7 @@ def _fd_body(x0: np.ndarray) -> Body:
     x = np.array(x0)
     fx = yield x
     steps = FD_EPSILON * np.eye(len(x))
+    ladder = 1  # trials the last accepted step took: that many are prepared
     while True:
         # central-difference probes x + e_i, x - e_i, in that order per axis
         probes = np.stack([x + steps, x - steps], axis=1).reshape(-1, len(x))
@@ -255,14 +313,17 @@ def _fd_body(x0: np.ndarray) -> Body:
         grad = (fp[0::2] - fp[1::2]) / (2 * FD_EPSILON)
         if np.abs(grad).max() < FD_GRAD_TOL:
             return
-        t = FD_STEP
-        for _ in range(30):
-            xt = x - t * grad
+        slope = float(grad @ grad)
+        for i, t in enumerate(FD_STEPS):
+            if i % ladder == 0:
+                trials = [x - s * grad for s in FD_STEPS[i:i + ladder]]
+                if len(trials) > 1:
+                    yield trials
+            xt = trials[i % ladder]
             ft = yield xt
-            if ft <= fx - 1e-4 * t * float(grad @ grad):
-                x, fx = xt, ft
+            if ft <= fx - 1e-4 * t * slope:
+                x, fx, ladder = xt, ft, i + 1
                 break
-            t *= 0.5
         else:
             return  # no descent along the gradient at any scale
 

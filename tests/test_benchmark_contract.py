@@ -44,36 +44,63 @@ def test_every_optimizer_label_maps_to_a_benchmark_family():
 def test_counted_evaluations_equal_rows_evaluated(monkeypatch):
     # the benchmark counts OptResult.evaluations of what get_optimizer hands
     # out; a lockstep restart run and an fd fit that asks for probe blocks
-    # must report exactly the objective rows the engine evaluated
+    # must report exactly the objective rows the engine evaluated. With the
+    # objective's line a fit may also evaluate points it prepared and did
+    # not read: it then reports the same count, and every row of the run
+    # without the line is evaluated among its rows
+    from collections import Counter
+
     import numpy as np
 
     from qhmm import experiments, learning
     from qhmm.circuits import real_amplitudes
 
-    rows = []
+    sizes, rows = [], []
     level_probs = learning.ChannelEngine.level_probs
 
-    def counting(self, x, lengths):
-        rows.append(1 if np.ndim(x) == 1 else len(x))
+    def recording(self, x, lengths):
+        sizes.append(1 if np.ndim(x) == 1 else len(x))
+        rows.extend(row.tobytes() for row in np.array(x, ndmin=2))
         return level_probs(self, x, lengths)
 
-    monkeypatch.setattr(learning.ChannelEngine, "level_probs", counting)
+    spec_type = learning.ObjectiveSpec
+
+    def without_line(arity, evaluate, budget, line=None):
+        return spec_type(arity, evaluate, budget)
+
+    monkeypatch.setattr(learning.ChannelEngine, "level_probs", recording)
     inst = _load_tracing().Instrument(trace=False)
     inst.install()
     try:
         spec = learning.AnsatzSpec(real_amplitudes(2, 1, "linear"), 2, 2,
                                    ("0", "1"))
         target = experiments.market_target_items(max_len=3)
-        learning.train_ansatz_restarts(spec, target, "nm", restarts=4,
-                                       budget=150, seed=2)
-        assert max(rows) > 1  # the restarts ran as blocks
-        assert inst.evals == sum(rows)
-        restarts, rows[:] = inst.evals, []
-        learning.train_ansatz(spec, target, "bfsg", budget=57)
-        assert max(rows) == 4  # central-difference probes, two angles
-        assert inst.evals - restarts == sum(rows) == 57
+        fits = {
+            "restarts": lambda: learning.train_ansatz_restarts(
+                spec, target, "nm", restarts=4, budget=150, seed=2),
+            "fd": lambda: learning.train_ansatz(spec, target, "bfsg", budget=57),
+        }
+        seen = {}
+        for with_line in (False, True):
+            monkeypatch.setattr(learning, "ObjectiveSpec",
+                                spec_type if with_line else without_line)
+            for name, fit in fits.items():
+                before, sizes[:], rows[:] = inst.evals, [], []
+                fit()
+                seen[name, with_line] = (inst.evals - before, list(sizes),
+                                         list(rows))
     finally:
         inst.uninstall()
+    evals, block_sizes, evaluated = seen["restarts", False]
+    assert max(block_sizes) > 1  # the restarts ran as blocks
+    assert evals == len(evaluated)
+    evals, block_sizes, evaluated = seen["fd", False]
+    assert max(block_sizes) == 4  # central-difference probes, two angles
+    assert evals == len(evaluated) == 57
+    for name in fits:
+        evals, _, evaluated = seen[name, True]
+        assert evals == seen[name, False][0]
+        assert not Counter(seen[name, False][2]) - Counter(evaluated), name
 
 
 def test_benchmark_workloads_build_and_check_a_fit(monkeypatch, tmp_path):
@@ -139,9 +166,10 @@ def test_benchmark_templates_keep_their_fused_factors(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("fit,label", [
     ("train_ansatz", "bfsg"), ("optimize_parameters", "nm"),
-    ("train_ansatz", "cbla"), ("optimize_parameters", "cbla")],
+    ("train_ansatz", "cbla"), ("optimize_parameters", "cbla"),
+    ("optimize_parameters", "bfsg")],
     ids=["train_ansatz", "optimize_parameters", "train_ansatz-cbla",
-         "optimize_parameters-cbla"])
+         "optimize_parameters-cbla", "optimize_parameters-bfsg"])
 def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, label,
                                                             monkeypatch,
                                                             tmp_path):
@@ -151,7 +179,7 @@ def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, label,
     # fit that compiles or tabulates its circuit, fails here before any
     # benchmark run. Coordinate search reads its golden-section points from
     # one line per axis, and each line runs the hooked kernel once on its
-    # block of samples
+    # block of samples; fd asks its prepared backtracking steps as one block
     import numpy as np
 
     monkeypatch.syspath_prepend(str(TRACING.parent))
@@ -192,10 +220,13 @@ def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, label,
     else:
         evolve = workloads.WORKLOADS["evolve"](0, tmp_path, lambda: 0)
         space = evolve.spaces["gaussian4"]
-        hyp = learning.Hypothesis(Circuit(space.n_qubits, (
-            GateSpec("P", (0,), (0.4,)), GateSpec("CRY", (0, 2), (1.1,)),
-            GateSpec("RX", (1,), (2.0,)), GateSpec("CX", (2, 1)))),
-            space.dim_s, space.dim_e, space.symbol_map)
+        gates = (GateSpec("P", (0,), (0.4,)), GateSpec("CRY", (0, 2), (1.1,)),
+                 GateSpec("RX", (1,), (2.0,)), GateSpec("CX", (2, 1)))
+        if label == "bfsg":  # fd backtracks deep here and prepares its steps
+            gates = (GateSpec("Y", (1,)), GateSpec("RY", (2,), (0.3,)),
+                     GateSpec("RX", (0,), (0.2,)), GateSpec("CRY", (1, 0), (5.3,)))
+        hyp = learning.Hypothesis(Circuit(space.n_qubits, gates), space.dim_s,
+                                  space.dim_e, space.symbol_map)
         learning.optimize_parameters(hyp, evolve.targets["gaussian4"], label,
                                      budget=60 if label == "nm" else 120)
     if label == "cbla":  # the start point, then a line per axis search

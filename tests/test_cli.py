@@ -648,7 +648,8 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
 # outside the documented set was ignored ("lamda" ran with lambda 10); a
 # config seed of -1, 1.5 or "7" exited 1 after --out was made, and true ran
 # and wrote "seed": true; int() and float() turned "mu": 2.7 into 2, "mu":
-# "30" into 30, a bool into 0 or 1 and "gamma": "0.3" into 0.3
+# "30" into 30, a bool into 0 or 1 and "gamma": "0.3" into 0.3. An
+# opt_budget of 0 ran every fit at the 40-evaluation floor
 @pytest.mark.parametrize("flags,config,message", [
     (["--dim-s", "3"], None, "power of two"),
     (["--dim-e", "1"], None, "smaller than the alphabet"),
@@ -687,6 +688,7 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
     (None, {"g_max": True}, "g_max must be a JSON integer, got True"),
     (None, {"c_q": True}, "c_q must be a JSON number, got True"),
     (None, {"gamma": "0.3"}, "gamma must be a JSON number, got '0.3'"),
+    (None, {"opt_budget": 0}, "opt_budget must be >= 1, got 0"),
 ], ids=["ansatz-dim-s", "ansatz-dim-e", "ansatz-dim-e-zero", "evo-dim-s", "evo-dim-e",
         "evo-config-list", "evo-mu", "evo-n-max", "evo-gate-type",
         "evo-optimizer", "ansatz-optimizer", "evo-dim-s-text", "evo-rho0-kind",
@@ -697,7 +699,7 @@ def test_negative_length_or_shots_exits_2(argv, market_file, tmp_path, capsys):
         "evo-prog-window-negative", "evo-prog-window-zero", "evo-unknown-key",
         "evo-seed-negative", "evo-seed-float", "evo-seed-string", "evo-seed-bool",
         "evo-mu-float", "evo-mu-string", "evo-g-max-bool", "evo-c-q-bool",
-        "evo-gamma-string"])
+        "evo-gamma-string", "evo-opt-budget-zero"])
 def test_bad_register_size_exits_2(flags, config, message, tmp_path, capsys):
     target, cfg = quick_learn_evo_inputs(tmp_path)
     if flags:

@@ -189,6 +189,11 @@ def test_specs_reject_register_sizes():
     with pytest.raises(ValueError, match="circuit has 3 qubits"):
         AnsatzSpec(Circuit(3), 2, 2, ("0", "1"))
     AnsatzSpec(Circuit(3), 2, 4, ("0", "1", "2", "3"))
+    # a budget below 1 used to become the 40-evaluation floor of budget_for
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match=f"opt_budget must be >= 1, got {budget}"):
+            LearnSpace(alphabet=["0", "1"], opt_budget=budget)
+    assert LearnSpace(alphabet=["0", "1"], opt_budget=1).budget_for(3) == 40
 
 
 @settings(max_examples=15, deadline=None)
@@ -407,6 +412,34 @@ def test_bandit_negative_rewards_rejected():
     d = AdaptiveDistribution(domain=["a"], rewards=np.array([-1.0]))
     with pytest.raises(ValueError):
         bandit_update(d, 0.5)
+
+
+@pytest.mark.parametrize("probs", [
+    [1.0], [0.5, 0.5], [0.0, 1.0, 0.0], [0.2, 0.0, 0.8], [0.1] * 10,
+    [1e-12, 1 - 1e-12], [0.3, 0.3, 0.4 + 1e-9], "random"])
+def test_adaptive_distribution_draws_as_choice(probs):
+    # each draw is the index Generator.choice gives for the same probs, from
+    # the same one rng.random(), so the stream after it is the same too
+    if probs == "random":
+        probs = np.random.default_rng(1).dirichlet(np.ones(7))
+    d = AdaptiveDistribution(domain=list(range(len(probs))), probs=probs)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(2000):
+        assert d.sample(ours) == int(theirs.choice(len(probs), p=d.probs))
+    assert ours.random() == theirs.random()
+    assert len(d.draws) == 2000
+
+
+@pytest.mark.parametrize("probs,shown", [
+    ([0.5, 0.7], r"\[0.5, 0.7\]"), ([1.2, -0.2], "non-negative"),
+    ([np.nan, 1.0], "nan"), ([0.25] * 4, r"shape \(4,\)"),
+    ([[0.5, 0.5]], r"shape \(1, 2\)")])
+def test_adaptive_distribution_checks_probs_once(probs, shown):
+    # each was accepted, and [0.5, 0.7] failed only at the first draw
+    with pytest.raises(ValueError, match=shown):
+        AdaptiveDistribution(domain=["a", "b"], probs=probs)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(2, p=np.array(probs, dtype=float))
 
 
 def test_adaptive_distribution_draw_log():

@@ -565,3 +565,96 @@ def test_trace_is_the_incumbent_after_each_evaluation():
     res = fd_gradient_descent(ObjectiveSpec(2, rowwise(f), 40), [1.0, -2.0])
     assert res.trace == list(np.minimum.accumulate(values))
     assert res.trace[-1] == res.best_value
+
+
+# --- prepared points --------------------------------------------------------
+
+def _exact_line(f):
+    """The line of a one-point objective: f itself along one axis."""
+    def line(x, axis):
+        def at(t):
+            xt = np.array(x)
+            xt[axis] = t
+            return f(xt)
+
+        return at
+
+    return line
+
+
+def _line_objective(kind):
+    """(arity, evaluate, line, starts) of an objective with a line: a seeded
+    one with an exact line, a FitnessEngine or an ansatz objective; the
+    first start is the one a lone fit takes."""
+    from qhmm import classical, experiments, learning
+    from qhmm.circuits import Circuit, GateSpec, real_amplitudes
+
+    starts = np.random.default_rng(3).uniform(0.0, 2 * np.pi, size=(3, 4))
+    if kind == "fitness":
+        angle = (None,)
+        circuit = Circuit(2, (GateSpec("RY", (0,), angle), GateSpec("CX", (0, 1)),
+                              GateSpec("RX", (1,), angle),
+                              GateSpec("CRY", (1, 0), angle),
+                              GateSpec("P", (0,), angle)))
+        market = classical.market_model()
+        engine = learning.FitnessEngine(
+            learning.Hypothesis(circuit, 2, 2, ("0", "1")),
+            [classical.distribution(market, t) for t in (1, 2, 3)])
+        # fd backtracks deep near a minimum of this nonsmooth objective:
+        # the lone fit starts where a short Nelder-Mead fit ended
+        starts[0] = nelder_mead(ObjectiveSpec(4, engine.neg_fitness, 50),
+                                starts[0]).best_params
+        return 4, engine.neg_fitness, engine.line, starts
+    if kind == "ansatz":
+        obj = learning.ansatz_objective(
+            learning.AnsatzSpec(real_amplitudes(2, 1, "linear"), 2, 2, ("0", "1")),
+            experiments.market_target_items(max_len=3))
+        return obj.arity, obj.evaluate, obj.line, starts[:, :obj.arity]
+    dim, f, x0 = _seeded_objective(kind, 1)
+    starts = np.random.default_rng(6).normal(size=(2, dim))
+    return dim, rowwise(f), _exact_line(f), np.vstack([x0, starts])
+
+
+def _same_fit(got, want):
+    return (np.array_equal(got.best_params, want.best_params)
+            and (got.best_value, got.evaluations, got.converged, got.trace)
+            == (want.best_value, want.evaluations, want.converged, want.trace))
+
+
+@pytest.mark.parametrize("family", ["nm", "fd"])
+@pytest.mark.parametrize("kind", ["abs", "rosenbrock", "fitness", "ansatz"])
+def test_prepared_points_keep_every_fit(family, kind):
+    # with a line, Nelder-Mead prepares its reflection and contraction after
+    # a contraction (while its contractions tend to follow each other), and
+    # fd its backtracking steps as many at a time as its last accepted step
+    # took; every fit, alone and in lockstep, is the one without the line
+    # bit for bit, and a prepare never adds an objective call. A lone fit
+    # prepares within its first 60 evaluations, so fewer calls there; every
+    # budget up to 60 is run, which cuts each of those prepared sets at each
+    # of its rows. fd on the ansatz objective takes each first step and
+    # prepares nothing
+    arity, evaluate, line, starts = _line_objective(kind)
+    opt = FROZEN[family][0]
+
+    def fit(budget, x0, with_line):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return evaluate(x)
+
+        res = opt(ObjectiveSpec(arity, counted, budget,
+                                line if with_line else None), x0)
+        return res, len(calls)
+
+    for budget in [*range(1, 61), 400]:
+        for x0 in (starts[0], starts):
+            (res, calls), (ref, ref_calls) = (fit(budget, x0, with_line)
+                                              for with_line in (True, False))
+            assert _same_fit(res, ref), (budget, x0.ndim)
+            assert calls <= ref_calls, (budget, x0.ndim)
+            if x0.ndim == 2:
+                assert res.best_fit == ref.best_fit
+                assert all(_same_fit(a, b) for a, b in zip(res.fits, ref.fits))
+            elif budget == 60 and (family, kind) != ("fd", "ansatz"):
+                assert calls < ref_calls
