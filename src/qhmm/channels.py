@@ -48,10 +48,6 @@ class KrausChannel:
             stacks[str(sym)] = stack
         self.groups = stacks
 
-    @property
-    def symbols(self) -> list[str]:
-        return list(self.groups)
-
     def operators(self) -> np.ndarray:
         """All Kraus operators as one (K, N, N) stack in group order."""
         return np.concatenate([np.empty((0, self.dim, self.dim), np.complex128),

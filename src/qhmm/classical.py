@@ -87,8 +87,6 @@ def distribution_tables(h: ClassicalHmm, lengths) -> dict[int, DistributionTable
 
 def distribution(h: ClassicalHmm, t: int) -> DistributionTable:
     """Exact table over all m^t sequences."""
-    if t == 0:
-        return DistributionTable(t=0, probs={(): 1.0})
     return distribution_tables(h, [t])[t]
 
 
@@ -127,19 +125,19 @@ def sample(
     return list(zip(*outcomes.T.tolist())) or [()] * n_seq
 
 
-def _from_row_tables(alphabet, transition_rows, emission_rows, x0=None) -> ClassicalHmm:
-    """Build from row-convention tables: transition rows are FROM-state rows
-    and emission rows are per-state symbol distributions."""
+def _from_row_tables(alphabet, transition_rows, emission_rows) -> ClassicalHmm:
+    """Build from row-convention tables, started in the steady state:
+    transition rows are FROM-state rows and emission rows are per-state
+    symbol distributions."""
     a = np.asarray(transition_rows, dtype=float).T
     b = np.asarray(emission_rows, dtype=float).T
     n = a.shape[0]
     h = ClassicalHmm(alphabet=alphabet, A=a, B=b, x0=np.full(n, 1.0 / n))
-    x = steady_state_classical(h) if x0 is None else np.asarray(x0, dtype=float)
-    return ClassicalHmm(alphabet=alphabet, A=a, B=b, x0=x)
+    return ClassicalHmm(alphabet=alphabet, A=a, B=b, x0=steady_state_classical(h))
 
 
-def market_model(x0=None) -> ClassicalHmm:
-    """Four-state price-direction model; x0 defaults to the steady state."""
+def market_model() -> ClassicalHmm:
+    """Four-state price-direction model, started in the steady state."""
     transition_rows = [
         [0.50, 0.10, 0.15, 0.25],
         [0.10, 0.50, 0.25, 0.15],
@@ -152,12 +150,12 @@ def market_model(x0=None) -> ClassicalHmm:
         [0.4, 0.6],
         [0.6, 0.4],
     ]
-    return _from_row_tables(["0", "1"], transition_rows, emission_rows, x0)
+    return _from_row_tables(["0", "1"], transition_rows, emission_rows)
 
 
-def gaussian4_model(x0=None) -> ClassicalHmm:
+def gaussian4_model() -> ClassicalHmm:
     """Four-state volatility-mixture model with the discretized 4-symbol
-    emission table; x0 defaults to the steady state."""
+    emission table, started in the steady state."""
     transition_rows = [
         [0.60, 0.25, 0.05, 0.10],
         [0.05, 0.15, 0.05, 0.75],
@@ -170,7 +168,7 @@ def gaussian4_model(x0=None) -> ClassicalHmm:
         [0.13, 0.37, 0.37, 0.13],
         [0.22, 0.28, 0.28, 0.22],
     ]
-    return _from_row_tables(["0", "1", "2", "3"], transition_rows, emission_rows, x0)
+    return _from_row_tables(["0", "1", "2", "3"], transition_rows, emission_rows)
 
 
 def fixtures() -> dict[str, ClassicalHmm]:

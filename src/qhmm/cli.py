@@ -11,7 +11,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -289,6 +289,23 @@ def _check_config(cfg: dict, path: str) -> None:
         _fail(f"invalid config {path}: seed must be >= 0, got {cfg['seed']}")
 
 
+# config keys named otherwise than their LearnSpace or HyperParams field
+_EVO_FIELDS = {"lambda": "lam", "gamma": "gamma_bandit"}
+
+
+def _from_config(cls, cfg: dict, **given):
+    """``cls`` from ``given`` and the config's keys for its other fields,
+    numbers as floats and lists as tuples; a field that neither sets takes
+    the library default."""
+    names = {f.name for f in fields(cls)} - set(given)
+    kinds = {"number": float, "list of strings": tuple}
+    for key, value in cfg.items():
+        name = _EVO_FIELDS.get(key, key)
+        if name in names:
+            given[name] = kinds.get(_EVO_CONFIG[key], lambda v: v)(value)
+    return cls(**given)
+
+
 def _space_from_config(alphabet, tables, cfg: dict) -> LearnSpace:
     m = len(alphabet)
     try:
@@ -299,17 +316,8 @@ def _space_from_config(alphabet, tables, cfg: dict) -> LearnSpace:
             h = lang.hankel_from_tables(tables, max_ps, max_ps, m)
             dim_s = max(lang.order_estimate(h).quantum_dim, 2)
         dim_e = cfg.get("dim_e", next_power_of_two(m))
-        return LearnSpace(
-            alphabet=alphabet,
-            dim_s=dim_s,
-            dim_e=dim_e,
-            gate_set=tuple(cfg.get("gate_set", ("X", "Y", "RX", "RY", "CX", "CRY"))),
-            min_gates=cfg.get("min_gates", 3),
-            max_gates=cfg.get("max_gates", 12),
-            rho0_kind=cfg.get("rho0_kind", "maximally_mixed"),
-            optimizers=tuple(cfg.get("optimizers", ("nm", "cbla", "bfsg"))),
-            opt_budget=cfg.get("opt_budget", 70),
-        )
+        return _from_config(LearnSpace, cfg, alphabet=alphabet, dim_s=dim_s,
+                            dim_e=dim_e)
     except ValueError as exc:
         _fail(f"invalid learning space: {exc}")
 
@@ -331,17 +339,7 @@ def cmd_learn_evo(args):
         alphabet, tables = _load_target(args.target, cfg.get("n_max", 5),
                                         exact=True)
         _require_lengths(args.target, tables, max(tables))
-        hp = HyperParams(
-            mu=cfg.get("mu", 30),
-            lam=cfg.get("lambda", 10),
-            gamma_bandit=float(cfg.get("gamma", 0.3)),
-            prog_window=cfg.get("prog_window", 10),
-            g_max=cfg.get("g_max", 60),
-            target_fitness=float(cfg.get("target_fitness", -0.01)),
-            c_q=float(cfg.get("c_q", 0.01)),
-            c_e=float(cfg.get("c_e", 0.01)),
-            n_max=cfg.get("n_max", min(7, max(tables))),
-        )
+        hp = _from_config(HyperParams, cfg)
     except ValueError as exc:
         _fail(f"invalid config {args.config}: {exc}")
     target = [tables[t] for t in sorted(tables)]

@@ -168,19 +168,24 @@ def check_table_budget(m: int, t: int) -> None:
 
 def exact_tables(ops, init, final, lengths) -> dict[int, DistributionTable]:
     """Exact tables for several lengths from one ``forward_probs`` pass over
-    one operator per symbol; rounding below zero is clipped to 0."""
+    one operator per symbol; rounding is clipped into [0, 1], and the empty
+    sequence has probability 1."""
     lengths = sorted(set(int(t) for t in lengths))
     if not lengths:
         return {}
     m = len(ops)
     check_table_budget(m, max(lengths))
     vecs = forward_probs(ops, init, final, lengths)
-    return {
+    tables = {
         t: DistributionTable(t=t, probs={
-            s: max(float(p), 0.0) for s, p in zip(sequences_of_length(m, t), vec)
+            s: min(max(p, 0.0), 1.0)
+            for s, p in zip(sequences_of_length(m, t), vec.tolist())
         })
         for t, vec in zip(lengths, vecs)
     }
+    if 0 in tables:
+        tables[0] = DistributionTable(t=0, probs={(): 1.0})
+    return tables
 
 
 def check_hankel_sides(m: int, max_prefix_len: int, max_suffix_len: int):
@@ -319,13 +324,13 @@ def write_tables_csv(path, tables: Iterable[DistributionTable], alphabet) -> Non
                 fh.write(f"{render_sequence(seq, alphabet)},{table.probs[seq]:.12g}\n")
 
 
-def read_tables_csv(path, alphabet=None):
+def read_tables_csv(path):
     """Read `sequence,probability` lines into per-length tables.
 
-    Returns (alphabet, {length: DistributionTable}). When no alphabet is given
-    it is inferred from the symbols present, sorted by label. Every
-    probability must lie in [0, 1], no sequence may be listed twice, and every
-    length must total 1 within 1e-6.
+    Returns (alphabet, {length: DistributionTable}); the alphabet is the
+    symbols present, sorted by label. Every probability must lie in [0, 1],
+    no sequence may be listed twice, and every length must total 1 within
+    1e-6.
     """
     rows: list[tuple[str, float]] = []
     with open(path) as fh:
@@ -337,9 +342,7 @@ def read_tables_csv(path, alphabet=None):
             if not 0.0 <= float(prob) <= 1.0:  # also rejects nan
                 raise ValueError(f"probability {prob} of {text!r} is not in [0, 1]")
             rows.append((text, float(prob)))
-    if alphabet is None:
-        symbols = sorted({ch for text, _ in rows for ch in text})
-        alphabet = symbols if symbols else ["0", "1"]
+    alphabet = sorted({ch for text, _ in rows for ch in text}) or ["0", "1"]
     grouped: dict[int, dict[Sequence, float]] = {}
     for text, prob in rows:
         seq = parse_sequence(text, alphabet)
@@ -355,21 +358,20 @@ def read_tables_csv(path, alphabet=None):
     for t, table in tables.items():
         if abs(table.total() - 1.0) > 1e-6:
             raise ValueError(f"length-{t} probabilities total {table.total():.12g}, not 1")
-    return list(alphabet), tables
+    return alphabet, tables
 
 
-def read_corpus(path, alphabet=None):
-    """One observed sequence per line; returns (alphabet, list of sequences)."""
+def read_corpus(path):
+    """One observed sequence per line; returns (alphabet, list of sequences),
+    the alphabet being the symbols present, sorted by label."""
     lines = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
                 lines.append(line)
-    if alphabet is None:
-        alphabet = sorted({ch for line in lines for ch in line})
-    corpus = [parse_sequence(line, alphabet) for line in lines]
-    return list(alphabet), corpus
+    alphabet = sorted({ch for line in lines for ch in line})
+    return alphabet, [parse_sequence(line, alphabet) for line in lines]
 
 
 def tables_from_corpus(corpus: list[Sequence], max_len: int) -> dict[int, DistributionTable]:

@@ -125,11 +125,11 @@ class LearnSpace:
     # languages, so the entangling variants stay in the default pool
     gate_set: tuple[str, ...] = ("X", "Y", "RX", "RY", "CX", "CRY")
     min_gates: int = 3
-    max_gates: int = 20
+    max_gates: int = 12
     rho0_kind: str = "maximally_mixed"
     symbol_map: Optional[tuple[str, ...]] = None
     optimizers: tuple[str, ...] = ("nm", "cbla", "bfsg")
-    opt_budget: int = 80  # local-search evaluations per circuit parameter
+    opt_budget: int = 70  # local-search evaluations per circuit parameter
 
     def __post_init__(self):
         from .models import block_symbol_map
@@ -178,12 +178,12 @@ class LearnSpace:
 
 @dataclass
 class HyperParams:
-    mu: int = 20
+    mu: int = 30
     lam: int = 10
     gamma_bandit: float = 0.3
     prog_window: int = 10
-    g_max: int = 100
-    target_fitness: float = -1e-3
+    g_max: int = 60
+    target_fitness: float = -0.01
     c_q: float = 0.01
     c_e: float = 0.01
     n_max: int = 7
@@ -362,6 +362,22 @@ class ChannelEngine:
 
         return at
 
+    def objective(self, lengths, value, budget: int = 1000) -> ObjectiveSpec:
+        """The ``ObjectiveSpec`` of ``value``, which maps the concatenated
+        level probabilities, (S,) or (B, S), to a float or (B,) values: it
+        takes (P,) parameters or a (B, P) block (row values equal bit for
+        bit) and reads one angle's values from ``line_probs``."""
+
+        def evaluate(x):
+            return value(np.concatenate(self.level_probs(x, lengths), axis=-1))
+
+        def line(x, axis: int):
+            probs = self.line_probs(x, axis, lengths)
+            return lambda t: value(probs(t))
+
+        return ObjectiveSpec(arity=self.gates.n_params, evaluate=evaluate,
+                             budget=budget, line=line)
+
     def step(self, x) -> np.ndarray:
         """The (..., N^2, m*(N^2 + 1)) augmented step of
         ``lang.forward_levels`` at (P,) parameters or a (B, P) block."""
@@ -429,29 +445,16 @@ class FitnessEngine:
         self.lengths, self.target = target.lengths, target.vector
         self.level_starts = target.starts
 
-    def divergence(self, x):
-        """Average over lengths of the max-divergence; a float for (P,)
-        parameters, (B,) values for a (B, P) block."""
-        return self._divergence(
-            np.concatenate(self.engine.level_probs(x, self.lengths), axis=-1))
+    def objective(self, budget: int = 1000) -> ObjectiveSpec:
+        """-fitness as an ``ObjectiveSpec`` (``ChannelEngine.objective``)."""
+        return self.engine.objective(self.lengths, self._neg_fitness, budget)
 
-    def _divergence(self, probs):
+    def _neg_fitness(self, probs):
+        """Average over lengths of the max-divergence, plus complexity."""
         gaps = np.abs(probs - self.target)
         per_length = np.maximum.reduceat(gaps, self.level_starts, axis=-1)
-        return np.add.reduce(per_length, axis=-1) / len(self.lengths)
-
-    def fitness(self, x):
-        return -(self.divergence(x) + self.complexity)
-
-    def neg_fitness(self, x):
-        """-fitness, bit for bit: divergence plus complexity."""
-        return self.divergence(x) + self.complexity
-
-    def line(self, x, axis: int):
-        """``neg_fitness`` along angle ``axis`` of (P,) parameters x, as a
-        function of that angle (``ChannelEngine.line_probs``)."""
-        probs = self.engine.line_probs(x, axis, self.lengths)
-        return lambda t: self._divergence(probs(t)) + self.complexity
+        divergence = np.add.reduce(per_length, axis=-1) / len(self.lengths)
+        return divergence + self.complexity
 
 
 def fitness(
@@ -465,7 +468,7 @@ def fitness(
     params = hyp.circuit.parameters()
     if any(p is None for p in params):
         raise ValueError("circuit has unbound parameters")
-    return float(FitnessEngine(hyp, target, c_q, c_e).fitness(
+    return -float(FitnessEngine(hyp, target, c_q, c_e).objective().evaluate(
         np.array(params, dtype=float)
     ))
 
@@ -495,11 +498,8 @@ def optimize_parameters(
     """Lamarckian step: fit all circuit angles against the target (tables
     or their ``TargetLevels``), write them back into the genotype, and
     record the reached fitness."""
-    n_par = hyp.circuit.num_parameters
-    engine = FitnessEngine(hyp, target, c_q, c_e)
+    obj = FitnessEngine(hyp, target, c_q, c_e).objective(budget)
     x0 = np.array([p if p is not None else 0.0 for p in hyp.circuit.parameters()])
-    obj = ObjectiveSpec(arity=n_par, evaluate=engine.neg_fitness, budget=budget,
-                        line=engine.line)
     res = get_optimizer(optimizer_label)(obj, x0)
     tuned = hyp.circuit.with_parameters(res.best_params)
     return replace(hyp, circuit=tuned, fitness=-res.best_value)
@@ -950,10 +950,8 @@ class TrainResult:
 def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
                      budget: int = 4000) -> ObjectiveSpec:
     """The length-weighted squared error of the template's sequence
-    probabilities against the target, for (P,) parameters or a (B, P) block
-    of them (one code path, row values equal bit for bit), and along one
-    angle (``ChannelEngine.line_probs``). A length whose table would pass
-    ``lang.TABLE_BUDGET`` is refused."""
+    probabilities against the target (``ChannelEngine.objective``). A length
+    whose table would pass ``lang.TABLE_BUDGET`` is refused."""
     lengths = sorted({len(seq) for seq, _ in target})
     if not lengths or lengths[0] == 0:
         raise ValueError("target support must be nonempty sequences")
@@ -978,15 +976,7 @@ def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
         gap = probs.take(at, axis=-1) - refs
         return np.add.reduce(weights * gap * gap, axis=-1)
 
-    def cost(x):
-        return value(np.concatenate(engine.level_probs(x, lengths), axis=-1))
-
-    def line(x, axis):
-        probs = engine.line_probs(x, axis, lengths)
-        return lambda t: value(probs(t))
-
-    return ObjectiveSpec(arity=spec.circuit.num_parameters, evaluate=cost,
-                         budget=budget, line=line)
+    return engine.objective(lengths, value, budget)
 
 
 def _train_result(res) -> TrainResult:

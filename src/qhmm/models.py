@@ -207,8 +207,6 @@ def distribution_tables(q: QhmmKraus, lengths) -> dict[int, DistributionTable]:
 
 
 def distribution(q: QhmmKraus, t: int) -> DistributionTable:
-    if t == 0:
-        return DistributionTable(t=0, probs={(): 1.0})
     return distribution_tables(q, [t])[t]
 
 

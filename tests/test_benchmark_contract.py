@@ -235,3 +235,48 @@ def test_fits_run_the_hooked_kernel_once_per_objective_call(fit, label,
         assert calls["objective"] > 1 and calls["line"] == 0, calls
     assert (calls["unitary"] == calls["level_probs"]
             == calls["objective"] + calls["line"]), calls
+
+
+def test_every_fit_hands_its_optimizer_a_line(monkeypatch):
+    # coordinate search reads its golden-section points from one line per
+    # axis, and nm and fd prepare points only on an objective with a line,
+    # so the benchmark's evolve and ansatz rates rest on every fit's
+    # objective having one. A fit whose objective lost its line keeps every
+    # result bit for bit; here it fails, as it would otherwise only in the
+    # benchmark's rates
+    from qhmm import classical, experiments, learning
+    from qhmm.circuits import real_amplitudes
+
+    handed, calls = [], []
+    get_optimizer = learning.get_optimizer
+    level_probs = learning.ChannelEngine.level_probs
+
+    def recording(label):
+        run = get_optimizer(label)
+
+        def fit(obj, x0):
+            res = run(obj, x0)
+            handed.append((label, obj, res.evaluations))
+            return res
+        return fit
+
+    def counting(self, x, lengths):
+        calls.append(x)
+        return level_probs(self, x, lengths)
+
+    monkeypatch.setattr(learning, "get_optimizer", recording)
+    monkeypatch.setattr(learning.ChannelEngine, "level_probs", counting)
+    market = classical.market_model()
+    tables = [classical.distribution(market, t) for t in (1, 2, 3)]
+    hyp = learning.Hypothesis(real_amplitudes(2, 1, "linear"), 2, 2, ("0", "1"))
+    items = experiments.market_target_items(max_len=3)
+    for label in ("nm", "cbla", "bfsg"):
+        calls[:] = []
+        learning.optimize_parameters(hyp, tables, label, budget=200)
+        if label == "cbla":  # the start point, then one line per axis search
+            assert len(calls) < handed[-1][2] / 2, (len(calls), handed[-1])
+    learning.train_ansatz(hyp, items, "nm", budget=100)
+    learning.train_ansatz_restarts(hyp, items, "cbla", restarts=2, budget=100)
+    assert [label for label, *_ in handed] == ["nm", "cbla", "bfsg", "nm", "cbla"]
+    assert all(isinstance(obj, learning.ObjectiveSpec) and obj.line is not None
+               for _, obj, _ in handed), handed

@@ -102,6 +102,30 @@ def test_forward_probs_order_and_empty_length(market):
         forward_probs(ops, market.x0, np.ones(market.n), [-1])
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_tables_stay_in_unit_interval(seed, market):
+    # a one-symbol model gives every length the probability 1, which the
+    # recursion can round to 1.0000000000000002, and the quantized market's
+    # length-0 entry tr(rho0) rounded so too; every entry is clipped into
+    # [0, 1], and the empty sequence has probability 1 exactly
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    a = rng.random((n, n))
+    x0 = rng.random(n)
+    one = classical.ClassicalHmm(alphabet=["a"], A=a / a.sum(axis=0),
+                                 B=np.ones((1, n)), x0=x0 / x0.sum())
+    lengths = range(7)
+    for tables in (classical.distribution_tables(one, lengths),
+                   models.distribution_tables(models.quantize_classical(one),
+                                              lengths),
+                   models.distribution_tables(models.quantize_classical(market),
+                                              lengths)):
+        assert tables[0].probs == {(): 1.0}
+        assert all(0.0 <= p <= 1.0 for tab in tables.values()
+                   for p in tab.probs.values())
+    assert classical.distribution(one, 0).probs == {(): 1.0}
+
+
 @pytest.mark.parametrize("lengths", [[2, 0, 2, 1], [3, 3], [0, 0], [1, 3, 0, 2, 1]])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["point", "block"])
 def test_forward_levels_repeated_unsorted_and_zero_lengths(lengths, lead):

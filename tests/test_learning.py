@@ -139,8 +139,9 @@ def test_learners_refuse_targets_past_the_table_budget(market_target):
         ansatz_objective(hyp, [(seq, 1.0)])
     # a target prepared once for a search must match the hypothesis
     levels = target_levels(market_target, 2)
-    assert FitnessEngine(hyp, levels).fitness(np.array([0.3, 1.1])) == (
-        FitnessEngine(hyp, market_target).fitness(np.array([0.3, 1.1])))
+    x = np.array([0.3, 1.1])
+    assert FitnessEngine(hyp, levels).objective().evaluate(x) == (
+        FitnessEngine(hyp, market_target).objective().evaluate(x))
     with pytest.raises(ValueError, match="target over 3 symbols"):
         FitnessEngine(hyp, target_levels(market_target, 3))
 
@@ -673,10 +674,9 @@ BATCH_SIZES = (1, 2, 7, 36)
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4]), st.integers(0, 16))
 def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
-    # a point's level probabilities, divergence, neg_fitness and ansatz cost
-    # are the same bits alone as at any position of a block, over random
-    # circuits of all 11 gate types, and neg_fitness is -fitness bit for bit;
-    # the empty sequence is a level of the divergence
+    # a point's level probabilities, -fitness and ansatz cost are the same
+    # bits alone as at any position of a block, over random circuits of all
+    # 11 gate types; the empty sequence is a level of the divergence
     from qhmm.models import block_symbol_map
 
     rng = np.random.default_rng(seed)
@@ -697,27 +697,25 @@ def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
     items = [(s, tab.prob(s)) for tab in tables[1:] for s in sorted(tab.probs)]
     engine = ChannelEngine(template, 2, dim_e, symbol_map, initial_state(
         "maximally_mixed", 2))
-    fit = FitnessEngine(Hypothesis(template, 2, dim_e, symbol_map), tables)
+    fit = FitnessEngine(Hypothesis(template, 2, dim_e, symbol_map),
+                        tables).objective()
     cost = ansatz_objective(AnsatzSpec(template, 2, dim_e, symbol_map), items)
     points = rng.uniform(0.0, 8 * np.pi, size=(36, template.num_parameters))
-    alone = [(engine.level_probs(x, lengths), fit.divergence(x), cost.evaluate(x),
-              fit.neg_fitness(x)) for x in points]
-    assert all(neg == -fit.fitness(x) for x, (*_, neg) in zip(points, alone))
+    alone = [(engine.level_probs(x, lengths), cost.evaluate(x), fit.evaluate(x))
+             for x in points]
     for size in BATCH_SIZES:
         for shift in (0, int(rng.integers(36))):
             rows = np.roll(points, -shift, axis=0)[:size]
             probs = engine.level_probs(rows, lengths)
-            divs, costs = fit.divergence(rows), cost.evaluate(rows)
-            negs = fit.neg_fitness(rows)
-            assert divs.shape == costs.shape == negs.shape == (size,)
-            assert np.array_equal(negs, -fit.fitness(rows))
+            costs, negs = cost.evaluate(rows), fit.evaluate(rows)
+            assert costs.shape == negs.shape == (size,)
             assert [p.shape for p in probs] == [
                 (size, engine.n_symbols**t) for t in lengths]
             for i in range(size):
-                want_probs, want_div, want_cost, want_neg = alone[(i + shift) % 36]
+                want_probs, want_cost, want_neg = alone[(i + shift) % 36]
                 assert all(np.array_equal(p[i], w)
                            for p, w in zip(probs, want_probs))
-                assert divs[i] == want_div and costs[i] == want_cost
+                assert costs[i] == want_cost
                 assert negs[i] == want_neg
 
 
@@ -766,7 +764,7 @@ def test_line_equals_points_along_each_angle(seed, gate, dim_e, top):
     items = [(s, tab.prob(s)) for tab in tables[1:] for s in sorted(tab.probs)]
     hyp = Hypothesis(circuit, 2, dim_e, symbol_map)
     engine = hyp.engine()
-    fit = FitnessEngine(hyp, tables, 0.01, 0.01)
+    fit = FitnessEngine(hyp, tables, 0.01, 0.01).objective()
     probs = engine.line_probs(x, axis, lengths)
     fitness_line = fit.line(x, axis)
     if items:
@@ -777,7 +775,7 @@ def test_line_equals_points_along_each_angle(seed, gate, dim_e, top):
         xt[axis] = t
         want = np.concatenate(engine.level_probs(xt, lengths))
         assert np.abs(probs(t) - want).max() <= 1e-13
-        assert abs(fitness_line(t) - fit.neg_fitness(xt)) <= 1e-13
+        assert abs(fitness_line(t) - fit.evaluate(xt)) <= 1e-13
         if items:
             assert abs(cost_line(t) - cost.evaluate(xt)) <= 1e-13
 

@@ -597,14 +597,14 @@ def _line_objective(kind):
                               GateSpec("CRY", (1, 0), angle),
                               GateSpec("P", (0,), angle)))
         market = classical.market_model()
-        engine = learning.FitnessEngine(
+        obj = learning.FitnessEngine(
             learning.Hypothesis(circuit, 2, 2, ("0", "1")),
-            [classical.distribution(market, t) for t in (1, 2, 3)])
+            [classical.distribution(market, t) for t in (1, 2, 3)]).objective()
         # fd backtracks deep near a minimum of this nonsmooth objective:
         # the lone fit starts where a short Nelder-Mead fit ended
-        starts[0] = nelder_mead(ObjectiveSpec(4, engine.neg_fitness, 50),
+        starts[0] = nelder_mead(ObjectiveSpec(4, obj.evaluate, 50),
                                 starts[0]).best_params
-        return 4, engine.neg_fitness, engine.line, starts
+        return 4, obj.evaluate, obj.line, starts
     if kind == "ansatz":
         obj = learning.ansatz_objective(
             learning.AnsatzSpec(real_amplitudes(2, 1, "linear"), 2, 2, ("0", "1")),
