@@ -10,11 +10,11 @@ DIR/parent/fixtures and DIR/change/fixtures, which are compared like any
 output; both trees then run every command of the matrix on PARENT's
 fixtures, each command in its own process with that tree's ``src`` on
 PYTHONPATH, the parent's run of a command right before the change's, and
-write to DIR/parent/CASE and DIR/change/CASE. A raw
-corpus, two circuit-form models (two and three qubits) and two learn-evo
-configs are written beside the fixtures by this script, so that neither
-tree's code builds them. A command's stdout is kept as CASE/stdout.txt;
-stderr, which carries timings, is not compared.
+write to DIR/parent/CASE and DIR/change/CASE. Two raw corpora (two and
+four symbols), two circuit-form models (two and three qubits) and three
+learn-evo configs are written beside the fixtures by this script, so that
+neither tree's code builds them. A command's stdout is kept as
+CASE/stdout.txt; stderr, which carries timings, is not compared.
 
 Every output file gets one line with one verdict:
 
@@ -84,6 +84,10 @@ EVO_CONFIGS = {
     "gaussian4": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3, "n_max": 3,
                   "dim_s": 2, "dim_e": 4, "opt_budget": 30,
                   "gate_set": ["X", "Y", "RX", "RY", "P", "CX", "CRY"]},
+    # no n_max: the default window of a four-symbol corpus must stay inside
+    # the table budget
+    "corpus4": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3, "dim_s": 2,
+                "opt_budget": 20},
 }
 MODELS = ["market", "gaussian4", "damping", "monras", "market_quantized",
           "circuit", "circuit3"]
@@ -91,18 +95,20 @@ MODELS = ["market", "gaussian4", "damping", "monras", "market_quantized",
 SIMULATED = ["market", "gaussian4", "damping", "circuit", "circuit3"]
 
 
-def corpus_lines(count: int = 60, length: int = 16) -> list[str]:
-    """A raw two-symbol corpus from a fixed linear congruential sequence: a
-    symbol repeats the last one unless the generator's top bits say
-    otherwise, so the windows of each length are not uniform."""
-    state, last, lines = 12345, 0, []
+def corpus_lines(count: int = 60, length: int = 16,
+                 symbols: str = "01") -> list[str]:
+    """A raw corpus from a fixed linear congruential sequence: a symbol
+    repeats the last one unless the generator's top bits say otherwise, and
+    then moves on by 1 to m - 1 places, so the windows of each length are
+    not uniform."""
+    state, last, lines, m = 12345, 0, [], len(symbols)
     for _ in range(count):
         line = []
         for _ in range(length):
             state = (state * 1103515245 + 12345) % 2**31
             if state >> 29 == 0:  # one time in four
-                last = 1 - last
-            line.append("01"[last])
+                last = (last + 1 + (state >> 16) % (m - 1)) % m
+            line.append(symbols[last])
         lines.append("".join(line))
     return lines
 
@@ -115,6 +121,11 @@ def matrix(quick: bool) -> list[tuple[str, list[str]]]:
     # the multi-factor, three-qubit kernel of the Monras fits
     su2 = ["learn-ansatz", "--target", gauss, "--template",
            "efficient_su2_rz_rx", "--reps", "3", "--restarts", "2", "--seed", "3"]
+    corpus = "{fx}/corpus.txt"
+    # the corpus window and the Hankel dim_s estimate of a config without
+    # n_max or dim_s
+    evo_corpus = ("learn-evo-corpus", ["learn-evo", "--target", corpus,
+                                       "--config", "{fx}/evo_market.json"])
     if quick:
         return [
             ("distribution-market", ["distribution", "--model", model % "market",
@@ -130,6 +141,7 @@ def matrix(quick: bool) -> list[tuple[str, list[str]]]:
             ("learn-evo-market", ["learn-evo", "--target", market, "--config",
                                   "{fx}/evo_market.json"]),
             ("learn-ansatz-su2-gaussian4", su2 + ["--budget", "40"]),
+            evo_corpus,
         ]
     cases = []
     for name in MODELS:
@@ -145,11 +157,12 @@ def matrix(quick: bool) -> list[tuple[str, list[str]]]:
         cases.append((f"quantize-{name}", ["quantize", "--model", model % name]))
     cases.append(("hankel-target", ["hankel", "--target", market,
                                     "--max-len", "2"]))
-    corpus = "{fx}/corpus.txt"
     cases.append(("hankel-corpus", ["hankel", "--target", corpus,
                                     "--max-len", "2"]))
-    cases.append(("learn-evo-corpus", ["learn-evo", "--target", corpus,
-                                       "--config", "{fx}/evo_market.json"]))
+    cases.append(evo_corpus)
+    cases.append(("learn-evo-corpus4", ["learn-evo", "--target",
+                                        "{fx}/corpus4.txt", "--config",
+                                        "{fx}/evo_corpus4.json"]))
     cases.append(("learn-ansatz-corpus", [
         "learn-ansatz", "--target", corpus, "--t", "3", "--restarts", "2",
         "--budget", "300", "--seed", "3"]))
@@ -172,6 +185,8 @@ def write_fixtures(tree: Path, out: Path) -> None:
     (out / "circuit.json").write_text(json.dumps(CIRCUIT_MODEL, indent=2) + "\n")
     (out / "circuit3.json").write_text(json.dumps(CIRCUIT3_MODEL, indent=2) + "\n")
     (out / "corpus.txt").write_text("\n".join(corpus_lines()) + "\n")
+    (out / "corpus4.txt").write_text(
+        "\n".join(corpus_lines(symbols="abcd")) + "\n")
     for name, cfg in EVO_CONFIGS.items():
         (out / f"evo_{name}.json").write_text(json.dumps(cfg) + "\n")
 

@@ -336,12 +336,11 @@ def cmd_learn_evo(args):
     args.seed = seed
     seed = _resolve_seed(args)
     try:
-        alphabet, tables = _load_target(args.target, cfg.get("n_max", 5),
-                                        exact=True)
-        _require_lengths(args.target, tables, max(tables))
         hp = _from_config(HyperParams, cfg)
     except ValueError as exc:
         _fail(f"invalid config {args.config}: {exc}")
+    alphabet, tables = _load_target(args.target, hp.n_max, exact=True)
+    _require_lengths(args.target, tables, max(tables))
     target = [tables[t] for t in sorted(tables)]
     _check_table_budget(args.target, alphabet, target[:hp.n_max][-1].t)
     space = _space_from_config(alphabet, tables, cfg)
@@ -382,6 +381,7 @@ def cmd_learn_ansatz(args):
     seed = _resolve_seed(args)
     alphabet, tables = _load_target(args.target, args.t, exact=True)
     _check_table_budget(args.target, alphabet, max(tables))
+    _require_lengths(args.target, tables, max(tables))
     m = len(alphabet)
     dim_s = args.dim_s
     dim_e = next_power_of_two(m) if args.dim_e is None else args.dim_e

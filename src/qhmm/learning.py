@@ -20,7 +20,8 @@ from . import circuits as qc
 from .circuits import Circuit, GateStack, compile_circuit
 from .lang import (DistributionTable, Sequence, check_table_budget, divergence_avg,
                    forward_levels, table_vector)
-from .models import QhmmKraus, QhmmUnitary, distribution_tables, to_kraus
+from .models import (QhmmKraus, QhmmUnitary, block_symbol_map,
+                     distribution_tables, to_kraus)
 from .optimize import OPTIMIZER_LABELS, ObjectiveSpec, get_optimizer
 
 
@@ -132,8 +133,6 @@ class LearnSpace:
     opt_budget: int = 70  # local-search evaluations per circuit parameter
 
     def __post_init__(self):
-        from .models import block_symbol_map
-
         register_qubits(self.dim_s, self.dim_e)
         for kind, names, known in (("gate type", self.gate_set, qc.GATE_ARITY),
                                    ("optimizer label", self.optimizers,
@@ -186,7 +185,7 @@ class HyperParams:
     target_fitness: float = -0.01
     c_q: float = 0.01
     c_e: float = 0.01
-    n_max: int = 7
+    n_max: int = 5
 
     def __post_init__(self):
         if self.mu < 2:
@@ -1012,7 +1011,7 @@ def train_ansatz_restarts(
 ) -> TrainResult:
     """Best result over seeded random restarts (the first with the lowest
     cost), fitted in lockstep: every tick evaluates the asks of all
-    unfinished restarts as one block."""
+    unfinished restarts in one objective call."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     obj = ansatz_objective(spec, target, budget)

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import channels as ch
 from .channels import KrausChannel
-from .circuits import Circuit, circuit_from_json, circuit_to_json, unitary_of
+from .circuits import (Circuit, amplitude_damping_circuit, circuit_from_json,
+                       circuit_to_json, compile_circuit, unitary_of)
 from .classical import ClassicalHmm, observable_operators
 from .lang import (
     DistributionTable,
@@ -300,8 +301,6 @@ def amplitude_damping_channel(gamma: float) -> KrausChannel:
 def amplitude_damping_model(theta: float) -> QhmmUnitary:
     """The two-qubit damping generator in unitary form: system qubit prepared
     in |+>, measured each step; emission qubit reset each step."""
-    from .circuits import amplitude_damping_circuit, compile_circuit
-
     design = amplitude_damping_circuit(theta)
     plus = np.full((2, 2), 0.5, dtype=np.complex128)
     return QhmmUnitary(

@@ -209,39 +209,35 @@ class _Fit:
 def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResult:
     """Evaluate the points a body asks for, up to the budget.
 
-    The fit converged when the body returned; it did not when the body asked
-    for a point past the budget. A block is cut where the budget ends, so
-    the count, the incumbent and the flag are those of asking its rows one
-    by one. The best point evaluated is returned either way. An (R, P) x0
-    runs R fits in lockstep (see ``OptResult``). A start whose last axis is
-    not the objective's arity is refused.
+    One fit runs per row of an (R, P) x0, in lockstep: each tick evaluates
+    the asks of every live fit in one objective call, a point asked by the
+    only live fit as a point and a lone block as it is. A (P,) x0 returns
+    its fit's result, an (R, P) x0 its best fit (see ``OptResult``). A fit
+    converged when its body returned; it did not when the body asked for a
+    point past the budget. A block is cut where the budget ends, so the
+    count, the incumbent and the flag are those of asking its rows one by
+    one. The best point evaluated is returned either way. A start whose
+    last axis is not the objective's arity is refused.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != obj.arity:
         raise ValueError(f"the objective takes {obj.arity} parameters, but "
                          f"the start has shape {x0.shape}")
-    if x0.ndim == 2:
-        return _lockstep(obj, x0, body)
-    fit, evaluate = _Fit(obj, x0, body), obj.evaluate
-    while fit.open:
-        if fit.ask.ndim == 1:
-            fit.tell_point(evaluate(fit.ask))
-        else:
-            rows = fit.block()
-            fit.tell(rows, evaluate(rows))
-    return fit.result()
-
-
-def _lockstep(obj: ObjectiveSpec, starts: np.ndarray, body) -> OptResult:
-    fits = [_Fit(obj, x0, body) for x0 in starts]
+    fits = [_Fit(obj, start, body) for start in np.atleast_2d(x0)]
+    evaluate = obj.evaluate
     while live := [fit for fit in fits if fit.open]:
+        if len(live) == 1 and live[0].ask.ndim == 1:
+            live[0].tell_point(evaluate(live[0].ask))
+            continue
         blocks = [fit.block() for fit in live]
-        values = obj.evaluate(np.concatenate(blocks))
+        values = evaluate(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
         at = 0
         for fit, rows in zip(live, blocks):
             fit.tell(rows, values[at:at + len(rows)])
             at += len(rows)
     results = [fit.result() for fit in fits]
+    if x0.ndim == 1:
+        return results[0]
     best = min(range(len(results)), key=lambda r: results[r].best_value)
     return replace(results[best], fits=results, best_fit=best,
                    evaluations=sum(res.evaluations for res in results))

@@ -377,6 +377,46 @@ def test_learn_evo_from_corpus(tmp_path):
     assert report["best_fitness"] <= 0.0
 
 
+def test_learn_evo_corpus_defaults(tmp_path, monkeypatch):
+    # a corpus config without n_max or dim_s: the corpus is tabulated up to
+    # the library's n_max, the one default of CSV and corpus targets, and
+    # dim_s is the Hankel estimate of those tables (at least 2)
+    from qhmm import cli, lang
+    from qhmm.learning import HyperParams
+
+    market = classical.market_model()
+    seqs = classical.sample(market, 12, 400, seed=5)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(
+        "".join(market.alphabet[a] for a in s) for s in seqs) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": 2, "lambda": 1, "g_max": 0,
+                               "opt_budget": 5, "min_gates": 1,
+                               "max_gates": 2, "dim_e": 2}))
+    tabulated, fitted = [], []
+    tabulate, evolve = lang.tables_from_corpus, cli.evolve
+
+    def recording_tabulate(corpus, max_len):
+        tabulated.append((max_len, tabulate(corpus, max_len)))
+        return tabulated[-1][1]
+
+    def recording_evolve(target, space, hp, seed):
+        fitted.append((target, space))
+        return evolve(target, space, hp, seed=seed)
+
+    monkeypatch.setattr(lang, "tables_from_corpus", recording_tabulate)
+    monkeypatch.setattr(cli, "evolve", recording_evolve)
+    assert main(["learn-evo", "--target", str(corpus), "--config", str(cfg),
+                 "--seed", "2", "--out", str(tmp_path / "out")]) == 0
+    n_max = HyperParams().n_max
+    [(max_len, tables)] = tabulated
+    assert max_len == n_max and sorted(tables) == list(range(1, n_max + 1))
+    [(target, space)] = fitted
+    assert [tab.t for tab in target] == list(range(1, n_max + 1))
+    h = lang.hankel_from_tables(tables, n_max // 2, n_max // 2, 2)
+    assert space.dim_s == max(lang.order_estimate(h).quantum_dim, 2)
+
+
 def test_reproduce_all(tmp_path, monkeypatch, capsys):
     table2 = experiments.REPRODUCTIONS["table2"]
     monkeypatch.setattr(experiments, "REPRODUCTIONS", {"table2": table2})
@@ -810,7 +850,8 @@ def test_hankel_rejected_target_leaves_no_output(tmp_path, capsys):
     # the output directory used to be made before the target was loaded
     repeated = tmp_path / "repeated.csv"
     repeated.write_text("sequence,probability\n0,0.5\n0,0.5\n1,0.5\n")
-    # a table short of a needed length, and a gap in the lengths, exited 1
+    # a table short of a needed length, and a gap in the lengths, exited 1;
+    # learn-ansatz fitted a target with a gap
     from qhmm.lang import write_tables_csv
 
     market = classical.market_model()
@@ -825,6 +866,7 @@ def test_hankel_rejected_target_leaves_no_output(tmp_path, capsys):
          "tables missing for lengths [4]"),
         (["learn-evo", "--target", str(gap), "--config", str(cfg)],
          "tables missing for lengths [2]"),
+        (["learn-ansatz", "--target", str(gap)], "tables missing for lengths [2]"),
     ]
     for i, (argv, message) in enumerate(cases):
         out = tmp_path / f"out{i}"

@@ -531,6 +531,30 @@ def test_evolve_best_trace_nondecreasing(space, market_target):
             assert abs(sum(probs) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("prog_window", [1, 2])
+def test_evolve_temperature_resets_on_stagnation(space, market_target,
+                                                 prog_window):
+    # the temperature of each generation is tau(t) for the progress counter
+    # t, which counts the generations since the start or the last reset and
+    # resets to 0 once the best has not improved for prog_window
+    # generations; a complexity cost keeps the target of 0 out of reach
+    hp = HyperParams(mu=4, lam=2, g_max=6, target_fitness=0.0,
+                     prog_window=prog_window)
+    rep = evolve(market_target, space, hp, seed=2)
+    assert len(rep.generations) == hp.g_max
+    t, last, resets = 0, 0, 0
+    for g, stats in enumerate(rep.generations, 1):
+        assert stats.generation == g
+        assert stats.temperature == temperature(t)
+        if rep.best_trace[g] > rep.best_trace[g - 1] + 1e-15:
+            last = g
+        if g - last >= prog_window:
+            t, resets = 0, resets + (t > 0)
+        else:
+            t += 1
+    assert resets >= 1
+
+
 def test_evolve_self_recovery_small():
     # plant a one-gate model and ask the search to find its language
     planted = make_hyp([GateSpec("RY", (0,), (1.2,))])

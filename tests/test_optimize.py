@@ -658,3 +658,44 @@ def test_prepared_points_keep_every_fit(family, kind):
                 assert all(_same_fit(a, b) for a, b in zip(res.fits, ref.fits))
             elif budget == 60 and (family, kind) != ("fd", "ansatz"):
                 assert calls < ref_calls
+
+
+@pytest.mark.parametrize("family,with_line", [("nm", False), ("nm", True),
+                                              ("fd", False), ("fd", True),
+                                              ("coord", False)])
+@pytest.mark.parametrize("kind", ["abs", "rugged"])
+def test_one_loop_asks_a_lone_fit_as_alone(family, with_line, kind):
+    # a single fit and a lockstep run through the same loop: a lone fit's
+    # asks reach the objective as (P,) points or as views of its own (B, P)
+    # blocks, never copied into a concatenation; while two fits live each
+    # call is one concatenated block, and once only the last fit is left,
+    # its calls are those of its run alone, point for point and block for
+    # block. Every fit of the lockstep is its run alone bit for bit. The
+    # starts lie at growing distances, so that one fit runs longest
+    dim, f, _ = _seeded_objective(kind, 5)
+    starts = np.random.default_rng(7).normal(size=(4, dim)) * [[1], [2], [4], [8]]
+    line = _exact_line(f) if with_line else None
+
+    def run(x0):
+        calls = []
+
+        def evaluate(x):
+            calls.append((np.array(x), x.flags.owndata))
+            return rowwise(f)(x)
+
+        return FROZEN[family][0](ObjectiveSpec(dim, evaluate, 3000, line),
+                                 x0), calls
+
+    alone = [run(x0) for x0 in starts]
+    for _, calls in alone:
+        assert all(x.ndim == 1 or not owns for x, owns in calls)
+    res, calls = run(starts)
+    assert all(_same_fit(got, want) for got, (want, _) in zip(res.fits, alone))
+    ticks = sorted(len(lone) for _, lone in alone)
+    assert len(calls) == ticks[-1] > ticks[-2]
+    last = max((lone for _, lone in alone), key=len)
+    assert all(x.ndim == 2 and owns for x, owns in calls[:ticks[-2]])
+    tail = calls[ticks[-2]:]
+    for (x, owns), (y, lone_owns) in zip(tail, last[ticks[-2]:]):
+        assert x.ndim == y.ndim and np.array_equal(x, y) and owns == lone_owns
+    assert with_line or any(x.ndim == 1 for x, _ in tail)
