@@ -11,10 +11,13 @@ output; both trees then run every command of the matrix on PARENT's
 fixtures, each command in its own process with that tree's ``src`` on
 PYTHONPATH, the parent's run of a command right before the change's, and
 write to DIR/parent/CASE and DIR/change/CASE. Two raw corpora (two and
-four symbols), two circuit-form models (two and three qubits) and three
-learn-evo configs are written beside the fixtures by this script, so that
-neither tree's code builds them. A command's stdout is kept as
-CASE/stdout.txt; stderr, which carries timings, is not compared.
+four symbols), two circuit-form models (two and three qubits), an
+unreadable model and five learn-evo configs are written beside the
+fixtures by this script, so that neither tree's code builds them. A
+command's stdout is kept as CASE/stdout.txt; stderr, which carries
+timings, is not compared. The refusal cases are inputs that must exit 2
+before any output is written; their stderr holds only the ``error:`` line
+and is kept as CASE/stderr.txt.
 
 Every output file gets one line with one verdict:
 
@@ -22,8 +25,8 @@ Every output file gets one line with one verdict:
 - ``numeric``: the same text once every number is masked, and as many
   numbers, with the largest absolute and relative difference between them;
 - ``different``: anything else (a file on one side only, a changed word, a
-  different count of numbers, a different exit code), with the first line
-  that differs.
+  different count of numbers, an exit code other than 0, or other than 2
+  in a refusal case), with the first line that differs.
 
 The exit code is 0 only when every file is ``identical``, so a declared
 output change reads as a nonzero exit plus the table to report. Each
@@ -88,6 +91,10 @@ EVO_CONFIGS = {
     # the table budget
     "corpus4": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3, "dim_s": 2,
                 "opt_budget": 20},
+    # refused: a misspelt key, and the two-symbol corpus windowed past the
+    # table budget
+    "bad_key": {"mu": 4, "lamda": 2, "seed": 3},
+    "corpus_budget": {"mu": 4, "lambda": 2, "seed": 3, "n_max": 13},
 }
 MODELS = ["market", "gaussian4", "damping", "monras", "market_quantized",
           "circuit", "circuit3"]
@@ -179,11 +186,37 @@ def matrix(quick: bool) -> list[tuple[str, list[str]]]:
     return cases
 
 
+def refusals(quick: bool) -> list[tuple[str, list[str]]]:
+    """(case, arguments) of every command that must exit 2, as in
+    ``matrix``."""
+    market = "{fx}/market.json"
+    cases = [("refuse-distribution-t", ["distribution", "--model", market,
+                                        "--t", "13"])]
+    if quick:
+        return cases
+    return cases + [
+        ("refuse-unreadable-model", ["distribution", "--model",
+                                     "{fx}/unreadable.json", "--t", "2"]),
+        ("refuse-config-key", ["learn-evo", "--target",
+                               "{fx}/market_target.csv", "--config",
+                               "{fx}/evo_bad_key.json"]),
+        ("refuse-hankel-max-len", ["hankel", "--model", market,
+                                   "--max-len", "9"]),
+        ("refuse-evo-corpus-budget", ["learn-evo", "--target",
+                                      "{fx}/corpus.txt", "--config",
+                                      "{fx}/evo_corpus_budget.json"]),
+        ("refuse-ansatz-dims", ["learn-ansatz", "--target",
+                                "{fx}/market_target.csv", "--dim-e", "3",
+                                "--seed", "3"]),
+    ]
+
+
 def write_fixtures(tree: Path, out: Path) -> None:
     run_in(tree, [str(tree / "scripts" / "make_fixture_models.py"), "--out",
                   str(out)], None, module=False)
     (out / "circuit.json").write_text(json.dumps(CIRCUIT_MODEL, indent=2) + "\n")
     (out / "circuit3.json").write_text(json.dumps(CIRCUIT3_MODEL, indent=2) + "\n")
+    (out / "unreadable.json").write_text('{"type": "unitary",\n')
     (out / "corpus.txt").write_text("\n".join(corpus_lines()) + "\n")
     (out / "corpus4.txt").write_text(
         "\n".join(corpus_lines(symbols="abcd")) + "\n")
@@ -191,24 +224,30 @@ def write_fixtures(tree: Path, out: Path) -> None:
         (out / f"evo_{name}.json").write_text(json.dumps(cfg) + "\n")
 
 
-def run_in(tree: Path, args: list[str], log: Path | None, module=True) -> int:
+def run_in(tree: Path, args: list[str], log: Path | None, module=True,
+           err: Path | None = None) -> int:
     """Run qhmm's CLI (or a script) with the tree's src first on the path,
-    its stdout to ``log`` (or nowhere); returns the exit code."""
+    its stdout to ``log`` and its stderr to ``err`` (or nowhere); returns
+    the exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     cmd = [sys.executable] + (["-m", "qhmm.cli"] if module else []) + args
-    with open(log or os.devnull, "w") as fh:
-        return subprocess.run(cmd, env=env, stdout=fh, stderr=subprocess.DEVNULL,
+    with open(log or os.devnull, "w") as fh, open(err or os.devnull, "w") as eh:
+        return subprocess.run(cmd, env=env, stdout=fh, stderr=eh,
                               cwd=tree).returncode
 
 
-def run_case(tree: Path, fixtures: Path, target: Path, args) -> tuple[int, float]:
-    """Run one command of the matrix in the tree, writing to ``target``;
-    returns its exit code and wall time in seconds."""
+def run_case(tree: Path, fixtures: Path, target: Path, args,
+             refused: bool) -> tuple[int, float]:
+    """Run one command in the tree, writing to ``target``, which a refused
+    command leaves to its stdout and stderr; returns its exit code and wall
+    time in seconds."""
     target.mkdir(parents=True, exist_ok=True)
-    args = [a.format(fx=fixtures) for a in args] + ["--out", str(target)]
+    args = [a.format(fx=fixtures) for a in args] + [
+        "--out", str(target / "out" if refused else target)]
     start = time.perf_counter()
-    code = run_in(tree, args, target / "stdout.txt")
+    code = run_in(tree, args, target / "stdout.txt",
+                  err=target / "stderr.txt" if refused else None)
     return code, time.perf_counter() - start
 
 
@@ -264,13 +303,15 @@ def main() -> int:
     for side, tree in trees.items():
         (out / side / "fixtures").mkdir(parents=True)
         write_fixtures(tree, out / side / "fixtures")
-    cases = matrix(args.quick)
+    refused = dict(refusals(args.quick))
+    cases = matrix(args.quick) + list(refused.items())
     runs = {case: {side: run_case(tree, out / "parent" / "fixtures",
-                                  out / side / case, case_args)
+                                  out / side / case, case_args, case in refused)
                    for side, tree in trees.items()}
             for case, case_args in cases}
     codes = {case: [runs[case][side][0] for side in trees] for case, _ in cases}
-    rows = [(f"{case}/exit", "identical", "") if codes[case] == [0, 0] else
+    rows = [(f"{case}/exit", "identical", "")
+            if codes[case] == [2 if case in refused else 0] * 2 else
             (f"{case}/exit", "different",
              f"exit {codes[case][0]} vs {codes[case][1]}")
             for case, _ in cases]

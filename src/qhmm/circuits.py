@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix
-
 PARAM_RANGE = (0.0, 8.0 * math.pi)
 
 GATE_ARITY = {
@@ -465,10 +463,3 @@ def circuit_from_json(d: dict) -> Circuit:
         for g in d["gates"]
     )
     return Circuit(int(d["n_qubits"]), gates)
-
-
-def unitary_of(circuit_or_matrix) -> np.ndarray:
-    """Accept either a Circuit or an explicit matrix."""
-    if isinstance(circuit_or_matrix, Circuit):
-        return compile_circuit(circuit_or_matrix)
-    return as_matrix(circuit_or_matrix)

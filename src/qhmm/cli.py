@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
@@ -37,9 +38,19 @@ from .optimize import OPTIMIZER_LABELS
 _WRITE_CHUNK = 65536  # lines of sequences.csv rendered per write
 
 
-def _fail(msg: str, code: int = 2):
+def _fail(msg: str):
     print(f"error: {msg}", file=sys.stderr)
-    raise SystemExit(code)
+    raise SystemExit(2)
+
+
+@contextmanager
+def _refused(what: str, errors=ValueError):
+    """Refuse an input: an exception of ``errors`` (ValueError by default)
+    raised in the block exits 2 with ``error: WHAT: DETAIL``."""
+    try:
+        yield
+    except errors as exc:
+        _fail(f"{what}: {exc}")
 
 
 def _nonnegative(text: str) -> int:
@@ -87,20 +98,17 @@ def _resolve_seed(args) -> int:
 
 def load_model(path: str):
     """Dispatch on JSON content: classical HMM, Kraus QHMM or unitary QHMM."""
-    try:
+    with _refused(f"cannot read model file {path}",
+                  (OSError, json.JSONDecodeError)):
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(f"cannot read model file {path}: {exc}")
     if not isinstance(data, dict):
         _fail(f"invalid model file {path}: expected a JSON object")
-    try:
+    with _refused(f"invalid model file {path}", (ValueError, KeyError)):
         if data.get("type") in ("kraus", "unitary"):
             return models.qhmm_from_json(data)
         if {"alphabet", "A", "B", "x0"} <= set(data):
             return classical.hmm_from_json(data)
-    except (ValueError, KeyError) as exc:
-        _fail(f"invalid model file {path}: {exc}")
     _fail(f"unrecognized model format in {path}")
 
 
@@ -122,24 +130,21 @@ def _load_target(path: str, max_len: int, check_alphabet=lambda alphabet: None,
     corpus is tabulated. With ``exact``, for the learners, which hold every
     sequence of each length, a corpus whose tables up to max_len would pass
     ``lang.TABLE_BUDGET`` is refused before it is tabulated."""
-    try:
+    with _refused(f"cannot read target file {path}", OSError):
         with open(path) as fh:
             first = fh.readline()
-    except OSError as exc:
-        _fail(f"cannot read target file {path}: {exc}")
-    try:
+    with _refused(f"invalid target file {path}"):
         if "," in first or first.strip().lower().startswith("sequence"):
             alphabet, tables = lang.read_tables_csv(path)
             check_alphabet(alphabet)
+            observed = tables
         else:
-            alphabet, corpus = lang.read_corpus(path)
+            alphabet, observed = lang.read_corpus(path)
             check_alphabet(alphabet)
             if exact:
                 lang.check_table_budget(len(alphabet), max_len)
-            tables = lang.tables_from_corpus(corpus, max_len)
-    except ValueError as exc:
-        _fail(f"invalid target file {path}: {exc}")
-    if not tables:
+            tables = lang.tables_from_corpus(observed, max_len)
+    if not observed:  # a corpus at max_len 0 has sequences but no tables
         _fail(f"target file {path} yields no distribution tables")
     return alphabet, tables
 
@@ -151,17 +156,13 @@ def _require_lengths(path: str, tables, top: int) -> None:
 
 
 def _check_table_budget(path: str, alphabet, top: int) -> None:
-    try:
+    with _refused(f"invalid target file {path}"):
         lang.check_table_budget(len(alphabet), top)
-    except ValueError as exc:
-        _fail(f"invalid target file {path}: {exc}")
 
 
 def _check_hankel_sides(alphabet, max_len: int) -> None:
-    try:
+    with _refused(f"--max-len {max_len}"):
         lang.check_hankel_sides(len(alphabet), max_len, max_len)
-    except ValueError as exc:
-        _fail(f"--max-len {max_len}: {exc}")
 
 
 def cmd_simulate(args):
@@ -179,7 +180,7 @@ def cmd_simulate(args):
     table = models.empirical_table(samples, args.t)
     # the sorted distinct codes and the table's sorted keys both list the
     # distinct rows in lex order, so a row's line sits at its code's index
-    codes = models.lex_codes(samples, len(alphabet))
+    codes = lang.lex_codes(samples, len(alphabet))
     distinct = np.unique(codes)
     lines = np.array([render_sequence(s, alphabet) + "\n"
                       for s in sorted(table.probs)], dtype=object)
@@ -196,10 +197,8 @@ def cmd_simulate(args):
 def cmd_distribution(args):
     model = load_model(args.model)
     ops = _model_operators(model)
-    try:  # the table budget
+    with _refused(f"--t {args.t}"):  # the table budget
         table = lang.exact_tables(*ops, [args.t])[args.t]
-    except ValueError as exc:
-        _fail(f"--t {args.t}: {exc}")
     out = _outdir(args)
     lang.write_tables_csv(out / f"distribution_t{args.t}.csv", [table],
                           model.alphabet)
@@ -308,7 +307,7 @@ def _from_config(cls, cfg: dict, **given):
 
 def _space_from_config(alphabet, tables, cfg: dict) -> LearnSpace:
     m = len(alphabet)
-    try:
+    with _refused("invalid learning space"):
         if "dim_s" in cfg:
             dim_s = cfg["dim_s"]
         else:  # the Hankel estimate, which the side budget may refuse
@@ -318,27 +317,22 @@ def _space_from_config(alphabet, tables, cfg: dict) -> LearnSpace:
         dim_e = cfg.get("dim_e", next_power_of_two(m))
         return _from_config(LearnSpace, cfg, alphabet=alphabet, dim_s=dim_s,
                             dim_e=dim_e)
-    except ValueError as exc:
-        _fail(f"invalid learning space: {exc}")
 
 
 def cmd_learn_evo(args):
     cfg = {}
     if args.config:
-        try:
+        with _refused(f"cannot read config {args.config}",
+                      (OSError, json.JSONDecodeError)):
             cfg = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            _fail(f"cannot read config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             _fail(f"invalid config {args.config}: expected a JSON object")
         _check_config(cfg, args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     args.seed = seed
     seed = _resolve_seed(args)
-    try:
+    with _refused(f"invalid config {args.config}"):
         hp = _from_config(HyperParams, cfg)
-    except ValueError as exc:
-        _fail(f"invalid config {args.config}: {exc}")
     alphabet, tables = _load_target(args.target, hp.n_max, exact=True)
     _require_lengths(args.target, tables, max(tables))
     target = [tables[t] for t in sorted(tables)]
@@ -385,7 +379,7 @@ def cmd_learn_ansatz(args):
     m = len(alphabet)
     dim_s = args.dim_s
     dim_e = next_power_of_two(m) if args.dim_e is None else args.dim_e
-    try:
+    with _refused("invalid ansatz"):
         nq = register_qubits(dim_s, dim_e)
         spec = AnsatzSpec(
             circuit=_TEMPLATES[args.template](nq, args.reps, args.entanglement),
@@ -393,15 +387,8 @@ def cmd_learn_ansatz(args):
             dim_e=dim_e,
             symbol_map=block_symbol_map(alphabet, dim_e),
         )
-    except ValueError as exc:
-        _fail(f"invalid ansatz: {exc}")
-    items = [
-        (seq, tables[t].prob(seq))
-        for t in sorted(tables)
-        for seq in sorted(tables[t].probs)
-    ]
     res = train_ansatz_restarts(
-        spec, items, args.optimizer, restarts=args.restarts,
+        spec, lang.table_items(tables), args.optimizer, restarts=args.restarts,
         budget=args.budget, seed=seed,
     )
     out = _outdir(args)
@@ -434,11 +421,9 @@ def _walk_origin(q, path: str) -> Hypothesis:
               f"model with e0 = 0: {path}")
     if q.u.num_parameters == 0:
         _fail(f"landscape needs a circuit with parameters to walk: {path}")
-    try:
+    with _refused(f"invalid model file {path}"):
         return Hypothesis(circuit=q.u, dim_s=q.dim_s, dim_e=q.dim_e,
                           symbol_map=q.symbol_map, rho0=q.rho0)
-    except ValueError as exc:
-        _fail(f"invalid model file {path}: {exc}")
 
 
 def cmd_landscape(args):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classical, models
 from .circuits import efficient_su2, real_amplitudes
-from .lang import forward_probs, hankel_blocks, sequences_of_length
+from .lang import forward_probs, hankel_blocks, table_items
 from .learning import (
     AnsatzSpec,
     HyperParams,
@@ -194,22 +194,12 @@ def _damping_report(seed: Optional[int] = None) -> ReproduceReport:
 
 def monras_target(max_len: int = 2) -> list[tuple[tuple[int, ...], float]]:
     q = models.monras_qhmm()
-    tabs = models.distribution_tables(q, range(1, max_len + 1))
-    return [
-        (seq, tabs[t].prob(seq))
-        for t in range(1, max_len + 1)
-        for seq in sequences_of_length(4, t)
-    ]
+    return table_items(models.distribution_tables(q, range(1, max_len + 1)))
 
 
 def market_target_items(max_len: int = 5) -> list[tuple[tuple[int, ...], float]]:
     h = classical.market_model()
-    tabs = classical.distribution_tables(h, range(1, max_len + 1))
-    return [
-        (seq, tabs[t].prob(seq))
-        for t in range(1, max_len + 1)
-        for seq in sequences_of_length(2, t)
-    ]
+    return table_items(classical.distribution_tables(h, range(1, max_len + 1)))
 
 
 # the market template, fitted in market_ansatz and for the walk origin

@@ -13,6 +13,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import numerical_rank, next_power_of_two
 
@@ -75,20 +76,9 @@ def parse_sequence(text: str, alphabet: Iterable[str]) -> Sequence:
         raise ValueError(f"symbol {exc.args[0]!r} not in alphabet") from None
 
 
-def subsequence_sample(corpus: list[Sequence], t: int) -> list[Sequence]:
-    """Every length-t contiguous window of every corpus sequence, with
-    multiplicity."""
-    if t < 1:
-        raise ValueError("window length must be >= 1")
-    windows: list[Sequence] = []
-    for seq in corpus:
-        for i in range(len(seq) - t + 1):
-            windows.append(tuple(seq[i : i + t]))
-    return windows
-
-
 def empirical_estimate(windows: list[Sequence], t: int) -> DistributionTable:
-    """Empirical frequencies of the windows; counts are exact integers."""
+    """Empirical frequencies of the windows; counts are exact integers. Kept
+    as the per-tuple test oracle of ``empirical_table``."""
     if not windows:
         raise ValueError("cannot estimate a distribution from an empty sample")
     counts: dict[Sequence, int] = {}
@@ -98,6 +88,40 @@ def empirical_estimate(windows: list[Sequence], t: int) -> DistributionTable:
         counts[w] = counts.get(w, 0) + 1
     n = len(windows)
     return DistributionTable(t=t, probs={s: c / n for s, c in counts.items()})
+
+
+def lex_codes(samples: np.ndarray, base: int) -> np.ndarray:
+    """One integer per row of a (n, t) array of symbol indices below
+    ``base``, in the rows' lex order: Horner's rule over the columns. Codes
+    are int64 while base**t fits, Python ints beyond."""
+    t = samples.shape[1]
+    codes = np.zeros(len(samples), dtype=np.int64 if base**t < 2**63 else object)
+    for col in samples.T:
+        codes *= base
+        codes += col
+    return codes
+
+
+def empirical_table(samples: np.ndarray, t: int) -> DistributionTable:
+    """Empirical frequencies of the rows of a (n, t) array of symbol indices,
+    such as ``models.simulate``'s shots or a corpus's windows: counted by lex
+    code, with tuple keys built for the distinct rows only. Counts are exact
+    integers; no rows give an empty table."""
+    base = int(samples.max()) + 1 if samples.size else 1
+    codes, counts = np.unique(lex_codes(samples, base), return_counts=True)
+    rows = np.empty((len(codes), samples.shape[1]), dtype=samples.dtype)
+    for j in reversed(range(rows.shape[1])):
+        codes, rows[:, j] = codes // base, codes % base
+    n = len(samples)
+    return DistributionTable(t=t, probs={
+        s: c / n for s, c in zip(map(tuple, rows.tolist()), counts.tolist())})
+
+
+def table_items(tables: dict[int, DistributionTable]) -> list[tuple[Sequence, float]]:
+    """The (sequence, probability) pairs listed in ``tables``, by length,
+    then in lex order within a length: the target of an ansatz fit."""
+    return [(seq, tables[t].probs[seq])
+            for t in sorted(tables) for seq in sorted(tables[t].probs)]
 
 
 def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
@@ -375,10 +399,14 @@ def read_corpus(path):
 
 
 def tables_from_corpus(corpus: list[Sequence], max_len: int) -> dict[int, DistributionTable]:
-    """Sliding-window empirical tables for lengths 1..max_len."""
+    """Sliding-window empirical tables for lengths 1..max_len: every length-t
+    window of every corpus sequence, with multiplicity, stacked as one (n, t)
+    array and counted by ``empirical_table``. A length that no sequence
+    reaches gets no table."""
+    seqs = [np.asarray(seq, dtype=np.intp) for seq in corpus]
     out: dict[int, DistributionTable] = {}
     for t in range(1, max_len + 1):
-        windows = subsequence_sample(corpus, t)
+        windows = [sliding_window_view(seq, t) for seq in seqs if len(seq) >= t]
         if windows:
-            out[t] = empirical_estimate(windows, t)
+            out[t] = empirical_table(np.concatenate(windows), t)
     return out

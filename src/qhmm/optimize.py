@@ -217,12 +217,15 @@ def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResul
     point past the budget. A block is cut where the budget ends, so the
     count, the incumbent and the flag are those of asking its rows one by
     one. The best point evaluated is returned either way. A start whose
-    last axis is not the objective's arity is refused.
+    last axis is not the objective's arity, or an (R, P) start with no rows,
+    is refused.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != obj.arity:
         raise ValueError(f"the objective takes {obj.arity} parameters, but "
                          f"the start has shape {x0.shape}")
+    if x0.ndim == 2 and not len(x0):  # a (0,) start is one parameterless fit
+        raise ValueError(f"the start array of shape {x0.shape} holds no starts")
     fits = [_Fit(obj, start, body) for start in np.atleast_2d(x0)]
     evaluate = obj.evaluate
     while live := [fit for fit in fits if fit.open]:

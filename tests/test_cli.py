@@ -358,6 +358,34 @@ def test_hankel_without_inputs_fails(tmp_path):
     assert exc.value.code == 2
 
 
+def test_hankel_corpus_at_max_len_zero(tmp_path, capsys):
+    # a corpus at --max-len 0 exited 2 ("yields no distribution tables")
+    # where the same data as a CSV gave the 1 x 1 matrix of the empty
+    # sequence; an empty corpus file is still refused
+    from qhmm.lang import read_corpus, tables_from_corpus, write_tables_csv
+
+    corpus, table, empty = (tmp_path / name for name in
+                            ("corpus.txt", "table.csv", "empty.txt"))
+    corpus.write_text("0110\n10\n")
+    alphabet, seqs = read_corpus(corpus)
+    write_tables_csv(table, tables_from_corpus(seqs, 2).values(), alphabet)
+    empty.write_text("\n")
+    outs = [tmp_path / "out_corpus", tmp_path / "out_table"]
+    for target, out in zip((corpus, table), outs):
+        assert main(["hankel", "--target", str(target), "--max-len", "0",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "rank=1 quantum_dim=1\n"
+    for name in ("hankel.csv", "rank.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["hankel", "--target", str(empty), "--max-len", "0",
+              "--out", str(tmp_path / "out_empty")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: target file {empty} yields no distribution tables\n")
+    assert not (tmp_path / "out_empty").exists()
+
+
 def test_learn_evo_from_corpus(tmp_path):
     market = classical.market_model()
     seqs = classical.sample(market, 12, 400, seed=5)

@@ -28,7 +28,6 @@ from qhmm.lang import (
     read_tables_csv,
     render_sequence,
     sequences_of_length,
-    subsequence_sample,
     table_vector,
     tables_from_corpus,
     total_variation,
@@ -51,18 +50,18 @@ def test_enumerate_sequences_ordering():
     assert seqs == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_subsequence_sample_windows():
-    corpus = [(0, 1, 0, 1)]
-    assert subsequence_sample(corpus, 2) == [(0, 1), (1, 0), (0, 1)]
+def test_tables_from_corpus_windows():
+    tables = tables_from_corpus([(0, 1, 0, 1)], 2)
+    assert tables[2].probs == {(0, 1): 2 / 3, (1, 0): 1 / 3}
 
 
-def test_subsequence_sample_too_long():
-    assert subsequence_sample([(0, 1)], 5) == []
+def test_tables_from_corpus_too_long():
+    assert sorted(tables_from_corpus([(0, 1)], 5)) == [1, 2]
 
 
-def test_subsequence_sample_identity():
+def test_tables_from_corpus_identity():
     corpus = [(0, 1), (1, 1), (0, 0)]
-    assert subsequence_sample(corpus, 2) == corpus
+    assert tables_from_corpus(corpus, 2)[2].probs == dict.fromkeys(corpus, 1 / 3)
 
 
 def test_empirical_estimate_uniform():
@@ -380,6 +379,25 @@ def test_corpus_reading(tmp_path):
     tables = tables_from_corpus(corpus, 2)
     assert abs(tables[1].total() - 1.0) < 1e-12
     assert abs(tables[2].total() - 1.0) < 1e-12
+    # the windows counted by empirical_table equal the per-tuple oracle on
+    # ragged corpora with lines shorter than t, one line and one symbol
+    rng = np.random.default_rng(11)
+    ragged = [[tuple(rng.integers(m, size=n).tolist())
+               for n in rng.integers(1, 9, size=lines)]
+              for m, lines in ((2, 30), (3, 12), (4, 40))]
+    for corpus in ragged + [[(2, 0, 1, 1, 2)], [(0,) * 6, (0,) * 2, (0,)],
+                            [(0, 1, 0, 1)] + corpus]:
+        tables = tables_from_corpus(corpus, 7)
+        for t in range(1, 8):
+            windows = [seq[i:i + t] for seq in corpus
+                       for i in range(len(seq) - t + 1)]
+            if not windows:
+                assert t not in tables
+                continue
+            assert tables[t].t == t
+            assert tables[t].probs == empirical_estimate(windows, t).probs
+            assert {type(a) for seq in tables[t].probs for a in seq} == {int}
+    assert tables_from_corpus([], 3) == {} and tables_from_corpus(corpus, 0) == {}
 
 
 def test_sequences_of_length():

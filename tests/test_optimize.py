@@ -101,6 +101,21 @@ def test_start_must_match_the_arity(opt, arity, shape):
     assert seen == []
 
 
+@pytest.mark.parametrize("opt", ALL_OPTIMIZERS)
+@pytest.mark.parametrize("arity", [2, 0])
+def test_empty_start_array_is_refused(opt, arity):
+    # an (R, P) start with no rows used to fail in the best-fit pick with
+    # "min() arg is an empty sequence"; it is refused by name before any
+    # evaluation, while a (0,) start stays one fit of no parameters
+    seen = []
+    obj = ObjectiveSpec(arity=arity, evaluate=lambda x: seen.append(x) or 0.0,
+                        budget=50)
+    with pytest.raises(ValueError, match=r"start array of shape \(0, "
+                       f"{arity}\\) holds no starts"):
+        opt(obj, np.zeros((0, arity)))
+    assert seen == []
+
+
 def test_coordinate_search_separable_quadratic():
     obj = ObjectiveSpec(
         arity=3,
