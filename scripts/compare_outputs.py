@@ -12,10 +12,11 @@ fixtures, each command in its own process with that tree's ``src`` on
 PYTHONPATH, the parent's run of a command right before the change's, and
 write to DIR/parent/CASE and DIR/change/CASE. Two raw corpora (two and
 four symbols), two circuit-form models (two and three qubits), an
-unreadable model and five learn-evo configs are written beside the
-fixtures by this script, so that neither tree's code builds them. A
-command's stdout is kept as CASE/stdout.txt; stderr, which carries
-timings, is not compared. The refusal cases are inputs that must exit 2
+unreadable model, a file that is not UTF-8, a target whose length-1 table
+totals 0.5 and five learn-evo configs are written beside the fixtures by
+this script, so that neither tree's code builds them. A command's stdout
+is kept as CASE/stdout.txt; stderr, which carries timings, is not
+compared. The refusal cases are inputs that must exit 2
 before any output is written; their stderr holds only the ``error:`` line
 and is kept as CASE/stderr.txt.
 
@@ -191,7 +192,9 @@ def refusals(quick: bool) -> list[tuple[str, list[str]]]:
     ``matrix``."""
     market = "{fx}/market.json"
     cases = [("refuse-distribution-t", ["distribution", "--model", market,
-                                        "--t", "13"])]
+                                        "--t", "13"]),
+             ("refuse-binary-model", ["distribution", "--model",
+                                      "{fx}/binary.json", "--t", "2"])]
     if quick:
         return cases
     return cases + [
@@ -200,6 +203,12 @@ def refusals(quick: bool) -> list[tuple[str, list[str]]]:
         ("refuse-config-key", ["learn-evo", "--target",
                                "{fx}/market_target.csv", "--config",
                                "{fx}/evo_bad_key.json"]),
+        ("refuse-binary-config", ["learn-evo", "--target",
+                                  "{fx}/market_target.csv", "--config",
+                                  "{fx}/binary.json"]),
+        # no --seed: the refusal comes before a seed would be generated
+        ("refuse-seedless-target", ["learn-ansatz", "--target",
+                                    "{fx}/half_target.csv"]),
         ("refuse-hankel-max-len", ["hankel", "--model", market,
                                    "--max-len", "9"]),
         ("refuse-evo-corpus-budget", ["learn-evo", "--target",
@@ -217,6 +226,8 @@ def write_fixtures(tree: Path, out: Path) -> None:
     (out / "circuit.json").write_text(json.dumps(CIRCUIT_MODEL, indent=2) + "\n")
     (out / "circuit3.json").write_text(json.dumps(CIRCUIT3_MODEL, indent=2) + "\n")
     (out / "unreadable.json").write_text('{"type": "unitary",\n')
+    (out / "binary.json").write_bytes(b"\xff\xfe\x00{}\n")
+    (out / "half_target.csv").write_text("sequence,probability\n0,0.25\n1,0.25\n")
     (out / "corpus.txt").write_text("\n".join(corpus_lines()) + "\n")
     (out / "corpus4.txt").write_text(
         "\n".join(corpus_lines(symbols="abcd")) + "\n")

@@ -99,7 +99,7 @@ def _resolve_seed(args) -> int:
 def load_model(path: str):
     """Dispatch on JSON content: classical HMM, Kraus QHMM or unitary QHMM."""
     with _refused(f"cannot read model file {path}",
-                  (OSError, json.JSONDecodeError)):
+                  (OSError, UnicodeDecodeError, json.JSONDecodeError)):
         with open(path) as fh:
             data = json.load(fh)
     if not isinstance(data, dict):
@@ -130,7 +130,8 @@ def _load_target(path: str, max_len: int, check_alphabet=lambda alphabet: None,
     corpus is tabulated. With ``exact``, for the learners, which hold every
     sequence of each length, a corpus whose tables up to max_len would pass
     ``lang.TABLE_BUDGET`` is refused before it is tabulated."""
-    with _refused(f"cannot read target file {path}", OSError):
+    with _refused(f"cannot read target file {path}",
+                  (OSError, UnicodeDecodeError)):
         with open(path) as fh:
             first = fh.readline()
     with _refused(f"invalid target file {path}"):
@@ -323,14 +324,11 @@ def cmd_learn_evo(args):
     cfg = {}
     if args.config:
         with _refused(f"cannot read config {args.config}",
-                      (OSError, json.JSONDecodeError)):
+                      (OSError, UnicodeDecodeError, json.JSONDecodeError)):
             cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             _fail(f"invalid config {args.config}: expected a JSON object")
         _check_config(cfg, args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    args.seed = seed
-    seed = _resolve_seed(args)
     with _refused(f"invalid config {args.config}"):
         hp = _from_config(HyperParams, cfg)
     alphabet, tables = _load_target(args.target, hp.n_max, exact=True)
@@ -338,6 +336,9 @@ def cmd_learn_evo(args):
     target = [tables[t] for t in sorted(tables)]
     _check_table_budget(args.target, alphabet, target[:hp.n_max][-1].t)
     space = _space_from_config(alphabet, tables, cfg)
+    if args.seed is None:
+        args.seed = cfg.get("seed")
+    seed = _resolve_seed(args)
     out = _outdir(args)
     report = evolve(target, space, hp, seed=seed)
     best_q = report.best.model(report.best.circuit.parameters())
@@ -372,7 +373,6 @@ _TEMPLATES = {
 
 
 def cmd_learn_ansatz(args):
-    seed = _resolve_seed(args)
     alphabet, tables = _load_target(args.target, args.t, exact=True)
     _check_table_budget(args.target, alphabet, max(tables))
     _require_lengths(args.target, tables, max(tables))
@@ -387,6 +387,7 @@ def cmd_learn_ansatz(args):
             dim_e=dim_e,
             symbol_map=block_symbol_map(alphabet, dim_e),
         )
+    seed = _resolve_seed(args)
     res = train_ansatz_restarts(
         spec, lang.table_items(tables), args.optimizer, restarts=args.restarts,
         budget=args.budget, seed=seed,
@@ -430,12 +431,12 @@ def cmd_landscape(args):
     if args.steps < experiments.MIN_WALK_SAMPLES:
         _fail(f"--steps must be >= {experiments.MIN_WALK_SAMPLES} for a "
               f"correlation, got {args.steps}")
-    seed = _resolve_seed(args)
     if args.model:
         hyp = _walk_origin(load_model(args.model), args.model)
     else:
         # fixed training seed: --seed varies the walk, not the walk origin
         hyp = experiments.trained_market_hypothesis(seed=0)
+    seed = _resolve_seed(args)
     out = _outdir(args)
     samples_by_rate = {}
     for i, rate in enumerate(args.rates):

@@ -6,10 +6,13 @@ and cyclic coordinate descent with golden-section refinement. Each family is
 a generator body that yields the points it wants evaluated, one point or a
 (B, P) block at a time, or a golden-section point along one axis, and is
 sent their values; it may also name the points it will likely ask next, to
-be prepared as one block. ``_run`` evaluates them against the budget. Given
-an (R, P) array of starts, it runs R fits in lockstep, one evaluation of
-every live fit's asks per tick. The label table
-maps the conventional solver labels onto these families so adaptive solver
+be prepared as one block. A fit, ``_fit``, is a generator as well: it
+drives one body against the budget, yields only the point or block the
+objective must evaluate, and returns its ``OptResult``, so a caller's
+generator can ``yield from`` it. ``_run`` evaluates the asks of its fits:
+given an (R, P) array of starts, it runs R fits in lockstep, one objective
+call for the asks of every live fit per tick. The label table maps the
+conventional solver labels onto these families so adaptive solver
 selection can keep its full label set.
 """
 
@@ -82,143 +85,94 @@ class OptResult:
     best_fit: int = 0
 
 
-class _Fit:
-    """One body driven against the budget: its pending ask (``None`` once
-    the body returned), evaluation count, incumbent and trace. A fit with
-    no parameters asks for x0 alone and runs no body.
+def _fit(obj: ObjectiveSpec, x0: np.ndarray, body: Callable[[np.ndarray], Body]
+         ) -> Generator[np.ndarray, Union[float, np.ndarray], OptResult]:
+    """One body driven against the budget, as a generator: it yields each
+    (P,) point or (B, P) block that the objective must evaluate, is sent its
+    value or the (B,) values of its rows, and returns the fit's
+    ``OptResult``, with the best point evaluated. The fit converged when its
+    body returned; it did not when the body asked for a point past the
+    budget. A fit with no parameters asks for x0 alone and runs no body.
 
-    When the objective has a line, a list of points the body yields is
-    asked as one block, cut where the budget ends (unless that leaves a
-    single row), and a later ask of one of those points, the same object
-    unchanged, is answered from it. Without a line the list is passed over
-    and the points are evaluated when asked. Either way each point the body
-    reads is one evaluation, counted, traced and kept as the incumbent as
-    when it is asked alone."""
-
-    def __init__(self, obj: ObjectiveSpec, x0: np.ndarray, body):
-        self.budget, self.line = obj.budget, obj.line
-        self.along = None  # (x, line) of the last golden-section search
-        self.prepared = None  # the points of the asked block being prepared
-        self.ready = {}  # id(point) -> (point, value) of the prepared points
-        self.count = 0
-        self.best_x, self.best_f = np.array(x0), math.inf
-        self.trace: list[float] = []
-        if obj.arity:
-            self.points = body(x0)
-            self.ask = self._send(None)
-        else:
-            self.points, self.ask = None, x0
-
-    def _send(self, value):
-        """The body's next ask once it is sent ``value`` (``None`` starts
-        it), through ``_point``; ``None`` once the body returned, and at once
-        for a fit with no parameters."""
-        if self.points is None:
-            return None
-        try:
-            return self._point(self.points.send(value))
-        except StopIteration:
-            return None
-
-    def _point(self, ask):
-        """The body's next ask for the objective; a plain ask as it is. A
-        golden-section point (x, axis, t) is the point x with x[axis] = t
-        or, when the objective has a line, is read from the line along that
-        axis through x, built once per search (its x, one object for all its
-        points). A list of points to prepare is their block or passed over,
-        and a prepared point is read from its block (see ``_Fit``). Each
-        point read is one evaluation, counted, traced and kept as the
-        incumbent like any other."""
-        while self.count < self.budget:
-            if type(ask) is list:
-                rows = ask[:self.budget - self.count]
-                if self.line is not None and len(rows) > 1:
-                    self.prepared = rows
-                    return np.array(rows)
-                ask = self.points.send(None)
+    A block is cut where the budget ends, so the count, the incumbent and
+    the flag are those of asking its rows one by one; the body hears its
+    values once all its rows are evaluated. A golden-section point
+    (x, axis, t) is the point x with x[axis] = t or, when the objective has
+    a line, is read from the line along that axis through x, built once per
+    search (its x, one object for all its points). When the objective has a
+    line, a list of points the body yields is asked as one block, cut where
+    the budget ends (unless that leaves a single row), and a later ask of
+    one of those points, the same object unchanged, is answered from it;
+    without a line the list is passed over and the points are evaluated
+    when asked. Each point the body reads is one evaluation, traced and kept
+    as the incumbent as when it is asked alone; the count is the trace's
+    length."""
+    budget, line = obj.budget, obj.line
+    best_x, best_f = np.array(x0), math.inf
+    trace: list[float] = []
+    along = None  # (x, line) of the last golden-section search
+    ready = {}  # id(point) -> (point, value) of the prepared points
+    asks = body(x0) if obj.arity else (x for x in [x0])  # x0 alone
+    try:
+        ask = asks.send(None)
+        while len(trace) < budget:
+            if type(ask) is list:  # points to prepare
+                rows = ask[:budget - len(trace)]
+                if line is not None and len(rows) > 1:
+                    values = yield np.array(rows)[:]  # a view, as every block
+                    ready = {id(x): (x, float(f)) for x, f in zip(rows, values)}
+                ask = asks.send(None)
                 continue
-            if type(ask) is tuple:
+            if type(ask) is tuple:  # a golden-section point
                 x, axis, t = ask
-                if self.line is None:
-                    point = np.array(x)
-                    point[axis] = t
-                    return point
-                if self.along is None or self.along[0] is not x:
-                    self.along = (x, self.line(x, axis))
-                f = float(self.along[1](t))
-                if f < self.best_f:
-                    self.best_x, self.best_f = np.array(x), f
-                    self.best_x[axis] = t
-            elif self.ready and id(ask) in self.ready:
-                f = self.ready.pop(id(ask))[1]
-                if f < self.best_f:
-                    self.best_x, self.best_f = np.array(ask, dtype=float), f
-            else:
-                return ask
-            self.trace.append(self.best_f)
-            self.count += 1
-            ask = self.points.send(f)
-        return ask
-
-    @property
-    def open(self) -> bool:
-        return self.ask is not None and self.count < self.budget
-
-    def block(self) -> np.ndarray:
-        """The asked rows the budget leaves room for, as a block."""
-        rows = self.ask if self.ask.ndim == 2 else self.ask[None]
-        return rows[:self.budget - self.count]
-
-    def tell_point(self, value) -> None:
-        """Record the value of the asked point."""
-        f = float(value)
-        if f < self.best_f:
-            self.best_x, self.best_f = np.array(self.ask, dtype=float), f
-        self.trace.append(self.best_f)
-        self.count += 1
-        self.ask = self._send(f)
-
-    def tell(self, rows, values) -> None:
-        """Record the values of the asked rows (all of them, or the block
-        that the budget left room for); the body hears them once its whole
-        ask is evaluated. An asked point, as one row, is told as a point,
-        and a prepared block is kept for the asks it answers."""
-        if self.ask.ndim == 1:
-            self.tell_point(values[0])
-            return
-        if self.prepared is not None:
-            self.ready = {id(x): (x, float(f))
-                          for x, f in zip(self.prepared, values)}
-            self.prepared = None
-            self.ask = self._send(None)
-            return
-        values = [float(f) for f in values]
-        for x, f in zip(rows, values):
-            if f < self.best_f:
-                self.best_x, self.best_f = np.array(x, dtype=float), f
-            self.trace.append(self.best_f)
-        self.count += len(values)
-        if len(values) == len(self.ask):
-            self.ask = self._send(np.array(values))
-
-    def result(self) -> OptResult:
-        return OptResult(self.best_x, self.best_f, self.count, self.ask is None,
-                         self.trace)
+                if line is None:  # a plain point
+                    ask = np.array(x)
+                    ask[axis] = t
+                else:
+                    if along is None or along[0] is not x:
+                        along = (x, line(x, axis))
+                    f = float(along[1](t))
+                    if f < best_f:
+                        best_x, best_f = np.array(x), f
+                        best_x[axis] = t
+                    trace.append(best_f)
+                    ask = asks.send(f)
+                    continue
+            if ready and id(ask) in ready:  # a prepared point
+                f = ready.pop(id(ask))[1]
+                if f < best_f:
+                    best_x, best_f = np.array(ask, dtype=float), f
+            elif ask.ndim == 1:  # a point
+                f = float((yield ask))
+                if f < best_f:
+                    best_x, best_f = np.array(ask, dtype=float), f
+            else:  # a block
+                rows = ask[:budget - len(trace)]
+                values = [float(f) for f in (yield rows)]
+                for x, f in zip(rows, values):
+                    if f < best_f:
+                        best_x, best_f = np.array(x, dtype=float), f
+                    trace.append(best_f)
+                if len(rows) < len(ask):
+                    break
+                ask = asks.send(np.array(values))
+                continue
+            trace.append(best_f)
+            ask = asks.send(f)
+    except StopIteration:
+        return OptResult(best_x, best_f, len(trace), True, trace)
+    return OptResult(best_x, best_f, len(trace), False, trace)
 
 
 def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResult:
     """Evaluate the points a body asks for, up to the budget.
 
-    One fit runs per row of an (R, P) x0, in lockstep: each tick evaluates
-    the asks of every live fit in one objective call, a point asked by the
-    only live fit as a point and a lone block as it is. A (P,) x0 returns
-    its fit's result, an (R, P) x0 its best fit (see ``OptResult``). A fit
-    converged when its body returned; it did not when the body asked for a
-    point past the budget. A block is cut where the budget ends, so the
-    count, the incumbent and the flag are those of asking its rows one by
-    one. The best point evaluated is returned either way. A start whose
-    last axis is not the objective's arity, or an (R, P) start with no rows,
-    is refused.
+    One fit (``_fit``) runs per row of an (R, P) x0, in lockstep: each tick
+    evaluates the asks of every live fit in one objective call, a point
+    asked by the only live fit as a point and a lone block as it is. A (P,)
+    x0 returns its fit's result, an (R, P) x0 its best fit (see
+    ``OptResult``). A start whose last axis is not the objective's arity,
+    or an (R, P) start with no rows, is refused.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != obj.arity:
@@ -226,19 +180,29 @@ def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResul
                          f"the start has shape {x0.shape}")
     if x0.ndim == 2 and not len(x0):  # a (0,) start is one parameterless fit
         raise ValueError(f"the start array of shape {x0.shape} holds no starts")
-    fits = [_Fit(obj, start, body) for start in np.atleast_2d(x0)]
+    fits = [_fit(obj, start, body) for start in np.atleast_2d(x0)]
+    results = [None] * len(fits)
+    sent = [None] * len(fits)  # what each fit is sent next
     evaluate = obj.evaluate
-    while live := [fit for fit in fits if fit.open]:
-        if len(live) == 1 and live[0].ask.ndim == 1:
-            live[0].tell_point(evaluate(live[0].ask))
+    while True:
+        asks = []  # (fit index, ask) of each live fit
+        for r, fit in enumerate(fits):
+            if results[r] is None:
+                try:
+                    asks.append((r, fit.send(sent[r])))
+                except StopIteration as done:
+                    results[r] = done.value
+        if len(asks) == 1:
+            r, ask = asks[0]
+            sent[r] = evaluate(ask)
             continue
-        blocks = [fit.block() for fit in live]
-        values = evaluate(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
-        at = 0
-        for fit, rows in zip(live, blocks):
-            fit.tell(rows, values[at:at + len(rows)])
+        if not asks:
+            break
+        blocks = [ask if ask.ndim == 2 else ask[None] for _, ask in asks]
+        values, at = evaluate(np.concatenate(blocks)), 0
+        for (r, ask), rows in zip(asks, blocks):
+            sent[r] = values[at] if ask.ndim == 1 else values[at:at + len(rows)]
             at += len(rows)
-    results = [fit.result() for fit in fits]
     if x0.ndim == 1:
         return results[0]
     best = min(range(len(results)), key=lambda r: results[r].best_value)
@@ -342,7 +306,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _golden(x: np.ndarray, axis: int, a: float, b: float):
     """Golden-section search along one axis of x on [a, b]; returns the
     best abscissa and its value. Each point t is asked as (x, axis, t), with
-    one copy of x for the whole search, which ``_Fit`` evaluates as a point
+    one copy of x for the whole search, which ``_fit`` evaluates as a point
     or reads from the objective's line."""
     x = np.array(x)
     c = b - _INVPHI * (b - a)

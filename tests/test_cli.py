@@ -904,3 +904,55 @@ def test_hankel_rejected_target_leaves_no_output(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "invalid target file" in err and message in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["distribution", "--model", "{binary}", "--t", "1"], "model file"),
+    (["simulate", "--model", "{binary}", "--t", "1", "--seed", "0"], "model file"),
+    (["hankel", "--target", "{binary}"], "target file"),
+    (["learn-ansatz", "--target", "{binary}", "--seed", "0"], "target file"),
+    (["learn-evo", "--target", "{target}", "--config", "{binary}"], "config"),
+], ids=["distribution", "simulate", "hankel", "learn-ansatz", "learn-evo"])
+def test_non_utf8_input_is_refused_as_unreadable(argv, path, tmp_path, capsys):
+    # regression: a file that is not UTF-8 exited 1 with the codec's message,
+    # naming no file
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    target, _ = quick_learn_evo_inputs(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(binary=binary, target=target) for a in argv]
+             + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {path} {binary}: 'utf-8' codec can't decode")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn-ansatz", "--target", "{half}"],
+    ["learn-evo", "--target", "{half}", "--config", "{cfg}"],
+    ["landscape", "--model", "{nameless}", "--steps", "30"],
+], ids=["learn-ansatz", "learn-evo", "landscape"])
+def test_refused_command_without_seed_prints_one_line(argv, tmp_path, capsys):
+    # regression: learn-ansatz, learn-evo and landscape resolved a missing
+    # --seed before their inputs were checked, so a refused input printed
+    # the generated seed above its error
+    half = tmp_path / "half.csv"
+    half.write_text("sequence,probability\n0,0.25\n1,0.25\n")
+    _, cfg = quick_learn_evo_inputs(tmp_path)
+    config = json.loads(cfg.read_text())
+    del config["seed"]  # a config seed would stand for --seed
+    cfg.write_text(json.dumps(config))
+    nameless = tmp_path / "nameless.json"
+    model = json.loads(Path(_walk_model(tmp_path, "walk")).read_text())
+    del model["alphabet"]
+    nameless.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(half=half, cfg=cfg, nameless=nameless) for a in argv]
+             + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -631,6 +631,8 @@ def _line_objective(kind):
 
 
 def _same_fit(got, want):
+    # a fit's count is its trace's length, and a lockstep's their sum
+    assert got.evaluations == sum(len(fit.trace) for fit in got.fits or [got])
     return (np.array_equal(got.best_params, want.best_params)
             and (got.best_value, got.evaluations, got.converged, got.trace)
             == (want.best_value, want.evaluations, want.converged, want.trace))
