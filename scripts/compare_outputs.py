@@ -12,7 +12,8 @@ fixtures, each command in its own process with that tree's ``src`` on
 PYTHONPATH, the parent's run of a command right before the change's, and
 write to DIR/parent/CASE and DIR/change/CASE. Two raw corpora (two and
 four symbols), two circuit-form models (two and three qubits), an
-unreadable model, a file that is not UTF-8, a target whose length-1 table
+unreadable model, a model with a NaN, a model with a value of the wrong
+JSON kind, a file that is not UTF-8, a target whose length-1 table
 totals 0.5 and five learn-evo configs are written beside the fixtures by
 this script, so that neither tree's code builds them. A command's stdout
 is kept as CASE/stdout.txt; stderr, which carries timings, is not
@@ -83,6 +84,11 @@ CIRCUIT3_MODEL = {
         {"t": "CX", "q": [2, 0], "p": []},
     ]},
 }
+# refused model files: a classical two-state model with one NaN in A, which
+# JSON can spell, and the circuit model with a JSON object for dim_e
+NAN_MODEL = ('{"alphabet": ["0", "1"], "A": [[NaN, 0.5], [0.5, 0.5]], '
+             '"B": [[0.5, 0.5], [0.5, 0.5]], "x0": [0.5, 0.5]}\n')
+WRONG_KIND_MODEL = {**CIRCUIT_MODEL, "dim_e": {}}
 EVO_CONFIGS = {
     "market": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3},
     "gaussian4": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3, "n_max": 3,
@@ -200,6 +206,10 @@ def refusals(quick: bool) -> list[tuple[str, list[str]]]:
     return cases + [
         ("refuse-unreadable-model", ["distribution", "--model",
                                      "{fx}/unreadable.json", "--t", "2"]),
+        ("refuse-nan-model", ["distribution", "--model", "{fx}/nan.json",
+                              "--t", "2"]),
+        ("refuse-wrong-kind-model", ["distribution", "--model",
+                                     "{fx}/wrong_kind.json", "--t", "2"]),
         ("refuse-config-key", ["learn-evo", "--target",
                                "{fx}/market_target.csv", "--config",
                                "{fx}/evo_bad_key.json"]),
@@ -226,6 +236,8 @@ def write_fixtures(tree: Path, out: Path) -> None:
     (out / "circuit.json").write_text(json.dumps(CIRCUIT_MODEL, indent=2) + "\n")
     (out / "circuit3.json").write_text(json.dumps(CIRCUIT3_MODEL, indent=2) + "\n")
     (out / "unreadable.json").write_text('{"type": "unitary",\n')
+    (out / "nan.json").write_text(NAN_MODEL)
+    (out / "wrong_kind.json").write_text(json.dumps(WRONG_KIND_MODEL) + "\n")
     (out / "binary.json").write_bytes(b"\xff\xfe\x00{}\n")
     (out / "half_target.csv").write_text("sequence,probability\n0,0.25\n1,0.25\n")
     (out / "corpus.txt").write_text("\n".join(corpus_lines()) + "\n")

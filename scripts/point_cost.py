@@ -1,0 +1,202 @@
+#!/usr/bin/env python3
+"""Time what one objective point, one block and one Nelder-Mead step cost
+in two source trees, alternated in one process.
+
+    python3 scripts/point_cost.py PARENT CHANGE [--rounds N] [--batch-s S]
+
+PARENT and CHANGE are checkouts of qhmm (each with its own ``src/``); the
+same tree may be given twice. Both trees' ``qhmm`` are imported into this
+process, each under its own copy of the package's modules, so the two share
+one interpreter, one numpy and one BLAS thread, and their timings alternate
+batch by batch: round i times every case in PARENT, then CHANGE, and round
+i + 1 the other way round. Each batch repeats a case for about ``--batch-s``
+seconds. Per case and tree, the table gives the min, first quartile and
+median over the rounds of the microseconds per unit, and the median over
+the rounds of the ratio of each batch to the parent's batch of the same
+round (``ratio``, 1 for the parent):
+
+- ``monras_point``: one Monras ansatz cost evaluation,
+  ``efficient_su2(3, 3, full, RZ_RX)`` on lengths 1-2, per point;
+- ``market_evolve_point``: one -fitness evaluation of the market
+  ``real_amplitudes(2, 1, linear)`` hypothesis on lengths 1-5, per point;
+- ``monras_block36``: one 36-row Monras block, per block;
+- ``monras_nm_fit``: one ``train_ansatz`` nm fit (budget 2000), per
+  evaluation;
+- ``nm_free``: ``optimize.nelder_mead`` on a near-free weighted quadratic
+  of 18 parameters (budget 4000), per evaluation: the optimizer's own cost;
+- ``gatestack_monras`` and ``gatestack_market``: one ``GateStack`` build of
+  each template, per build.
+
+Every case's values (the objective's values, the fit's result, the built
+arrays) must be equal bit for bit in the two trees; the script prints each
+case that differs and exits 1 if any does, 0 otherwise. Set one BLAS thread
+(``OPENBLAS_NUM_THREADS=1`` and the like) when timing; the script sets it
+for itself when unset.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import math
+import os
+import sys
+from pathlib import Path
+from time import perf_counter
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the thread count is set)
+
+MODULES = ("circuits", "classical", "experiments", "learning", "optimize")
+
+
+def load(tree: Path) -> dict:
+    """Import ``tree/src/qhmm`` and return its modules by name, leaving
+    ``sys.modules`` without any ``qhmm`` module."""
+    def unload():
+        return {name: sys.modules.pop(name) for name in list(sys.modules)
+                if name == "qhmm" or name.startswith("qhmm.")}
+
+    unload()
+    sys.path.insert(0, str(tree / "src"))
+    try:
+        importlib.invalidate_caches()
+        for name in MODULES:
+            importlib.import_module(f"qhmm.{name}")
+    finally:
+        sys.path.pop(0)
+    return unload()
+
+
+def installed(mods: dict) -> None:
+    """Make ``mods`` the ``qhmm`` that late imports inside it resolve to."""
+    for name in [n for n in sys.modules if n == "qhmm" or n.startswith("qhmm.")]:
+        del sys.modules[name]
+    sys.modules.update(mods)
+
+
+def cases(mods: dict) -> dict:
+    """Case name -> (call, units per call, value of one call), built from
+    one tree's modules."""
+    circuits, classical, experiments, learning, optimize = (
+        mods[f"qhmm.{name}"] for name in MODULES)
+    rng = np.random.default_rng(0)
+    monras = learning.AnsatzSpec(
+        circuits.efficient_su2(3, 3, "full", "RZ_RX"), 2, 4, ("0", "1", "2", "3"))
+    monras_target = experiments.monras_target(max_len=2)
+    cost = learning.ansatz_objective(monras, monras_target, 8000)
+    x = rng.uniform(0.0, 2 * math.pi, size=cost.arity)
+    block = rng.uniform(0.0, 2 * math.pi, size=(36, cost.arity))
+    market_circuit = circuits.real_amplitudes(2, 1, "linear")
+    market = classical.market_model()
+    fitness = learning.FitnessEngine(
+        learning.Hypothesis(market_circuit, 2, 2, ("0", "1")),
+        [classical.distribution(market, t) for t in range(1, 6)], 0.0, 0.0,
+    ).objective()
+    xm = rng.uniform(0.0, 2 * math.pi, size=fitness.arity)
+    x0 = rng.uniform(0.0, 2 * math.pi, size=cost.arity)
+    weights, center = rng.uniform(0.5, 2.0, size=18), rng.normal(size=18)
+
+    def free(z):
+        return np.add.reduce(weights * (z - center) ** 2, axis=-1)
+
+    def nm_fit():
+        return learning.train_ansatz(monras, monras_target, "nm", x0, 2000)
+
+    def nm_free():
+        return optimize.nelder_mead(optimize.ObjectiveSpec(18, free, 4000), x0)
+
+    def built(circuit):  # the build's arrays and its unitary at x
+        stack = circuits.GateStack(circuit)
+        return [stack.stack, stack.tables, stack.phases, *stack.multipliers,
+                stack(x[:stack.n_params])]
+
+    fit, free_fit = nm_fit(), nm_free()
+    return {
+        "monras_point": (lambda: cost.evaluate(x), 1, cost.evaluate(x)),
+        "market_evolve_point": (lambda: fitness.evaluate(xm), 1,
+                                fitness.evaluate(xm)),
+        "monras_block36": (lambda: cost.evaluate(block), 1, cost.evaluate(block)),
+        "monras_nm_fit": (nm_fit, fit.evaluations,
+                          [fit.params, fit.cost, fit.evaluations]),
+        "nm_free": (nm_free, free_fit.evaluations,
+                    [free_fit.best_params, free_fit.best_value,
+                     free_fit.evaluations]),
+        "gatestack_monras": (lambda: circuits.GateStack(monras.circuit), 1,
+                             built(monras.circuit)),
+        "gatestack_market": (lambda: circuits.GateStack(market_circuit), 1,
+                             built(market_circuit)),
+    }
+
+
+def same(a, b) -> bool:
+    """Equal bit for bit: the same bytes, shapes and dtypes throughout."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same(p, q) for p, q in zip(a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def timed_batch(call, count: int) -> float:
+    start = perf_counter()
+    for _ in range(count):
+        call()
+    return perf_counter() - start
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--rounds", type=int, default=20,
+                    help="batches per case and tree (default 20)")
+    ap.add_argument("--batch-s", type=float, default=0.2,
+                    help="seconds per batch (default 0.2)")
+    args = ap.parse_args(argv)
+    if args.rounds < 1 or not args.batch_s > 0:
+        ap.error("--rounds must be >= 1 and --batch-s > 0")
+    trees = {}
+    for side in ("parent", "change"):
+        mods = load(getattr(args, side).resolve())
+        installed(mods)
+        trees[side] = (mods, cases(mods))
+    names = list(trees["parent"][1])
+    differ = [name for name in names
+              if not same(trees["parent"][1][name][2], trees["change"][1][name][2])]
+    # calls per batch, from one call of each case in the parent
+    counts = {}
+    for name in names:
+        call = trees["parent"][1][name][0]
+        installed(trees["parent"][0])
+        once = timed_batch(call, 1)
+        counts[name] = max(1, int(args.batch_s / max(once, 1e-7)))
+    times = {side: {name: [] for name in names} for side in trees}
+    for i in range(args.rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in names:
+            for side in order:
+                mods, built = trees[side]
+                installed(mods)
+                call, units, _ = built[name]
+                elapsed = timed_batch(call, counts[name])
+                times[side][name].append(1e6 * elapsed / (counts[name] * units))
+    print(f"{'case':<22}{'side':<8}{'min_us':>10}{'q1_us':>10}{'median_us':>11}"
+          f"{'ratio':>9}")
+    for name in names:
+        base = np.array(times["parent"][name])
+        for side in trees:
+            us = np.array(times[side][name])
+            q = np.percentile(us, [0, 25, 50])
+            ratio = float(np.median(us / base))
+            print(f"{name:<22}{side:<8}{q[0]:>10.2f}{q[1]:>10.2f}{q[2]:>11.2f}"
+                  f"{ratio:>9.3f}")
+    for name in differ:
+        print(f"values differ: {name}")
+    print(f"{len(names) - len(differ)} of {len(names)} cases equal bit for bit")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -176,28 +176,34 @@ def _term_entries(n_qubits: int, gate: str, qubits: tuple[int, ...]):
 def _tree_levels(k: int) -> tuple:
     """The pairing of ``_tree_product`` for k >= 1 factors: per level, the
     slices of its upper and lower neighbours and whether the factor at the
-    top of the level is left over (an odd level)."""
+    top of the level is left over (an odd level). The last level is one
+    pair, indexed 1 and 0, so that its product has no level axis."""
     levels = []
     while k > 1:
         pairs = k // 2
-        levels.append((slice(1, 2 * pairs, 2), slice(0, 2 * pairs, 2), k % 2 == 1))
+        upper, lower = (1, 0) if pairs == 1 else (slice(1, 2 * pairs, 2),
+                                                  slice(0, 2 * pairs, 2))
+        levels.append((upper, lower, k % 2 == 1))
         k = pairs
     return tuple(levels)
 
 
-def _tree_product(f: np.ndarray, levels: tuple) -> np.ndarray:
+def _tree_product(f: np.ndarray, levels: tuple, last=np.matmul) -> np.ndarray:
     """G_k ... G_1 of a (k, ..., D, D) stack, k >= 1, the first factor
     acting first, multiplied as a pairwise tree (``_tree_levels(k)``):
     neighbours are paired level by level, and the factor left over at the
-    top of an odd level is multiplied in at the end."""
+    top of an odd level is multiplied in at the end. The products without
+    a level axis, the last level's and the left-over factors', go through
+    ``last``: ``np.dot`` for a (k, D, D) stack, which is the same BLAS
+    product as ``np.matmul`` on matrices, with less dispatch."""
     left = []
     for upper, lower, odd in levels:
         if odd:
             left.append(f[-1])
-        f = f[upper] @ f[lower]
-    u = f[0]
+        f = f[upper] @ f[lower] if type(upper) is slice else last(f[1], f[0])
+    u = f if levels else f[0]
     for g in reversed(left):
-        u = g @ u
+        u = last(g, u)
     return u
 
 
@@ -217,66 +223,81 @@ class GateStack:
     forms every phase in one real matmul and every coefficient in one
     complex exp, sums every table in one batched matmul and multiplies the
     k factors as a pairwise tree, U = G_k ... G_1 with the first gate acting
-    first; a block gives a (B, D, D) stack of unitaries. Each row of a block
-    runs through its own (1, P) and (1, T) products, so it equals bit for
-    bit its row's unitary alone. ``multipliers`` lists, per angle, the
-    multipliers k of its half angle in its gate's terms: the only way that
-    angle enters U.
+    first; a block gives a (B, D, D) stack of unitaries. A point takes no
+    leading axis at any step, and each row of a block runs through its own
+    (1, P) and (1, T) products, the same vector products as a point's, so
+    it equals bit for bit its row's unitary alone. ``multipliers`` lists,
+    per angle, the multipliers k of its half angle in its gate's terms: the
+    only way that angle enters U.
     """
 
     def __init__(self, c: Circuit):
         n, d = c.n_qubits, 2**c.n_qubits
         self.dim, self.n_params = d, c.num_parameters
         budget, eye = max(3, FACTOR_ENTRIES // (d * d)), np.eye(d, dtype=np.complex128)
+        # per term count, one zeroed (terms*D, D) array for the gates' rows,
+        # zeroed again after each gate
+        zeroed = {}
         # per factor, its table as (D, T*D), [i, t*D + j] = entry t's [i, j],
-        # and its (P, T) phase multiples; a new factor starts at the angle
-        # gate that would take the current table past the budget
-        factors, table, phase, mults = [], eye, np.zeros((self.n_params, 1)), []
+        # and the multipliers of its angle gates; a new factor starts at the
+        # angle gate that would take the current table past the budget
+        factors, table, mults = [], eye, []
         for g in c.gates:
-            ks = _GATE_TERMS[g.gate][0]
-            if g.params and 1 < phase.shape[1] and phase.shape[1] * len(ks) > budget:
-                factors.append((table, phase))
-                table, phase = eye, np.zeros((self.n_params, 1))
+            ks, width = _GATE_TERMS[g.gate][0], table.shape[1] // d
+            if g.params and 1 < width and width * len(ks) > budget:
+                factors.append((table, mults))
+                table, mults = eye, []
             # the gate's terms as D rows each multiply every entry in one
             # matmul; an angle gate's terms become the most significant digit
             # of the entry index, each taking k/2 of its angle into its entries
             at, values = _term_entries(n, g.gate, g.qubits)
-            rows = np.zeros((len(ks) * d, d), dtype=np.complex128)
-            rows.reshape(-1)[at] = values
-            table = rows @ table
+            rows = zeroed.get(len(ks))
+            if rows is None:
+                rows = zeroed[len(ks)] = np.zeros(len(ks) * d * d, dtype=np.complex128)
+            rows[at] = values
+            table = rows.reshape(-1, d) @ table
+            rows[at] = 0
             if g.params:
                 table = table.reshape(len(ks), d, -1).swapaxes(0, 1).reshape(d, -1)
-                phase = np.concatenate([phase] * len(ks), axis=1)
-                phase.reshape(self.n_params, len(ks), -1)[len(mults)] += ks[:, None] / 2
                 mults.append(ks)
-        factors.append((table, phase))
-        self.multipliers = tuple(mults)
-        width = max(phase.shape[1] for _, phase in factors)
+        factors.append((table, mults))
+        self.multipliers = tuple(ks for _, mults in factors for ks in mults)
+        width = max(table.shape[1] // d for table, _ in factors)
         self.stack = np.zeros((len(factors), width, d, d), dtype=np.complex128)
         self.phases = np.zeros((self.n_params, len(factors) * width))
-        for f, (table, phase) in enumerate(factors):
-            self.stack[f, :phase.shape[1]] = table.reshape(d, -1, d).swapaxes(0, 1)
-            self.phases[:, f * width:f * width + phase.shape[1]] = phase
+        angle = 0
+        for f, (table, mults) in enumerate(factors):
+            self.stack[f, :table.shape[1] // d] = table.reshape(d, -1, d).swapaxes(0, 1)
+            # entry e of the factor takes k = ks[(e // lower) % len(ks)] of
+            # an angle whose gate follows gates of ``lower`` entries in all
+            lower, entries = 1, self.phases[:, f * width:f * width + table.shape[1] // d]
+            for ks in mults:
+                entries[angle].reshape(-1, len(ks), lower)[:] = ks[:, None]
+                lower, angle = lower * len(ks), angle + 1
+        self.phases /= 2
         self.tables = self.stack.reshape(len(factors), width, d * d)
-        # a call's shapes after its leading axes: the coefficients as rows
-        # of each factor's table, then the factors
+        # a point's shape, then a call's shapes after its leading axes: the
+        # coefficients as rows of each factor's table, then the factors
+        self.point_shape = (self.n_params,)
         self.coef_shape = (len(factors), 1, width)
         self.factor_shape = (len(factors), d, d)
         self.levels = _tree_levels(len(factors))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.n_params:
+        if x.shape == self.point_shape:
+            f = np.exp(1j * np.dot(x, self.phases)).reshape(self.coef_shape) @ self.tables
+            return _tree_product(f.reshape(self.factor_shape), self.levels, np.dot)
+        if x.ndim != 2 or x.shape[-1] != self.n_params:
             raise ValueError(
                 f"expected {self.n_params} angles or rows of them, "
                 f"got shape {x.shape}"
             )
-        coef = np.exp(1j * (x[..., None, :] @ self.phases))
-        lead = x.shape[:-1]
-        f = (coef.reshape(lead + self.coef_shape) @ self.tables).reshape(
-            lead + self.factor_shape)
+        coef = np.exp(1j * (x[:, None, :] @ self.phases))
+        f = (coef.reshape((len(x),) + self.coef_shape) @ self.tables).reshape(
+            (len(x),) + self.factor_shape)
         # a block's (B, k, D, D) rows of factors are multiplied as (k, B, D, D)
-        return _tree_product(f.swapaxes(0, 1) if lead else f, self.levels)
+        return _tree_product(f.swapaxes(0, 1), self.levels)
 
 
 def compile_circuit(c: Circuit) -> np.ndarray:

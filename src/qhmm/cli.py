@@ -97,19 +97,34 @@ def _resolve_seed(args) -> int:
 
 
 def load_model(path: str):
-    """Dispatch on JSON content: classical HMM, Kraus QHMM or unitary QHMM."""
+    """Dispatch on JSON content: classical HMM, Kraus QHMM or unitary QHMM.
+    A value of the wrong JSON kind, which the readers meet as a TypeError
+    or an IndexError, is refused; so is a file that spells out NaN,
+    Infinity or -Infinity, after the readers' own checks, whose messages
+    come first."""
+    constants = []  # the NaN, Infinity and -Infinity met while parsing
+
+    def constant(name: str) -> float:
+        constants.append(name)
+        return float(name)
+
     with _refused(f"cannot read model file {path}",
                   (OSError, UnicodeDecodeError, json.JSONDecodeError)):
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=constant)
     if not isinstance(data, dict):
         _fail(f"invalid model file {path}: expected a JSON object")
-    with _refused(f"invalid model file {path}", (ValueError, KeyError)):
+    with _refused(f"invalid model file {path}",
+                  (ValueError, KeyError, TypeError, IndexError)):
         if data.get("type") in ("kraus", "unitary"):
-            return models.qhmm_from_json(data)
-        if {"alphabet", "A", "B", "x0"} <= set(data):
-            return classical.hmm_from_json(data)
-    _fail(f"unrecognized model format in {path}")
+            model = models.qhmm_from_json(data)
+        elif {"alphabet", "A", "B", "x0"} <= set(data):
+            model = classical.hmm_from_json(data)
+        else:
+            _fail(f"unrecognized model format in {path}")
+    if constants:
+        _fail(f"invalid model file {path}: {constants[0]} is not a finite number")
+    return model
 
 
 def _model_operators(model):

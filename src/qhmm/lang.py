@@ -134,7 +134,7 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     Returns one vector of m**t entries per entry of ``lengths``, in order.
     A (..., m, D, D) operator stack gives (..., m**t) vectors, each row equal
     bit for bit to its operators' vectors alone. The operators are laid out
-    once as the augmented step of ``forward_levels``, which runs the
+    once as the augmented step of ``forward_plan``, which runs the
     recursion.
     """
     ops = np.asarray(ops)
@@ -143,44 +143,72 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     step = ops.swapaxes(-1, -2).swapaxes(-2, -3)
     effects = np.asarray(final) @ ops  # (..., m, D)
     step = np.concatenate([step, effects.swapaxes(-1, -2)[..., None]], axis=-1)
-    return forward_levels(step.reshape(step.shape[:-2] + (m * (d + 1),)), init,
-                          final, lengths)
+    return forward_plan(m, init, final, lengths)(
+        step.reshape(step.shape[:-2] + (m * (d + 1),)))
 
 
 def forward_levels(step, init, final, lengths) -> list[np.ndarray]:
-    """The recursion behind ``forward_probs``, on the operators of m symbols
-    and their effects laid out as one augmented (..., D, m*(D + 1)) step:
-    symbol a's D operator columns, step[..., j, a*(D + 1) + i] =
-    ops[a][i, j], then its effect column, step[..., j, a*(D + 1) + D] =
-    (final . ops[a])[j].
+    """``forward_plan`` built and run once, on a (..., D, m*(D + 1)) step."""
+    d = step.shape[-2]
+    return forward_plan(step.shape[-1] // (d + 1), init, final, lengths)(step)
+
+
+def forward_plan(m: int, init, final, lengths) -> Callable:
+    """The recursion behind ``forward_probs``, bound once for m symbols, the
+    (D,) ``init`` and ``final`` and the ``lengths``: a function of the
+    operators of the m symbols and their effects laid out as one augmented
+    (..., D, m*(D + 1)) step, symbol a's D operator columns,
+    step[..., j, a*(D + 1) + i] = ops[a][i, j], then its effect column,
+    step[..., j, a*(D + 1) + D] = (final . ops[a])[j], that returns one
+    lex-ordered probability vector per entry of ``lengths``, in order.
 
     One matmul of a level's states against the augmented step gives, read as
     (m**t, D + 1) rows, the next level's states and that level's
     probabilities, every symbol at once, both as views of the product: no
     operator chain is re-multiplied and no level is copied. The last level
     takes the effect columns alone, and its states are never expanded.
-    ``lengths`` is a list or tuple, in any order and with repeats allowed.
+    ``lengths`` is any iterable of lengths, in any order and with repeats
+    allowed, copied when the plan is built. The plan holds every level's
+    row shape, whether it is read, and where each read level goes in the
+    output; a call only multiplies, so a (P,) point pays for no shape logic.
     """
+    lengths = tuple(lengths)
     if not lengths:
-        return []
-    top, low = max(lengths), min(lengths)
-    if low < 0:
+        return lambda step: []
+    top = max(lengths)
+    if min(lengths) < 0:
         raise ValueError("sequence lengths must be >= 0")
-    lead, d = step.shape[:-2], step.shape[-2]
-    m = step.shape[-1] // (d + 1)
-    states = np.asarray(init)[..., None, :]  # (..., m**t, D) at level t
-    levels = [None] * (top + 1)  # the probabilities of each length asked for
-    if not low:  # the empty sequence, once per operator stack
-        levels[0] = np.zeros(lead + (1,)) + (states @ final).real
-    for t in range(1, top):
-        rows = (states @ step).reshape(lead + (m**t, d + 1))
-        if t in lengths:
-            levels[t] = rows[..., d].real
-        states = rows[..., :d]
-    if top:
-        effects = np.ascontiguousarray(step[..., d::d + 1])
-        levels[top] = (states @ effects).reshape(lead + (m**top,)).real
-    return [levels[t] for t in lengths]
+    init = np.asarray(init)[..., None, :]  # (..., m**t, D) at level t
+    d = init.shape[-1]
+    # the empty sequence's probability, once per operator stack
+    empty = (init @ final).real if 0 in lengths else None
+    # per expanded level, its rows' shape and whether its probabilities
+    # are read; the top level's probabilities take the effect columns
+    expanded = [((m**t, d + 1), t in lengths) for t in range(1, top)]
+    last, effects = (m**top,), slice(d, None, d + 1)
+    at = {t: i for i, t in enumerate(sorted(set(lengths)))}
+    order = [at[t] for t in lengths]  # each length's place among the read
+    if order == list(range(len(order))):  # sorted distinct lengths
+        order = None
+
+    def run(step):
+        lead, states, levels = step.shape[:-2], init, []
+        # a point's products are of matrices: np.dot is np.matmul's BLAS
+        # product there, with less dispatch
+        product = np.matmul if lead else np.dot
+        if empty is not None:
+            levels.append(np.zeros(lead + (1,)) + empty)
+        for shape, read in expanded:
+            rows = product(states, step).reshape(lead + shape)
+            if read:
+                levels.append(rows[..., d].real)
+            states = rows[..., :d]
+        if top:
+            levels.append(product(states, np.ascontiguousarray(step[..., effects]))
+                          .reshape(lead + last).real)
+        return levels if order is None else [levels[i] for i in order]
+
+    return run
 
 
 def check_table_budget(m: int, t: int) -> None:

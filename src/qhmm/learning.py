@@ -19,7 +19,7 @@ import numpy as np
 from . import circuits as qc
 from .circuits import Circuit, GateStack, compile_circuit
 from .lang import (DistributionTable, Sequence, check_table_budget, divergence_avg,
-                   forward_levels, table_vector)
+                   forward_plan, table_vector)
 from .models import (QhmmKraus, QhmmUnitary, block_symbol_map,
                      distribution_tables, to_kraus)
 from .optimize import OPTIMIZER_LABELS, ObjectiveSpec, get_optimizer
@@ -270,7 +270,7 @@ def _dft_rows(size: int) -> np.ndarray:
 class ChannelEngine:
     """Parameter vector -> unitary (``GateStack``) -> augmented forward step
     gathered from the unitary -> exact lex-ordered probability vectors from
-    ``lang.forward_levels``, with all structure precomputed.
+    a ``lang.forward_plan``, with all structure precomputed.
 
     The Kraus operator of emission e, the emission register reset to 0, is
     K_e[s, s'] = U[s*dim_e + e, s'*dim_e]. The step on row-major vec(rho) is
@@ -283,6 +283,10 @@ class ChannelEngine:
     in runs of at most BLOCK_BYTES, and each row's result equals that
     vector's alone bit for bit. ``line_probs`` gives the probabilities along
     one angle from one such block.
+
+    The forward plan of each tuple of lengths asked for is built once and
+    kept with the gather in one function of the parameters, so a call pays
+    only for ``unitary`` and the arithmetic.
 
     This is the hot path behind fitness and ansatz cost; the object-based
     route (AnsatzSpec.model / models.distribution_tables) computes the same
@@ -310,6 +314,7 @@ class ChannelEngine:
         self.row_bytes = 8 * k * width + 16 * (
             2 * k * width + 2 * k * self.gates.dim**2
             + 3 * self.left.size + self.sums.size * dim_s**2)
+        self._plans = {}  # lengths tuple -> its function of the parameters
 
     def unitary(self, x) -> np.ndarray:
         return self.gates(x)
@@ -318,6 +323,8 @@ class ChannelEngine:
         """Probability vectors over lex-ordered sequences for each length;
         (m**t,) for (P,) parameters, (B, m**t) for a (B, P) block."""
         x = np.asarray(x, dtype=float)
+        lengths = tuple(lengths)
+        probs = self._plans.get(lengths) or self._plan(lengths)
         if x.ndim == 2 and len(x) > 1:
             # plus the top level's probabilities and every expanded level's
             # product, which its probabilities and the next states view
@@ -326,11 +333,21 @@ class ChannelEngine:
                                          * (self.dim_s**2 + 1))
             runs = min(len(x), -(-len(x) * row // BLOCK_BYTES))
             if runs > 1:
-                pieces = [forward_levels(self.step(rows), self.rho0, self.trace,
-                                         lengths)
-                          for rows in np.array_split(x, runs)]
+                pieces = [probs(rows) for rows in np.array_split(x, runs)]
                 return [np.concatenate(level) for level in zip(*pieces)]
-        return forward_levels(self.step(x), self.rho0, self.trace, lengths)
+        return probs(x)
+
+    def _plan(self, lengths: tuple):
+        """The function x -> level probabilities of ``lengths``, built once
+        per lengths and kept: ``unitary``, the step gather and the lengths'
+        forward plan."""
+        forward = forward_plan(self.n_symbols, self.rho0, self.trace, lengths)
+
+        def probs(x):
+            return forward(self._gather(self.unitary(x)))
+
+        self._plans[lengths] = probs
+        return probs
 
     def line_probs(self, x, axis: int, lengths):
         """The concatenated level probabilities of (P,) parameters x as a
@@ -366,6 +383,7 @@ class ChannelEngine:
         level probabilities, (S,) or (B, S), to a float or (B,) values: it
         takes (P,) parameters or a (B, P) block (row values equal bit for
         bit) and reads one angle's values from ``line_probs``."""
+        lengths = tuple(lengths)
 
         def evaluate(x):
             return value(np.concatenate(self.level_probs(x, lengths), axis=-1))
@@ -379,8 +397,10 @@ class ChannelEngine:
 
     def step(self, x) -> np.ndarray:
         """The (..., N^2, m*(N^2 + 1)) augmented step of
-        ``lang.forward_levels`` at (P,) parameters or a (B, P) block."""
-        u = self.unitary(x)
+        ``lang.forward_plan`` at (P,) parameters or a (B, P) block."""
+        return self._gather(self.unitary(x))
+
+    def _gather(self, u) -> np.ndarray:
         flat = u.reshape(u.shape[:-2] + self.flat_shape)
         terms = flat.take(self.left, axis=-1)
         terms *= flat.take(self.right, axis=-1).conj()
@@ -445,15 +465,17 @@ class FitnessEngine:
         self.level_starts = target.starts
 
     def objective(self, budget: int = 1000) -> ObjectiveSpec:
-        """-fitness as an ``ObjectiveSpec`` (``ChannelEngine.objective``)."""
-        return self.engine.objective(self.lengths, self._neg_fitness, budget)
+        """-fitness as an ``ObjectiveSpec`` (``ChannelEngine.objective``):
+        the average over lengths of the max-divergence, plus complexity."""
+        target, starts, count = self.target, self.level_starts, len(self.lengths)
+        complexity = self.complexity
 
-    def _neg_fitness(self, probs):
-        """Average over lengths of the max-divergence, plus complexity."""
-        gaps = np.abs(probs - self.target)
-        per_length = np.maximum.reduceat(gaps, self.level_starts, axis=-1)
-        divergence = np.add.reduce(per_length, axis=-1) / len(self.lengths)
-        return divergence + self.complexity
+        def neg_fitness(probs):
+            gaps = np.abs(probs - target)
+            per_length = np.maximum.reduceat(gaps, starts, axis=-1)
+            return np.add.reduce(per_length, axis=-1) / count + complexity
+
+        return self.engine.objective(self.lengths, neg_fitness, budget)
 
 
 def fitness(
@@ -971,8 +993,11 @@ def ansatz_objective(spec: AnsatzSpec, target: list[tuple[Sequence, float]],
     refs = np.array([p for _, p in target], dtype=float)
     weights = np.array([len(seq) for seq, _ in target], dtype=float)
 
+    # a target that lists every sequence in order reads the levels as they are
+    gather = not np.array_equal(at, np.arange(sum(m**t for t in lengths)))
+
     def value(probs):
-        gap = probs.take(at, axis=-1) - refs
+        gap = (probs.take(at, axis=-1) if gather else probs) - refs
         return np.add.reduce(weights * gap * gap, axis=-1)
 
     return engine.objective(lengths, value, budget)

@@ -116,38 +116,18 @@ def _fit(obj: ObjectiveSpec, x0: np.ndarray, body: Callable[[np.ndarray], Body]
     try:
         ask = asks.send(None)
         while len(trace) < budget:
-            if type(ask) is list:  # points to prepare
-                rows = ask[:budget - len(trace)]
-                if line is not None and len(rows) > 1:
-                    values = yield np.array(rows)[:]  # a view, as every block
-                    ready = {id(x): (x, float(f)) for x, f in zip(rows, values)}
-                ask = asks.send(None)
-                continue
-            if type(ask) is tuple:  # a golden-section point
-                x, axis, t = ask
-                if line is None:  # a plain point
-                    ask = np.array(x)
-                    ask[axis] = t
-                else:
-                    if along is None or along[0] is not x:
-                        along = (x, line(x, axis))
-                    f = float(along[1](t))
+            if type(ask) is np.ndarray:
+                if ask.ndim == 1:  # a point, or a prepared point
+                    if ready and id(ask) in ready:
+                        f = ready.pop(id(ask))[1]
+                    else:
+                        f = float((yield ask))
                     if f < best_f:
-                        best_x, best_f = np.array(x), f
-                        best_x[axis] = t
+                        best_x, best_f = np.array(ask, dtype=float), f
                     trace.append(best_f)
                     ask = asks.send(f)
                     continue
-            if ready and id(ask) in ready:  # a prepared point
-                f = ready.pop(id(ask))[1]
-                if f < best_f:
-                    best_x, best_f = np.array(ask, dtype=float), f
-            elif ask.ndim == 1:  # a point
-                f = float((yield ask))
-                if f < best_f:
-                    best_x, best_f = np.array(ask, dtype=float), f
-            else:  # a block
-                rows = ask[:budget - len(trace)]
+                rows = ask[:budget - len(trace)]  # a block
                 values = [float(f) for f in (yield rows)]
                 for x, f in zip(rows, values):
                     if f < best_f:
@@ -156,9 +136,26 @@ def _fit(obj: ObjectiveSpec, x0: np.ndarray, body: Callable[[np.ndarray], Body]
                 if len(rows) < len(ask):
                     break
                 ask = asks.send(np.array(values))
-                continue
-            trace.append(best_f)
-            ask = asks.send(f)
+            elif type(ask) is list:  # points to prepare
+                rows = ask[:budget - len(trace)]
+                if line is not None and len(rows) > 1:
+                    values = yield np.array(rows)[:]  # a view, as every block
+                    ready = {id(x): (x, float(f)) for x, f in zip(rows, values)}
+                ask = asks.send(None)
+            else:  # a golden-section point
+                x, axis, t = ask
+                if line is None:  # a plain point, asked on the next pass
+                    ask = np.array(x)
+                    ask[axis] = t
+                    continue
+                if along is None or along[0] is not x:
+                    along = (x, line(x, axis))
+                f = float(along[1](t))
+                if f < best_f:
+                    best_x, best_f = np.array(x), f
+                    best_x[axis] = t
+                trace.append(best_f)
+                ask = asks.send(f)
     except StopIteration:
         return OptResult(best_x, best_f, len(trace), True, trace)
     return OptResult(best_x, best_f, len(trace), False, trace)
@@ -181,28 +178,35 @@ def _run(obj: ObjectiveSpec, x0, body: Callable[[np.ndarray], Body]) -> OptResul
     if x0.ndim == 2 and not len(x0):  # a (0,) start is one parameterless fit
         raise ValueError(f"the start array of shape {x0.shape} holds no starts")
     fits = [_fit(obj, start, body) for start in np.atleast_2d(x0)]
-    results = [None] * len(fits)
-    sent = [None] * len(fits)  # what each fit is sent next
+    results, sent = [None] * len(fits), [None] * len(fits)
+    live = list(range(len(fits)))  # the fits still running, in start order
     evaluate = obj.evaluate
-    while True:
+    while live:
+        if len(live) == 1:  # a lone fit's ask, as it is
+            r = live[0]
+            try:
+                ask = fits[r].send(sent[r])
+            except StopIteration as done:
+                results[r], live = done.value, []
+                continue
+            sent[r] = evaluate(ask)
+            continue
         asks = []  # (fit index, ask) of each live fit
-        for r, fit in enumerate(fits):
-            if results[r] is None:
-                try:
-                    asks.append((r, fit.send(sent[r])))
-                except StopIteration as done:
-                    results[r] = done.value
+        for r in live:
+            try:
+                asks.append((r, fits[r].send(sent[r])))
+            except StopIteration as done:
+                results[r] = done.value
+        live = [r for r, _ in asks]
         if len(asks) == 1:
             r, ask = asks[0]
             sent[r] = evaluate(ask)
-            continue
-        if not asks:
-            break
-        blocks = [ask if ask.ndim == 2 else ask[None] for _, ask in asks]
-        values, at = evaluate(np.concatenate(blocks)), 0
-        for (r, ask), rows in zip(asks, blocks):
-            sent[r] = values[at] if ask.ndim == 1 else values[at:at + len(rows)]
-            at += len(rows)
+        elif asks:
+            blocks = [ask if ask.ndim == 2 else ask[None] for _, ask in asks]
+            values, at = evaluate(np.concatenate(blocks)), 0
+            for (r, ask), rows in zip(asks, blocks):
+                sent[r] = values[at] if ask.ndim == 1 else values[at:at + len(rows)]
+                at += len(rows)
     if x0.ndim == 1:
         return results[0]
     best = min(range(len(results)), key=lambda r: results[r].best_value)
@@ -220,9 +224,11 @@ def _nelder_mead_body(x0: np.ndarray) -> Body:
     while True:
         order = values.argsort()
         simplex, values = simplex.take(order, 0), values[order]
-        if (values[-1] - values[0] < NM_VALUE_TOL and np.linalg.norm(
-                simplex[1:] - simplex[0], axis=1).max() < NM_DIAMETER_TOL):
-            return
+        if values[-1] - values[0] < NM_VALUE_TOL:
+            # the diameter in np.linalg.norm's arithmetic, without its dispatch
+            edges = simplex[1:] - simplex[0]
+            if np.sqrt(np.add.reduce(edges * edges, 1)).max() < NM_DIAMETER_TOL:
+                return
         centroid = np.add.reduce(simplex[:-1], 0) / n  # np.mean's arithmetic
         xr = centroid + (centroid - simplex[-1])  # alpha = 1
         xc = None

@@ -303,6 +303,25 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(tmp_path):
     assert any(row[1] == "learn-ansatz-cbla/params.json" for row in rows)
 
 
+POINT_COST = COMPARE.parent / "point_cost.py"
+
+
+def test_point_cost_runs_a_tree_against_itself():
+    # the in-process A/B of the objective's per-point cost: both copies of
+    # one tree load side by side, every case is timed in each, and their
+    # values agree bit for bit
+    root = COMPARE.parents[1]
+    run = subprocess.run([sys.executable, str(POINT_COST), str(root), str(root),
+                          "--rounds", "1", "--batch-s", "0.001"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    cases = {line.split()[0] for line in lines[1:-1]}
+    assert {"monras_point", "market_evolve_point", "monras_block36",
+            "monras_nm_fit", "nm_free", "gatestack_monras"} <= cases
+    assert lines[-1] == "7 of 7 cases equal bit for bit"
+
+
 def test_compare_outputs_verdicts():
     spec = importlib.util.spec_from_file_location("compare_outputs", COMPARE)
     compare = importlib.util.module_from_spec(spec)
@@ -956,3 +975,41 @@ def test_refused_command_without_seed_prints_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def _set(key, value):
+    return lambda data: data.__setitem__(key, value)
+
+
+def _set_entry(key, value):  # the first entry of a classical matrix
+    return lambda data: data[key][0].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("model,mutate,detail", [
+    ("unitary", _set("dim_e", {}), "int() argument must be"),
+    ("unitary", _set("symbol_map", 1.0), "'float' object is not iterable"),
+    ("kraus", _set("channel", 3), "'int' object is not subscriptable"),
+    ("classical", _set("A", 1), "tuple index out of range"),
+    ("classical", _set_entry("A", float("nan")), "NaN is not a finite number"),
+], ids=["unitary-dim_e-object", "unitary-symbol_map-number", "kraus-channel-number",
+        "classical-A-number", "classical-A-nan"])
+def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail,
+                                                           tmp_path, capsys):
+    # regression: a value of the wrong JSON kind reached the readers as a
+    # TypeError or an IndexError and exited 1 with a bare Python message,
+    # and a NaN in a classical model passed every check and wrote total=nan
+    data = {"unitary": lambda: models.qhmm_to_json(
+                models.amplitude_damping_model(math.pi / 2)),
+            "kraus": lambda: models.qhmm_to_json(
+                models.quantize_classical(classical.market_model())),
+            "classical": lambda: classical.hmm_to_json(classical.market_model()),
+            }[model]()
+    mutate(data)
+    path, out = tmp_path / "model.json", tmp_path / "out"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["distribution", "--model", str(path), "--t", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid model file {path}: {detail}"), err
+    assert err.count("\n") == 1 and not out.exists()

@@ -156,6 +156,95 @@ def test_forward_levels_repeated_unsorted_and_zero_lengths(lengths, lead):
             assert all(np.array_equal(v[i], w) for v, w in zip(vecs, rows))
 
 
+def _forward_probs_before_plan(ops, init, final, lengths):
+    """``forward_probs`` as it was before ``forward_plan``: the same layout,
+    then the recursion worked out from ``lengths`` on every call."""
+    ops = np.asarray(ops)
+    m, d = ops.shape[-3], ops.shape[-1]
+    step = ops.swapaxes(-1, -2).swapaxes(-2, -3)
+    effects = np.asarray(final) @ ops
+    step = np.concatenate([step, effects.swapaxes(-1, -2)[..., None]], axis=-1)
+    return _forward_levels_before_plan(
+        step.reshape(step.shape[:-2] + (m * (d + 1),)), init, final, lengths)
+
+
+def _forward_levels_before_plan(step, init, final, lengths):
+    if not lengths:
+        return []
+    top, low = max(lengths), min(lengths)
+    lead, d = step.shape[:-2], step.shape[-2]
+    m = step.shape[-1] // (d + 1)
+    states = np.asarray(init)[..., None, :]
+    levels = [None] * (top + 1)
+    if not low:
+        levels[0] = np.zeros(lead + (1,)) + (states @ final).real
+    for t in range(1, top):
+        rows = (states @ step).reshape(lead + (m**t, d + 1))
+        if t in lengths:
+            levels[t] = rows[..., d].real
+        states = rows[..., :d]
+    if top:
+        effects = np.ascontiguousarray(step[..., d::d + 1])
+        levels[top] = (states @ effects).reshape(lead + (m**top,)).real
+    return [levels[t] for t in lengths]
+
+
+@pytest.mark.parametrize("lengths", [[2, 0, 2, 1], [3, 3], [0, 0], [1, 3, 0, 2, 1]])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["point", "block"])
+def test_forward_plan_keeps_the_bits_of_the_recursion_before_it(lengths, lead):
+    # the inputs of test_forward_levels_repeated_unsorted_and_zero_lengths:
+    # forward_probs and forward_levels give the bits they gave when the
+    # recursion worked out its levels on every call
+    rng = np.random.default_rng(sum(lengths) + len(lead))
+    m, d = 3, 4
+    ops = rng.normal(size=lead + (m, d, d)) + 1j * rng.normal(size=lead + (m, d, d))
+    step = rng.normal(size=lead + (d, m * (d + 1))) + 0j
+    init, final = rng.normal(size=d) + 0j, rng.normal(size=d) + 0j
+    for run, before, stack in ((forward_probs, _forward_probs_before_plan, ops),
+                               (forward_levels, _forward_levels_before_plan, step)):
+        got, want = run(stack, init, final, lengths), before(stack, init, final, lengths)
+        assert len(got) == len(want) == len(lengths)
+        assert all(g.shape == w.shape and np.array_equal(g, w)
+                   for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("lengths", [[2, 0, 2, 1], [3, 3], [0, 0], [1, 3, 0, 2, 1]])
+def test_engine_plan_is_bound_to_the_lengths_asked(lengths):
+    # ChannelEngine.level_probs binds one plan per lengths: for a point, a
+    # (1, P) and a (B, P) block, the lengths as a list or a tuple, asked
+    # first or again, on this engine or a fresh one, give the bits of the
+    # recursion before plans on the engine's step; and a list changed in
+    # place after a call is read as it is now
+    from qhmm.circuits import efficient_su2
+    from qhmm.learning import ChannelEngine, initial_state
+
+    def fresh():
+        return ChannelEngine(efficient_su2(3, 1), 2, 4, ("a", "b", "a", "c"),
+                             initial_state("maximally_mixed", 2))
+
+    def same(got, want):
+        return len(got) == len(want) and all(
+            g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+
+    engine = fresh()
+    xs = np.random.default_rng(len(lengths)).uniform(0.0, 2 * np.pi, size=(5, 6))
+    for x in (xs[0], xs[:1], xs):
+        want = _forward_levels_before_plan(fresh().step(x), engine.rho0,
+                                           engine.trace, lengths)
+        for asked in (list(lengths), tuple(lengths), list(lengths)):
+            assert same(engine.level_probs(x, asked), want)
+        assert same(fresh().level_probs(x, tuple(lengths)), want)
+    asked = list(lengths)
+    engine.level_probs(xs[0], asked)
+    asked[:] = [t + 1 for t in reversed(asked)]  # as many, and new
+    want = _forward_levels_before_plan(engine.step(xs[0]), engine.rho0,
+                                       engine.trace, asked)
+    assert same(engine.level_probs(xs[0], asked), want)
+    assert same(engine.level_probs(xs[0], tuple(lengths)),
+                _forward_levels_before_plan(engine.step(xs[0]), engine.rho0,
+                                            engine.trace, lengths))
+
+
 def test_hankel_construction_oracle(damping_qhmm):
     f = lambda s: models.sequence_probability(damping_qhmm, s)
     h = hankel(f, 2, 2, 2)
