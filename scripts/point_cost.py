@@ -29,7 +29,8 @@ round (``ratio``, 1 for the parent):
 
 Every case's values (the objective's values, the fit's result, the built
 arrays) must be equal bit for bit in the two trees; the script prints each
-case that differs and exits 1 if any does, 0 otherwise. Set one BLAS thread
+case that differs, with its largest absolute and relative difference over
+every entry, and exits 1 if any does, 0 otherwise. Set one BLAS thread
 (``OPENBLAS_NUM_THREADS=1`` and the like) when timing; the script sets it
 for itself when unset.
 """
@@ -139,6 +140,22 @@ def same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def gaps(a, b) -> tuple[float, float]:
+    """The largest absolute and relative difference over every entry of two
+    values of one case; both inf when their shapes differ."""
+    if isinstance(a, (list, tuple)):
+        if len(a) != len(b):
+            return math.inf, math.inf
+        pairs = [gaps(p, q) for p, q in zip(a, b)] or [(0.0, 0.0)]
+        return tuple(max(col) for col in zip(*pairs))
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return math.inf, math.inf
+    diff, scale = np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, scale, out=np.zeros(diff.shape), where=scale > 0)
+    return float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
+
+
 def timed_batch(call, count: int) -> float:
     start = perf_counter()
     for _ in range(count):
@@ -193,7 +210,8 @@ def main(argv=None) -> int:
             print(f"{name:<22}{side:<8}{q[0]:>10.2f}{q[1]:>10.2f}{q[2]:>11.2f}"
                   f"{ratio:>9.3f}")
     for name in differ:
-        print(f"values differ: {name}")
+        gap, rel = gaps(trees["parent"][1][name][2], trees["change"][1][name][2])
+        print(f"values differ: {name} (max abs {gap:.3g}, max rel {rel:.3g})")
     print(f"{len(names) - len(differ)} of {len(names)} cases equal bit for bit")
     return 1 if differ else 0
 

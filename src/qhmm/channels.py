@@ -7,6 +7,7 @@ while each group is the sub-channel realized when its symbol is observed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,6 +168,66 @@ def kraus_transfer_matrix(kraus: np.ndarray) -> np.ndarray:
 def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     """The full channel's ``kraus_transfer_matrix``."""
     return kraus_transfer_matrix(ch.operators())
+
+
+def hermitian_coordinates(rho) -> np.ndarray:
+    """The (N^2,) real coordinates of a Hermitian (N, N) rho, row-major:
+    rho_ii at (i, i), Re rho_ij at (i, j) and Im rho_ij at (j, i), i < j.
+    A channel's transfer matrix on them is real (the Pauli-Liouville form
+    of Wood, Biamonte & Cory, arXiv:1111.6950, in another basis)."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    below = np.tri(len(rho), k=-1, dtype=bool)
+    return np.where(below, rho.T.imag, rho.real).ravel()
+
+
+@functools.cache  # keyed by register sizes and emission symbols: few keys
+def real_transfer_offsets(dim_s: int, dim_e: int, symbols: tuple[int, ...]):
+    """Where the real transfer matrices of the Kraus groups of a unitary
+    (``kraus_from_unitary`` with e0 = 0, emission e in group symbols[e])
+    are gathered from U viewed as float64, laid out as the augmented
+    (N^2, m*(N^2 + 1)) step of ``lang.forward_plan``: the flat offsets of
+    both factors of every product summed, each product's sign and where
+    each sum starts, in the step's row-major order; all read-only.
+
+    Coordinate (c, c') of ``hermitian_coordinates`` weighs the basis
+    operator |c><c| on the diagonal, |c><c'| + |c'><c| for c < c' and
+    i|c'><c| - i|c><c'| for c > c'. Its row holds, in each symbol a's N^2
+    columns, the coordinates of sum K_e B K_e^† over the emissions e of a,
+    and in a's effect column that operator's trace: each a sum of Re or
+    Im K_e[r, p] conj(K_e[r', p']) times 1 or +-i, with
+    Re(K conj K') = aa' + bb' and Im(K conj K') = ba' - ab' for K = a + ib."""
+    sym, n, flat = np.array(symbols), dim_s, np.arange(dim_s**2)
+    c, c2 = np.divmod(flat, n)
+    lo, hi, off, below = np.minimum(c, c2), np.maximum(c, c2), c != c2, c > c2
+    # each row's terms i^q |p><p'|: one on the diagonal (twin 0), two off it
+    # (twins 1 and 2)
+    row = np.r_[flat, flat[off]]
+    p, p2, q = np.r_[lo, hi[off]], np.r_[hi, lo[off]], np.r_[below, 3 * below[off]]
+    twin = np.r_[off, 2 * off[off]]
+    # each column reads Re (0) or Im (1) of entry (r, r'), r <= r'; the
+    # effect column, n^2, reads Re of every diagonal entry
+    col, diag = np.r_[flat, np.full(n, n * n)], np.arange(n)
+    r, r2, part = np.r_[lo, diag], np.r_[hi, diag], np.r_[below, 0 * diag]
+    i, j, e, b = np.indices((len(row), len(col), dim_e, 2)).reshape(4, -1)
+    # a diagonal entry is real, so twin terms give it equal parts: it takes
+    # the first twice and drops the second
+    twice = (r[j] == r2[j]) * twin[i]
+    keep = twice < 2
+    i, j, e, b, twice = i[keep], j[keep], e[keep], b[keep], twice[keep]
+    # Re or Im of i^q K conj K' is +-Re (even turn) or +-Im (odd)
+    turn = (q[i] + 3 * part[j]) % 4
+    im = turn % 2
+    d = n * dim_e  # K_e[r, p] = U[r*dim_e + e, p*dim_e], re and im interleaved
+    left = 2 * ((r[j] * dim_e + e) * d + p[i] * dim_e) + (b ^ im)
+    right = 2 * ((r2[j] * dim_e + e) * d + p2[i] * dim_e) + b
+    signs = (-1.0) ** ((turn % 3 > 0) + (im & b)) * (1 + twice)
+    key = (row[i] * (sym.max() + 1) + sym[e]) * (n * n + 1) + col[j]
+    order = np.argsort(key, kind="stable")
+    offsets = (left[order], right[order], signs[order],
+               np.flatnonzero(np.diff(key[order], prepend=-1)))
+    for a in offsets:
+        a.setflags(write=False)
+    return offsets
 
 
 def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:

@@ -41,6 +41,9 @@ class ClassicalHmm:
             raise ValueError(f"B must be ({m}, {n})")
         if self.x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}")
+        for name in ("A", "B", "x0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
         for name, mat in (("A", self.A), ("B", self.B)):
             if mat.min() < 0:
                 raise ValueError(f"{name} has negative entries")

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import circuits as qc
+from .channels import hermitian_coordinates, real_transfer_offsets
 from .circuits import Circuit, GateStack, compile_circuit
 from .lang import (DistributionTable, Sequence, check_table_budget, divergence_avg,
                    forward_plan, table_vector)
@@ -217,40 +218,6 @@ class HyperParams:
 BLOCK_BYTES = 1 << 20
 
 
-@functools.cache  # keyed by register sizes and symbol map: few keys
-def _step_offsets(dim_s: int, dim_e: int, symbol_map: tuple[str, ...]):
-    """Where ``ChannelEngine`` gathers its augmented step from U: at row
-    (c, c'), the flat offsets of K_e[r, c] and of K_e[r', c'] for every
-    product it sums, and where each sum starts; all read-only.
-
-    Symbol a's sums are its N^2 step columns (r, r'), each over the
-    emissions e of a, then its effect column, over the emissions and every
-    r of K_e[r, c] conj(K_e[r, c'])."""
-    alphabet = symbol_order(symbol_map)
-    sym = np.array([alphabet.index(s) for s in symbol_map])
-    n = dim_s
-    terms, starts, size = [], [], 0
-    for a in range(len(alphabet)):
-        own = np.flatnonzero(sym == a)
-        k = len(own)
-        # (r, r', emission) of every product: the step columns, then the
-        # effect column's diagonal
-        r, r2, j = np.indices((n, n, k)).reshape(3, -1)
-        rd, jd = np.indices((n, k)).reshape(2, -1)
-        terms.append([np.r_[r, rd], np.r_[r2, rd], own[np.r_[j, jd]]])
-        starts.append(size + k * np.arange(n * n + 1))
-        size += k * n * (n + 1)
-    r, r2, e = np.concatenate(terms, axis=1)
-    # K_e[r, c] = U[r*dim_e + e, c*dim_e]; row c*N + c' takes c and c'
-    cols = np.arange(n) * dim_e
-    offsets = (np.repeat(cols, n)[:, None] + (r * dim_e + e) * n * dim_e,
-               np.tile(cols, n)[:, None] + (r2 * dim_e + e) * n * dim_e,
-               np.concatenate(starts))
-    for a in offsets:
-        a.setflags(write=False)
-    return offsets
-
-
 @functools.cache  # keyed by sample count: few keys
 def _dft_rows(size: int) -> np.ndarray:
     """The real (2(n + 1), S) map from S = 2n + 1 equispaced samples of a
@@ -273,16 +240,18 @@ class ChannelEngine:
     a ``lang.forward_plan``, with all structure precomputed.
 
     The Kraus operator of emission e, the emission register reset to 0, is
-    K_e[s, s'] = U[s*dim_e + e, s'*dim_e]. The step on row-major vec(rho) is
-    step[(c, c'), a*(N^2 + 1) + (r, r')] = sum over the emissions e of
-    symbol a of K_e[r, c] conj(K_e[r', c']), and symbol a's effect column
-    a*(N^2 + 1) + N^2 holds the same sum over r' = r and every r: two arrays
-    of flat offsets into U pick both factors of every product, and one
-    ``reduceat`` sums them into all m*(N^2 + 1) columns. A (B, P) block of
-    parameter vectors runs through the same path with a leading batch axis,
-    in runs of at most BLOCK_BYTES, and each row's result equals that
-    vector's alone bit for bit. ``line_probs`` gives the probabilities along
-    one angle from one such block.
+    K_e[s, s'] = U[s*dim_e + e, s'*dim_e]. A channel maps Hermitian
+    operators to Hermitian ones, so the recursion runs in float64 on the
+    real coordinates of rho (``channels.hermitian_coordinates``): the step
+    holds each symbol's real transfer matrix and effect column, each entry
+    a signed sum of products of U's real and imaginary parts. Two arrays of
+    offsets into U viewed as float64 pick both factors of every product,
+    one holds their signs (``channels.real_transfer_offsets``), and one
+    ``reduceat`` sums them into every entry. A (B, P) block of parameter
+    vectors runs through the same path with a leading batch axis, in runs
+    of at most BLOCK_BYTES, and each row's result equals that vector's
+    alone bit for bit. ``line_probs`` gives the probabilities along one
+    angle from one such block.
 
     The forward plan of each tuple of lengths asked for is built once and
     kept with the gather in one function of the parameters, so a call pays
@@ -300,20 +269,21 @@ class ChannelEngine:
             raise ValueError("symbol_map must label every emission index")
         self.dim_s, self.dim_e = dim_s, dim_e
         self.gates = GateStack(circuit)
-        self.rho0 = np.asarray(rho0, dtype=np.complex128).ravel()
-        self.trace = np.eye(dim_s, dtype=np.complex128).ravel()
-        self.n_symbols = len(symbol_order(symbol_map))
-        self.left, self.right, self.sums = _step_offsets(
-            dim_s, dim_e, tuple(symbol_map))
-        self.flat_shape = (self.gates.dim**2,)  # U's entries, row-major
+        self.rho0 = hermitian_coordinates(rho0)
+        self.trace = np.eye(dim_s).ravel()  # the trace in those coordinates
+        alphabet = symbol_order(symbol_map)
+        self.n_symbols = len(alphabet)
+        self.left, self.right, self.signs, self.sums = real_transfer_offsets(
+            dim_s, dim_e, tuple(alphabet.index(s) for s in symbol_map))
+        self.flat_shape = (2 * self.gates.dim**2,)  # U's re and im, row-major
+        self.step_shape = (dim_s**2, self.n_symbols * (dim_s**2 + 1))
         # bytes of all that one row allocates: the phases (reals), their
         # complex form and the coefficients, the factors and their tree
-        # product, the two gathers, the conjugate and the augmented step
-        # (complex)
+        # product (complex), the two gathers and the step (reals)
         k, width = self.gates.stack.shape[:2]
         self.row_bytes = 8 * k * width + 16 * (
-            2 * k * width + 2 * k * self.gates.dim**2
-            + 3 * self.left.size + self.sums.size * dim_s**2)
+            2 * k * width + 2 * k * self.gates.dim**2) + 8 * (
+            2 * self.left.size + self.sums.size)
         self._plans = {}  # lengths tuple -> its function of the parameters
 
     def unitary(self, x) -> np.ndarray:
@@ -329,8 +299,8 @@ class ChannelEngine:
             # plus the top level's probabilities and every expanded level's
             # product, which its probabilities and the next states view
             m, top = self.n_symbols, max(lengths, default=0)
-            row = self.row_bytes + 16 * (m**top + 2 * m ** max(top - 1, 0)
-                                         * (self.dim_s**2 + 1))
+            row = self.row_bytes + 8 * (m**top + 2 * m ** max(top - 1, 0)
+                                        * (self.dim_s**2 + 1))
             runs = min(len(x), -(-len(x) * row // BLOCK_BYTES))
             if runs > 1:
                 pieces = [probs(rows) for rows in np.array_split(x, runs)]
@@ -396,15 +366,20 @@ class ChannelEngine:
                              budget=budget, line=line)
 
     def step(self, x) -> np.ndarray:
-        """The (..., N^2, m*(N^2 + 1)) augmented step of
-        ``lang.forward_plan`` at (P,) parameters or a (B, P) block."""
+        """The real (..., N^2, m*(N^2 + 1)) augmented step of
+        ``lang.forward_plan`` at (P,) parameters or a (B, P) block: per
+        symbol, its transfer matrix on ``hermitian_coordinates`` (row: input
+        coordinate, column: output coordinate), then its effect column."""
         return self._gather(self.unitary(x))
 
     def _gather(self, u) -> np.ndarray:
-        flat = u.reshape(u.shape[:-2] + self.flat_shape)
+        lead = u.shape[:-2]
+        flat = u.view(float).reshape(lead + self.flat_shape)
         terms = flat.take(self.left, axis=-1)
-        terms *= flat.take(self.right, axis=-1).conj()
-        return np.add.reduceat(terms, self.sums, axis=-1)
+        terms *= flat.take(self.right, axis=-1)
+        terms *= self.signs
+        return np.add.reduceat(terms, self.sums, axis=-1).reshape(
+            lead + self.step_shape)
 
 
 # --- fitness ------------------------------------------------------------------

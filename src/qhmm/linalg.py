@@ -57,7 +57,8 @@ def is_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> bool:
     if u.shape[0] != u.shape[1]:
         return False
     d = u.shape[0]
-    return np.abs(dagger(u) @ u - np.eye(d)).max() <= tol
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not unitary
+        return np.abs(dagger(u) @ u - np.eye(d)).max() <= tol
 
 
 def check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> np.ndarray:

@@ -210,6 +210,20 @@ def test_hmm_json_round_trip(market):
     assert back.alphabet == market.alphabet
 
 
+@pytest.mark.parametrize("key", ["A", "B", "x0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_entries_refused(market, key, value):
+    # regression: every stochastic check compares false with NaN, so a market
+    # model with A[0][0] = NaN loaded and its distribution totalled nan
+    data = hmm_to_json(market)
+    if key == "x0":
+        data[key][0] = value
+    else:
+        data[key][0][0] = value
+    with pytest.raises(ValueError, match=f"^{key} has non-finite entries$"):
+        hmm_from_json(data)
+
+
 def test_distribution_covers_all_sequences(market):
     d = distribution(market, 4)
     assert set(d.probs) == set(sequences_of_length(2, 4))

@@ -186,6 +186,28 @@ def test_simulate_memory_does_not_grow_with_shots(damping_file, tmp_path):
     assert peak[400_000] - peak[1] < SIMULATE_RSS_GROWTH_MIB, peak
 
 
+@pytest.mark.parametrize("command", [["distribution", "--t", "2"],
+                                     ["simulate", "--t", "2", "--shots", "10"]])
+def test_huge_unitary_entry_is_refused_in_one_line(damping_file, command, tmp_path):
+    # regression: a unitary entry of 1e308 overflowed in the unitarity check,
+    # and four numpy RuntimeWarning lines came before the error line
+    data = json.loads(Path(damping_file).read_text())
+    data["unitary"]["re"][0] = 1e308
+    path, out = tmp_path / "huge.json", tmp_path / "out"
+    path.write_text(json.dumps(data))
+    src = str(Path(qhmm.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom qhmm.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))", *command, "--model", str(path),
+         "--seed", "0", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert run.returncode == 2
+    assert run.stderr == (f"error: invalid model file {path}: matrix is not "
+                          "unitary within tolerance\n"), run.stderr
+    assert not out.exists()
+
+
 def test_invalid_model_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -990,7 +1012,7 @@ def _set_entry(key, value):  # the first entry of a classical matrix
     ("unitary", _set("symbol_map", 1.0), "'float' object is not iterable"),
     ("kraus", _set("channel", 3), "'int' object is not subscriptable"),
     ("classical", _set("A", 1), "tuple index out of range"),
-    ("classical", _set_entry("A", float("nan")), "NaN is not a finite number"),
+    ("classical", _set_entry("A", float("nan")), "A has non-finite entries"),
 ], ids=["unitary-dim_e-object", "unitary-symbol_map-number", "kraus-channel-number",
         "classical-A-number", "classical-A-nan"])
 def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail,

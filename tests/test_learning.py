@@ -889,13 +889,17 @@ def test_row_larger_than_block_bytes_runs_alone():
         "4x2-one-each", "4x2-one-symbol", "4x4-interleaved", "4x4-uneven"])
 def test_engine_step_is_model_transfer_matrices(dim_s, dim_e, symbol_map):
     # the step the engine gathers straight from U holds, symbol by symbol,
-    # the transfer matrix sum K (x) conj(K) of the model's Kraus group, laid
-    # out as (N^2, m*(N^2 + 1)) with step[j, a*(N^2 + 1) + i] = T_a[i, j],
-    # and so advances vec(rho) to every symbol's sub-channel output at once;
-    # each symbol's last column is its effect vec(I) . T_a, which gives the
-    # output's trace. At N = 4 the rows (c, c') run over a 16 x m*17 step
+    # the transfer matrix T = sum K (x) conj(K) of the model's Kraus group in
+    # real coordinates: with Q the map from the coordinates of a Hermitian
+    # rho to row-major vec(rho), built here from the basis operators, the
+    # (N^2, m*(N^2 + 1)) step has step[j, a*(N^2 + 1) + i] = (Q^-1 T_a Q)[i, j]
+    # and so advances the coordinates of rho to every symbol's sub-channel
+    # output at once; each symbol's last column is its effect vec(I) T_a Q,
+    # which gives the output's trace. At N = 4 the rows run over a 16 x m*17
+    # step
     from qhmm.channels import apply_symbol, kraus_transfer_matrix
     from qhmm.circuits import efficient_su2
+    from qhmm.channels import hermitian_coordinates
     from qhmm.linalg import random_density
 
     rng = np.random.default_rng(5)
@@ -904,19 +908,73 @@ def test_engine_step_is_model_transfer_matrices(dim_s, dim_e, symbol_map):
     x = rng.uniform(0.0, 2 * np.pi, size=spec.circuit.num_parameters)
     step = spec.engine().step(x)
     q = spec.model(x)
-    want = np.stack([kraus_transfer_matrix(q.channel.groups[a])
-                     for a in q.alphabet])
+    basis = _hermitian_basis(dim_s)
+    want = np.stack([np.linalg.solve(basis, kraus_transfer_matrix(q.channel.groups[a])
+                                     @ basis) for a in q.alphabet])
     m, n2 = len(q.alphabet), dim_s**2
-    assert step.shape == (n2, m * (n2 + 1))
+    assert step.dtype == np.float64 and step.shape == (n2, m * (n2 + 1))
     blocks = step.reshape(n2, m, n2 + 1)
     assert np.abs(blocks[..., :n2] - want.transpose(2, 0, 1)).max() < 1e-14
-    effects = np.eye(dim_s).ravel() @ want
+    effects = np.eye(dim_s).ravel() @ basis @ want
     assert np.abs(blocks[..., n2] - effects.T).max() < 1e-14
-    post = (q.rho0.ravel() @ step).reshape(m, n2 + 1)
+    post = (hermitian_coordinates(q.rho0) @ step).reshape(m, n2 + 1)
     for a, row in zip(q.alphabet, post):
         sub = apply_symbol(q.channel, q.rho0, a)
-        assert np.abs(row[:n2].reshape(dim_s, dim_s) - sub).max() < 1e-14
+        assert np.abs((basis @ row[:n2]).reshape(dim_s, dim_s) - sub).max() < 1e-14
         assert abs(row[n2] - np.trace(sub)) < 1e-14
+
+
+def _hermitian_basis(n):
+    """(N^2, N^2) columns vec(B_cc'): |c><c|, |c><c'| + |c'><c| for c < c'
+    and i|c'><c| - i|c><c'| for c > c', so that rho = sum x[c, c'] B_cc'."""
+    basis = np.zeros((n, n, n, n), dtype=complex)
+    for c in range(n):
+        for c2 in range(n):
+            if c <= c2:
+                basis[c, c2, c, c2] = basis[c2, c, c, c2] = 1.0
+            else:
+                basis[c2, c, c, c2], basis[c, c2, c, c2] = 1j, -1j
+    return basis.reshape(n * n, n * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_hermitian_coordinates_round_trip(n):
+    # rho's real coordinates rebuild rho through the basis operators, and
+    # each is the diagonal entry, the real part above or the imaginary part
+    # below the diagonal
+    from qhmm.channels import hermitian_coordinates
+    from qhmm.linalg import random_density
+
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        rho = random_density(n, rng)
+        coords = hermitian_coordinates(rho)
+        assert coords.dtype == np.float64 and coords.shape == (n * n,)
+        assert np.abs(_hermitian_basis(n) @ coords - rho.ravel()).max() < 1e-15
+        for c in range(n):
+            for c2 in range(n):
+                part = rho[c, c2].real if c <= c2 else rho[c2, c].imag
+                assert coords[c * n + c2] == part
+
+
+@pytest.mark.parametrize("dim_s", [1, 2, 4])
+def test_real_step_rows_equal_their_points(dim_s):
+    # the step is real, and each row of a block, step or probabilities,
+    # equals that point's alone bit for bit
+    from qhmm.circuits import efficient_su2
+
+    dim_e = 8 // dim_s
+    engine = ChannelEngine(efficient_su2(3, 2), dim_s, dim_e,
+                           tuple("abcabcab"[:dim_e]),
+                           initial_state("maximally_mixed", dim_s))
+    x = np.random.default_rng(dim_s).uniform(0.0, 2 * np.pi,
+                                              size=(7, engine.gates.n_params))
+    step, probs = engine.step(x), engine.level_probs(x, [0, 1, 3])
+    assert step.dtype == np.float64 and step.shape[0] == 7
+    for i, row in enumerate(x):
+        assert np.array_equal(step[i], engine.step(row))
+        assert all(np.array_equal(p[i], want)
+                   for p, want in zip(probs, engine.level_probs(row, [0, 1, 3])))
 
 
 def _market_items(market_target):
