@@ -13,7 +13,8 @@ PYTHONPATH, the parent's run of a command right before the change's, and
 write to DIR/parent/CASE and DIR/change/CASE. Two raw corpora (two and
 four symbols), two circuit-form models (two and three qubits), an
 unreadable model, a model with a NaN, a model with a value of the wrong
-JSON kind, a file that is not UTF-8, a target whose length-1 table
+JSON kind, a Kraus model whose groups are a list, a Kraus model with an
+entry of 1e308, a file that is not UTF-8, a target whose length-1 table
 totals 0.5 and five learn-evo configs are written beside the fixtures by
 this script, so that neither tree's code builds them. A command's stdout
 is kept as CASE/stdout.txt; stderr, which carries timings, is not
@@ -89,6 +90,14 @@ CIRCUIT3_MODEL = {
 NAN_MODEL = ('{"alphabet": ["0", "1"], "A": [[NaN, 0.5], [0.5, 0.5]], '
              '"B": [[0.5, 0.5], [0.5, 0.5]], "x0": [0.5, 0.5]}\n')
 WRONG_KIND_MODEL = {**CIRCUIT_MODEL, "dim_e": {}}
+# refused Kraus files: a one-state model whose groups are a JSON list, and
+# one whose only operator entry is 1e308, so its completeness sum overflows
+ONE_STATE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+GROUPS_LIST_MODEL = {"type": "kraus", "alphabet": ["0"], "rho0": ONE_STATE,
+                     "channel": {"dim": 1, "groups": [[ONE_STATE]]}}
+HUGE_KRAUS_MODEL = {"type": "kraus", "alphabet": ["0"], "rho0": ONE_STATE,
+                    "channel": {"dim": 1, "groups": {"0": [
+                        {**ONE_STATE, "re": [1e308]}]}}}
 EVO_CONFIGS = {
     "market": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3},
     "gaussian4": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3, "n_max": 3,
@@ -200,7 +209,9 @@ def refusals(quick: bool) -> list[tuple[str, list[str]]]:
     cases = [("refuse-distribution-t", ["distribution", "--model", market,
                                         "--t", "13"]),
              ("refuse-binary-model", ["distribution", "--model",
-                                      "{fx}/binary.json", "--t", "2"])]
+                                      "{fx}/binary.json", "--t", "2"]),
+             ("refuse-huge-kraus-model", ["distribution", "--model",
+                                          "{fx}/huge_kraus.json", "--t", "2"])]
     if quick:
         return cases
     return cases + [
@@ -210,6 +221,8 @@ def refusals(quick: bool) -> list[tuple[str, list[str]]]:
                               "--t", "2"]),
         ("refuse-wrong-kind-model", ["distribution", "--model",
                                      "{fx}/wrong_kind.json", "--t", "2"]),
+        ("refuse-groups-list-model", ["distribution", "--model",
+                                      "{fx}/groups_list.json", "--t", "2"]),
         ("refuse-config-key", ["learn-evo", "--target",
                                "{fx}/market_target.csv", "--config",
                                "{fx}/evo_bad_key.json"]),
@@ -238,6 +251,8 @@ def write_fixtures(tree: Path, out: Path) -> None:
     (out / "unreadable.json").write_text('{"type": "unitary",\n')
     (out / "nan.json").write_text(NAN_MODEL)
     (out / "wrong_kind.json").write_text(json.dumps(WRONG_KIND_MODEL) + "\n")
+    (out / "groups_list.json").write_text(json.dumps(GROUPS_LIST_MODEL) + "\n")
+    (out / "huge_kraus.json").write_text(json.dumps(HUGE_KRAUS_MODEL) + "\n")
     (out / "binary.json").write_bytes(b"\xff\xfe\x00{}\n")
     (out / "half_target.csv").write_text("sequence,probability\n0,0.25\n1,0.25\n")
     (out / "corpus.txt").write_text("\n".join(corpus_lines()) + "\n")

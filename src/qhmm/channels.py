@@ -16,7 +16,6 @@ from .linalg import (
     as_matrix,
     complete_isometry_to_unitary,
     dagger,
-    eig_hermitian,
     matrix_from_json,
     matrix_to_json,
     spectral_norm,
@@ -56,8 +55,9 @@ class KrausChannel:
 
     def completeness_defect(self) -> float:
         ops = self.operators()
-        defect = (dagger(ops) @ ops).sum(axis=0) - np.eye(self.dim)
-        return float(np.abs(defect).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not complete
+            defect = (dagger(ops) @ ops).sum(axis=0) - np.eye(self.dim)
+            return float(np.abs(defect).max())
 
 
 @dataclass
@@ -87,30 +87,6 @@ def apply_symbol(ch: KrausChannel, rho: np.ndarray, a: str) -> np.ndarray:
         raise KeyError(f"unknown symbol {a!r}")
     ops = ch.groups[a]
     return (ops @ rho @ dagger(ops)).sum(axis=0)
-
-
-def symbol_probability(ch: KrausChannel, rho: np.ndarray, a: str) -> float:
-    p = float(np.trace(apply_symbol(ch, rho, a)).real)
-    return min(max(p, 0.0), 1.0)
-
-
-def choi(ch: KrausChannel) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) T(|i><j|), an N^2 x N^2 PSD operator."""
-    n = ch.dim
-    # row K holds the blocks K|i> in input-basis order
-    v = ch.operators().swapaxes(1, 2).reshape(-1, n * n)
-    return v.T @ v.conj()
-
-
-def kraus_rank(ch: KrausChannel, rel_tol: float = 1e-7) -> int:
-    """Rank of the Choi matrix = minimal number of Kraus operators."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    w, _ = eig_hermitian(choi(ch))
-    top = max(w[0], 0.0)
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(w > rel_tol * top))
 
 
 def kraus_from_unitary(
@@ -337,27 +313,6 @@ def steady_state(ch: KrausChannel) -> np.ndarray:
     return steady_state_info(ch).rho
 
 
-def random_channel(
-    dim: int, n_kraus: int, rng: np.random.Generator, n_symbols: int = 1
-) -> KrausChannel:
-    """Random CPTP channel: Gaussian blocks normalized by the inverse sqrt of
-    their completeness sum, split into n_symbols consecutive groups."""
-    if n_kraus < n_symbols:
-        raise ValueError("need at least one Kraus operator per symbol")
-    # per block its real then its imaginary part, in one row-major draw
-    parts = rng.normal(size=(n_kraus, 2, dim, dim))
-    blocks = parts[:, 0] + 1j * parts[:, 1]
-    # the normalized stack M (M^dagger M)^(-1/2) is the polar factor U V^dagger
-    # of the stacked blocks M = U S V^dagger, complete to rounding however
-    # ill-conditioned M is (inverting the square root of M^dagger M squares
-    # the condition number)
-    u, _, vh = np.linalg.svd(blocks.reshape(-1, dim), full_matrices=False)
-    ops = (u @ vh).reshape(n_kraus, dim, dim)
-    symbol = np.minimum(np.arange(n_kraus) * n_symbols // n_kraus, n_symbols - 1)
-    return KrausChannel(dim=dim, groups={str(a): ops[symbol == a]
-                                         for a in range(n_symbols)})
-
-
 def channel_to_json(ch: KrausChannel) -> dict:
     return {
         "dim": ch.dim,
@@ -366,7 +321,11 @@ def channel_to_json(ch: KrausChannel) -> dict:
 
 
 def channel_from_json(d: dict) -> KrausChannel:
+    groups = d["groups"]
+    if not isinstance(groups, dict):
+        raise ValueError(
+            f"channel groups must be a JSON object, not {type(groups).__name__}")
     return KrausChannel(
         dim=int(d["dim"]),
-        groups={sym: [matrix_from_json(k) for k in ops] for sym, ops in d["groups"].items()},
+        groups={sym: [matrix_from_json(k) for k in ops] for sym, ops in groups.items()},
     )

@@ -35,6 +35,8 @@ class ClassicalHmm:
         self.x0 = np.asarray(self.x0, dtype=float)
         n = self.A.shape[0]
         m = len(self.alphabet)
+        if len(set(self.alphabet)) != m:
+            raise ValueError("alphabet labels must be distinct")
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
         if self.B.shape != (m, n):

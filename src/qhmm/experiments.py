@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import classical, models
-from .circuits import efficient_su2, real_amplitudes
+from .circuits import Circuit, GateSpec, efficient_su2, real_amplitudes
 from .lang import forward_probs, hankel_blocks, table_items
 from .learning import (
     AnsatzSpec,
@@ -202,9 +202,12 @@ def market_target_items(max_len: int = 5) -> list[tuple[tuple[int, ...], float]]
     return table_items(classical.distribution_tables(h, range(1, max_len + 1)))
 
 
-# the market template, fitted in market_ansatz and for the walk origin
+# the market template, fitted in market_ansatz and for the walk origin, in
+# Qiskit's RealAmplitudes layout: an RY layer, then real_amplitudes' CX and
+# RY layer
 MARKET_ANSATZ = AnsatzSpec(
-    circuit=real_amplitudes(2, reps=1, entanglement="linear"),
+    circuit=Circuit(2, tuple(GateSpec("RY", (q,), (None,)) for q in range(2))
+                    + real_amplitudes(2, reps=1, entanglement="linear").gates),
     dim_s=2, dim_e=2, symbol_map=("0", "1"),
 )
 MARKET_ANSATZ_BUDGET = 3000

@@ -76,20 +76,6 @@ def parse_sequence(text: str, alphabet: Iterable[str]) -> Sequence:
         raise ValueError(f"symbol {exc.args[0]!r} not in alphabet") from None
 
 
-def empirical_estimate(windows: list[Sequence], t: int) -> DistributionTable:
-    """Empirical frequencies of the windows; counts are exact integers. Kept
-    as the per-tuple test oracle of ``empirical_table``."""
-    if not windows:
-        raise ValueError("cannot estimate a distribution from an empty sample")
-    counts: dict[Sequence, int] = {}
-    for w in windows:
-        if len(w) != t:
-            raise ValueError(f"window {w} does not have length {t}")
-        counts[w] = counts.get(w, 0) + 1
-    n = len(windows)
-    return DistributionTable(t=t, probs={s: c / n for s, c in counts.items()})
-
-
 def lex_codes(samples: np.ndarray, base: int) -> np.ndarray:
     """One integer per row of a (n, t) array of symbol indices below
     ``base``, in the rows' lex order: Horner's rule over the columns. Codes
@@ -145,12 +131,6 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     step = np.concatenate([step, effects.swapaxes(-1, -2)[..., None]], axis=-1)
     return forward_plan(m, init, final, lengths)(
         step.reshape(step.shape[:-2] + (m * (d + 1),)))
-
-
-def forward_levels(step, init, final, lengths) -> list[np.ndarray]:
-    """``forward_plan`` built and run once, on a (..., D, m*(D + 1)) step."""
-    d = step.shape[-2]
-    return forward_plan(step.shape[-1] // (d + 1), init, final, lengths)(step)
 
 
 def forward_plan(m: int, init, final, lengths) -> Callable:
@@ -344,27 +324,6 @@ def divergence_avg(
     if not target:
         return 0.0
     return math.fsum(divergence_max(a, b) for a, b in zip(target, hyp)) / len(target)
-
-
-def kl_divergence(
-    d_l: DistributionTable, d_q: DistributionTable, epsilon: float = 1e-12
-) -> float:
-    """Relative entropy sum p log(p/q), hypothesis probabilities floored at
-    epsilon so zero-support sequences stay finite."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    acc = 0.0
-    for seq, p in d_l.items():
-        if p <= 0.0:
-            continue
-        q = max(d_q.prob(seq), epsilon)
-        acc += p * math.log(p / q)
-    return max(acc, 0.0)
-
-
-def total_variation(d_l: DistributionTable, d_q: DistributionTable) -> float:
-    keys = set(d_l.probs) | set(d_q.probs)
-    return math.fsum(abs(d_l.prob(k) - d_q.prob(k)) for k in keys)
 
 
 def write_tables_csv(path, tables: Iterable[DistributionTable], alphabet) -> None:

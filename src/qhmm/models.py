@@ -269,14 +269,6 @@ def monras_qhmm() -> QhmmKraus:
     )
 
 
-def amplitude_damping_channel(gamma: float) -> KrausChannel:
-    """State-first damping operators K0 = diag(1, sqrt(1-gamma)) for symbol 0
-    and K1 = sqrt(gamma)|0><1| for symbol 1."""
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=np.complex128)
-    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
-    return KrausChannel(dim=2, groups={"0": [k0], "1": [k1]})
-
-
 def amplitude_damping_model(theta: float) -> QhmmUnitary:
     """The two-qubit damping generator in unitary form: system qubit prepared
     in |+>, measured each step; emission qubit reset each step."""
@@ -353,6 +345,10 @@ def qhmm_from_json(d: dict):
                 )
         else:
             u = check_unitary(matrix_from_json(d["unitary"]))
+            if len(u) != dim_s * dim_e:
+                raise ValueError(
+                    f"unitary is {len(u)} x {len(u)}, dim_s * dim_e is {dim_s * dim_e}"
+                )
         return QhmmUnitary(
             alphabet=list(d["alphabet"]),
             dim_s=dim_s,

@@ -13,9 +13,7 @@ from qhmm import classical, experiments, models
 from qhmm.channels import (
     KrausChannel,
     apply,
-    choi,
     kraus_from_unitary,
-    random_channel,
     steady_state,
     stinespring_dilate,
     validate_cptp,
@@ -33,16 +31,16 @@ from qhmm.learning import (
     evolve,
     temperature,
 )
-from qhmm.linalg import (
-    density_basis,
-    is_density,
-    numerical_rank,
-    operators_rank,
-    random_density,
-    spectral_norm,
-)
+from qhmm.linalg import density_basis, numerical_rank, spectral_norm
 
 from conftest import uniform_gate_dists
+from oracles import (
+    choi,
+    is_density,
+    operators_rank,
+    random_channel,
+    random_density,
+)
 
 
 def _report(criterion: str, passed: bool, detail: str, elapsed: float):

@@ -16,8 +16,10 @@ from qhmm.classical import (
     sequence_probability,
     steady_state_classical,
 )
-from qhmm.lang import hankel, sequences_of_length, total_variation
+from qhmm.lang import hankel, sequences_of_length
 from qhmm.linalg import numerical_rank
+
+from oracles import total_variation
 
 MARKET_TRANSITION_ROWS = [
     [0.50, 0.10, 0.15, 0.25],

@@ -1,13 +1,20 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhmm
 from qhmm import classical, experiments, models
@@ -129,8 +136,8 @@ def test_simulate_single_shot(damping_file, tmp_path):
 def test_simulate_files_list_the_sampled_rows(kind, t, shots, market_file,
                                               damping_file, tmp_path, monkeypatch):
     from qhmm import cli
-    from qhmm.lang import (DistributionTable, empirical_estimate,
-                           render_sequence, write_tables_csv)
+    from qhmm.lang import DistributionTable, render_sequence, write_tables_csv
+    from oracles import empirical_estimate
 
     monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)  # lines written 7 at a time
     path = {"damping": damping_file, "market": market_file}[kind]
@@ -205,6 +212,39 @@ def test_huge_unitary_entry_is_refused_in_one_line(damping_file, command, tmp_pa
     assert run.returncode == 2
     assert run.stderr == (f"error: invalid model file {path}: matrix is not "
                           "unitary within tolerance\n"), run.stderr
+    assert not out.exists()
+
+
+# the five model files of scripts/make_fixture_models.py
+_FIXTURE_MODELS = {
+    "market": lambda: classical.hmm_to_json(classical.market_model()),
+    "gaussian4": lambda: classical.hmm_to_json(classical.gaussian4_model()),
+    "damping": lambda: models.qhmm_to_json(models.amplitude_damping_model(math.pi / 2)),
+    "monras": lambda: models.qhmm_to_json(models.monras_qhmm()),
+    "market_quantized": lambda: models.qhmm_to_json(
+        models.quantize_classical(classical.market_model())),
+}
+
+
+@pytest.mark.parametrize("command", [["distribution", "--t", "2"],
+                                     ["hankel", "--max-len", "1"]])
+def test_huge_kraus_entry_is_refused_in_one_line(command, tmp_path):
+    # regression: a Kraus entry of 1e308 overflowed in the completeness
+    # check, and two numpy RuntimeWarnings came before the error line
+    data = _FIXTURE_MODELS["market_quantized"]()
+    data["channel"]["groups"]["0"][0]["re"][0] = 1e308
+    path, out = tmp_path / "huge.json", tmp_path / "out"
+    path.write_text(json.dumps(data))
+    src = str(Path(qhmm.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom qhmm.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))", *command, "--model", str(path),
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert run.returncode == 2
+    assert run.stderr == (f"error: invalid model file {path}: channel is not "
+                          "trace preserving (violation inf)\n"), run.stderr
     assert not out.exists()
 
 
@@ -1007,25 +1047,34 @@ def _set_entry(key, value):  # the first entry of a classical matrix
     return lambda data: data[key][0].__setitem__(0, value)
 
 
+def _set_groups(value):  # a Kraus file's symbol -> operators mapping
+    return lambda data: data["channel"].__setitem__("groups", value)
+
+
 @pytest.mark.parametrize("model,mutate,detail", [
     ("unitary", _set("dim_e", {}), "int() argument must be"),
     ("unitary", _set("symbol_map", 1.0), "'float' object is not iterable"),
     ("kraus", _set("channel", 3), "'int' object is not subscriptable"),
     ("classical", _set("A", 1), "tuple index out of range"),
     ("classical", _set_entry("A", float("nan")), "A has non-finite entries"),
+    ("kraus", _set_groups([]), "channel groups must be a JSON object, not list"),
+    ("kraus", _set_groups(True), "channel groups must be a JSON object, not bool"),
+    ("unitary", _set("dim_e", True), "unitary is 4 x 4, dim_s * dim_e is 2"),
+    ("classical", lambda data: data["alphabet"].__setitem__(1, data["alphabet"][0]),
+     "alphabet labels must be distinct"),
 ], ids=["unitary-dim_e-object", "unitary-symbol_map-number", "kraus-channel-number",
-        "classical-A-number", "classical-A-nan"])
+        "classical-A-number", "classical-A-nan", "kraus-groups-list", "kraus-groups-bool",
+        "unitary-dim_e-bool", "classical-alphabet-repeated"])
 def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail,
                                                            tmp_path, capsys):
     # regression: a value of the wrong JSON kind reached the readers as a
     # TypeError or an IndexError and exited 1 with a bare Python message,
-    # and a NaN in a classical model passed every check and wrote total=nan
-    data = {"unitary": lambda: models.qhmm_to_json(
-                models.amplitude_damping_model(math.pi / 2)),
-            "kraus": lambda: models.qhmm_to_json(
-                models.quantize_classical(classical.market_model())),
-            "classical": lambda: classical.hmm_to_json(classical.market_model()),
-            }[model]()
+    # and a NaN in a classical model passed every check and wrote total=nan;
+    # a Kraus file's groups that were not an object raised AttributeError, a
+    # unitary of the wrong size for its registers and a classical alphabet
+    # with a repeated label loaded and failed later with exit 1
+    data = _FIXTURE_MODELS[{"unitary": "damping", "kraus": "market_quantized",
+                            "classical": "market"}[model]]()
     mutate(data)
     path, out = tmp_path / "model.json", tmp_path / "out"
     path.write_text(json.dumps(data))
@@ -1035,3 +1084,80 @@ def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid model file {path}: {detail}"), err
     assert err.count("\n") == 1 and not out.exists()
+
+
+def test_huge_density_entry_is_refused_without_warnings(tmp_path, capsys):
+    # regression: a rho0 entry of 1e308 overflowed in the density check and
+    # printed a numpy RuntimeWarning before the error line
+    data = _FIXTURE_MODELS["market_quantized"]()
+    data["rho0"]["im"][0] = 1e308  # the Hermitian defect 2e308i overflows
+    path, out = tmp_path / "huge.json", tmp_path / "out"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("always")
+        main(["distribution", "--model", str(path), "--t", "2", "--out", str(out)])
+    assert exc.value.code == 2 and not caught
+    assert capsys.readouterr().err == (f"error: invalid model file {path}: density "
+                                       "operator is not Hermitian within tolerance\n")
+    assert not out.exists()
+
+
+_MUTANT_VALUES = [None, True, {}, [], "q", 3, 0.5, math.nan, 1e308, [[1.0]]]
+_MODEL_COMMANDS = [["distribution", "--t", "2"],
+                   ["simulate", "--t", "2", "--shots", "20", "--seed", "0"],
+                   ["hankel", "--max-len", "1"], ["quantize"]]
+_NONFINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _mutate_one_field(data, rng):
+    """Delete one key or list entry of a model file, or set it to one of
+    ``_MUTANT_VALUES``; the field is reached by descending from the root,
+    into a non-empty object or list with probability 1/2 at each level."""
+    node = data
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = list(keys)[rng.integers(len(node))]
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and rng.random() < 0.5):
+            break
+        node = child
+    kind = rng.integers(len(_MUTANT_VALUES) + 1)
+    if kind == len(_MUTANT_VALUES):
+        del node[key]
+    else:
+        node[key] = _MUTANT_VALUES[kind]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mutated_model_file_is_refused_in_one_line_or_runs_finite(seed,
+                                                                  tmp_path_factory):
+    # the refusal contract on every model command: a one-field mutation of a
+    # fixture model file either runs with finite outputs, or exits 2 with one
+    # error line before --out exists; never exit 1, never a numpy warning
+    rng = np.random.default_rng(seed)
+    data = _FIXTURE_MODELS[list(_FIXTURE_MODELS)[rng.integers(len(_FIXTURE_MODELS))]]()
+    _mutate_one_field(data, rng)
+    tmp = tmp_path_factory.mktemp("mutant")
+    path, out = tmp / "model.json", tmp / "out"
+    path.write_text(json.dumps(data))
+    for command in _MODEL_COMMANDS:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main([*command, "--model", str(path), "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not out.exists()
+            continue
+        assert code == 0, err
+        texts = [err] + [f.read_text() for f in out.iterdir()]
+        assert not any(_NONFINITE.search(t) for t in texts), (command, data)
+        shutil.rmtree(out)

@@ -900,7 +900,7 @@ def test_engine_step_is_model_transfer_matrices(dim_s, dim_e, symbol_map):
     from qhmm.channels import apply_symbol, kraus_transfer_matrix
     from qhmm.circuits import efficient_su2
     from qhmm.channels import hermitian_coordinates
-    from qhmm.linalg import random_density
+    from oracles import random_density
 
     rng = np.random.default_rng(5)
     spec = AnsatzSpec(efficient_su2(register_qubits(dim_s, dim_e), 1), dim_s,
@@ -943,7 +943,7 @@ def test_hermitian_coordinates_round_trip(n):
     # each is the diagonal entry, the real part above or the imaginary part
     # below the diagonal
     from qhmm.channels import hermitian_coordinates
-    from qhmm.linalg import random_density
+    from oracles import random_density
 
     rng = np.random.default_rng(n)
     for _ in range(5):

@@ -8,19 +8,22 @@ from qhmm.linalg import (
     complete_isometry_to_unitary,
     dagger,
     density_basis,
-    eig_hermitian,
-    is_density,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
+    singular_values,
+    spectral_norm,
+    tensor_product,
+)
+
+from oracles import (
+    eig_hermitian,
+    is_density,
     operators_rank,
     partial_trace_emission,
     random_density,
     random_unitary,
-    singular_values,
-    spectral_norm,
-    tensor_product,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)

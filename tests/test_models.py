@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhmm import classical, models
-from qhmm.channels import KrausChannel, choi, random_channel
-from qhmm.lang import empirical_estimate, hankel, sequences_of_length
-from qhmm.linalg import numerical_rank, random_density
+from qhmm.channels import KrausChannel
+from qhmm.lang import hankel, sequences_of_length
+from qhmm.linalg import numerical_rank
 from qhmm.models import (
     QhmmKraus,
     QhmmUnitary,
@@ -26,6 +26,8 @@ from qhmm.models import (
     steady_state,
     to_kraus,
 )
+
+from oracles import choi, empirical_estimate, random_channel, random_density
 
 
 def _choi_of_groups(ch):
@@ -157,8 +159,6 @@ def test_sequence_probability_unknown(monras):
 def test_additive_consistency(seed, t):
     rng = np.random.default_rng(seed)
     chan = random_channel(2, 4, rng, n_symbols=2)
-    from qhmm.linalg import random_density
-
     q = QhmmKraus(alphabet=["0", "1"], channel=chan, rho0=random_density(2, rng))
     prefix = tuple(rng.integers(0, 2, size=t))
     p = sequence_probability(q, prefix)
@@ -359,8 +359,6 @@ def test_rank_bound_for_random_qhmms(seed):
     # order-N models can realize languages of rank at most N^2
     rng = np.random.default_rng(seed)
     chan = random_channel(2, int(rng.integers(2, 5)), rng, n_symbols=2)
-    from qhmm.linalg import random_density
-
     q = QhmmKraus(alphabet=["0", "1"], channel=chan, rho0=random_density(2, rng))
     h = hankel(lambda s: sequence_probability(q, s), 2, 2, 2)
     assert numerical_rank(h.values.astype(complex)) <= 4

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from qhmm import channels, classical, models
-from qhmm.linalg import dagger, ket, tensor_product
+from qhmm.linalg import dagger, tensor_product
 from qhmm.models import QhmmUnitary
+
+from oracles import ket
 
 
 def _reference_simulate(q: QhmmUnitary, t: int, shots: int, seed: int):
