@@ -14,7 +14,8 @@ write to DIR/parent/CASE and DIR/change/CASE. Two raw corpora (two and
 four symbols), two circuit-form models (two and three qubits), an
 unreadable model, a model with a NaN, a model with a value of the wrong
 JSON kind, a Kraus model whose groups are a list, a Kraus model with an
-entry of 1e308, a file that is not UTF-8, a target whose length-1 table
+entry of 1e308, two copies of the damping fixture (with float counts and
+with a bool e0), a file that is not UTF-8, a target whose length-1 table
 totals 0.5 and five learn-evo configs are written beside the fixtures by
 this script, so that neither tree's code builds them. A command's stdout
 is kept as CASE/stdout.txt; stderr, which carries timings, is not
@@ -223,6 +224,10 @@ def refusals(quick: bool) -> list[tuple[str, list[str]]]:
                                      "{fx}/wrong_kind.json", "--t", "2"]),
         ("refuse-groups-list-model", ["distribution", "--model",
                                       "{fx}/groups_list.json", "--t", "2"]),
+        ("refuse-float-count-model", ["distribution", "--model",
+                                      "{fx}/float_count.json", "--t", "1"]),
+        ("refuse-bool-e0-model", ["distribution", "--model",
+                                  "{fx}/bool_e0.json", "--t", "1"]),
         ("refuse-config-key", ["learn-evo", "--target",
                                "{fx}/market_target.csv", "--config",
                                "{fx}/evo_bad_key.json"]),
@@ -253,6 +258,11 @@ def write_fixtures(tree: Path, out: Path) -> None:
     (out / "wrong_kind.json").write_text(json.dumps(WRONG_KIND_MODEL) + "\n")
     (out / "groups_list.json").write_text(json.dumps(GROUPS_LIST_MODEL) + "\n")
     (out / "huge_kraus.json").write_text(json.dumps(HUGE_KRAUS_MODEL) + "\n")
+    # the damping fixture with counts a cast would truncate, and a bool e0
+    damping = json.loads((out / "damping.json").read_text())
+    for name, changes in (("float_count", {"dim_e": 2.9, "e0": 0.7}),
+                          ("bool_e0", {"e0": True})):
+        (out / f"{name}.json").write_text(json.dumps({**damping, **changes}) + "\n")
     (out / "binary.json").write_bytes(b"\xff\xfe\x00{}\n")
     (out / "half_target.csv").write_text("sequence,probability\n0,0.25\n1,0.25\n")
     (out / "corpus.txt").write_text("\n".join(corpus_lines()) + "\n")

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    MATRIX_JSON,
     as_matrix,
+    check_json,
     complete_isometry_to_unitary,
     dagger,
     matrix_from_json,
@@ -320,12 +322,12 @@ def channel_to_json(ch: KrausChannel) -> dict:
     }
 
 
+CHANNEL_JSON = {"dim": "integer", "groups": {str: [MATRIX_JSON]}}
+
+
 def channel_from_json(d: dict) -> KrausChannel:
-    groups = d["groups"]
-    if not isinstance(groups, dict):
-        raise ValueError(
-            f"channel groups must be a JSON object, not {type(groups).__name__}")
+    check_json(d, CHANNEL_JSON, "channel")
     return KrausChannel(
-        dim=int(d["dim"]),
-        groups={sym: [matrix_from_json(k) for k in ops] for sym, ops in groups.items()},
+        dim=d["dim"],
+        groups={sym: [matrix_from_json(k) for k in ops] for sym, ops in d["groups"].items()},
     )

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import check_json
+
 PARAM_RANGE = (0.0, 8.0 * math.pi)
 
 GATE_ARITY = {
@@ -467,20 +469,12 @@ def circuit_to_json(c: Circuit) -> dict:
     }
 
 
-def _angle_from_json(p) -> float:
-    try:
-        angle = float(p)
-    except (TypeError, ValueError):
-        raise ValueError(f"gate angle must be a number, got {p!r}") from None
-    if not math.isfinite(angle):
-        raise ValueError(f"gate angle must be finite, got {p!r}")
-    return angle
+CIRCUIT_JSON = {"n_qubits": "integer", "gates": [
+    {"t": "string", "q": ["integer"], "p?": ["finite number"]}]}
 
 
 def circuit_from_json(d: dict) -> Circuit:
-    gates = tuple(
-        GateSpec(g["t"], tuple(int(q) for q in g["q"]),
-                 tuple(_angle_from_json(p) for p in g.get("p", [])))
-        for g in d["gates"]
-    )
-    return Circuit(int(d["n_qubits"]), gates)
+    check_json(d, CIRCUIT_JSON, "circuit")
+    gates = tuple(GateSpec(g["t"], tuple(g["q"]), tuple(g.get("p", ())))
+                  for g in d["gates"])
+    return Circuit(d["n_qubits"], gates)

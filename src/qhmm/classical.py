@@ -17,6 +17,7 @@ from .lang import (
     Sequence,
     exact_tables,
 )
+from .linalg import check_json
 
 STOCHASTIC_TOL = 1e-10
 
@@ -189,10 +190,10 @@ def hmm_to_json(h: ClassicalHmm) -> dict:
     }
 
 
+HMM_JSON = {"alphabet": "list of strings", "A": [["number"]], "B": [["number"]],
+            "x0": ["number"]}
+
+
 def hmm_from_json(d: dict) -> ClassicalHmm:
-    return ClassicalHmm(
-        alphabet=list(d["alphabet"]),
-        A=np.asarray(d["A"], dtype=float),
-        B=np.asarray(d["B"], dtype=float),
-        x0=np.asarray(d["x0"], dtype=float),
-    )
+    check_json(d, HMM_JSON)
+    return ClassicalHmm(alphabet=d["alphabet"], A=d["A"], B=d["B"], x0=d["x0"])

@@ -30,7 +30,7 @@ from .learning import (
     register_qubits,
     train_ansatz_restarts,
 )
-from .linalg import next_power_of_two
+from .linalg import check_json, next_power_of_two
 from .models import block_symbol_map
 from .optimize import OPTIMIZER_LABELS
 
@@ -97,34 +97,18 @@ def _resolve_seed(args) -> int:
 
 
 def load_model(path: str):
-    """Dispatch on JSON content: classical HMM, Kraus QHMM or unitary QHMM.
-    A value of the wrong JSON kind, which the readers meet as a TypeError
-    or an IndexError, is refused; so is a file that spells out NaN,
-    Infinity or -Infinity, after the readers' own checks, whose messages
-    come first."""
-    constants = []  # the NaN, Infinity and -Infinity met while parsing
-
-    def constant(name: str) -> float:
-        constants.append(name)
-        return float(name)
-
+    """Dispatch on JSON content: classical HMM, Kraus QHMM or unitary QHMM."""
     with _refused(f"cannot read model file {path}",
                   (OSError, UnicodeDecodeError, json.JSONDecodeError)):
         with open(path) as fh:
-            data = json.load(fh, parse_constant=constant)
-    if not isinstance(data, dict):
-        _fail(f"invalid model file {path}: expected a JSON object")
-    with _refused(f"invalid model file {path}",
-                  (ValueError, KeyError, TypeError, IndexError)):
+            data = json.load(fh)
+    with _refused(f"invalid model file {path}"):
+        check_json(data, "object")
         if data.get("type") in ("kraus", "unitary"):
-            model = models.qhmm_from_json(data)
-        elif {"alphabet", "A", "B", "x0"} <= set(data):
-            model = classical.hmm_from_json(data)
-        else:
-            _fail(f"unrecognized model format in {path}")
-    if constants:
-        _fail(f"invalid model file {path}: {constants[0]} is not a finite number")
-    return model
+            return models.qhmm_from_json(data)
+        if {"alphabet", "A", "B", "x0"} <= set(data):
+            return classical.hmm_from_json(data)
+    _fail(f"unrecognized model format in {path}")
 
 
 def _model_operators(model):
@@ -276,13 +260,6 @@ def cmd_quantize(args):
 
 # the learn-evo config keys, each with the kind of JSON value it takes; any
 # other key, or a value of another kind, exits 2
-_JSON_KINDS = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "string": lambda v: isinstance(v, str),
-    "list of strings": lambda v: (isinstance(v, list)
-                                  and all(isinstance(n, str) for n in v)),
-}
 _EVO_CONFIG = {
     **dict.fromkeys(("mu", "lambda", "prog_window", "g_max", "n_max", "min_gates",
                      "max_gates", "opt_budget", "dim_s", "dim_e", "seed"), "integer"),
@@ -297,9 +274,8 @@ def _check_config(cfg: dict, path: str) -> None:
         if key not in _EVO_CONFIG:
             _fail(f"invalid config {path}: unknown key {key!r}; the keys are "
                   f"{', '.join(sorted(_EVO_CONFIG))}")
-        if not _JSON_KINDS[_EVO_CONFIG[key]](value):
-            _fail(f"invalid config {path}: {key} must be a JSON "
-                  f"{_EVO_CONFIG[key]}, got {value!r}")
+        with _refused(f"invalid config {path}"):
+            check_json(value, _EVO_CONFIG[key], key)
     if cfg.get("seed", 0) < 0:
         _fail(f"invalid config {path}: seed must be >= 0, got {cfg['seed']}")
 

@@ -180,8 +180,46 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+# the JSON kinds that config keys and model-file schemas name
+JSON_KINDS = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "finite number": lambda v: JSON_KINDS["number"](v) and math.isfinite(v),
+    "string": lambda v: isinstance(v, str),
+    "list of strings": lambda v: (isinstance(v, list)
+                                  and all(isinstance(n, str) for n in v)),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def check_json(value, kind, where: str = "") -> None:
+    """Refuse a JSON value that is not of ``kind`` with a ValueError naming
+    it by ``where``. A kind is a name in ``JSON_KINDS``, [kind] for a list
+    of that kind, or a dict for an object: {key: kind} for its keys, where
+    a key ending in "?" may be absent, or {str: kind} for any keys."""
+    name = {list: "list", dict: "object"}.get(type(kind), kind)
+    if not JSON_KINDS[name](value):
+        raise ValueError(f"{where or 'value'} must be a JSON {name}, got {value!r}")
+    if isinstance(kind, list) and not (isinstance(kind[0], str)
+                                       and all(map(JSON_KINDS[kind[0]], value))):
+        for i, item in enumerate(value):  # each item, to name the first bad one
+            check_json(item, kind[0], f"{where}[{i}]")
+    for key, sub in kind.items() if isinstance(kind, dict) else ():
+        for k in value if key is str else [key.rstrip("?")]:
+            path = f"{where}.{k}" if where else k
+            if k in value:
+                check_json(value[k], sub, path)
+            elif not key.endswith("?"):
+                raise ValueError(f"{path} is missing")
+
+
+MATRIX_JSON = {"rows": "integer", "cols": "integer", "re": ["number"], "im": ["number"]}
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
+    check_json(d, MATRIX_JSON, "matrix")
+    rows, cols = d["rows"], d["cols"]
     re = np.array(d["re"], dtype=float)
     im = np.array(d["im"], dtype=float)
     if re.size != rows * cols or im.size != rows * cols:

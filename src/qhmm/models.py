@@ -29,8 +29,10 @@ from .lang import (
     exact_tables,
 )
 from .linalg import (
+    MATRIX_JSON,
     as_matrix,
     check_density,
+    check_json,
     check_unitary,
     matrix_from_json,
     matrix_to_json,
@@ -322,20 +324,32 @@ def qhmm_to_json(q) -> dict:
     raise TypeError(f"not a QHMM: {type(q)}")
 
 
+KRAUS_JSON = {"alphabet": "list of strings", "channel": ch.CHANNEL_JSON,
+              "rho0": MATRIX_JSON}
+UNITARY_JSON = {"alphabet": "list of strings", "dim_s": "integer", "dim_e": "integer",
+                "symbol_map": "list of strings", "rho0": MATRIX_JSON, "e0?": "integer",
+                "reset_mode?": "string", "measured?": "string", "unitary?": MATRIX_JSON,
+                "circuit?": circuits.CIRCUIT_JSON}
+
+
 def qhmm_from_json(d: dict):
     kind = d.get("type")
     if kind == "kraus":
+        check_json(d, KRAUS_JSON)
         return QhmmKraus(
-            alphabet=list(d["alphabet"]),
+            alphabet=d["alphabet"],
             channel=ch.channel_from_json(d["channel"]),
             rho0=matrix_from_json(d["rho0"]),
         )
     if kind == "unitary":
+        check_json(d, UNITARY_JSON)
+        if ("unitary" in d) == ("circuit" in d):
+            raise ValueError("a unitary model holds exactly one of unitary and circuit")
         # a file's matrix is checked for unitarity and a file's circuit for
         # its size here (circuit_from_json checks its angles); a circuit is
         # unitary by construction, and matrices built in the package by
         # dilation or compilation are trusted as they are
-        dim_s, dim_e = int(d["dim_s"]), int(d["dim_e"])
+        dim_s, dim_e = d["dim_s"], d["dim_e"]
         if "circuit" in d:
             u = circuit_from_json(d["circuit"])
             if 2**u.n_qubits != dim_s * dim_e:
@@ -350,13 +364,13 @@ def qhmm_from_json(d: dict):
                     f"unitary is {len(u)} x {len(u)}, dim_s * dim_e is {dim_s * dim_e}"
                 )
         return QhmmUnitary(
-            alphabet=list(d["alphabet"]),
+            alphabet=d["alphabet"],
             dim_s=dim_s,
             dim_e=dim_e,
             u=u,
-            symbol_map=tuple(d["symbol_map"]),
+            symbol_map=d["symbol_map"],
             rho0=matrix_from_json(d["rho0"]),
-            e0=int(d.get("e0", 0)),
+            e0=d.get("e0", 0),
             reset_mode=d.get("reset_mode", "reset"),
             measured=d.get("measured", "emission"),
         )

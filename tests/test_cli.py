@@ -1051,20 +1051,67 @@ def _set_groups(value):  # a Kraus file's symbol -> operators mapping
     return lambda data: data["channel"].__setitem__("groups", value)
 
 
+def _set_at(path, value):  # the field at a path of keys and list indices
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+def _circuit_damping():  # the damping file with its circuit for its matrix
+    from qhmm.circuits import amplitude_damping_circuit, circuit_to_json
+
+    data = _FIXTURE_MODELS["damping"]()
+    del data["unitary"]
+    data["circuit"] = circuit_to_json(amplitude_damping_circuit(math.pi / 2).step)
+    return data
+
+
 @pytest.mark.parametrize("model,mutate,detail", [
-    ("unitary", _set("dim_e", {}), "int() argument must be"),
-    ("unitary", _set("symbol_map", 1.0), "'float' object is not iterable"),
-    ("kraus", _set("channel", 3), "'int' object is not subscriptable"),
-    ("classical", _set("A", 1), "tuple index out of range"),
+    ("unitary", _set("dim_e", {}), "dim_e must be a JSON integer, got {}"),
+    ("unitary", _set("symbol_map", 1.0),
+     "symbol_map must be a JSON list of strings, got 1.0"),
+    ("kraus", _set("channel", 3), "channel must be a JSON object, got 3"),
+    ("classical", _set("A", 1), "A must be a JSON list, got 1"),
     ("classical", _set_entry("A", float("nan")), "A has non-finite entries"),
-    ("kraus", _set_groups([]), "channel groups must be a JSON object, not list"),
-    ("kraus", _set_groups(True), "channel groups must be a JSON object, not bool"),
-    ("unitary", _set("dim_e", True), "unitary is 4 x 4, dim_s * dim_e is 2"),
+    ("kraus", _set_groups([]), "channel.groups must be a JSON object, got []"),
+    ("kraus", _set_groups(True), "channel.groups must be a JSON object, got True"),
+    ("unitary", _set("dim_e", True), "dim_e must be a JSON integer, got True"),
     ("classical", lambda data: data["alphabet"].__setitem__(1, data["alphabet"][0]),
      "alphabet labels must be distinct"),
+    ("unitary", _set("e0", True), "e0 must be a JSON integer, got True"),
+    ("unitary", lambda data: data.update(dim_e=2.9, e0=0.7),
+     "dim_e must be a JSON integer, got 2.9"),
+    ("unitary", _set_at(("unitary", "rows"), 4.0),
+     "unitary.rows must be a JSON integer, got 4.0"),
+    ("classical", _set("alphabet", "01"),
+     "alphabet must be a JSON list of strings, got '01'"),
+    ("unitary", _set("alphabet", "01"),
+     "alphabet must be a JSON list of strings, got '01'"),
+    ("unitary", _set("symbol_map", "01"),
+     "symbol_map must be a JSON list of strings, got '01'"),
+    ("circuit", _set_at(("circuit", "n_qubits"), 2.5),
+     "circuit.n_qubits must be a JSON integer, got 2.5"),
+    ("circuit", _set_at(("circuit", "gates", 1, "q", 0), 1.7),
+     "circuit.gates[1].q[0] must be a JSON integer, got 1.7"),
+    ("circuit", _set_at(("circuit", "gates", 1, "q", 0), "1"),
+     "circuit.gates[1].q[0] must be a JSON integer, got '1'"),
+    ("circuit", _set_at(("circuit", "gates", 0, "p", 0), "0.3"),
+     "circuit.gates[0].p[0] must be a JSON finite number, got '0.3'"),
+    ("classical", _set_entry("A", "0.5"), "A[0][0] must be a JSON number, got '0.5'"),
+    ("unitary", _set_at(("unitary", "re", 0), "1.0"),
+     "unitary.re[0] must be a JSON number, got '1.0'"),
+    ("unitary", lambda data: data.pop("unitary"),
+     "a unitary model holds exactly one of unitary and circuit"),
 ], ids=["unitary-dim_e-object", "unitary-symbol_map-number", "kraus-channel-number",
         "classical-A-number", "classical-A-nan", "kraus-groups-list", "kraus-groups-bool",
-        "unitary-dim_e-bool", "classical-alphabet-repeated"])
+        "unitary-dim_e-bool", "classical-alphabet-repeated", "unitary-e0-bool",
+        "unitary-dim_e-e0-float", "unitary-rows-float", "classical-alphabet-string",
+        "unitary-alphabet-string", "unitary-symbol_map-string",
+        "circuit-n_qubits-float", "circuit-qubit-float", "circuit-qubit-string",
+        "circuit-angle-string", "classical-A-entry-string", "unitary-re-entry-string",
+        "unitary-no-unitary-or-circuit"])
 def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail,
                                                            tmp_path, capsys):
     # regression: a value of the wrong JSON kind reached the readers as a
@@ -1072,9 +1119,14 @@ def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail
     # and a NaN in a classical model passed every check and wrote total=nan;
     # a Kraus file's groups that were not an object raised AttributeError, a
     # unitary of the wrong size for its registers and a classical alphabet
-    # with a repeated label loaded and failed later with exit 1
-    data = _FIXTURE_MODELS[{"unitary": "damping", "kraus": "market_quantized",
-                            "classical": "market"}[model]]()
+    # with a repeated label loaded and failed later with exit 1. The readers'
+    # casts loaded a bool or float count as an int (e0 true as 1, dim_e 2.9
+    # as 2), a string of labels as its characters and a numeric string as a
+    # number, so each of those exited 0 on another model; a unitary file with
+    # neither matrix nor circuit was refused with the bare message 'unitary'
+    data = (_circuit_damping() if model == "circuit" else _FIXTURE_MODELS[
+        {"unitary": "damping", "kraus": "market_quantized",
+         "classical": "market"}[model]]())
     mutate(data)
     path, out = tmp_path / "model.json", tmp_path / "out"
     path.write_text(json.dumps(data))
@@ -1103,7 +1155,8 @@ def test_huge_density_entry_is_refused_without_warnings(tmp_path, capsys):
     assert not out.exists()
 
 
-_MUTANT_VALUES = [None, True, {}, [], "q", 3, 0.5, math.nan, 1e308, [[1.0]]]
+_MUTANT_VALUES = [None, True, {}, [], "q", 3, 0.5, 2.9, "0.5", math.nan, 1e308,
+                  [[1.0]]]
 _MODEL_COMMANDS = [["distribution", "--t", "2"],
                    ["simulate", "--t", "2", "--shots", "20", "--seed", "0"],
                    ["hankel", "--max-len", "1"], ["quantize"]]
@@ -1113,7 +1166,9 @@ _NONFINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 def _mutate_one_field(data, rng):
     """Delete one key or list entry of a model file, or set it to one of
     ``_MUTANT_VALUES``; the field is reached by descending from the root,
-    into a non-empty object or list with probability 1/2 at each level."""
+    into a non-empty object or list with probability 1/2 at each level.
+    Returns whether the field was set to another JSON kind than it held: an
+    int where a float was is the same kind, a bool is never a number."""
     node = data
     while True:
         keys = sorted(node) if isinstance(node, dict) else range(len(node))
@@ -1125,8 +1180,10 @@ def _mutate_one_field(data, rng):
     kind = rng.integers(len(_MUTANT_VALUES) + 1)
     if kind == len(_MUTANT_VALUES):
         del node[key]
-    else:
-        node[key] = _MUTANT_VALUES[kind]
+        return False
+    old, new = node[key], _MUTANT_VALUES[kind]
+    node[key] = new
+    return type(old) is not type(new) and (type(old), type(new)) != (float, int)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1135,10 +1192,11 @@ def test_mutated_model_file_is_refused_in_one_line_or_runs_finite(seed,
                                                                   tmp_path_factory):
     # the refusal contract on every model command: a one-field mutation of a
     # fixture model file either runs with finite outputs, or exits 2 with one
-    # error line before --out exists; never exit 1, never a numpy warning
+    # error line before --out exists; never exit 1, never a numpy warning.
+    # A field set to another JSON kind always exits 2
     rng = np.random.default_rng(seed)
     data = _FIXTURE_MODELS[list(_FIXTURE_MODELS)[rng.integers(len(_FIXTURE_MODELS))]]()
-    _mutate_one_field(data, rng)
+    wrong_kind = _mutate_one_field(data, rng)
     tmp = tmp_path_factory.mktemp("mutant")
     path, out = tmp / "model.json", tmp / "out"
     path.write_text(json.dumps(data))
@@ -1153,6 +1211,7 @@ def test_mutated_model_file_is_refused_in_one_line_or_runs_finite(seed,
                 code = exc.code
         err = err.getvalue()
         assert not caught, [str(w.message) for w in caught]
+        assert code == 2 or not wrong_kind, (command, data)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not out.exists()

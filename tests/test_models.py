@@ -429,6 +429,43 @@ def test_circuit_model_file_rejects_bad_size_and_angles(bad_circuit_files):
             qhmm_from_json(d)
 
 
+_ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+
+
+@pytest.mark.parametrize("read,data,message", [
+    ("matrix", {**_ONE, "rows": 1.0}, "matrix.rows must be a JSON integer, got 1.0"),
+    ("channel", {"dim": 1, "groups": {"0": [{**_ONE, "re": ["1"]}]}},
+     "channel.groups.0[0].re[0] must be a JSON number, got '1'"),
+    ("circuit", {"n_qubits": 1, "gates": [{"t": "RY", "q": [0], "p": [math.nan]}]},
+     "circuit.gates[0].p[0] must be a JSON finite number, got nan"),
+    ("circuit", {"n_qubits": 1}, "circuit.gates is missing"),
+    ("classical", {"alphabet": ["0"], "A": [[1.0]], "B": [[1.0]], "x0": [True]},
+     "x0[0] must be a JSON number, got True"),
+    ("classical", ["0"], "value must be a JSON object, got ['0']"),
+    ("unitary", "both", "a unitary model holds exactly one of unitary and circuit"),
+], ids=["matrix-rows-float", "channel-entry-string", "circuit-angle-nan",
+        "circuit-no-gates", "classical-x0-bool", "classical-list", "unitary-both"])
+def test_each_json_reader_checks_its_schema_alone(read, data, message, damping_model):
+    # each reader checks its own schema before any conversion, also when a
+    # library caller uses it alone: before, int() and float() read 1.0 rows,
+    # a string entry, a NaN angle and a bool x0 as numbers, a missing key
+    # raised KeyError and a matrix beside a circuit was ignored
+    from qhmm.channels import channel_from_json
+    from qhmm.circuits import (amplitude_damping_circuit, circuit_from_json,
+                               circuit_to_json)
+    from qhmm.linalg import matrix_from_json
+
+    if data == "both":  # the damping file's matrix beside its circuit
+        data = qhmm_to_json(damping_model)
+        data["circuit"] = circuit_to_json(amplitude_damping_circuit(math.pi / 2).step)
+    reader = {"matrix": matrix_from_json, "channel": channel_from_json,
+              "circuit": circuit_from_json, "classical": classical.hmm_from_json,
+              "unitary": qhmm_from_json}[read]
+    with pytest.raises(ValueError) as exc:
+        reader(data)
+    assert str(exc.value) == message
+
+
 def test_near_tolerance_dilation_round_trips_through_json():
     # regression: the completion kept the input's 1e-10 isometry defect, so
     # the dilated matrix was unitary only to 1.5e-9 and its file was refused
