@@ -13,7 +13,8 @@ PYTHONPATH, the parent's run of a command right before the change's, and
 write to DIR/parent/CASE and DIR/change/CASE. Two raw corpora (two and
 four symbols), two circuit-form models (two and three qubits), an
 unreadable model, a model with a NaN, a model with a value of the wrong
-JSON kind, a Kraus model whose groups are a list, a Kraus model with an
+JSON kind, a Kraus model whose groups are a list, one whose groups are the
+list of the quantized gaussian4 model's 56 operators, a Kraus model with an
 entry of 1e308, two copies of the damping fixture (with float counts and
 with a bool e0), a file that is not UTF-8, a target whose length-1 table
 totals 0.5 and five learn-evo configs are written beside the fixtures by
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -99,6 +101,27 @@ GROUPS_LIST_MODEL = {"type": "kraus", "alphabet": ["0"], "rho0": ONE_STATE,
 HUGE_KRAUS_MODEL = {"type": "kraus", "alphabet": ["0"], "rho0": ONE_STATE,
                     "channel": {"dim": 1, "groups": {"0": [
                         {**ONE_STATE, "re": [1e308]}]}}}
+
+
+def long_groups_model(gauss: dict) -> dict:
+    """The quantized gaussian4 Kraus file, sqrt(A[i, j] B[a, j]) |i><j| per
+    positive entry, with its 56 operators as one list where the groups
+    object belongs."""
+    n = len(gauss["x0"])
+
+    def op(i, j, value):
+        re = [0.0] * (n * n)
+        re[i * n + j] = math.sqrt(value)
+        return {"rows": n, "cols": n, "re": re, "im": [0.0] * (n * n)}
+
+    ops = [op(i, j, a * b[j]) for b in gauss["B"] for i, row in enumerate(gauss["A"])
+           for j, a in enumerate(row) if a * b[j] > 0]
+    rho0 = {"rows": n, "cols": n, "im": [0.0] * (n * n),
+            "re": [gauss["x0"][k // n] if k % (n + 1) == 0 else 0.0 for k in range(n * n)]}
+    return {"type": "kraus", "alphabet": gauss["alphabet"], "rho0": rho0,
+            "channel": {"dim": n, "groups": ops}}
+
+
 EVO_CONFIGS = {
     "market": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3},
     "gaussian4": {"mu": 4, "lambda": 2, "g_max": 2, "seed": 3, "n_max": 3,
@@ -224,6 +247,8 @@ def refusals(quick: bool) -> list[tuple[str, list[str]]]:
                                      "{fx}/wrong_kind.json", "--t", "2"]),
         ("refuse-groups-list-model", ["distribution", "--model",
                                       "{fx}/groups_list.json", "--t", "2"]),
+        ("refuse-long-groups-model", ["distribution", "--model",
+                                      "{fx}/long_groups.json", "--t", "2"]),
         ("refuse-float-count-model", ["distribution", "--model",
                                       "{fx}/float_count.json", "--t", "1"]),
         ("refuse-bool-e0-model", ["distribution", "--model",
@@ -258,6 +283,8 @@ def write_fixtures(tree: Path, out: Path) -> None:
     (out / "wrong_kind.json").write_text(json.dumps(WRONG_KIND_MODEL) + "\n")
     (out / "groups_list.json").write_text(json.dumps(GROUPS_LIST_MODEL) + "\n")
     (out / "huge_kraus.json").write_text(json.dumps(HUGE_KRAUS_MODEL) + "\n")
+    (out / "long_groups.json").write_text(json.dumps(long_groups_model(
+        json.loads((out / "gaussian4.json").read_text()))) + "\n")
     # the damping fixture with counts a cast would truncate, and a bool e0
     damping = json.loads((out / "damping.json").read_text())
     for name, changes in (("float_count", {"dim_e": 2.9, "e0": 0.7}),

@@ -25,23 +25,29 @@ round (``ratio``, 1 for the parent):
 - ``nm_free``: ``optimize.nelder_mead`` on a near-free weighted quadratic
   of 18 parameters (budget 4000), per evaluation: the optimizer's own cost;
 - ``gatestack_monras`` and ``gatestack_market``: one ``GateStack`` build of
-  each template, per build.
+  each template, per build;
+- ``load_gaussian4_kraus`` and ``load_gaussian4_dilated``: one
+  ``cli.load_model`` of the quantized gaussian4 Kraus file and of its
+  64-emission dilation (a 256 x 256 unitary), per load. PARENT's code writes
+  both files to a temporary directory, which both trees then read.
 
 Every case's values (the objective's values, the fit's result, the built
-arrays) must be equal bit for bit in the two trees; the script prints each
-case that differs, with its largest absolute and relative difference over
-every entry, and exits 1 if any does, 0 otherwise. Set one BLAS thread
-(``OPENBLAS_NUM_THREADS=1`` and the like) when timing; the script sets it
-for itself when unset.
+arrays, the loaded model's arrays) must be equal bit for bit in the two
+trees; the script prints each case that differs, with its largest absolute
+and relative difference over every entry, and exits 1 if any does, 0
+otherwise. Set one BLAS thread (``OPENBLAS_NUM_THREADS=1`` and the like)
+when timing; the script sets it for itself when unset.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -50,7 +56,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread count is set)
 
-MODULES = ("circuits", "classical", "experiments", "learning", "optimize")
+MODULES = ("circuits", "classical", "cli", "experiments", "learning", "models",
+           "optimize")
 
 
 def load(tree: Path) -> dict:
@@ -78,10 +85,22 @@ def installed(mods: dict) -> None:
     sys.modules.update(mods)
 
 
-def cases(mods: dict) -> dict:
+def write_model_files(mods: dict, folder: Path) -> dict:
+    """Write the quantized gaussian4 Kraus file and its 64-emission dilation
+    into ``folder`` with one tree's modules; returns their paths by name."""
+    classical, models = mods["qhmm.classical"], mods["qhmm.models"]
+    kraus = models.quantize_classical(classical.gaussian4_model())
+    paths = {}
+    for name, model in (("kraus", kraus), ("dilated", models.from_kraus(kraus, 64))):
+        paths[name] = str(folder / f"gaussian4_{name}.json")
+        Path(paths[name]).write_text(json.dumps(models.qhmm_to_json(model)))
+    return paths
+
+
+def cases(mods: dict, files: dict) -> dict:
     """Case name -> (call, units per call, value of one call), built from
-    one tree's modules."""
-    circuits, classical, experiments, learning, optimize = (
+    one tree's modules; ``files`` are the model files of the load cases."""
+    circuits, classical, cli, experiments, learning, _, optimize = (
         mods[f"qhmm.{name}"] for name in MODULES)
     rng = np.random.default_rng(0)
     monras = learning.AnsatzSpec(
@@ -114,6 +133,10 @@ def cases(mods: dict) -> dict:
         return [stack.stack, stack.tables, stack.phases, *stack.multipliers,
                 stack(x[:stack.n_params])]
 
+    def loaded(path):  # the loaded model's arrays
+        q = cli.load_model(path)
+        return [q.u, q.rho0] if hasattr(q, "u") else [*q.channel.groups.values(), q.rho0]
+
     fit, free_fit = nm_fit(), nm_free()
     return {
         "monras_point": (lambda: cost.evaluate(x), 1, cost.evaluate(x)),
@@ -129,6 +152,10 @@ def cases(mods: dict) -> dict:
                              built(monras.circuit)),
         "gatestack_market": (lambda: circuits.GateStack(market_circuit), 1,
                              built(market_circuit)),
+        "load_gaussian4_kraus": (lambda: cli.load_model(files["kraus"]), 1,
+                                 loaded(files["kraus"])),
+        "load_gaussian4_dilated": (lambda: cli.load_model(files["dilated"]), 1,
+                                   loaded(files["dilated"])),
     }
 
 
@@ -163,22 +190,16 @@ def timed_batch(call, count: int) -> float:
     return perf_counter() - start
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--rounds", type=int, default=20,
-                    help="batches per case and tree (default 20)")
-    ap.add_argument("--batch-s", type=float, default=0.2,
-                    help="seconds per batch (default 0.2)")
-    args = ap.parse_args(argv)
-    if args.rounds < 1 or not args.batch_s > 0:
-        ap.error("--rounds must be >= 1 and --batch-s > 0")
+def run(args, folder: Path) -> int:
+    """Time every case in both trees, with the load cases' files written
+    to ``folder``; print the table and return the exit code."""
     trees = {}
     for side in ("parent", "change"):
         mods = load(getattr(args, side).resolve())
         installed(mods)
-        trees[side] = (mods, cases(mods))
+        if side == "parent":
+            files = write_model_files(mods, folder)
+        trees[side] = (mods, cases(mods, files))
     names = list(trees["parent"][1])
     differ = [name for name in names
               if not same(trees["parent"][1][name][2], trees["change"][1][name][2])]
@@ -199,7 +220,7 @@ def main(argv=None) -> int:
                 call, units, _ = built[name]
                 elapsed = timed_batch(call, counts[name])
                 times[side][name].append(1e6 * elapsed / (counts[name] * units))
-    print(f"{'case':<22}{'side':<8}{'min_us':>10}{'q1_us':>10}{'median_us':>11}"
+    print(f"{'case':<24}{'side':<8}{'min_us':>10}{'q1_us':>10}{'median_us':>11}"
           f"{'ratio':>9}")
     for name in names:
         base = np.array(times["parent"][name])
@@ -207,13 +228,28 @@ def main(argv=None) -> int:
             us = np.array(times[side][name])
             q = np.percentile(us, [0, 25, 50])
             ratio = float(np.median(us / base))
-            print(f"{name:<22}{side:<8}{q[0]:>10.2f}{q[1]:>10.2f}{q[2]:>11.2f}"
+            print(f"{name:<24}{side:<8}{q[0]:>10.2f}{q[1]:>10.2f}{q[2]:>11.2f}"
                   f"{ratio:>9.3f}")
     for name in differ:
         gap, rel = gaps(trees["parent"][1][name][2], trees["change"][1][name][2])
         print(f"values differ: {name} (max abs {gap:.3g}, max rel {rel:.3g})")
     print(f"{len(names) - len(differ)} of {len(names)} cases equal bit for bit")
     return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--rounds", type=int, default=20,
+                    help="batches per case and tree (default 20)")
+    ap.add_argument("--batch-s", type=float, default=0.2,
+                    help="seconds per batch (default 0.2)")
+    args = ap.parse_args(argv)
+    if args.rounds < 1 or not args.batch_s > 0:
+        ap.error("--rounds must be >= 1 and --batch-s > 0")
+    with tempfile.TemporaryDirectory() as folder:
+        return run(args, Path(folder))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    MATRIX_JSON,
     as_matrix,
     check_json,
     complete_isometry_to_unitary,
@@ -322,12 +321,11 @@ def channel_to_json(ch: KrausChannel) -> dict:
     }
 
 
-CHANNEL_JSON = {"dim": "integer", "groups": {str: [MATRIX_JSON]}}
+CHANNEL_JSON = {"dim": "integer", "groups": {str: ["object"]}}
 
 
-def channel_from_json(d: dict) -> KrausChannel:
-    check_json(d, CHANNEL_JSON, "channel")
-    return KrausChannel(
-        dim=d["dim"],
-        groups={sym: [matrix_from_json(k) for k in ops] for sym, ops in d["groups"].items()},
-    )
+def channel_from_json(d: dict, where: str = "channel") -> KrausChannel:
+    check_json(d, CHANNEL_JSON, where)
+    return KrausChannel(dim=d["dim"], groups={
+        sym: [matrix_from_json(k, f"{where}.groups.{sym}[{i}]") for i, k in enumerate(ops)]
+        for sym, ops in d["groups"].items()})

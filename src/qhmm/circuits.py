@@ -473,8 +473,8 @@ CIRCUIT_JSON = {"n_qubits": "integer", "gates": [
     {"t": "string", "q": ["integer"], "p?": ["finite number"]}]}
 
 
-def circuit_from_json(d: dict) -> Circuit:
-    check_json(d, CIRCUIT_JSON, "circuit")
+def circuit_from_json(d: dict, where: str = "circuit") -> Circuit:
+    check_json(d, CIRCUIT_JSON, where)
     gates = tuple(GateSpec(g["t"], tuple(g["q"]), tuple(g.get("p", ())))
                   for g in d["gates"])
     return Circuit(d["n_qubits"], gates)

@@ -10,6 +10,7 @@ dilation), so dense O(d^3) methods are used throughout.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -193,6 +194,12 @@ JSON_KINDS = {
 }
 
 
+# a refused value is shown one level deep, within reprlib's other limits:
+# six items of a list, four keys of an object, 30 characters of a string
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 1
+
+
 def check_json(value, kind, where: str = "") -> None:
     """Refuse a JSON value that is not of ``kind`` with a ValueError naming
     it by ``where``. A kind is a name in ``JSON_KINDS``, [kind] for a list
@@ -200,7 +207,8 @@ def check_json(value, kind, where: str = "") -> None:
     a key ending in "?" may be absent, or {str: kind} for any keys."""
     name = {list: "list", dict: "object"}.get(type(kind), kind)
     if not JSON_KINDS[name](value):
-        raise ValueError(f"{where or 'value'} must be a JSON {name}, got {value!r}")
+        raise ValueError(f"{where or 'value'} must be a JSON {name}, "
+                         f"got {_SHOWN.repr(value)}")
     if isinstance(kind, list) and not (isinstance(kind[0], str)
                                        and all(map(JSON_KINDS[kind[0]], value))):
         for i, item in enumerate(value):  # each item, to name the first bad one
@@ -217,8 +225,8 @@ def check_json(value, kind, where: str = "") -> None:
 MATRIX_JSON = {"rows": "integer", "cols": "integer", "re": ["number"], "im": ["number"]}
 
 
-def matrix_from_json(d: dict) -> np.ndarray:
-    check_json(d, MATRIX_JSON, "matrix")
+def matrix_from_json(d: dict, where: str = "matrix") -> np.ndarray:
+    check_json(d, MATRIX_JSON, where)
     rows, cols = d["rows"], d["cols"]
     re = np.array(d["re"], dtype=float)
     im = np.array(d["im"], dtype=float)

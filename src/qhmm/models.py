@@ -29,7 +29,6 @@ from .lang import (
     exact_tables,
 )
 from .linalg import (
-    MATRIX_JSON,
     as_matrix,
     check_density,
     check_json,
@@ -324,27 +323,29 @@ def qhmm_to_json(q) -> dict:
     raise TypeError(f"not a QHMM: {type(q)}")
 
 
-KRAUS_JSON = {"alphabet": "list of strings", "channel": ch.CHANNEL_JSON,
-              "rho0": MATRIX_JSON}
+# each part (channel, matrix, circuit) is checked by its own reader
+KRAUS_JSON = {"alphabet": "list of strings", "channel": "object", "rho0": "object"}
 UNITARY_JSON = {"alphabet": "list of strings", "dim_s": "integer", "dim_e": "integer",
-                "symbol_map": "list of strings", "rho0": MATRIX_JSON, "e0?": "integer",
-                "reset_mode?": "string", "measured?": "string", "unitary?": MATRIX_JSON,
-                "circuit?": circuits.CIRCUIT_JSON}
+                "symbol_map": "list of strings", "rho0": "object", "e0?": "integer",
+                "reset_mode?": "string", "measured?": "string", "unitary?": "object",
+                "circuit?": "object"}
 
 
 def qhmm_from_json(d: dict):
+    check_json(d, "object")
     kind = d.get("type")
     if kind == "kraus":
         check_json(d, KRAUS_JSON)
         return QhmmKraus(
             alphabet=d["alphabet"],
             channel=ch.channel_from_json(d["channel"]),
-            rho0=matrix_from_json(d["rho0"]),
+            rho0=matrix_from_json(d["rho0"], "rho0"),
         )
     if kind == "unitary":
         check_json(d, UNITARY_JSON)
         if ("unitary" in d) == ("circuit" in d):
             raise ValueError("a unitary model holds exactly one of unitary and circuit")
+        rho0 = matrix_from_json(d["rho0"], "rho0")
         # a file's matrix is checked for unitarity and a file's circuit for
         # its size here (circuit_from_json checks its angles); a circuit is
         # unitary by construction, and matrices built in the package by
@@ -358,7 +359,7 @@ def qhmm_from_json(d: dict):
                     f"{dim_s * dim_e}"
                 )
         else:
-            u = check_unitary(matrix_from_json(d["unitary"]))
+            u = check_unitary(matrix_from_json(d["unitary"], "unitary"))
             if len(u) != dim_s * dim_e:
                 raise ValueError(
                     f"unitary is {len(u)} x {len(u)}, dim_s * dim_e is {dim_s * dim_e}"
@@ -369,7 +370,7 @@ def qhmm_from_json(d: dict):
             dim_e=dim_e,
             u=u,
             symbol_map=d["symbol_map"],
-            rho0=matrix_from_json(d["rho0"]),
+            rho0=rho0,
             e0=d.get("e0", 0),
             reset_mode=d.get("reset_mode", "reset"),
             measured=d.get("measured", "emission"),

@@ -380,8 +380,9 @@ def test_point_cost_runs_a_tree_against_itself():
     lines = run.stdout.splitlines()
     cases = {line.split()[0] for line in lines[1:-1]}
     assert {"monras_point", "market_evolve_point", "monras_block36",
-            "monras_nm_fit", "nm_free", "gatestack_monras"} <= cases
-    assert lines[-1] == "7 of 7 cases equal bit for bit"
+            "monras_nm_fit", "nm_free", "gatestack_monras", "load_gaussian4_kraus",
+            "load_gaussian4_dilated"} <= cases
+    assert lines[-1] == "9 of 9 cases equal bit for bit"
 
 
 def test_compare_outputs_verdicts():
@@ -1059,6 +1060,12 @@ def _set_at(path, value):  # the field at a path of keys and list indices
     return mutate
 
 
+def _gaussian4_groups_list(data):  # the quantized gaussian4 file's 56 operators
+    groups = models.qhmm_to_json(models.quantize_classical(
+        classical.gaussian4_model()))["channel"]["groups"]
+    data["channel"]["groups"] = [op for ops in groups.values() for op in ops]
+
+
 def _circuit_damping():  # the damping file with its circuit for its matrix
     from qhmm.circuits import amplitude_damping_circuit, circuit_to_json
 
@@ -1104,6 +1111,8 @@ def _circuit_damping():  # the damping file with its circuit for its matrix
      "unitary.re[0] must be a JSON number, got '1.0'"),
     ("unitary", lambda data: data.pop("unitary"),
      "a unitary model holds exactly one of unitary and circuit"),
+    ("kraus", _gaussian4_groups_list, "channel.groups must be a JSON object, got "
+     "[{...}, {...}, {...}, {...}, {...}, {...}, ...]"),
 ], ids=["unitary-dim_e-object", "unitary-symbol_map-number", "kraus-channel-number",
         "classical-A-number", "classical-A-nan", "kraus-groups-list", "kraus-groups-bool",
         "unitary-dim_e-bool", "classical-alphabet-repeated", "unitary-e0-bool",
@@ -1111,7 +1120,7 @@ def _circuit_damping():  # the damping file with its circuit for its matrix
         "unitary-alphabet-string", "unitary-symbol_map-string",
         "circuit-n_qubits-float", "circuit-qubit-float", "circuit-qubit-string",
         "circuit-angle-string", "classical-A-entry-string", "unitary-re-entry-string",
-        "unitary-no-unitary-or-circuit"])
+        "unitary-no-unitary-or-circuit", "kraus-groups-long-list"])
 def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail,
                                                            tmp_path, capsys):
     # regression: a value of the wrong JSON kind reached the readers as a
@@ -1123,7 +1132,9 @@ def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail
     # casts loaded a bool or float count as an int (e0 true as 1, dim_e 2.9
     # as 2), a string of labels as its characters and a numeric string as a
     # number, so each of those exited 0 on another model; a unitary file with
-    # neither matrix nor circuit was refused with the bare message 'unitary'
+    # neither matrix nor circuit was refused with the bare message 'unitary';
+    # a refusal printed the value's whole repr, 12 kB for a groups list of
+    # 56 matrices
     data = (_circuit_damping() if model == "circuit" else _FIXTURE_MODELS[
         {"unitary": "damping", "kraus": "market_quantized",
          "classical": "market"}[model]]())
@@ -1134,8 +1145,8 @@ def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail
         main(["distribution", "--model", str(path), "--t", "2", "--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: invalid model file {path}: {detail}"), err
-    assert err.count("\n") == 1 and not out.exists()
+    assert err == f"error: invalid model file {path}: {detail}\n"
+    assert not out.exists()
 
 
 def test_huge_density_entry_is_refused_without_warnings(tmp_path, capsys):
@@ -1164,9 +1175,10 @@ _NONFINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
 def _mutate_one_field(data, rng):
-    """Delete one key or list entry of a model file, or set it to one of
-    ``_MUTANT_VALUES``; the field is reached by descending from the root,
-    into a non-empty object or list with probability 1/2 at each level.
+    """Delete one key or list entry of a model file, set it to one of
+    ``_MUTANT_VALUES``, or wrap its value in a list or in an object, so that
+    a large value changes kind; the field is reached by descending from the
+    root, into a non-empty object or list with probability 1/2 at each level.
     Returns whether the field was set to another JSON kind than it held: an
     int where a float was is the same kind, a bool is never a number."""
     node = data
@@ -1177,12 +1189,13 @@ def _mutate_one_field(data, rng):
         if not (isinstance(child, (dict, list)) and child and rng.random() < 0.5):
             break
         node = child
-    kind = rng.integers(len(_MUTANT_VALUES) + 1)
-    if kind == len(_MUTANT_VALUES):
+    old = node[key]
+    values = [*_MUTANT_VALUES, [old], {"x": old}]
+    kind = rng.integers(len(values) + 1)
+    if kind == len(values):
         del node[key]
         return False
-    old, new = node[key], _MUTANT_VALUES[kind]
-    node[key] = new
+    new = node[key] = values[kind]
     return type(old) is not type(new) and (type(old), type(new)) != (float, int)
 
 
@@ -1193,7 +1206,8 @@ def test_mutated_model_file_is_refused_in_one_line_or_runs_finite(seed,
     # the refusal contract on every model command: a one-field mutation of a
     # fixture model file either runs with finite outputs, or exits 2 with one
     # error line before --out exists; never exit 1, never a numpy warning.
-    # A field set to another JSON kind always exits 2
+    # A field set to another JSON kind always exits 2, and a refusal shows
+    # at most 200 characters after the file's path
     rng = np.random.default_rng(seed)
     data = _FIXTURE_MODELS[list(_FIXTURE_MODELS)[rng.integers(len(_FIXTURE_MODELS))]]()
     wrong_kind = _mutate_one_field(data, rng)
@@ -1214,6 +1228,7 @@ def test_mutated_model_file_is_refused_in_one_line_or_runs_finite(seed,
         assert code == 2 or not wrong_kind, (command, data)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert len(err.split(f"{path}: ")[-1].rstrip("\n")) <= 200, err
             assert not out.exists()
             continue
         assert code == 0, err

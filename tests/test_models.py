@@ -443,13 +443,16 @@ _ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
      "x0[0] must be a JSON number, got True"),
     ("classical", ["0"], "value must be a JSON object, got ['0']"),
     ("unitary", "both", "a unitary model holds exactly one of unitary and circuit"),
+    ("unitary", [1], "value must be a JSON object, got [1]"),
 ], ids=["matrix-rows-float", "channel-entry-string", "circuit-angle-nan",
-        "circuit-no-gates", "classical-x0-bool", "classical-list", "unitary-both"])
+        "circuit-no-gates", "classical-x0-bool", "classical-list", "unitary-both",
+        "qhmm-list"])
 def test_each_json_reader_checks_its_schema_alone(read, data, message, damping_model):
     # each reader checks its own schema before any conversion, also when a
     # library caller uses it alone: before, int() and float() read 1.0 rows,
     # a string entry, a NaN angle and a bool x0 as numbers, a missing key
-    # raised KeyError and a matrix beside a circuit was ignored
+    # raised KeyError and a matrix beside a circuit was ignored; a QHMM value
+    # that was not an object raised AttributeError
     from qhmm.channels import channel_from_json
     from qhmm.circuits import (amplitude_damping_circuit, circuit_from_json,
                                circuit_to_json)
@@ -464,6 +467,32 @@ def test_each_json_reader_checks_its_schema_alone(read, data, message, damping_m
     with pytest.raises(ValueError) as exc:
         reader(data)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dilated", [False, True], ids=["kraus", "unitary"])
+def test_each_model_file_matrix_is_checked_once(dilated, monkeypatch):
+    # regression: the Kraus and unitary schemas nested the matrix schema, so
+    # the quantized gaussian4 file's matrices were each checked three times
+    # (file, channel and matrix readers) and its dilation's twice
+    from qhmm import channels, circuits, linalg
+
+    q = models.quantize_classical(classical.gaussian4_model())
+    data = qhmm_to_json(from_kraus(q, 64) if dilated else q)
+    matrices = [data["unitary"]] if dilated else [
+        op for ops in data["channel"]["groups"].values() for op in ops]
+    matrices.append(data["rho0"])
+    checked, check = [], linalg.check_json
+
+    def counted(value, kind, where=""):
+        if kind is linalg.MATRIX_JSON:
+            checked.append(id(value))
+        check(value, kind, where)
+
+    for module in (linalg, channels, circuits, models):
+        monkeypatch.setattr(module, "check_json", counted)
+    qhmm_from_json(data)
+    assert len(matrices) == (2 if dilated else 57) and len(checked) == len(matrices)
+    assert [checked.count(id(m)) for m in matrices] == [1] * len(matrices)
 
 
 def test_near_tolerance_dilation_round_trips_through_json():
