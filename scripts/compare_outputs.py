@@ -14,11 +14,12 @@ write to DIR/parent/CASE and DIR/change/CASE. Two raw corpora (two and
 four symbols), two circuit-form models (two and three qubits), an
 unreadable model, a model with a NaN, a model with a value of the wrong
 JSON kind, a Kraus model whose groups are a list, one whose groups are the
-list of the quantized gaussian4 model's 56 operators, a Kraus model with an
-entry of 1e308, two copies of the damping fixture (with float counts and
-with a bool e0), a file that is not UTF-8, a target whose length-1 table
-totals 0.5 and five learn-evo configs are written beside the fixtures by
-this script, so that neither tree's code builds them. A command's stdout
+list of the quantized gaussian4 model's 56 operators, that model with one
+entry short in one operator, a Kraus model with an entry of 1e308, two
+copies of the damping fixture (with float counts and with a bool e0), a
+file that is not UTF-8, a target whose length-1 table totals 0.5 and five
+learn-evo configs are written beside the fixtures by this script, so that
+neither tree's code builds them. A command's stdout
 is kept as CASE/stdout.txt; stderr, which carries timings, is not
 compared. The refusal cases are inputs that must exit 2
 before any output is written; their stderr holds only the ``error:`` line
@@ -103,10 +104,9 @@ HUGE_KRAUS_MODEL = {"type": "kraus", "alphabet": ["0"], "rho0": ONE_STATE,
                         {**ONE_STATE, "re": [1e308]}]}}}
 
 
-def long_groups_model(gauss: dict) -> dict:
+def quantized_gaussian4(gauss: dict) -> dict:
     """The quantized gaussian4 Kraus file, sqrt(A[i, j] B[a, j]) |i><j| per
-    positive entry, with its 56 operators as one list where the groups
-    object belongs."""
+    positive entry, row-major within each symbol's group."""
     n = len(gauss["x0"])
 
     def op(i, j, value):
@@ -114,12 +114,30 @@ def long_groups_model(gauss: dict) -> dict:
         re[i * n + j] = math.sqrt(value)
         return {"rows": n, "cols": n, "re": re, "im": [0.0] * (n * n)}
 
-    ops = [op(i, j, a * b[j]) for b in gauss["B"] for i, row in enumerate(gauss["A"])
-           for j, a in enumerate(row) if a * b[j] > 0]
+    groups = {sym: [op(i, j, a * b[j]) for i, row in enumerate(gauss["A"])
+                    for j, a in enumerate(row) if a * b[j] > 0]
+              for sym, b in zip(gauss["alphabet"], gauss["B"])}
     rho0 = {"rows": n, "cols": n, "im": [0.0] * (n * n),
             "re": [gauss["x0"][k // n] if k % (n + 1) == 0 else 0.0 for k in range(n * n)]}
     return {"type": "kraus", "alphabet": gauss["alphabet"], "rho0": rho0,
-            "channel": {"dim": n, "groups": ops}}
+            "channel": {"dim": n, "groups": groups}}
+
+
+def long_groups_model(gauss: dict) -> dict:
+    """The quantized gaussian4 Kraus file with its 56 operators as one list
+    where the groups object belongs."""
+    model = quantized_gaussian4(gauss)
+    groups = model["channel"]["groups"]
+    model["channel"]["groups"] = [op for ops in groups.values() for op in ops]
+    return model
+
+
+def short_entry_model(gauss: dict) -> dict:
+    """The quantized gaussian4 Kraus file with the last entry of
+    channel.groups.0[3].re removed."""
+    model = quantized_gaussian4(gauss)
+    model["channel"]["groups"]["0"][3]["re"].pop()
+    return model
 
 
 EVO_CONFIGS = {
@@ -249,6 +267,8 @@ def refusals(quick: bool) -> list[tuple[str, list[str]]]:
                                       "{fx}/groups_list.json", "--t", "2"]),
         ("refuse-long-groups-model", ["distribution", "--model",
                                       "{fx}/long_groups.json", "--t", "2"]),
+        ("refuse-short-entry-model", ["distribution", "--model",
+                                      "{fx}/short_entry.json", "--t", "2"]),
         ("refuse-float-count-model", ["distribution", "--model",
                                       "{fx}/float_count.json", "--t", "1"]),
         ("refuse-bool-e0-model", ["distribution", "--model",
@@ -283,8 +303,9 @@ def write_fixtures(tree: Path, out: Path) -> None:
     (out / "wrong_kind.json").write_text(json.dumps(WRONG_KIND_MODEL) + "\n")
     (out / "groups_list.json").write_text(json.dumps(GROUPS_LIST_MODEL) + "\n")
     (out / "huge_kraus.json").write_text(json.dumps(HUGE_KRAUS_MODEL) + "\n")
-    (out / "long_groups.json").write_text(json.dumps(long_groups_model(
-        json.loads((out / "gaussian4.json").read_text()))) + "\n")
+    gauss = json.loads((out / "gaussian4.json").read_text())
+    (out / "long_groups.json").write_text(json.dumps(long_groups_model(gauss)) + "\n")
+    (out / "short_entry.json").write_text(json.dumps(short_entry_model(gauss)) + "\n")
     # the damping fixture with counts a cast would truncate, and a bool e0
     damping = json.loads((out / "damping.json").read_text())
     for name, changes in (("float_count", {"dim_e": 2.9, "e0": 0.7}),

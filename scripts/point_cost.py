@@ -29,7 +29,11 @@ round (``ratio``, 1 for the parent):
 - ``load_gaussian4_kraus`` and ``load_gaussian4_dilated``: one
   ``cli.load_model`` of the quantized gaussian4 Kraus file and of its
   64-emission dilation (a 256 x 256 unitary), per load. PARENT's code writes
-  both files to a temporary directory, which both trees then read.
+  both files to a temporary directory, which both trees then read;
+- ``apply_symbol_g4``: one ``channels.apply_symbol`` of symbol ``0`` on the
+  quantized gaussian4 model from its rho0, per call;
+- ``classical_sample_g4``: one ``classical.sample`` of 4000 gaussian4
+  sequences of length 5, per shot-step.
 
 Every case's values (the objective's values, the fit's result, the built
 arrays, the loaded model's arrays) must be equal bit for bit in the two
@@ -100,7 +104,7 @@ def write_model_files(mods: dict, folder: Path) -> dict:
 def cases(mods: dict, files: dict) -> dict:
     """Case name -> (call, units per call, value of one call), built from
     one tree's modules; ``files`` are the model files of the load cases."""
-    circuits, classical, cli, experiments, learning, _, optimize = (
+    circuits, classical, cli, experiments, learning, models, optimize = (
         mods[f"qhmm.{name}"] for name in MODULES)
     rng = np.random.default_rng(0)
     monras = learning.AnsatzSpec(
@@ -137,6 +141,16 @@ def cases(mods: dict, files: dict) -> dict:
         q = cli.load_model(path)
         return [q.u, q.rho0] if hasattr(q, "u") else [*q.channel.groups.values(), q.rho0]
 
+    channels = mods["qhmm.channels"]
+    gauss = classical.gaussian4_model()
+    g4 = models.quantize_classical(gauss)
+
+    def symbol0():
+        return channels.apply_symbol(g4.channel, g4.rho0, "0")
+
+    def sample():
+        return classical.sample(gauss, 5, 4000, 0)
+
     fit, free_fit = nm_fit(), nm_free()
     return {
         "monras_point": (lambda: cost.evaluate(x), 1, cost.evaluate(x)),
@@ -156,6 +170,8 @@ def cases(mods: dict, files: dict) -> dict:
                                  loaded(files["kraus"])),
         "load_gaussian4_dilated": (lambda: cli.load_model(files["dilated"]), 1,
                                    loaded(files["dilated"])),
+        "apply_symbol_g4": (symbol0, 1, symbol0()),
+        "classical_sample_g4": (sample, 4000 * 5, sample()),
     }
 
 

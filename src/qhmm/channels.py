@@ -78,16 +78,22 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"state dim {rho.shape} does not match channel dim {ch.dim}")
-    ops = ch.operators()
-    return (ops @ rho @ dagger(ops)).sum(axis=0)
+    return kraus_sandwich(ch.operators(), rho)
 
 
 def apply_symbol(ch: KrausChannel, rho: np.ndarray, a: str) -> np.ndarray:
     """Unnormalized post-state for symbol a: sum over that group only."""
     if a not in ch.groups:
         raise KeyError(f"unknown symbol {a!r}")
-    ops = ch.groups[a]
-    return (ops @ rho @ dagger(ops)).sum(axis=0)
+    return kraus_sandwich(ch.groups[a], rho)
+
+
+def kraus_sandwich(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k† over a (k, N, N) stack, for an (N, N) rho or an
+    (S, N, N) batch, as two flat products; zero for an empty stack."""
+    n = ops.shape[-1]
+    rows = ops.transpose(1, 0, 2).reshape(-1, n)  # rows[(i, k), a] = K_k[i, a]
+    return (rows @ rho).reshape(*np.shape(rho)[:-1], -1) @ rows.reshape(n, -1).conj().T
 
 
 def kraus_from_unitary(
@@ -213,7 +219,8 @@ def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:
     ``groups[o]`` lists the Kraus operators of outcome o and ``draws`` holds
     one uniform per (shot, step); a step takes the first outcome whose
     cumulative probability tr(E_o rho), E_o = sum K†K, reaches the draw.
-    Shots sharing an outcome prefix share one normalized state.
+    Shots sharing an outcome prefix share one normalized state, and the
+    states taking outcome o step together through ``kraus_sandwich``.
     """
     states = np.asarray(rho0, dtype=np.complex128)[None]
     n = states.shape[1]
@@ -236,8 +243,8 @@ def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:
         prefix, taken = np.divmod(keys, m)
         nxt = np.empty((len(keys), n, n), dtype=np.complex128)
         for o in np.unique(taken):
-            k, sel = kraus[o][None], taken == o
-            nxt[sel] = (k @ states[prefix[sel], None] @ k.conj().swapaxes(2, 3)).sum(1)
+            sel = taken == o
+            nxt[sel] = kraus_sandwich(kraus[o], states[prefix[sel]])
         states = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
     return out
 

@@ -196,8 +196,8 @@ JSON_KINDS = {
 
 # a refused value is shown one level deep, within reprlib's other limits:
 # six items of a list, four keys of an object, 30 characters of a string
-_SHOWN = reprlib.Repr()
-_SHOWN.maxlevel = 1
+SHOWN = reprlib.Repr()
+SHOWN.maxlevel = 1
 
 
 def check_json(value, kind, where: str = "") -> None:
@@ -208,7 +208,7 @@ def check_json(value, kind, where: str = "") -> None:
     name = {list: "list", dict: "object"}.get(type(kind), kind)
     if not JSON_KINDS[name](value):
         raise ValueError(f"{where or 'value'} must be a JSON {name}, "
-                         f"got {_SHOWN.repr(value)}")
+                         f"got {SHOWN.repr(value)}")
     if isinstance(kind, list) and not (isinstance(kind[0], str)
                                        and all(map(JSON_KINDS[kind[0]], value))):
         for i, item in enumerate(value):  # each item, to name the first bad one
@@ -231,7 +231,7 @@ def matrix_from_json(d: dict, where: str = "matrix") -> np.ndarray:
     re = np.array(d["re"], dtype=float)
     im = np.array(d["im"], dtype=float)
     if re.size != rows * cols or im.size != rows * cols:
-        raise ValueError("matrix JSON entry count does not match rows*cols")
+        raise ValueError(f"{where} JSON entry count does not match rows*cols")
     return (re + 1j * im).reshape(rows, cols)
 
 

@@ -29,6 +29,7 @@ from .lang import (
     exact_tables,
 )
 from .linalg import (
+    SHOWN,
     as_matrix,
     check_density,
     check_json,
@@ -375,4 +376,4 @@ def qhmm_from_json(d: dict):
             reset_mode=d.get("reset_mode", "reset"),
             measured=d.get("measured", "emission"),
         )
-    raise ValueError(f"unknown QHMM type {kind!r}")
+    raise ValueError(f"unknown QHMM type {SHOWN.repr(kind)}")

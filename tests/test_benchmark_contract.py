@@ -124,20 +124,29 @@ def test_benchmark_workloads_build_and_check_a_fit(monkeypatch, tmp_path):
                                          res)
 
 
-def test_oracle_calls_apply_symbol_once_per_symbol(monkeypatch):
-    # the benchmark's selftest requires an exact count of apply_symbol calls
-    # from the language workload's oracle Hankel matrices, hooked on the
-    # channels module: one per symbol of every cell, 2·|S|·Σ|s| per matrix
-    from qhmm import channels, classical, lang, models
+@pytest.fixture
+def apply_symbol_calls(monkeypatch):
+    # one entry per call of channels.apply_symbol, hooked on the channels
+    # module as the benchmark hooks it
+    from qhmm import channels
 
-    calls = []
-    apply_symbol = channels.apply_symbol
+    calls, apply_symbol = [], channels.apply_symbol
 
     def counting(*args):
         calls.append(1)
         return apply_symbol(*args)
 
     monkeypatch.setattr(channels, "apply_symbol", counting)
+    return calls
+
+
+def test_oracle_calls_apply_symbol_once_per_symbol(apply_symbol_calls):
+    # the benchmark's selftest requires an exact count of apply_symbol calls
+    # from the language workload's oracle Hankel matrices, hooked on the
+    # channels module: one per symbol of every cell, 2·|S|·Σ|s| per matrix
+    from qhmm import classical, lang, models
+
+    calls = apply_symbol_calls
     q = models.quantize_classical(classical.market_model())
     for seq in [(), (0,), (1, 0, 1)]:
         calls.clear()
@@ -149,6 +158,28 @@ def test_oracle_calls_apply_symbol_once_per_symbol(monkeypatch):
     side = [len(s) for s in h.suffixes]
     assert [len(p) for p in h.prefixes] == side
     assert len(calls) == 2 * len(side) * sum(side) == 140
+
+
+def test_only_the_oracle_calls_apply_symbol(apply_symbol_calls):
+    # the full channel, the steady state and both samplers run the sandwich
+    # kernel directly, so the selftest's exact count of apply_symbol calls
+    # reads the oracle Hankel matrices alone
+    from dataclasses import replace
+
+    from qhmm import channels, classical, models
+
+    gauss = classical.gaussian4_model()
+    q = models.quantize_classical(gauss)
+    channels.apply(q.channel, q.rho0)
+    channels.steady_state(q.channel)
+    monras = models.from_kraus(models.monras_qhmm(), 4)
+    for u in (models.from_kraus(q, 64), replace(monras, reset_mode="carry"),
+              models.amplitude_damping_model(0.4)):
+        models.simulate(u, 3, 50, 0)
+    classical.sample(gauss, 3, 50, 0)
+    assert not apply_symbol_calls
+    models.sequence_probability(q, (0, 1))
+    assert len(apply_symbol_calls) == 2
 
 
 def test_benchmark_templates_keep_their_fused_factors(monkeypatch, tmp_path):

@@ -335,6 +335,28 @@ def test_stack_operations_match_per_operator_loops():
     assert np.abs(back[5]).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 16])
+def test_kraus_sandwich_matches_per_operator_loop(k, n):
+    # the two flat products of the one sandwich kernel against the sum of
+    # K rho K† over the operators, on one state and on a batch of three
+    rng = np.random.default_rng(10 * k + n)
+    ops = (random_channel(n, k, rng).operators() if k
+           else np.empty((0, n, n), dtype=np.complex128))
+    states = np.stack([random_density(n, rng) for _ in range(3)])
+
+    def loop(rho):
+        return sum((op @ rho @ op.conj().T for op in ops), np.zeros((n, n)))
+
+    for rho in states:
+        out = ch.kraus_sandwich(ops, rho)
+        assert out.shape == (n, n)
+        assert np.abs(out - loop(rho)).max() < 1e-15
+    batch = ch.kraus_sandwich(ops, states)
+    assert batch.shape == (3, n, n)
+    assert np.abs(batch - np.stack([loop(rho) for rho in states])).max() < 1e-15
+
+
 def test_random_channel_keeps_the_per_block_draw_order():
     # each block draws its real part, then its imaginary part
     chan = random_channel(2, 3, np.random.default_rng(8), n_symbols=2)

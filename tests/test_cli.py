@@ -381,8 +381,8 @@ def test_point_cost_runs_a_tree_against_itself():
     cases = {line.split()[0] for line in lines[1:-1]}
     assert {"monras_point", "market_evolve_point", "monras_block36",
             "monras_nm_fit", "nm_free", "gatestack_monras", "load_gaussian4_kraus",
-            "load_gaussian4_dilated"} <= cases
-    assert lines[-1] == "9 of 9 cases equal bit for bit"
+            "load_gaussian4_dilated", "apply_symbol_g4", "classical_sample_g4"} <= cases
+    assert lines[-1] == "11 of 11 cases equal bit for bit"
 
 
 def test_compare_outputs_verdicts():
@@ -1066,6 +1066,12 @@ def _gaussian4_groups_list(data):  # the quantized gaussian4 file's 56 operators
     data["channel"]["groups"] = [op for ops in groups.values() for op in ops]
 
 
+def _gaussian4_entry_missing(data):  # the quantized gaussian4 file, one re short
+    data.update(models.qhmm_to_json(models.quantize_classical(
+        classical.gaussian4_model())))
+    data["channel"]["groups"]["0"][3]["re"].pop()
+
+
 def _circuit_damping():  # the damping file with its circuit for its matrix
     from qhmm.circuits import amplitude_damping_circuit, circuit_to_json
 
@@ -1113,6 +1119,8 @@ def _circuit_damping():  # the damping file with its circuit for its matrix
      "a unitary model holds exactly one of unitary and circuit"),
     ("kraus", _gaussian4_groups_list, "channel.groups must be a JSON object, got "
      "[{...}, {...}, {...}, {...}, {...}, {...}, ...]"),
+    ("kraus", _gaussian4_entry_missing,
+     "channel.groups.0[3] JSON entry count does not match rows*cols"),
 ], ids=["unitary-dim_e-object", "unitary-symbol_map-number", "kraus-channel-number",
         "classical-A-number", "classical-A-nan", "kraus-groups-list", "kraus-groups-bool",
         "unitary-dim_e-bool", "classical-alphabet-repeated", "unitary-e0-bool",
@@ -1120,7 +1128,8 @@ def _circuit_damping():  # the damping file with its circuit for its matrix
         "unitary-alphabet-string", "unitary-symbol_map-string",
         "circuit-n_qubits-float", "circuit-qubit-float", "circuit-qubit-string",
         "circuit-angle-string", "classical-A-entry-string", "unitary-re-entry-string",
-        "unitary-no-unitary-or-circuit", "kraus-groups-long-list"])
+        "unitary-no-unitary-or-circuit", "kraus-groups-long-list",
+        "kraus-entry-missing"])
 def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail,
                                                            tmp_path, capsys):
     # regression: a value of the wrong JSON kind reached the readers as a
@@ -1134,7 +1143,7 @@ def test_model_file_of_wrong_kind_or_not_finite_is_refused(model, mutate, detail
     # number, so each of those exited 0 on another model; a unitary file with
     # neither matrix nor circuit was refused with the bare message 'unitary';
     # a refusal printed the value's whole repr, 12 kB for a groups list of
-    # 56 matrices
+    # 56 matrices, and a short entry list did not name which of 57 matrices
     data = (_circuit_damping() if model == "circuit" else _FIXTURE_MODELS[
         {"unitary": "damping", "kraus": "market_quantized",
          "classical": "market"}[model]]())

@@ -444,15 +444,24 @@ _ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
     ("classical", ["0"], "value must be a JSON object, got ['0']"),
     ("unitary", "both", "a unitary model holds exactly one of unitary and circuit"),
     ("unitary", [1], "value must be a JSON object, got [1]"),
+    ("matrix", {**_ONE, "re": []}, "matrix JSON entry count does not match rows*cols"),
+    ("channel", {"dim": 1, "groups": {"0": [_ONE, {**_ONE, "im": []}]}},
+     "channel.groups.0[1] JSON entry count does not match rows*cols"),
+    ("unitary", {"type": "hmm"}, "unknown QHMM type 'hmm'"),
+    ("unitary", "type-operators",
+     "unknown QHMM type [{...}, {...}, {...}, {...}, {...}, {...}, ...]"),
 ], ids=["matrix-rows-float", "channel-entry-string", "circuit-angle-nan",
         "circuit-no-gates", "classical-x0-bool", "classical-list", "unitary-both",
-        "qhmm-list"])
+        "qhmm-list", "matrix-entry-missing", "channel-entry-missing", "qhmm-type-string",
+        "qhmm-type-operators"])
 def test_each_json_reader_checks_its_schema_alone(read, data, message, damping_model):
     # each reader checks its own schema before any conversion, also when a
     # library caller uses it alone: before, int() and float() read 1.0 rows,
     # a string entry, a NaN angle and a bool x0 as numbers, a missing key
     # raised KeyError and a matrix beside a circuit was ignored; a QHMM value
-    # that was not an object raised AttributeError
+    # that was not an object raised AttributeError; a short entry list did
+    # not name its matrix, and an unknown type printed its whole repr (2,607
+    # characters for the 12 operators of quantized gaussian4's symbol 0)
     from qhmm.channels import channel_from_json
     from qhmm.circuits import (amplitude_damping_circuit, circuit_from_json,
                                circuit_to_json)
@@ -461,6 +470,10 @@ def test_each_json_reader_checks_its_schema_alone(read, data, message, damping_m
     if data == "both":  # the damping file's matrix beside its circuit
         data = qhmm_to_json(damping_model)
         data["circuit"] = circuit_to_json(amplitude_damping_circuit(math.pi / 2).step)
+    if data == "type-operators":
+        data = qhmm_to_json(quantize_classical(classical.gaussian4_model()))
+        data["type"] = data["channel"]["groups"]["0"]
+        assert len(data["type"]) == 12
     reader = {"matrix": matrix_from_json, "channel": channel_from_json,
               "circuit": circuit_from_json, "classical": classical.hmm_from_json,
               "unitary": qhmm_from_json}[read]
