@@ -33,7 +33,11 @@ round (``ratio``, 1 for the parent):
 - ``apply_symbol_g4``: one ``channels.apply_symbol`` of symbol ``0`` on the
   quantized gaussian4 model from its rho0, per call;
 - ``classical_sample_g4``: one ``classical.sample`` of 4000 gaussian4
-  sequences of length 5, per shot-step.
+  sequences of length 5, per shot-step;
+- ``tables_quantized``: one ``models.distribution_tables`` of the quantized
+  market model for lengths 1-12, per call;
+- ``steady_state_g4``: one ``channels.steady_state_info`` of the quantized
+  gaussian4 channel, per call.
 
 Every case's values (the objective's values, the fit's result, the built
 arrays, the loaded model's arrays) must be equal bit for bit in the two
@@ -151,6 +155,20 @@ def cases(mods: dict, files: dict) -> dict:
     def sample():
         return classical.sample(gauss, 5, 4000, 0)
 
+    market_q = models.quantize_classical(market)
+
+    def tables():
+        return models.distribution_tables(market_q, range(1, 13))
+
+    def steady():
+        return channels.steady_state_info(g4.channel)
+
+    def probs(tabs):  # every table's probabilities, in lex order
+        return [list(tab.probs.values()) for tab in tabs.values()]
+
+    def fixed(info):
+        return [info.rho, info.residual, info.multiplicity]
+
     fit, free_fit = nm_fit(), nm_free()
     return {
         "monras_point": (lambda: cost.evaluate(x), 1, cost.evaluate(x)),
@@ -172,6 +190,8 @@ def cases(mods: dict, files: dict) -> dict:
                                    loaded(files["dilated"])),
         "apply_symbol_g4": (symbol0, 1, symbol0()),
         "classical_sample_g4": (sample, 4000 * 5, sample()),
+        "tables_quantized": (tables, 1, probs(tables())),
+        "steady_state_g4": (steady, 1, fixed(steady())),
     }
 
 

@@ -140,27 +140,42 @@ class SteadyStateInfo:
     degenerate: bool
 
 
-def kraus_transfer_matrix(kraus: np.ndarray) -> np.ndarray:
-    """N^2 x N^2 matrix acting on row-major vec(rho): sum_K K (x) conj(K) over
-    a (k, N, N) stack, the zero matrix for an empty one."""
-    k, n = kraus.shape[:2]
-    pairs = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
-    return pairs.reshape(k, n * n, n * n).sum(axis=0)
-
-
-def transfer_matrix(ch: KrausChannel) -> np.ndarray:
-    """The full channel's ``kraus_transfer_matrix``."""
-    return kraus_transfer_matrix(ch.operators())
-
-
 def hermitian_coordinates(rho) -> np.ndarray:
-    """The (N^2,) real coordinates of a Hermitian (N, N) rho, row-major:
-    rho_ii at (i, i), Re rho_ij at (i, j) and Im rho_ij at (j, i), i < j.
+    """The (..., N^2) real coordinates x of a Hermitian (N, N) rho or an
+    (S, N, N) batch, row-major: rho_ii at (i, i), Re rho_ij at (i, j) and
+    Im rho_ij at (j, i), i < j; rho = sum_c x_c B_c (``hermitian_basis``).
     A channel's transfer matrix on them is real (the Pauli-Liouville form
     of Wood, Biamonte & Cory, arXiv:1111.6950, in another basis)."""
     rho = np.asarray(rho, dtype=np.complex128)
-    below = np.tri(len(rho), k=-1, dtype=bool)
-    return np.where(below, rho.T.imag, rho.real).ravel()
+    n = rho.shape[-1]
+    below = np.tri(n, k=-1, dtype=bool)
+    return np.where(below, rho.swapaxes(-1, -2).imag, rho.real).reshape(
+        rho.shape[:-2] + (n * n,))
+
+
+@functools.cache  # keyed by the dimension: few keys
+def hermitian_basis(n: int) -> np.ndarray:
+    """The read-only (N^2, N, N) stack of the operators B_c that
+    ``hermitian_coordinates`` weighs: at c = (c, c'), |c><c| on the
+    diagonal, |c><c'| + |c'><c| for c < c' and i|c'><c| - i|c><c'| for
+    c > c'."""
+    flat = np.arange(n * n)
+    c, c2 = np.divmod(flat, n)
+    lo, hi, below = np.minimum(c, c2), np.maximum(c, c2), c > c2
+    basis = np.zeros((n * n, n, n), dtype=np.complex128)
+    basis[flat, lo, hi] = np.where(below, 1j, 1.0)
+    basis[flat, hi, lo] = np.where(below, -1j, 1.0)
+    basis.setflags(write=False)
+    return basis
+
+
+def real_transfer_matrix(kraus: np.ndarray) -> np.ndarray:
+    """The real (N^2, N^2) matrix of sum_k K_k rho K_k† over a (k, N, N)
+    stack on ``hermitian_coordinates``: column c holds the coordinates of
+    the image of ``hermitian_basis`` operator B_c. The zero matrix for an
+    empty stack."""
+    images = kraus_sandwich(kraus, hermitian_basis(kraus.shape[-1]))
+    return hermitian_coordinates(images).T
 
 
 @functools.cache  # keyed by register sizes and emission symbols: few keys
@@ -172,10 +187,9 @@ def real_transfer_offsets(dim_s: int, dim_e: int, symbols: tuple[int, ...]):
     both factors of every product summed, each product's sign and where
     each sum starts, in the step's row-major order; all read-only.
 
-    Coordinate (c, c') of ``hermitian_coordinates`` weighs the basis
-    operator |c><c| on the diagonal, |c><c'| + |c'><c| for c < c' and
-    i|c'><c| - i|c><c'| for c > c'. Its row holds, in each symbol a's N^2
-    columns, the coordinates of sum K_e B K_e^† over the emissions e of a,
+    Row c of the step belongs to operator B_c of ``hermitian_basis``. It
+    holds, in each symbol a's N^2 columns, the coordinates of
+    sum K_e B_c K_e^† over the emissions e of a,
     and in a's effect column that operator's trace: each a sum of Re or
     Im K_e[r, p] conj(K_e[r', p']) times 1 or +-i, with
     Re(K conj K') = aa' + bb' and Im(K conj K') = ba' - ab' for K = a + ib."""
@@ -268,52 +282,31 @@ def sample_trajectories(groups, rho0: np.ndarray, shots: int, t: int,
 
 
 def steady_state_info(ch: KrausChannel, tol_eig: float = 1e-6) -> SteadyStateInfo:
-    """Fixed point rho* = T(rho*) via the transfer-matrix eigenproblem.
+    """Fixed point rho* = T(rho*) of the full channel's
+    ``real_transfer_matrix`` T.
 
-    The eigenvector of eigenvalue closest to 1 is reshaped, hermitized and
-    trace-normalized; degenerate channels (eigenvalue-1 multiplicity > 1) are
-    flagged and any valid fixed point is returned.
+    The multiplicity counts T's eigenvalues within tol_eig of 1; degenerate
+    channels (multiplicity > 1) are flagged. rho* is the projection
+    R (L^T R)^-1 L^T of I/N onto T's fixed space, with R and L that many right
+    and left null vectors of T - I from one SVD (the long-run average of the
+    channel applied to I/N), trace-normalized and Hermitian by construction.
     """
     n = ch.dim
-    t = transfer_matrix(ch)
-    w, vecs = np.linalg.eig(t)
-    order = np.argsort(np.abs(w - 1.0))
-    close = [i for i in order if abs(w[i] - 1.0) <= tol_eig]
-    if not close:
-        raise ValueError("no transfer-matrix eigenvalue within 1e-6 of 1")
-    multiplicity = len(close)
-
-    candidates = []
-    for i in close:
-        r = vecs[:, i].reshape(n, n)
-        candidates.append((r + dagger(r)) / 2)
-        candidates.append(1j * (r - dagger(r)) / 2)
-    if multiplicity > 1:
-        # degenerate fixed space: numpy may hand back indefinite mixtures, so
-        # also try the spectral projection of I/N onto the eigenvalue-1 space
-        # (the long-run average of the channel applied to I/N), which is PSD
-        try:
-            sel = (np.abs(w - 1.0) <= tol_eig).astype(float)
-            proj = vecs @ (sel[:, None] * np.linalg.inv(vecs))
-            candidates.append((proj @ (np.eye(n).ravel() / n)).reshape(n, n))
-        except np.linalg.LinAlgError:
-            pass
-    for cand in candidates:
-        cand = (cand + dagger(cand)) / 2
-        tr = np.trace(cand).real
-        if abs(tr) < 1e-9:
-            continue
-        rho = cand / tr
-        if np.linalg.eigvalsh(rho).min() < -1e-8:
-            continue
+    t = real_transfer_matrix(ch.operators())
+    multiplicity = int(np.count_nonzero(np.abs(np.linalg.eigvals(t) - 1.0) <= tol_eig))
+    if not multiplicity:
+        raise ValueError(f"no transfer-matrix eigenvalue within {tol_eig:g} of 1")
+    u, _, vh = np.linalg.svd(t - np.eye(n * n))
+    right, left = vh[-multiplicity:].T, u[:, -multiplicity:]
+    trace = np.eye(n).ravel()  # also N times the coordinates of I/N
+    x = right @ np.linalg.solve(left.T @ right, left.T @ trace / n)
+    if abs(trace @ x) > 1e-9:
+        rho = np.tensordot(x / (trace @ x), hermitian_basis(n), 1)
         residual = spectral_norm(apply(ch, rho) - rho)
-        if residual <= 1e-8:
-            return SteadyStateInfo(
-                rho=rho,
-                residual=residual,
-                multiplicity=multiplicity,
-                degenerate=multiplicity > 1,
-            )
+        if residual <= 1e-8 and np.linalg.eigvalsh(rho).min() >= -1e-8:
+            return SteadyStateInfo(rho=rho, residual=residual,
+                                   multiplicity=multiplicity,
+                                   degenerate=multiplicity > 1)
     raise ValueError("transfer matrix has eigenvalue 1 but no valid fixed point found")
 
 

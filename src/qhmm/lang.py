@@ -116,7 +116,9 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     ``ops`` stacks one (D, D) operator per symbol; the probability of
     a_1 ... a_t is final . ops[a_t] ... ops[a_1] init. Classical models pass
     their observable operators, x0 and a vector of ones; quantum models pass
-    per-symbol transfer matrices on row-major vec(rho), vec(rho0) and vec(I).
+    their real per-symbol transfer matrices on Hermitian coordinates
+    (``channels.real_transfer_matrix``), the coordinates of rho0 and the
+    trace vector vec(I).
     Returns one vector of m**t entries per entry of ``lengths``, in order.
     A (..., m, D, D) operator stack gives (..., m**t) vectors, each row equal
     bit for bit to its operators' vectors alone. The operators are laid out
@@ -255,8 +257,8 @@ def hankel_blocks(levels, max_prefix_len: int, max_suffix_len: int,
     m**j + lex(s), the block for prefix length i and suffix length j is the
     length-(i + j) vector reshaped to (m**i, m**j). The side budget is checked
     before ``levels`` is called; with ``forward_probs`` the deepest expanded
-    level then holds m**(P+S-1) <= 2**15 rows of N**2 + 1 complex entries,
-    (N**2 + 1) x 0.5 MiB, and every expanded level, whose product the
+    level then holds m**(P+S-1) <= 2**15 rows of N**2 + 1 float64 entries,
+    (N**2 + 1) x 0.25 MiB, and every expanded level, whose product the
     probabilities view, at most twice that."""
     check_hankel_sides(m, max_prefix_len, max_suffix_len)
     vecs = levels(list(range(max_prefix_len + max_suffix_len + 1)))

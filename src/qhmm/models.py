@@ -203,11 +203,12 @@ def sequence_probability(q: QhmmKraus, seq: Sequence) -> float:
 
 
 def forward_operators(q: QhmmKraus):
-    """(ops, init, final) of ``lang.forward_probs``: the per-symbol transfer
-    matrices on row-major vec(rho), vec(rho0) and vec(I)."""
-    ops = np.stack([ch.kraus_transfer_matrix(q.channel.groups[a])
+    """(ops, init, final) of ``lang.forward_probs``: the per-symbol real
+    transfer matrices on ``channels.hermitian_coordinates``, the coordinates
+    of rho0 and the trace in them, as ``learning.ChannelEngine`` holds them."""
+    ops = np.stack([ch.real_transfer_matrix(q.channel.groups[a])
                     for a in q.alphabet])
-    return ops, q.rho0.ravel(), np.eye(q.dim).ravel()
+    return ops, ch.hermitian_coordinates(q.rho0), np.eye(q.dim).ravel()
 
 
 def distribution_tables(q: QhmmKraus, lengths) -> dict[int, DistributionTable]:

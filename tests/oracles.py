@@ -2,10 +2,11 @@
 
 Random states, unitaries and channels to test the library on, and
 independent oracles for what it computes fast: partial traces, Hermitian
-eigendecompositions, the Choi matrix and Kraus rank, per-symbol
-probabilities, per-tuple empirical counts, the forward recursion run on a
-laid-out step, KL and total-variation distances, and the amplitude-damping
-channel in Kraus form. Each is grouped under the library module it checks.
+eigendecompositions, the Choi matrix and Kraus rank, the sum K (x) conj(K)
+transfer matrices on row-major vec(rho), the Hermitian basis as the
+columns vec(B_c), per-symbol probabilities, per-tuple empirical counts,
+the forward recursion run on a laid-out step, KL and total-variation
+distances, and the amplitude-damping channel in Kraus form. Each is grouped under the library module it checks.
 """
 
 from __future__ import annotations
@@ -86,6 +87,32 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # channels (qhmm.channels)
+
+
+def kraus_transfer_matrix(kraus: np.ndarray) -> np.ndarray:
+    """N^2 x N^2 matrix acting on row-major vec(rho): sum_K K (x) conj(K) over
+    a (k, N, N) stack, the zero matrix for an empty one."""
+    k, n = kraus.shape[:2]
+    pairs = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
+    return pairs.reshape(k, n * n, n * n).sum(axis=0)
+
+
+def transfer_matrix(ch: KrausChannel) -> np.ndarray:
+    """The full channel's ``kraus_transfer_matrix``."""
+    return kraus_transfer_matrix(ch.operators())
+
+
+def hermitian_basis_columns(n):
+    """(N^2, N^2) columns vec(B_cc'): |c><c|, |c><c'| + |c'><c| for c < c'
+    and i|c'><c| - i|c><c'| for c > c', so that rho = sum x[c, c'] B_cc'."""
+    basis = np.zeros((n, n, n, n), dtype=complex)
+    for c in range(n):
+        for c2 in range(n):
+            if c <= c2:
+                basis[c, c2, c, c2] = basis[c2, c, c, c2] = 1.0
+            else:
+                basis[c2, c, c, c2], basis[c, c2, c, c2] = 1j, -1j
+    return basis.reshape(n * n, n * n)
 
 
 def symbol_probability(ch: KrausChannel, rho: np.ndarray, a: str) -> float:

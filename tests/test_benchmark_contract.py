@@ -161,9 +161,9 @@ def test_oracle_calls_apply_symbol_once_per_symbol(apply_symbol_calls):
 
 
 def test_only_the_oracle_calls_apply_symbol(apply_symbol_calls):
-    # the full channel, the steady state and both samplers run the sandwich
-    # kernel directly, so the selftest's exact count of apply_symbol calls
-    # reads the oracle Hankel matrices alone
+    # the full channel, the steady state, the exact tables and both samplers
+    # run the sandwich kernel directly, so the selftest's exact count of
+    # apply_symbol calls reads the oracle Hankel matrices alone
     from dataclasses import replace
 
     from qhmm import channels, classical, models
@@ -171,7 +171,8 @@ def test_only_the_oracle_calls_apply_symbol(apply_symbol_calls):
     gauss = classical.gaussian4_model()
     q = models.quantize_classical(gauss)
     channels.apply(q.channel, q.rho0)
-    channels.steady_state(q.channel)
+    channels.steady_state_info(q.channel)
+    models.distribution_tables(q, [1, 2, 3])
     monras = models.from_kraus(models.monras_qhmm(), 4)
     for u in (models.from_kraus(q, 64), replace(monras, reset_mode="carry"),
               models.amplitude_damping_model(0.4)):

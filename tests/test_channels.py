@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhmm import channels as ch
@@ -12,7 +12,6 @@ from qhmm.channels import (
     steady_state,
     steady_state_info,
     stinespring_dilate,
-    transfer_matrix,
     validate_cptp,
 )
 from qhmm.linalg import is_unitary, numerical_rank, spectral_norm
@@ -20,12 +19,15 @@ from qhmm.linalg import is_unitary, numerical_rank, spectral_norm
 from oracles import (
     amplitude_damping_channel,
     choi,
+    hermitian_basis_columns,
     is_density,
     kraus_rank,
+    kraus_transfer_matrix,
     random_channel,
     random_density,
     random_unitary,
     symbol_probability,
+    transfer_matrix,
 )
 
 
@@ -301,6 +303,91 @@ def test_steady_state_residual_random(dim, n_kraus, seed):
     assert is_density(rho)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_steady_state_of_the_identity_is_the_maximally_mixed_state(n):
+    # every state is fixed; the projection of I/N onto the fixed space is
+    # I/N itself
+    info = steady_state_info(identity_channel(n))
+    assert info.multiplicity == n * n and info.degenerate
+    assert np.abs(info.rho - np.eye(n) / n).max() < 1e-15
+
+
+def test_steady_state_of_two_blocks_projects_the_maximally_mixed_state():
+    # damping towards |0> inside span{|0>, |1>}, full depolarizing inside
+    # span{|2>, |3>}: the fixed space holds |0><0| and the block's identity,
+    # and I/4 keeps half its trace in each block
+    ops = [np.diag([1.0, np.sqrt(0.7), 0.0, 0.0]), np.zeros((4, 4))]
+    ops[1][0, 1] = np.sqrt(0.3)
+    for i in (2, 3):
+        for j in (2, 3):
+            op = np.zeros((4, 4))
+            op[i, j] = np.sqrt(0.5)
+            ops.append(op)
+    chan = KrausChannel(dim=4, groups={"0": ops})
+    assert chan.completeness_defect() < 1e-15
+    info = steady_state_info(chan)
+    assert info.multiplicity == 2 and info.degenerate
+    assert np.abs(info.rho - np.diag([0.5, 0.0, 0.25, 0.25])).max() < 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 5), st.integers(0, 2**31 - 1))
+def test_steady_state_matches_the_complex_null_vector(dim, n_kraus, seed):
+    # a unique fixed point is the eigenvector of eigenvalue 1 of the complex
+    # sum K (x) conj(K) matrix, scaled to unit trace
+    chan = random_channel(dim, n_kraus, np.random.default_rng(seed))
+    info = steady_state_info(chan)
+    assume(info.multiplicity == 1)
+    w, vecs = np.linalg.eig(transfer_matrix(chan))
+    r = vecs[:, np.argmin(np.abs(w - 1.0))].reshape(dim, dim)
+    assert np.abs(info.rho - r / np.trace(r)).max() < 1e-12
+
+
+def test_steady_state_refusals():
+    # no eigenvalue near 1: the message gives the tolerance asked for
+    halved = KrausChannel(dim=2, groups={"0": [np.eye(2) / 2]})
+    with pytest.raises(ValueError, match="within 0.3 of 1"):
+        steady_state_info(halved, tol_eig=0.3)
+    with pytest.raises(ValueError, match="within 1e-06 of 1"):
+        steady_state_info(halved)
+    # a fixed space of traceless operators only: |0><1| + |1><0| and its
+    # imaginary twin, while I/2 lies along the other eigenvectors
+    stretch = KrausChannel(dim=2, groups={"0": [np.diag([2.0, 0.5])]})
+    with pytest.raises(ValueError, match="no valid fixed point"):
+        steady_state_info(stretch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_real_transfer_matrix_is_the_kraus_matrix_in_real_coordinates(k, n):
+    # with Q the columns vec(B_c) of the Hermitian basis, the real matrix is
+    # Q^-1 (sum K (x) conj(K)) Q; an empty group gives zero
+    rng = np.random.default_rng(10 * k + n)
+    ops = (random_channel(n, k, rng).operators() if k
+           else np.empty((0, n, n), dtype=np.complex128))
+    q = hermitian_basis_columns(n)
+    got = ch.real_transfer_matrix(ops)
+    assert got.dtype == np.float64 and got.shape == (n * n, n * n)
+    want = np.linalg.solve(q, kraus_transfer_matrix(ops) @ q)
+    assert np.abs(got - want).max() < 1e-15
+    assert k or not got.any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_hermitian_basis_and_batched_coordinates(n):
+    # the cached stack holds the oracle's columns, read-only, and the
+    # coordinates of a batch are each state's own, bit for bit
+    basis = ch.hermitian_basis(n)
+    assert basis is ch.hermitian_basis(n) and not basis.flags.writeable
+    assert np.array_equal(basis.reshape(n * n, n * n).T, hermitian_basis_columns(n))
+    rng = np.random.default_rng(n)
+    states = np.stack([random_density(n, rng) for _ in range(3)])
+    coords = ch.hermitian_coordinates(states)
+    assert coords.shape == (3, n * n)
+    for rho, row in zip(states, coords):
+        assert ch.hermitian_coordinates(rho).tobytes() == row.tobytes()
+
+
 def test_transfer_matrix_identity():
     assert np.abs(transfer_matrix(identity_channel(2)) - np.eye(4)).max() < 1e-14
 
@@ -324,7 +411,7 @@ def test_stack_operations_match_per_operator_loops():
         assert np.abs(ch.apply_symbol(chan, rho, a) - sandwich(group)).max() < 1e-15
     kron = sum(np.kron(k, k.conj()) for k in ops)
     assert np.abs(transfer_matrix(chan) - kron).max() < 1e-15
-    assert not ch.kraus_transfer_matrix(chan.groups["3"]).any()
+    assert not kraus_transfer_matrix(chan.groups["3"]).any()
     vecs = [k.T.ravel() for k in ops]  # the blocks K|i> in input order
     want = sum(np.outer(v, v.conj()) for v in vecs)
     assert np.abs(choi(chan) - want).max() < 1e-15

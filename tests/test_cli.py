@@ -381,8 +381,9 @@ def test_point_cost_runs_a_tree_against_itself():
     cases = {line.split()[0] for line in lines[1:-1]}
     assert {"monras_point", "market_evolve_point", "monras_block36",
             "monras_nm_fit", "nm_free", "gatestack_monras", "load_gaussian4_kraus",
-            "load_gaussian4_dilated", "apply_symbol_g4", "classical_sample_g4"} <= cases
-    assert lines[-1] == "11 of 11 cases equal bit for bit"
+            "load_gaussian4_dilated", "apply_symbol_g4", "classical_sample_g4",
+            "tables_quantized", "steady_state_g4"} <= cases
+    assert lines[-1] == "13 of 13 cases equal bit for bit"
 
 
 def test_compare_outputs_verdicts():

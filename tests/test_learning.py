@@ -897,10 +897,10 @@ def test_engine_step_is_model_transfer_matrices(dim_s, dim_e, symbol_map):
     # output at once; each symbol's last column is its effect vec(I) T_a Q,
     # which gives the output's trace. At N = 4 the rows run over a 16 x m*17
     # step
-    from qhmm.channels import apply_symbol, kraus_transfer_matrix
+    from qhmm.channels import apply_symbol
     from qhmm.circuits import efficient_su2
     from qhmm.channels import hermitian_coordinates
-    from oracles import random_density
+    from oracles import hermitian_basis_columns, kraus_transfer_matrix, random_density
 
     rng = np.random.default_rng(5)
     spec = AnsatzSpec(efficient_su2(register_qubits(dim_s, dim_e), 1), dim_s,
@@ -908,7 +908,7 @@ def test_engine_step_is_model_transfer_matrices(dim_s, dim_e, symbol_map):
     x = rng.uniform(0.0, 2 * np.pi, size=spec.circuit.num_parameters)
     step = spec.engine().step(x)
     q = spec.model(x)
-    basis = _hermitian_basis(dim_s)
+    basis = hermitian_basis_columns(dim_s)
     want = np.stack([np.linalg.solve(basis, kraus_transfer_matrix(q.channel.groups[a])
                                      @ basis) for a in q.alphabet])
     m, n2 = len(q.alphabet), dim_s**2
@@ -924,33 +924,20 @@ def test_engine_step_is_model_transfer_matrices(dim_s, dim_e, symbol_map):
         assert abs(row[n2] - np.trace(sub)) < 1e-14
 
 
-def _hermitian_basis(n):
-    """(N^2, N^2) columns vec(B_cc'): |c><c|, |c><c'| + |c'><c| for c < c'
-    and i|c'><c| - i|c><c'| for c > c', so that rho = sum x[c, c'] B_cc'."""
-    basis = np.zeros((n, n, n, n), dtype=complex)
-    for c in range(n):
-        for c2 in range(n):
-            if c <= c2:
-                basis[c, c2, c, c2] = basis[c2, c, c, c2] = 1.0
-            else:
-                basis[c2, c, c, c2], basis[c, c2, c, c2] = 1j, -1j
-    return basis.reshape(n * n, n * n)
-
-
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_hermitian_coordinates_round_trip(n):
     # rho's real coordinates rebuild rho through the basis operators, and
     # each is the diagonal entry, the real part above or the imaginary part
     # below the diagonal
     from qhmm.channels import hermitian_coordinates
-    from oracles import random_density
+    from oracles import hermitian_basis_columns, random_density
 
     rng = np.random.default_rng(n)
     for _ in range(5):
         rho = random_density(n, rng)
         coords = hermitian_coordinates(rho)
         assert coords.dtype == np.float64 and coords.shape == (n * n,)
-        assert np.abs(_hermitian_basis(n) @ coords - rho.ravel()).max() < 1e-15
+        assert np.abs(hermitian_basis_columns(n) @ coords - rho.ravel()).max() < 1e-15
         for c in range(n):
             for c2 in range(n):
                 part = rho[c, c2].real if c <= c2 else rho[c2, c].imag
