@@ -36,6 +36,8 @@ round (``ratio``, 1 for the parent):
   sequences of length 5, per shot-step;
 - ``tables_quantized``: one ``models.distribution_tables`` of the quantized
   market model for lengths 1-12, per call;
+- ``tables_g4``: one ``models.distribution_tables`` of the quantized
+  gaussian4 model for lengths 1-6, per call;
 - ``steady_state_g4``: one ``channels.steady_state_info`` of the quantized
   gaussian4 channel, per call.
 
@@ -160,6 +162,9 @@ def cases(mods: dict, files: dict) -> dict:
     def tables():
         return models.distribution_tables(market_q, range(1, 13))
 
+    def tables_g4():
+        return models.distribution_tables(g4, range(1, 7))
+
     def steady():
         return channels.steady_state_info(g4.channel)
 
@@ -191,6 +196,7 @@ def cases(mods: dict, files: dict) -> dict:
         "apply_symbol_g4": (symbol0, 1, symbol0()),
         "classical_sample_g4": (sample, 4000 * 5, sample()),
         "tables_quantized": (tables, 1, probs(tables())),
+        "tables_g4": (tables_g4, 1, probs(tables_g4())),
         "steady_state_g4": (steady, 1, fixed(steady())),
     }
 

@@ -287,19 +287,26 @@ def steady_state_info(ch: KrausChannel, tol_eig: float = 1e-6) -> SteadyStateInf
 
     The multiplicity counts T's eigenvalues within tol_eig of 1; degenerate
     channels (multiplicity > 1) are flagged. rho* is the projection
-    R (L^T R)^-1 L^T of I/N onto T's fixed space, with R and L that many right
-    and left null vectors of T - I from one SVD (the long-run average of the
+    R (L^T R)^-1 L^T of I/N onto T's fixed space (the long-run average of the
     channel applied to I/N), trace-normalized and Hermitian by construction.
+    R and L are the right and left null vectors of T - I from one SVD whose
+    singular values are at rounding level (at most 1e-13 N^2; random
+    channels reach 4 eps N^2), at least the nearest one: a slow mode within
+    tol_eig of 1 counts in the multiplicity but stays out of the projection.
     """
     n = ch.dim
     t = real_transfer_matrix(ch.operators())
     multiplicity = int(np.count_nonzero(np.abs(np.linalg.eigvals(t) - 1.0) <= tol_eig))
     if not multiplicity:
         raise ValueError(f"no transfer-matrix eigenvalue within {tol_eig:g} of 1")
-    u, _, vh = np.linalg.svd(t - np.eye(n * n))
-    right, left = vh[-multiplicity:].T, u[:, -multiplicity:]
+    u, s, vh = np.linalg.svd(t - np.eye(n * n))
+    fixed = max(1, int(np.count_nonzero(s <= 1e-13 * n * n)))
+    right, left = vh[-fixed:].T, u[:, -fixed:]
     trace = np.eye(n).ravel()  # also N times the coordinates of I/N
-    x = right @ np.linalg.solve(left.T @ right, left.T @ trace / n)
+    try:
+        x = right @ np.linalg.solve(left.T @ right, left.T @ trace / n)
+    except np.linalg.LinAlgError:
+        x = np.zeros(n * n)  # no projection: refused below
     if abs(trace @ x) > 1e-9:
         rho = np.tensordot(x / (trace @ x), hermitian_basis(n), 1)
         residual = spectral_norm(apply(ch, rho) - rho)

@@ -330,6 +330,16 @@ def test_steady_state_of_two_blocks_projects_the_maximally_mixed_state():
     assert np.abs(info.rho - np.diag([0.5, 0.0, 0.25, 0.25])).max() < 1e-14
 
 
+@pytest.mark.parametrize("gamma", [1e-11, 1e-9, 3e-8, 1e-7, 1e-6])
+def test_steady_state_of_slow_damping_is_the_ground_state(gamma):
+    # all four eigenvalues lie within tol_eig of 1, so the multiplicity is 4,
+    # but only |0><0| is fixed: the slow modes stay out of the projection
+    info = steady_state_info(amplitude_damping_channel(gamma))
+    assert info.multiplicity == 4 and info.degenerate
+    assert np.abs(info.rho - np.diag([1.0, 0.0])).max() < 1e-15
+    assert info.residual < 1e-15
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4), st.integers(2, 5), st.integers(0, 2**31 - 1))
 def test_steady_state_matches_the_complex_null_vector(dim, n_kraus, seed):
@@ -355,6 +365,11 @@ def test_steady_state_refusals():
     stretch = KrausChannel(dim=2, groups={"0": [np.diag([2.0, 0.5])]})
     with pytest.raises(ValueError, match="no valid fixed point"):
         steady_state_info(stretch)
+    # a shear: its left and right null vectors are orthogonal, so there is
+    # no projection onto the fixed space
+    shear = KrausChannel(dim=2, groups={"0": [np.array([[1.0, 1.0], [0.0, 1.0]])]})
+    with pytest.raises(ValueError, match="no valid fixed point"):
+        steady_state_info(shear)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -382,8 +382,8 @@ def test_point_cost_runs_a_tree_against_itself():
     assert {"monras_point", "market_evolve_point", "monras_block36",
             "monras_nm_fit", "nm_free", "gatestack_monras", "load_gaussian4_kraus",
             "load_gaussian4_dilated", "apply_symbol_g4", "classical_sample_g4",
-            "tables_quantized", "steady_state_g4"} <= cases
-    assert lines[-1] == "13 of 13 cases equal bit for bit"
+            "tables_quantized", "tables_g4", "steady_state_g4"} <= cases
+    assert lines[-1] == "14 of 14 cases equal bit for bit"
 
 
 def test_compare_outputs_verdicts():
