@@ -39,7 +39,11 @@ round (``ratio``, 1 for the parent):
 - ``tables_g4``: one ``models.distribution_tables`` of the quantized
   gaussian4 model for lengths 1-6, per call;
 - ``steady_state_g4``: one ``channels.steady_state_info`` of the quantized
-  gaussian4 channel, per call.
+  gaussian4 channel, per call;
+- ``hankel_oracle_g4``: one ``lang.hankel`` over
+  ``models.sequence_probability`` of the quantized gaussian4 model with
+  prefixes and suffixes up to length 3, per call: the oracle Hankel matrix
+  of the benchmark's language workload.
 
 Every case's values (the objective's values, the fit's result, the built
 arrays, the loaded model's arrays) must be equal bit for bit in the two
@@ -168,6 +172,10 @@ def cases(mods: dict, files: dict) -> dict:
     def steady():
         return channels.steady_state_info(g4.channel)
 
+    def hankel_oracle():
+        return mods["qhmm.lang"].hankel(
+            lambda s: models.sequence_probability(g4, s), 3, 3, len(g4.alphabet))
+
     def probs(tabs):  # every table's probabilities, in lex order
         return [list(tab.probs.values()) for tab in tabs.values()]
 
@@ -198,6 +206,7 @@ def cases(mods: dict, files: dict) -> dict:
         "tables_quantized": (tables, 1, probs(tables())),
         "tables_g4": (tables_g4, 1, probs(tables_g4())),
         "steady_state_g4": (steady, 1, fixed(steady())),
+        "hankel_oracle_g4": (hankel_oracle, 1, hankel_oracle().values),
     }
 
 

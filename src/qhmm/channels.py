@@ -1,14 +1,18 @@
 """CPTP maps as symbol-labeled Kraus families.
 
-A channel is stored as an ordered mapping symbol -> (k, N, N) stack of Kraus
-operators, k >= 0; summing every group gives the full trace-preserving map,
-while each group is the sub-channel realized when its symbol is observed.
+A channel is stored as an ordered, read-only mapping symbol -> (k, N, N)
+stack of Kraus operators, k >= 0; summing every group gives the full
+trace-preserving map, while each group is the sub-channel realized when its
+symbol is observed. The constructor copies each stack and builds its
+``sandwich_layout`` once, so ``apply_symbol`` only multiplies.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -26,13 +30,19 @@ CPTP_TOL = 1e-9
 SAMPLE_CHUNK = 16384  # shots drawn and stepped together by sample_trajectories
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrausChannel:
     """Kraus operators grouped per observable symbol: each group is one
-    complex (k, N, N) stack, and an empty group is a (0, N, N) stack."""
+    complex (k, N, N) stack, and an empty group is a (0, N, N) stack.
+
+    The channel is immutable. The constructor copies every stack, so the
+    caller's arrays stay independent of it, and marks the copies read-only;
+    ``groups`` is a read-only mapping. Each group's ``sandwich_layout`` is
+    built here, once, for ``apply_symbol``."""
 
     dim: int
-    groups: dict[str, np.ndarray] = field(default_factory=dict)
+    groups: Mapping[str, np.ndarray] = field(default_factory=dict)
+    _layouts: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
@@ -42,12 +52,18 @@ class KrausChannel:
                 if np.shape(k) != (n, n):
                     raise ValueError(f"Kraus operator for symbol {sym!r} is "
                                      f"{np.shape(k)}, expected ({n}, {n})")
-            stack = np.asarray(ops, dtype=np.complex128).reshape(-1, n, n)
+            stack = np.array(np.reshape(ops, (-1, n, n)), dtype=np.complex128)
             if not np.isfinite(stack).all():
                 raise ValueError(f"Kraus operators for symbol {sym!r} have "
                                  f"non-finite entries")
+            stack.setflags(write=False)
             stacks[str(sym)] = stack
-        self.groups = stacks
+        object.__setattr__(self, "groups", MappingProxyType(stacks))
+        object.__setattr__(self, "_layouts", {
+            sym: sandwich_layout(stack) for sym, stack in stacks.items()})
+
+    def __reduce__(self):  # pickled and deep-copied by its groups, rebuilt
+        return KrausChannel, (self.dim, dict(self.groups))
 
     def operators(self) -> np.ndarray:
         """All Kraus operators as one (K, N, N) stack in group order."""
@@ -82,18 +98,43 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
 
 
 def apply_symbol(ch: KrausChannel, rho: np.ndarray, a: str) -> np.ndarray:
-    """Unnormalized post-state for symbol a: sum over that group only."""
-    if a not in ch.groups:
-        raise KeyError(f"unknown symbol {a!r}")
-    return kraus_sandwich(ch.groups[a], rho)
+    """Unnormalized post-state for symbol a: sum over that group only, by
+    the group's layout built with the channel."""
+    try:
+        layout = ch._layouts[a]
+    except KeyError:
+        raise KeyError(f"unknown symbol {a!r}") from None
+    return sandwich_product(layout, rho)
 
 
 def kraus_sandwich(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k† over a (k, N, N) stack, for an (N, N) rho or an
-    (S, N, N) batch, as two flat products; zero for an empty stack."""
+    (S, N, N) batch: ``sandwich_product`` of the stack's ``sandwich_layout``;
+    zero for an empty stack."""
+    return sandwich_product(sandwich_layout(ops), rho)
+
+
+def sandwich_layout(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only factors of ``sandwich_product`` for a (k, N, N) stack:
+    the (k N, N) rows[(i, k), a] = K_k[i, a] and the (k N, N) conjugate
+    transpose of rows read as (N, k N), cols[(k, a), j] = conj K_k[j, a]."""
     n = ops.shape[-1]
-    rows = ops.transpose(1, 0, 2).reshape(-1, n)  # rows[(i, k), a] = K_k[i, a]
-    return (rows @ rho).reshape(*np.shape(rho)[:-1], -1) @ rows.reshape(n, -1).conj().T
+    rows = ops.transpose(1, 0, 2).reshape(-1, n)
+    cols = rows.reshape(n, -1).conj().T
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def sandwich_product(layout: tuple[np.ndarray, np.ndarray],
+                     rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k† as two flat products over a ``sandwich_layout``:
+    row (i, k) of rows @ rho is K_k rho's row i, and each state's (N, k N)
+    view of them times cols sums K_k rho K_k† over k."""
+    rows, cols = layout
+    if np.ndim(rho) == 2:  # one state: np.dot, with less call overhead
+        return np.dot(np.dot(rows, rho).reshape(len(rho), -1), cols)
+    return (rows @ rho).reshape(*np.shape(rho)[:-1], -1) @ cols
 
 
 def kraus_from_unitary(
@@ -234,11 +275,13 @@ def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:
     one uniform per (shot, step); a step takes the first outcome whose
     cumulative probability tr(E_o rho), E_o = sum K†K, reaches the draw.
     Shots sharing an outcome prefix share one normalized state, and the
-    states taking outcome o step together through ``kraus_sandwich``.
+    states taking outcome o step together through ``sandwich_product`` of
+    o's ``sandwich_layout``, built once per call, when o is first taken.
     """
     states = np.asarray(rho0, dtype=np.complex128)[None]
     n = states.shape[1]
     kraus = [np.asarray(g, dtype=np.complex128).reshape(-1, n, n) for g in groups]
+    layouts = {}  # outcome -> its sandwich_layout, built at its first step
     effects = np.stack([np.einsum("kji,kjl->il", k.conj(), k) for k in kraus])
     m = len(kraus)
     node = np.zeros(len(draws), dtype=np.intp)
@@ -258,7 +301,9 @@ def sample_outcomes(groups, rho0: np.ndarray, draws: np.ndarray) -> np.ndarray:
         nxt = np.empty((len(keys), n, n), dtype=np.complex128)
         for o in np.unique(taken):
             sel = taken == o
-            nxt[sel] = kraus_sandwich(kraus[o], states[prefix[sel]])
+            if o not in layouts:
+                layouts[o] = sandwich_layout(kraus[o])
+            nxt[sel] = sandwich_product(layouts[o], states[prefix[sel]])
         states = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
     return out
 

@@ -198,7 +198,7 @@ def sequence_probability(q: QhmmKraus, seq: Sequence) -> float:
         if not 0 <= a < len(q.alphabet):
             raise ValueError(f"symbol index {a} out of range")
         rho = ch.apply_symbol(q.channel, rho, q.alphabet[a])
-    p = float(np.trace(rho).real)
+    p = float(rho.trace().real)
     return min(max(p, 0.0), 1.0)
 
 

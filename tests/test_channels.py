@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -457,6 +461,65 @@ def test_kraus_sandwich_matches_per_operator_loop(k, n):
     batch = ch.kraus_sandwich(ops, states)
     assert batch.shape == (3, n, n)
     assert np.abs(batch - np.stack([loop(rho) for rho in states])).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 16])
+def test_apply_symbol_keeps_the_bits_of_the_sandwich_kernel(k, n):
+    # apply_symbol multiplies by the layout the channel built once; its
+    # output is the kernel's on the same group, bit for bit, on one state
+    # and on a batch of three, and the per-operator loop's within 1e-15
+    rng = np.random.default_rng(10 * k + n)
+    ops = (random_channel(n, k, rng).operators() if k
+           else np.empty((0, n, n), dtype=np.complex128))
+    chan = KrausChannel(dim=n, groups={"a": ops})
+    states = np.stack([random_density(n, rng) for _ in range(3)])
+
+    def loop(rho):
+        return sum((op @ rho @ op.conj().T for op in ops), np.zeros((n, n)))
+
+    for rho in [*states, states]:
+        got = ch.apply_symbol(chan, rho, "a")
+        want = ch.kraus_sandwich(chan.groups["a"], rho)
+        assert got.shape == np.shape(rho) and got.tobytes() == want.tobytes()
+        ref = loop(rho) if rho.ndim == 2 else np.stack([loop(r) for r in rho])
+        assert np.abs(got - ref).max() < 1e-15
+
+
+def test_channel_is_independent_of_the_callers_arrays():
+    # the constructor copies each group and keeps it read-only, in a
+    # read-only mapping: neither the caller nor a reader can change a group
+    a = np.eye(2, dtype=np.complex128)[None]
+    chan = KrausChannel(2, {"0": a})
+    rho = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+    before = ch.apply_symbol(chan, rho, "0")
+    assert not np.shares_memory(chan.groups["0"], a)
+    a[0, 0, 0] = np.nan
+    assert validate_cptp(chan).max_violation == 0.0
+    assert ch.apply_symbol(chan, rho, "0").tobytes() == before.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        chan.groups["0"][0, 1, 1] = 0.0
+    with pytest.raises(TypeError):
+        chan.groups["x"] = np.zeros((1, 3, 3))
+    with pytest.raises(FrozenInstanceError):
+        chan.groups = {"x": np.zeros((1, 3, 3))}
+    assert list(chan.groups) == ["0"]
+    for back in (copy.deepcopy(chan), pickle.loads(pickle.dumps(chan))):
+        assert back.groups["0"].tobytes() == chan.groups["0"].tobytes()
+        assert ch.apply_symbol(back, rho, "0").tobytes() == before.tobytes()
+
+
+def test_sampler_builds_each_outcomes_layout_once(monkeypatch):
+    # one layout per outcome taken and call, however many steps the call
+    # takes
+    chan = random_channel(2, 5, np.random.default_rng(4), n_symbols=3)
+    built = []
+    layout = ch.sandwich_layout
+    monkeypatch.setattr(ch, "sandwich_layout",
+                        lambda ops: built.append(len(ops)) or layout(ops))
+    draws = np.random.default_rng(5).random((50, 6))
+    out = ch.sample_outcomes(list(chan.groups.values()), np.eye(2) / 2, draws)
+    assert out.shape == (50, 6) and sorted(built) == [1, 2, 2]
 
 
 def test_random_channel_keeps_the_per_block_draw_order():
