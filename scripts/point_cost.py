@@ -43,7 +43,12 @@ round (``ratio``, 1 for the parent):
 - ``hankel_oracle_g4``: one ``lang.hankel`` over
   ``models.sequence_probability`` of the quantized gaussian4 model with
   prefixes and suffixes up to length 3, per call: the oracle Hankel matrix
-  of the benchmark's language workload.
+  of the benchmark's language workload;
+- ``write_tables_market12``: one ``lang.write_tables_csv`` of the quantized
+  market tables of lengths 1-12 into a temporary file, per call; its value
+  is the file's bytes;
+- ``divergence_market12``: one ``lang.divergence_avg`` of those tables
+  against themselves, per call.
 
 Every case's values (the objective's values, the fit's result, the built
 arrays, the loaded model's arrays) must be equal bit for bit in the two
@@ -151,7 +156,7 @@ def cases(mods: dict, files: dict) -> dict:
         q = cli.load_model(path)
         return [q.u, q.rho0] if hasattr(q, "u") else [*q.channel.groups.values(), q.rho0]
 
-    channels = mods["qhmm.channels"]
+    channels, lang = mods["qhmm.channels"], mods["qhmm.lang"]
     gauss = classical.gaussian4_model()
     g4 = models.quantize_classical(gauss)
 
@@ -173,11 +178,24 @@ def cases(mods: dict, files: dict) -> dict:
         return channels.steady_state_info(g4.channel)
 
     def hankel_oracle():
-        return mods["qhmm.lang"].hankel(
+        return lang.hankel(
             lambda s: models.sequence_probability(g4, s), 3, 3, len(g4.alphabet))
 
     def probs(tabs):  # every table's probabilities, in lex order
-        return [list(tab.probs.values()) for tab in tabs.values()]
+        return [[p for _, p in tab.items()] for tab in tabs.values()]
+
+    market12 = list(tables().values())
+    csv = Path(files["kraus"]).with_name(f"market12_{id(mods)}.csv")
+
+    def write_tables():
+        lang.write_tables_csv(csv, market12, market.alphabet)
+
+    def csv_bytes():
+        write_tables()
+        return np.frombuffer(csv.read_bytes(), dtype=np.uint8)
+
+    def divergence():
+        return lang.divergence_avg(market12, market12)
 
     def fixed(info):
         return [info.rho, info.residual, info.multiplicity]
@@ -207,6 +225,8 @@ def cases(mods: dict, files: dict) -> dict:
         "tables_g4": (tables_g4, 1, probs(tables_g4())),
         "steady_state_g4": (steady, 1, fixed(steady())),
         "hankel_oracle_g4": (hankel_oracle, 1, hankel_oracle().values),
+        "write_tables_market12": (write_tables, 1, csv_bytes()),
+        "divergence_market12": (divergence, 1, divergence()),
     }
 
 

@@ -30,7 +30,7 @@ CPTP_TOL = 1e-9
 SAMPLE_CHUNK = 16384  # shots drawn and stepped together by sample_trajectories
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Kraus operators grouped per observable symbol: each group is one
     complex (k, N, N) stack, and an empty group is a (0, N, N) stack.
@@ -64,6 +64,15 @@ class KrausChannel:
 
     def __reduce__(self):  # pickled and deep-copied by its groups, rebuilt
         return KrausChannel, (self.dim, dict(self.groups))
+
+    def __eq__(self, other):  # one dim, the same symbols in order, equal stacks
+        if not isinstance(other, KrausChannel):
+            return NotImplemented
+        return (self.dim == other.dim and list(self.groups) == list(other.groups)
+                and all(map(np.array_equal, self.groups.values(), other.groups.values())))
+
+    def __hash__(self):  # equal channels share their dim, symbols and shapes
+        return hash((self.dim, *((a, k.shape) for a, k in self.groups.items())))
 
     def operators(self) -> np.ndarray:
         """All Kraus operators as one (K, N, N) stack in group order."""

@@ -178,17 +178,16 @@ def cmd_simulate(args):
         samples = models.simulate(model, args.t, args.shots, seed)
     alphabet = model.alphabet
     table = models.empirical_table(samples, args.t)
-    # the sorted distinct codes and the table's sorted keys both list the
-    # distinct rows in lex order, so a row's line sits at its code's index
-    codes = lang.lex_codes(samples, len(alphabet))
-    distinct = np.unique(codes)
+    # the table lists the distinct rows by their sorted codes, so a row's
+    # line sits at its code's index
+    codes = lang.lex_codes(samples, table.m)
     lines = np.array([render_sequence(s, alphabet) + "\n"
-                      for s in sorted(table.probs)], dtype=object)
+                      for s in table.rows().tolist()], dtype=object)
     with open(out / "sequences.csv", "w") as fh:
         fh.write("sequence\n")
         for start in range(0, len(codes), _WRITE_CHUNK):
             chunk = codes[start:start + _WRITE_CHUNK]
-            fh.write("".join(lines[np.searchsorted(distinct, chunk)].tolist()))
+            fh.write("".join(lines[np.searchsorted(table.codes, chunk)].tolist()))
     lang.write_tables_csv(out / "empirical.csv", [table], alphabet)
     print(f"wrote {len(samples)} sequences to {out}", file=sys.stderr)
     return 0

@@ -2,13 +2,17 @@
 divergence measures between stochastic process languages.
 
 Sequences are tuples of alphabet indices; rendering to/from strings uses the
-alphabet labels (single-character labels assumed for file round trips).
+alphabet labels (single-character labels assumed for file round trips). A
+distribution table holds no Python object per sequence: the sorted lex codes
+of its listed sequences and their float64 probabilities, so an exact table is
+the lex-ordered vector of ``forward_plan`` as it comes, clipped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Callable, Iterable
 
@@ -23,24 +27,71 @@ HANKEL_MAX_SIDE = 512
 TABLE_BUDGET = 4096  # most sequences in one exact distribution table
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Probabilities of all observed sequences of one fixed length."""
+    """Probabilities of the listed sequences of one length t over m symbols:
+    their sorted ``lex_codes`` and one float64 each. An exact table lists all
+    m**t sequences, a corpus, simulate or CSV table only those it read; an
+    unlisted sequence has probability 0."""
 
     t: int
-    probs: dict[Sequence, float] = field(default_factory=dict)
+    m: int
+    codes: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_items(cls, t: int, m: int, items) -> DistributionTable:
+        """The table of (sequence, probability) pairs of distinct sequences,
+        given in any order; a symbol outside 0..m-1 is refused."""
+        pairs = sorted((tuple(seq), p) for seq, p in items)
+        rows = np.array([seq for seq, _ in pairs], dtype=np.intp).reshape(len(pairs), t)
+        if rows.size and not 0 <= rows.min() <= rows.max() < m:
+            raise ValueError(f"a sequence has a symbol outside 0..{m - 1}")
+        return cls(t, m, lex_codes(rows, m), np.array([p for _, p in pairs], dtype=float))
+
+    def rows(self) -> np.ndarray:
+        """The listed sequences as a (len, t) array of symbols, in lex order."""
+        codes, rows = self.codes, np.empty((len(self), self.t), dtype=np.intp)
+        for j in reversed(range(self.t)):
+            codes, rows[:, j] = codes // self.m, codes % self.m
+        return rows
+
+    def coded(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The codes over m symbols and the probabilities of the listed
+        sequences whose symbols are all below m."""
+        if m == self.m:
+            return self.codes, self.values
+        rows = self.rows()
+        keep = (rows < m).all(axis=1)
+        return lex_codes(rows[keep], m), self.values[keep]
+
+    def vector(self, m: int) -> np.ndarray:
+        """Probabilities of all m**t sequences over m symbols in lex order."""
+        codes, values = self.coded(m)
+        out = np.zeros(m**self.t)
+        out[codes] = values
+        return out
 
     def prob(self, seq: Sequence) -> float:
-        return self.probs.get(tuple(seq), 0.0)
+        """0 for an unlisted sequence, one of another length or one with a
+        symbol outside 0..m-1."""
+        seq = tuple(seq)
+        if len(seq) != self.t or not all(a in range(self.m) for a in seq):
+            return 0.0
+        code = reduce(lambda c, a: c * self.m + int(a), seq, 0)
+        i = np.searchsorted(self.codes, code)
+        return float(self.values[i]) if code in self.codes[i:i + 1] else 0.0
 
     def total(self) -> float:
-        return math.fsum(self.probs.values())
+        return math.fsum(self.values.tolist())
 
     def items(self):
-        return self.probs.items()
+        """The (sequence, probability) pairs in lex order, each sequence's
+        tuple built as it is reached."""
+        return zip((tuple(row.tolist()) for row in self.rows()), self.values.tolist())
 
     def __len__(self):
-        return len(self.probs)
+        return len(self.values)
 
 
 @dataclass
@@ -90,24 +141,18 @@ def lex_codes(samples: np.ndarray, base: int) -> np.ndarray:
 
 def empirical_table(samples: np.ndarray, t: int) -> DistributionTable:
     """Empirical frequencies of the rows of a (n, t) array of symbol indices,
-    such as ``models.simulate``'s shots or a corpus's windows: counted by lex
-    code, with tuple keys built for the distinct rows only. Counts are exact
+    such as ``models.simulate``'s shots or a corpus's windows, counted by lex
+    code over one more symbol than the largest present. Counts are exact
     integers; no rows give an empty table."""
     base = int(samples.max()) + 1 if samples.size else 1
     codes, counts = np.unique(lex_codes(samples, base), return_counts=True)
-    rows = np.empty((len(codes), samples.shape[1]), dtype=samples.dtype)
-    for j in reversed(range(rows.shape[1])):
-        codes, rows[:, j] = codes // base, codes % base
-    n = len(samples)
-    return DistributionTable(t=t, probs={
-        s: c / n for s, c in zip(map(tuple, rows.tolist()), counts.tolist())})
+    return DistributionTable(t, base, codes, counts / len(samples))
 
 
 def table_items(tables: dict[int, DistributionTable]) -> list[tuple[Sequence, float]]:
     """The (sequence, probability) pairs listed in ``tables``, by length,
     then in lex order within a length: the target of an ansatz fit."""
-    return [(seq, tables[t].probs[seq])
-            for t in sorted(tables) for seq in sorted(tables[t].probs)]
+    return [pair for t in sorted(tables) for pair in tables[t].items()]
 
 
 def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
@@ -202,24 +247,18 @@ def check_table_budget(m: int, t: int) -> None:
 
 def exact_tables(ops, init, final, lengths) -> dict[int, DistributionTable]:
     """Exact tables for several lengths from one ``forward_probs`` pass over
-    one operator per symbol; rounding is clipped into [0, 1], and the empty
-    sequence has probability 1."""
+    one operator per symbol, each keeping its lex-ordered vector, clipped
+    into [0, 1] with the values of min(max(p, 0), 1), signed zeros and NaN
+    included; the empty sequence has probability 1."""
     lengths = sorted(set(int(t) for t in lengths))
     if not lengths:
         return {}
     m = len(ops)
     check_table_budget(m, max(lengths))
     vecs = forward_probs(ops, init, final, lengths)
-    tables = {
-        t: DistributionTable(t=t, probs={
-            s: min(max(p, 0.0), 1.0)
-            for s, p in zip(sequences_of_length(m, t), vec.tolist())
-        })
-        for t, vec in zip(lengths, vecs)
-    }
-    if 0 in tables:
-        tables[0] = DistributionTable(t=0, probs={(): 1.0})
-    return tables
+    return {t: DistributionTable(t, m, np.arange(m**t),
+                                 np.clip(vec, 0.0, 1.0) if t else np.ones(1))
+            for t, vec in zip(lengths, vecs)}
 
 
 def check_hankel_sides(m: int, max_prefix_len: int, max_suffix_len: int):
@@ -269,11 +308,6 @@ def hankel_blocks(levels, max_prefix_len: int, max_suffix_len: int,
                         enumerate_sequences(m, max_suffix_len), values)
 
 
-def table_vector(table: DistributionTable, m: int) -> np.ndarray:
-    """Probabilities of all m**t sequences in lex order, unlisted ones 0."""
-    return np.array([table.prob(s) for s in sequences_of_length(m, table.t)])
-
-
 def hankel_from_tables(tables: dict[int, DistributionTable],
                        max_prefix_len: int, max_suffix_len: int,
                        n_symbols: int) -> HankelMatrix:
@@ -282,8 +316,8 @@ def hankel_from_tables(tables: dict[int, DistributionTable],
     missing = [t for t in range(1, max_needed + 1) if t not in tables]
     if missing:
         raise ValueError(f"tables missing for lengths {missing}")
-    tables = {**tables, 0: DistributionTable(t=0, probs={(): 1.0})}
-    return hankel_blocks(lambda ls: [table_vector(tables[t], n_symbols) for t in ls],
+    return hankel_blocks(lambda ls: [tables[t].vector(n_symbols) if t else np.ones(1)
+                                     for t in ls],
                          max_prefix_len, max_suffix_len, n_symbols)
 
 
@@ -308,13 +342,17 @@ def delta(p_l: float, p_q: float) -> float:
 
 
 def divergence_max(d_l: DistributionTable, d_q: DistributionTable) -> float:
-    """Max over the union of supports; missing keys read as 0."""
+    """Max over the union of the listed sequences; an unlisted one reads 0."""
     if d_l.t != d_q.t:
         raise ValueError("tables must cover the same sequence length")
-    keys = set(d_l.probs) | set(d_q.probs)
-    if not keys:
-        return 0.0
-    return max(delta(d_l.prob(k), d_q.prob(k)) for k in keys)
+    m = max(d_l.m, d_q.m)
+    (codes_l, p_l), (codes_q, p_q) = d_l.coded(m), d_q.coded(m)
+    # each code's slot among both tables' sorted codes: one listed in both
+    # takes the same slot in both rows, and the slot after it reads 0 in both
+    probs = np.zeros((2, len(codes_l) + len(codes_q)))
+    probs[0, np.arange(len(codes_l)) + np.searchsorted(codes_q, codes_l)] = p_l
+    probs[1, np.arange(len(codes_q)) + np.searchsorted(codes_l, codes_q)] = p_q
+    return float(delta(*probs).max(initial=0.0))
 
 
 def divergence_avg(
@@ -329,12 +367,14 @@ def divergence_avg(
 
 
 def write_tables_csv(path, tables: Iterable[DistributionTable], alphabet) -> None:
-    """CSV lines `sequence,probability` grouped by length (lex within length)."""
+    """CSV lines `sequence,probability` grouped by length, each table's
+    listed sequences in lex order, probabilities rendered with %.12g."""
+    labels = np.array(list(alphabet), dtype=object)
     with open(path, "w") as fh:
         fh.write("sequence,probability\n")
         for table in tables:
-            for seq in sorted(table.probs):
-                fh.write(f"{render_sequence(seq, alphabet)},{table.probs[seq]:.12g}\n")
+            fh.writelines(f"{''.join(text)},{p:.12g}\n" for text, p in
+                          zip(labels[table.rows()].tolist(), table.values.tolist()))
 
 
 def read_tables_csv(path):
@@ -356,16 +396,16 @@ def read_tables_csv(path):
                 raise ValueError(f"probability {prob} of {text!r} is not in [0, 1]")
             rows.append((text, float(prob)))
     alphabet = sorted({ch for text, _ in rows for ch in text}) or ["0", "1"]
-    grouped: dict[int, dict[Sequence, float]] = {}
+    grouped: dict[int, list[tuple[Sequence, float]]] = {}
+    seen: set[str] = set()
     for text, prob in rows:
-        seq = parse_sequence(text, alphabet)
-        probs = grouped.setdefault(len(seq), {})
-        if seq in probs:
+        if text in seen:
             raise ValueError(f"sequence {text!r} is listed twice")
-        probs[seq] = prob
+        seen.add(text)
+        grouped.setdefault(len(text), []).append((parse_sequence(text, alphabet), prob))
     tables = {
-        t: DistributionTable(t=t, probs=probs)
-        for t, probs in sorted(grouped.items())
+        t: DistributionTable.from_items(t, len(alphabet), pairs)
+        for t, pairs in sorted(grouped.items())
         if t > 0
     }
     for t, table in tables.items():

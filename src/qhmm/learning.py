@@ -20,7 +20,7 @@ from . import circuits as qc
 from .channels import hermitian_coordinates, real_transfer_offsets
 from .circuits import Circuit, GateStack, compile_circuit
 from .lang import (DistributionTable, Sequence, check_table_budget, divergence_avg,
-                   forward_plan, table_vector)
+                   forward_plan)
 from .models import (QhmmKraus, QhmmUnitary, block_symbol_map,
                      distribution_tables, to_kraus)
 from .optimize import OPTIMIZER_LABELS, ObjectiveSpec, get_optimizer
@@ -415,7 +415,7 @@ def target_levels(target: list[DistributionTable], m: int) -> TargetLevels:
     ``lang.TABLE_BUDGET`` is refused."""
     targets = _sorted_target(target)
     check_table_budget(m, targets[-1].t)
-    vectors = [table_vector(tab, m) for tab in targets]
+    vectors = [tab.vector(m) for tab in targets]
     return TargetLevels(m, [tab.t for tab in targets], np.concatenate(vectors),
                         np.cumsum([0] + [len(v) for v in vectors[:-1]]))
 

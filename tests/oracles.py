@@ -4,19 +4,23 @@ Random states, unitaries and channels to test the library on, and
 independent oracles for what it computes fast: partial traces, Hermitian
 eigendecompositions, the Choi matrix and Kraus rank, the sum K (x) conj(K)
 transfer matrices on row-major vec(rho), the Hermitian basis as the
-columns vec(B_c), per-symbol probabilities, per-tuple empirical counts,
-the forward recursion run on a laid-out step, KL and total-variation
+columns vec(B_c), per-symbol probabilities, the distribution table as one
+dict entry per sequence with its exact tables, CSV reader and writer,
+divergences and fitness, per-tuple empirical counts, the forward
+recursion run on a laid-out step, KL and total-variation
 distances, and the amplitude-damping channel in Kraus form. Each is grouped under the library module it checks.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from qhmm.channels import KrausChannel, apply_symbol
-from qhmm.lang import DistributionTable, Sequence, forward_plan
+from qhmm.lang import (DistributionTable, Sequence, forward_plan, forward_probs,
+                       parse_sequence, render_sequence, sequences_of_length)
 from qhmm.linalg import RANK_REL_TOL, as_matrix, check_density, dagger, numerical_rank
 
 
@@ -163,7 +167,92 @@ def random_channel(
 # distribution tables and the forward recursion (qhmm.lang)
 
 
-def empirical_estimate(windows: list[Sequence], t: int) -> DistributionTable:
+@dataclass
+class DictTable:
+    """A distribution table as one dict entry per listed sequence: the
+    reference that ``lang.DistributionTable``'s arrays are checked against."""
+
+    t: int
+    probs: dict[Sequence, float] = field(default_factory=dict)
+
+    def prob(self, seq: Sequence) -> float:
+        return self.probs.get(tuple(seq), 0.0)
+
+    def total(self) -> float:
+        return math.fsum(self.probs.values())
+
+    def items(self):
+        return self.probs.items()
+
+    def __len__(self):
+        return len(self.probs)
+
+
+def table(t: int, m: int, probs: dict[Sequence, float]) -> DistributionTable:
+    """The library table listing ``probs``'s (sequence, probability) pairs."""
+    return DistributionTable.from_items(t, m, probs.items())
+
+
+def dict_exact_tables(ops, init, final, lengths) -> dict[int, DictTable]:
+    """``lang.exact_tables`` one dict entry per sequence, each clipped by
+    min(max(p, 0), 1)."""
+    lengths = sorted(set(lengths))
+    m = len(ops)
+    tables = {t: DictTable(t, {s: min(max(p, 0.0), 1.0) for s, p in
+                               zip(sequences_of_length(m, t), vec.tolist())})
+              for t, vec in zip(lengths, forward_probs(ops, init, final, lengths))}
+    if 0 in tables:
+        tables[0] = DictTable(0, {(): 1.0})
+    return tables
+
+
+def dict_read_tables_csv(path) -> dict[int, DictTable]:
+    """The tables of a ``sequence,probability`` file, in file order within a
+    length, over the alphabet of the symbols present, sorted."""
+    with open(path) as fh:
+        rows = [line.strip().rpartition(",")[::2] for line in fh
+                if line.strip() and not line.lower().startswith("sequence,")]
+    alphabet = sorted({ch for text, _ in rows for ch in text})
+    tables: dict[int, DictTable] = {}
+    for text, prob in rows:
+        seq = parse_sequence(text, alphabet)
+        tables.setdefault(len(seq), DictTable(len(seq))).probs[seq] = float(prob)
+    return tables
+
+
+def dict_divergence_max(d_l, d_q) -> float:
+    """Max over the union of supports of |pL - pQ|, one sequence at a time."""
+    keys = {s for s, _ in d_l.items()} | {s for s, _ in d_q.items()}
+    return max((abs(d_l.prob(k) - d_q.prob(k)) for k in keys), default=0.0)
+
+
+def dict_divergence_avg(target, hyp) -> float:
+    return math.fsum(dict_divergence_max(a, b) for a, b in zip(target, hyp)) / len(target)
+
+
+def dict_write_tables_csv(path, tables, alphabet) -> None:
+    """``sequence,probability`` lines, each table's sequences sorted."""
+    with open(path, "w") as fh:
+        fh.write("sequence,probability\n")
+        for tab in tables:
+            for seq in sorted(tab.probs):
+                fh.write(f"{render_sequence(seq, alphabet)},{tab.probs[seq]:.12g}\n")
+
+
+def fitness_reference(hyp, target, c_q: float = 0.01, c_e: float = 0.01) -> float:
+    """``learning.fitness_reference`` on ``DictTable``s: the hypothesis's
+    exact tables against the target tables, one sequence at a time."""
+    from qhmm.learning import complexity
+    from qhmm.models import forward_operators
+
+    targets = sorted(target, key=lambda tab: tab.t)
+    hyp_tables = dict_exact_tables(*forward_operators(hyp.model(hyp.circuit.parameters())),
+                                   [tab.t for tab in targets])
+    div = dict_divergence_avg(targets, [hyp_tables[tab.t] for tab in targets])
+    return -(div + complexity(hyp, c_q, c_e))
+
+
+def empirical_estimate(windows: list[Sequence], t: int) -> DictTable:
     """Empirical frequencies of the windows; counts are exact integers. Kept
     as the per-tuple test oracle of ``empirical_table``."""
     if not windows:
@@ -174,7 +263,7 @@ def empirical_estimate(windows: list[Sequence], t: int) -> DistributionTable:
             raise ValueError(f"window {w} does not have length {t}")
         counts[w] = counts.get(w, 0) + 1
     n = len(windows)
-    return DistributionTable(t=t, probs={s: c / n for s, c in counts.items()})
+    return DictTable(t=t, probs={s: c / n for s, c in counts.items()})
 
 
 def forward_levels(step, init, final, lengths) -> list[np.ndarray]:
@@ -183,9 +272,7 @@ def forward_levels(step, init, final, lengths) -> list[np.ndarray]:
     return forward_plan(step.shape[-1] // (d + 1), init, final, lengths)(step)
 
 
-def kl_divergence(
-    d_l: DistributionTable, d_q: DistributionTable, epsilon: float = 1e-12
-) -> float:
+def kl_divergence(d_l, d_q, epsilon: float = 1e-12) -> float:
     """Relative entropy sum p log(p/q), hypothesis probabilities floored at
     epsilon so zero-support sequences stay finite."""
     if epsilon <= 0:
@@ -199,8 +286,8 @@ def kl_divergence(
     return max(acc, 0.0)
 
 
-def total_variation(d_l: DistributionTable, d_q: DistributionTable) -> float:
-    keys = set(d_l.probs) | set(d_q.probs)
+def total_variation(d_l, d_q) -> float:
+    keys = {s for s, _ in d_l.items()} | {s for s, _ in d_q.items()}
     return math.fsum(abs(d_l.prob(k) - d_q.prob(k)) for k in keys)
 
 

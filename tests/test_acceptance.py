@@ -71,7 +71,7 @@ def test_criterion_2_quantization_equivalence():
             dc = classical.distribution(h, t)
             dq = models.distribution(q, t)
             worst = max(worst, max(abs(dc.prob(s) - dq.prob(s))
-                                   for s in dc.probs))
+                                   for s, _ in dc.items()))
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-10 and elapsed < 10.0
     _report("2 quantization equivalence (len<=5, 1e-10)", passed,

@@ -509,6 +509,31 @@ def test_channel_is_independent_of_the_callers_arrays():
         assert ch.apply_symbol(back, rho, "0").tobytes() == before.tobytes()
 
 
+def test_channels_compare_and_hash_by_value():
+    # comparing two channels used to raise ValueError (an array's truth
+    # value) and hashing one TypeError (the mappingproxy)
+    a, b = models.monras_qhmm().channel, models.monras_qhmm().channel
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len({a, b, copy.deepcopy(a)}) == 1
+    assert a != "channel" and a != a.groups
+    ops = dict(a.groups)
+    nudged = ops["1"].copy()
+    nudged[0, 0, 0] += 1e-12
+    renamed = {("x" if s == "1" else s): k for s, k in ops.items()}
+    reordered = dict(reversed(list(ops.items())))
+    for other in ({**ops, "1": nudged}, renamed, reordered):
+        assert a != KrausChannel(2, other)
+    # empty groups: equal when both are empty, unequal beside an operator
+    empty = KrausChannel(2, {"0": np.eye(2)[None], "1": []})
+    assert empty == KrausChannel(2, {"0": [np.eye(2)], "1": np.zeros((0, 2, 2))})
+    assert hash(empty) == hash(KrausChannel(2, {"0": np.eye(2)[None], "1": []}))
+    assert empty != KrausChannel(2, {"0": np.eye(2)[None], "1": np.zeros((1, 2, 2))})
+    # the dimension: identities of 2 and 4, and empty channels of each
+    assert identity_channel(2) != identity_channel(4)
+    assert KrausChannel(2, {"0": []}) != KrausChannel(4, {"0": []})
+    assert KrausChannel(2, {"0": []}) == KrausChannel(2, {"0": []})
+
+
 def test_sampler_builds_each_outcomes_layout_once(monkeypatch):
     # one layout per outcome taken and call, however many steps the call
     # takes

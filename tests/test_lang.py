@@ -3,10 +3,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qhmm import classical, models
+from qhmm import classical, lang, models
 from qhmm.cli import _model_operators
 from qhmm.lang import (
     DistributionTable,
@@ -24,15 +24,21 @@ from qhmm.lang import (
     read_tables_csv,
     render_sequence,
     sequences_of_length,
-    table_vector,
     tables_from_corpus,
     write_tables_csv,
 )
 
 from oracles import (
+    DictTable,
+    dict_divergence_avg,
+    dict_divergence_max,
+    dict_exact_tables,
+    dict_read_tables_csv,
+    dict_write_tables_csv,
     empirical_estimate,
     forward_levels,
     kl_divergence,
+    table,
     random_channel,
     random_density,
     total_variation,
@@ -55,7 +61,7 @@ def test_enumerate_sequences_ordering():
 
 def test_tables_from_corpus_windows():
     tables = tables_from_corpus([(0, 1, 0, 1)], 2)
-    assert tables[2].probs == {(0, 1): 2 / 3, (1, 0): 1 / 3}
+    assert list(tables[2].items()) == [((0, 1), 2 / 3), ((1, 0), 1 / 3)]
 
 
 def test_tables_from_corpus_too_long():
@@ -64,7 +70,8 @@ def test_tables_from_corpus_too_long():
 
 def test_tables_from_corpus_identity():
     corpus = [(0, 1), (1, 1), (0, 0)]
-    assert tables_from_corpus(corpus, 2)[2].probs == dict.fromkeys(corpus, 1 / 3)
+    assert list(tables_from_corpus(corpus, 2)[2].items()) == [
+        (s, 1 / 3) for s in sorted(corpus)]
 
 
 def test_empirical_estimate_uniform():
@@ -87,9 +94,9 @@ def test_empirical_estimate_empty():
 def test_empirical_estimate_converges(market):
     n = 20000
     seqs = classical.sample(market, 3, n, seed=8)
-    table = empirical_estimate(seqs, 3)
+    estimate = empirical_estimate(seqs, 3)
     exact = classical.distribution(market, 3)
-    assert divergence_max(exact, table) < 3 * 0.5 / math.sqrt(n)
+    assert divergence_max(exact, table(3, 2, estimate.probs)) < 3 * 0.5 / math.sqrt(n)
 
 
 def test_forward_probs_order_and_empty_length(market):
@@ -122,10 +129,10 @@ def test_exact_tables_stay_in_unit_interval(seed, market):
                                               lengths),
                    models.distribution_tables(models.quantize_classical(market),
                                               lengths)):
-        assert tables[0].probs == {(): 1.0}
+        assert list(tables[0].items()) == [((), 1.0)]
         assert all(0.0 <= p <= 1.0 for tab in tables.values()
-                   for p in tab.probs.values())
-    assert classical.distribution(one, 0).probs == {(): 1.0}
+                   for _, p in tab.items())
+    assert list(classical.distribution(one, 0).items()) == [((), 1.0)]
 
 
 @pytest.mark.parametrize("lengths", [[2, 0, 2, 1], [3, 3], [0, 0], [1, 3, 0, 2, 1]])
@@ -314,9 +321,12 @@ def test_hankel_blocks_budget_checked_before_levels():
 
 
 def test_table_vector_lex_order_and_unlisted_zero():
-    tab = DistributionTable(t=2, probs={(0, 1): 0.25, (1, 0): 0.75})
-    assert table_vector(tab, 2).tolist() == [0.0, 0.25, 0.75, 0.0]
-    assert table_vector(DistributionTable(t=0, probs={(): 1.0}), 3).tolist() == [1.0]
+    tab = table(2, 2, {(1, 0): 0.75, (0, 1): 0.25})
+    assert tab.vector(2).tolist() == [0.0, 0.25, 0.75, 0.0]
+    assert table(0, 1, {(): 1.0}).vector(3).tolist() == [1.0]
+    # over another alphabet size: recoded, a symbol past it dropped
+    assert tab.vector(3).tolist() == [0, 0.25, 0, 0.75, 0, 0, 0, 0, 0]
+    assert table(1, 3, {(0,): 0.5, (2,): 0.5}).vector(2).tolist() == [0.5, 0.0]
 
 
 def test_hankel_from_tables_matches_direct(market):
@@ -363,20 +373,20 @@ def test_divergence_max_identical(market):
 
 
 def test_divergence_max_point_masses():
-    a = DistributionTable(t=1, probs={(0,): 1.0})
-    b = DistributionTable(t=1, probs={(1,): 1.0})
+    a = table(1, 2, {(0,): 1.0})
+    b = table(1, 2, {(1,): 1.0})
     assert divergence_max(a, b) == 1.0
 
 
 def test_divergence_max_missing_keys_read_zero():
-    a = DistributionTable(t=1, probs={(0,): 0.3, (1,): 0.7})
-    b = DistributionTable(t=1, probs={(0,): 0.3})
+    a = table(1, 2, {(0,): 0.3, (1,): 0.7})
+    b = table(1, 2, {(0,): 0.3})
     assert abs(divergence_max(a, b) - 0.7) < 1e-15
 
 
 def test_divergence_max_length_mismatch():
-    a = DistributionTable(t=1, probs={(0,): 1.0})
-    b = DistributionTable(t=2, probs={(0, 0): 1.0})
+    a = table(1, 2, {(0,): 1.0})
+    b = table(2, 2, {(0, 0): 1.0})
     with pytest.raises(ValueError):
         divergence_max(a, b)
 
@@ -387,11 +397,9 @@ def test_divergence_avg_identical(market):
 
 
 def test_divergence_avg_single_length_offset():
-    base = [DistributionTable(t=t, probs={(0,) * t: 1.0}) for t in range(1, 6)]
-    other = [DistributionTable(t=t, probs=dict(tab.probs)) for t, tab in
-             zip(range(1, 6), base)]
-    other[2].probs[(0, 0, 0)] = 0.9
-    other[2].probs[(1, 1, 1)] = 0.1
+    base = [table(t, 2, {(0,) * t: 1.0}) for t in range(1, 6)]
+    other = list(base)
+    other[2] = table(3, 2, {(0, 0, 0): 0.9, (1, 1, 1): 0.1})
     assert abs(divergence_avg(base, other) - 0.1 / 5) < 1e-15
 
 
@@ -401,8 +409,8 @@ def test_kl_identical_zero(market):
 
 
 def test_kl_closed_form():
-    p = DistributionTable(t=1, probs={(0,): 1.0, (1,): 0.0})
-    q = DistributionTable(t=1, probs={(0,): 0.5, (1,): 0.5})
+    p = table(1, 2, {(0,): 1.0, (1,): 0.0})
+    q = table(1, 2, {(0,): 0.5, (1,): 0.5})
     assert abs(kl_divergence(p, q) - math.log(2)) < 1e-12
 
 
@@ -412,8 +420,8 @@ def test_kl_pinsker_inequality(n_cells, seed):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(n_cells))
     q = rng.dirichlet(np.ones(n_cells))
-    dp = DistributionTable(t=1, probs={(i,): float(p[i]) for i in range(n_cells)})
-    dq = DistributionTable(t=1, probs={(i,): float(q[i]) for i in range(n_cells)})
+    dp = table(1, n_cells, {(i,): float(p[i]) for i in range(n_cells)})
+    dq = table(1, n_cells, {(i,): float(q[i]) for i in range(n_cells)})
     kl = kl_divergence(dp, dq)
     tv = total_variation(dp, dq)
     assert kl >= 0.5 * tv**2 - 1e-12
@@ -424,8 +432,8 @@ def test_empirical_error_scales_with_sample_size(market):
     exact = classical.distribution(market, 3)
     small = empirical_estimate(classical.sample(market, 3, 500, seed=1), 3)
     large = empirical_estimate(classical.sample(market, 3, 50000, seed=2), 3)
-    err_small = divergence_max(exact, small)
-    err_large = divergence_max(exact, large)
+    err_small = divergence_max(exact, table(3, 2, small.probs))
+    err_large = divergence_max(exact, table(3, 2, large.probs))
     assert err_large < 3 * 0.5 / math.sqrt(50000)
     assert err_large < err_small  # logged trend; holds comfortably here
 
@@ -487,11 +495,129 @@ def test_corpus_reading(tmp_path):
                 assert t not in tables
                 continue
             assert tables[t].t == t
-            assert tables[t].probs == empirical_estimate(windows, t).probs
-            assert {type(a) for seq in tables[t].probs for a in seq} == {int}
+            assert list(tables[t].items()) == sorted(empirical_estimate(windows, t).items())
+            assert {type(a) for seq, _ in tables[t].items() for a in seq} == {int}
     assert tables_from_corpus([], 3) == {} and tables_from_corpus(corpus, 0) == {}
 
 
 def test_sequences_of_length():
     assert sequences_of_length(3, 1) == [(0,), (1,), (2,)]
     assert len(sequences_of_length(2, 5)) == 32
+
+
+# the array tables against the dict oracle: exact tables of random classical
+# and quantized models, counts of random sample arrays and CSV round trips
+
+
+def _bits(values) -> bytes:
+    return np.array(list(values), dtype=float).tobytes()
+
+
+def _same_as_oracle(got, want: DictTable, m: int, path) -> None:
+    """``got`` equals the dict table on t, len, total, every listed and one
+    unlisted prob, items in lex order, bit for bit, and the CSV bytes."""
+    pairs = sorted(want.items())
+    assert got.t == want.t and len(got) == len(want)
+    assert got.total() == want.total()
+    assert [s for s, _ in got.items()] == [s for s, _ in pairs]
+    assert _bits(p for _, p in got.items()) == _bits(p for _, p in pairs)
+    assert _bits(got.prob(s) for s, _ in pairs) == _bits(p for _, p in pairs)
+    assert got.prob((0,) * (got.t + 1)) == 0.0
+    if got.t:
+        assert got.prob((m,) * got.t) == 0.0
+    alphabet = [chr(ord("a") + a) for a in range(m)]
+    write_tables_csv(path, [got], alphabet)
+    dict_write_tables_csv(path.with_suffix(".want"), [want], alphabet)
+    assert path.read_bytes() == path.with_suffix(".want").read_bytes()
+
+
+def _random_hmm(rng, n: int, m: int) -> classical.ClassicalHmm:
+    a, b, x0 = rng.random((n, n)) + 0.05, rng.random((m, n)) + 0.05, rng.random(n)
+    return classical.ClassicalHmm(alphabet=[str(i) for i in range(m)],
+                                  A=a / a.sum(axis=0), B=b / b.sum(axis=0),
+                                  x0=x0 / x0.sum())
+
+
+@seed(34)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.integers(0, 5), min_size=1, max_size=4), st.booleans(),
+       st.integers(1, 200))
+def test_tables_equal_the_dict_oracle(tmp_path_factory, seed_, n, m, lengths,
+                                      quantized, shots):
+    rng = np.random.default_rng(seed_)
+    lengths = [t for t in lengths if m**t <= 1024] or [1]
+    h = _random_hmm(rng, n, m)
+    model = models.quantize_classical(h) if quantized else h
+    ops = _model_operators(model)
+    path = tmp_path_factory.mktemp("tables") / "got.csv"
+    got, want = lang.exact_tables(*ops, lengths), dict_exact_tables(*ops, lengths)
+    assert list(got) == list(want)
+    for t in got:
+        _same_as_oracle(got[t], want[t], m, path)
+    # counts of a sample array, whose base is its largest symbol plus one,
+    # and divergences against the exact tables over m symbols
+    t = max(lengths)
+    rows = rng.integers(0, m, size=(shots, t))
+    emp = lang.empirical_table(rows, t)
+    emp_want = empirical_estimate([tuple(r) for r in rows.tolist()], t)
+    _same_as_oracle(emp, emp_want, m, path)
+    assert divergence_max(got[t], emp) == dict_divergence_max(want[t], emp_want)
+    assert divergence_max(emp, got[t]) == dict_divergence_max(emp_want, want[t])
+    ops = _model_operators(_random_hmm(rng, n, m))
+    other, other_want = lang.exact_tables(*ops, lengths), dict_exact_tables(*ops, lengths)
+    assert divergence_avg(list(got.values()), list(other.values())) == (
+        dict_divergence_avg(list(want.values()), list(other_want.values())))
+    # a CSV round trip of sparse tables, in file order, read back in lex order
+    sparse = {}
+    for t in sorted({t for t in lengths if t > 0}):
+        listed = rng.permutation(m**t)[:int(rng.integers(1, min(m**t, 9) + 1))]
+        probs = rng.dirichlet(np.ones(len(listed)))
+        sparse[t] = DictTable(t, {tuple(int(c) // m**j % m for j in reversed(range(t))): p
+                                  for c, p in zip(listed.tolist(), probs.tolist())})
+    if sparse:
+        dict_write_tables_csv(path, sparse.values(), [str(a) for a in range(m)])
+        # the file's alphabet is its symbols present, so read both over it
+        symbols, back = read_tables_csv(path)
+        want_back = dict_read_tables_csv(path)
+        assert list(back) == list(want_back) == list(sparse)
+        for t in back:
+            _same_as_oracle(back[t], want_back[t], len(symbols), path)
+
+
+def test_exact_tables_clip_as_min_max_does():
+    # NaN and values just outside [0, 1] keep the bits that min(max(p, 0), 1)
+    # gives them
+    ops = np.array([[[-0.0]], [[np.nan]], [[-1e-17]], [[1.5]], [[0.25]]])
+    got = lang.exact_tables(ops, np.ones(1), np.ones(1), [1, 2])
+    want = dict_exact_tables(ops, np.ones(1), np.ones(1), [1, 2])
+    for t in (1, 2):
+        assert _bits(p for _, p in got[t].items()) == _bits(p for _, p in want[t].items())
+    assert np.isnan(got[1].values[1]) and got[1].values[[2, 3]].tolist() == [0.0, 1.0]
+
+
+def test_corpus_table_of_long_sequences_lists_only_its_rows(tmp_path):
+    # m = 4, t = 40: 4**40 sequences, of which the table holds the distinct
+    # rows alone, as Python-int codes
+    rng = np.random.default_rng(40)
+    rows = rng.integers(0, 4, size=(5, 40))
+    rows[3] = rows[0]
+    corpus = [tuple(r) for r in rows.tolist()]
+    tab = tables_from_corpus(corpus, 40)[40]
+    want = empirical_estimate(corpus, 40)
+    assert len(tab) == len(tab.codes) == len(tab.values) == 4 == len(set(corpus))
+    assert tab.codes.dtype == object and tab.m == 4
+    _same_as_oracle(tab, want, 4, tmp_path / "long.csv")
+    assert divergence_max(tab, tab) == 0.0
+    assert divergence_max(tab, lang.empirical_table(rows[:1], 40)) == (
+        dict_divergence_max(want, empirical_estimate(corpus[:1], 40)))
+
+
+def test_foreign_symbols_and_repeated_rows_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="outside 0..1"):
+        DistributionTable.from_items(1, 2, [((2,), 1.0)])
+    # the reader names a repeated row by its text
+    path = tmp_path / "repeat.csv"
+    path.write_text("sequence,probability\n0,0.5\n01,0.5\n1,0.5\n01,0.5\n")
+    with pytest.raises(ValueError, match="sequence '01' is listed twice"):
+        read_tables_csv(path)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qhmm import circuits as qc
 from qhmm import classical
 from qhmm.circuits import Circuit, GateSpec, real_amplitudes
-from qhmm.lang import DistributionTable
 from qhmm.models import distribution_tables
 from qhmm.learning import (
     AdaptiveDistribution,
@@ -38,6 +37,9 @@ from qhmm.learning import (
     train_ansatz,
     train_ansatz_restarts,
 )
+
+import oracles
+from oracles import table
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +134,7 @@ def test_learners_refuse_targets_past_the_table_budget(market_target):
     hyp = Hypothesis(circuit=real_amplitudes(2, 1, "linear").with_parameters(
         [0.3, 1.1]), dim_s=2, dim_e=2, symbol_map=("0", "1"))
     seq = (0, 1) * 6 + (0,)
-    long = DistributionTable(t=13, probs={seq: 1.0})
+    long = table(13, 2, {seq: 1.0})
     with pytest.raises(ValueError, match=r"2\^13 exceeds the supported budget"):
         FitnessEngine(hyp, market_target + [long])
     with pytest.raises(ValueError, match=r"2\^13 exceeds the supported budget"):
@@ -159,10 +161,10 @@ def test_alphabet_keeps_caller_order():
     space = LearnSpace(alphabet=["b", "a"])
     hyp = Hypothesis(circuit=Circuit(2), dim_s=2, dim_e=2,
                      symbol_map=space.symbol_map)
-    always_b = [DistributionTable(t=1, probs={(0,): 1.0}),
-                DistributionTable(t=2, probs={(0, 0): 1.0})]
+    always_b = [table(1, 2, {(0,): 1.0}), table(2, 2, {(0, 0): 1.0})]
     assert fitness(hyp, always_b, c_q=0.0, c_e=0.0) == 0.0
     assert fitness_reference(hyp, always_b, c_q=0.0, c_e=0.0) == 0.0
+    assert oracles.fitness_reference(hyp, always_b, c_q=0.0, c_e=0.0) == 0.0
     assert hyp.model([]).alphabet == ["b", "a"]
 
 
@@ -212,6 +214,8 @@ def test_engine_matches_reference_path(seed):
     f_fast = fitness(hyp, target, 0.01, 0.02)
     f_ref = fitness_reference(hyp, target, 0.01, 0.02)
     assert abs(f_fast - f_ref) < 1e-12
+    # and against dict tables compared one sequence at a time
+    assert f_ref == oracles.fitness_reference(hyp, target, 0.01, 0.02)
 
 
 def test_optimize_parameters_never_decreases(space, market_target, rng):
@@ -621,7 +625,7 @@ def test_train_ansatz_zero_parameter_template():
 def test_train_ansatz_trace_nonincreasing(market_target):
     h = classical.market_model()
     items = [(s, market_target[0].prob(s)) for s in [(0,), (1,)]]
-    items += [(s, market_target[1].prob(s)) for s in market_target[1].probs]
+    items += market_target[1].items()
     spec = AnsatzSpec(circuit=real_amplitudes(2, 1, "linear"),
                       dim_s=2, dim_e=2, symbol_map=("0", "1"))
     res = train_ansatz(spec, items, "nm", budget=300,
@@ -631,7 +635,7 @@ def test_train_ansatz_trace_nonincreasing(market_target):
 
 
 def test_train_ansatz_restart_improves(market_target):
-    items = [(s, market_target[1].prob(s)) for s in market_target[1].probs]
+    items = list(market_target[1].items())
     spec = AnsatzSpec(circuit=real_amplitudes(2, 1, "linear"),
                       dim_s=2, dim_e=2, symbol_map=("0", "1"))
     one = train_ansatz(spec, items, "nm", budget=150,
@@ -678,7 +682,7 @@ def test_train_ansatz_cost_matches_object_path(market_target):
 
     items = [(s, market_target[2].prob(s)) for s in [(1, 0, 1), (0, 0, 0)]]
     items += [((1,), market_target[0].prob((1,)))]
-    items += [(s, market_target[1].prob(s)) for s in market_target[1].probs]
+    items += market_target[1].items()
     spec = AnsatzSpec(circuit=real_amplitudes(2, 1, "linear"),
                       dim_s=2, dim_e=2, symbol_map=("0", "1"))
     # a short budget keeps the fit far from the target
@@ -718,7 +722,7 @@ def test_batch_rows_equal_points_alone(seed, dim_e, n_gates):
     symbol_map = block_symbol_map(model.alphabet, dim_e)
     lengths = [0, 1, 2, 3]
     tables = [classical.distribution(model, t) for t in lengths]
-    items = [(s, tab.prob(s)) for tab in tables[1:] for s in sorted(tab.probs)]
+    items = [pair for tab in tables[1:] for pair in tab.items()]
     engine = ChannelEngine(template, 2, dim_e, symbol_map, initial_state(
         "maximally_mixed", 2))
     fit = FitnessEngine(Hypothesis(template, 2, dim_e, symbol_map),
@@ -785,7 +789,7 @@ def test_line_equals_points_along_each_angle(seed, gate, dim_e, top):
     symbol_map = block_symbol_map(model.alphabet, dim_e)
     lengths = list(range(top + 1))
     tables = [classical.distribution(model, t) for t in lengths]
-    items = [(s, tab.prob(s)) for tab in tables[1:] for s in sorted(tab.probs)]
+    items = [pair for tab in tables[1:] for pair in tab.items()]
     hyp = Hypothesis(circuit, 2, dim_e, symbol_map)
     engine = hyp.engine()
     fit = FitnessEngine(hyp, tables, 0.01, 0.01).objective()
@@ -965,7 +969,7 @@ def test_real_step_rows_equal_their_points(dim_s):
 
 
 def _market_items(market_target):
-    return [(s, tab.prob(s)) for tab in market_target for s in sorted(tab.probs)]
+    return [pair for tab in market_target for pair in tab.items()]
 
 
 @pytest.mark.parametrize("label", ["nm", "bfsg", "cbla"])
