@@ -44,6 +44,9 @@ round (``ratio``, 1 for the parent):
   ``models.sequence_probability`` of the quantized gaussian4 model with
   prefixes and suffixes up to length 3, per call: the oracle Hankel matrix
   of the benchmark's language workload;
+- ``hankel_blocks_g4``: one ``lang.hankel_blocks`` over ``lang.forward_probs``
+  of the quantized gaussian4 model with prefixes and suffixes up to length
+  4, per call: the production Hankel matrix of ``qhmm hankel --model``;
 - ``write_tables_market12``: one ``lang.write_tables_csv`` of the quantized
   market tables of lengths 1-12 into a temporary file, per call; its value
   is the file's bytes;
@@ -181,6 +184,12 @@ def cases(mods: dict, files: dict) -> dict:
         return lang.hankel(
             lambda s: models.sequence_probability(g4, s), 3, 3, len(g4.alphabet))
 
+    g4_operators = models.forward_operators(g4)
+
+    def hankel_g4():
+        return lang.hankel_blocks(lambda ls: lang.forward_probs(*g4_operators, ls),
+                                  4, 4, len(g4.alphabet))
+
     def probs(tabs):  # every table's probabilities, in lex order
         return [[p for _, p in tab.items()] for tab in tabs.values()]
 
@@ -225,6 +234,7 @@ def cases(mods: dict, files: dict) -> dict:
         "tables_g4": (tables_g4, 1, probs(tables_g4())),
         "steady_state_g4": (steady, 1, fixed(steady())),
         "hankel_oracle_g4": (hankel_oracle, 1, hankel_oracle().values),
+        "hankel_blocks_g4": (hankel_g4, 1, hankel_g4().values),
         "write_tables_market12": (write_tables, 1, csv_bytes()),
         "divergence_market12": (divergence, 1, divergence()),
     }

@@ -17,13 +17,13 @@ from .lang import (
     Sequence,
     exact_tables,
 )
-from .linalg import check_json
+from .linalg import FieldsEqual, check_json
 
 STOCHASTIC_TOL = 1e-10
 
 
-@dataclass
-class ClassicalHmm:
+@dataclass(eq=False)
+class ClassicalHmm(FieldsEqual):
     alphabet: list[str]
     A: np.ndarray  # (n, n) column-stochastic transition
     B: np.ndarray  # (m, n) emission, columns sum to 1

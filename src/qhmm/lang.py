@@ -158,7 +158,7 @@ def table_items(tables: dict[int, DistributionTable]) -> list[tuple[Sequence, fl
 def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     """Lex-ordered probability vectors of an observable-operator model.
 
-    ``ops`` stacks one (D, D) operator per symbol; the probability of
+    ``ops`` stacks one real (D, D) operator per symbol; the probability of
     a_1 ... a_t is final . ops[a_t] ... ops[a_1] init. Classical models pass
     their observable operators, x0 and a vector of ones; quantum models pass
     their real per-symbol transfer matrices on Hermitian coordinates
@@ -172,47 +172,42 @@ def forward_probs(ops, init, final, lengths) -> list[np.ndarray]:
     """
     ops = np.asarray(ops)
     m, d = ops.shape[-3], ops.shape[-1]
-    # step[..., j, a, i] = ops[..., a, i, j], then effect a at i = D
-    step = ops.swapaxes(-1, -2).swapaxes(-2, -3)
-    effects = np.asarray(final) @ ops  # (..., m, D)
-    step = np.concatenate([step, effects.swapaxes(-1, -2)[..., None]], axis=-1)
+    # each symbol's operator rows, then its effect row final . ops[a], and
+    # step[..., j, a*(D + 1) + i] = rows[..., a, i, j]
+    rows = np.concatenate([ops, (np.asarray(final) @ ops)[..., None, :]], axis=-2)
     return forward_plan(m, init, final, lengths)(
-        step.reshape(step.shape[:-2] + (m * (d + 1),)))
+        np.moveaxis(rows, -1, -3).reshape(ops.shape[:-3] + (d, m * (d + 1))))
 
 
 def forward_plan(m: int, init, final, lengths) -> Callable:
     """The recursion behind ``forward_probs``, bound once for m symbols, the
     (D,) ``init`` and ``final`` and the ``lengths``: a function of the
     operators of the m symbols and their effects laid out as one augmented
-    (..., D, m*(D + 1)) step, symbol a's D operator columns,
+    (..., D, m*(D + 1)) float64 step, symbol a's D operator columns,
     step[..., j, a*(D + 1) + i] = ops[a][i, j], then its effect column,
     step[..., j, a*(D + 1) + D] = (final . ops[a])[j], that returns one
     lex-ordered probability vector per entry of ``lengths``, in order.
 
-    One matmul of a level's states against the augmented step gives, read as
-    (m**t, D + 1) rows, the next level's states and that level's
-    probabilities, every symbol at once, both as views of the product: no
-    operator chain is re-multiplied and no level is copied. The last level
-    takes the effect columns alone, and its states are never expanded.
+    One matmul per level t of the level below's states against the step
+    gives, read as (m**t, D + 1) rows, its probabilities in column D and its
+    states in columns :D, every symbol at once, both as views of the
+    product: no operator chain is re-multiplied, no level is copied, and a
+    length gets the same products, so the same bits, whatever else is asked.
     ``lengths`` is any iterable of lengths, in any order and with repeats
     allowed, copied when the plan is built. The plan holds every level's
     row shape, whether it is read, and where each read level goes in the
     output; a call only multiplies, so a (P,) point pays for no shape logic.
     """
     lengths = tuple(lengths)
-    if not lengths:
-        return lambda step: []
-    top = max(lengths)
-    if min(lengths) < 0:
+    if min(lengths, default=0) < 0:
         raise ValueError("sequence lengths must be >= 0")
     init = np.asarray(init)[..., None, :]  # (..., m**t, D) at level t
     d = init.shape[-1]
     # the empty sequence's probability, once per operator stack
-    empty = (init @ final).real if 0 in lengths else None
-    # per expanded level, its rows' shape and whether its probabilities
-    # are read; the top level's probabilities take the effect columns
-    expanded = [((m**t, d + 1), t in lengths) for t in range(1, top)]
-    last, effects = (m**top,), slice(d, None, d + 1)
+    empty = init @ final if 0 in lengths else None
+    # per level, its rows' shape and whether its probabilities are read
+    per_level = [((m**t, d + 1), t in lengths)
+                 for t in range(1, max(lengths, default=0) + 1)]
     at = {t: i for i, t in enumerate(sorted(set(lengths)))}
     order = [at[t] for t in lengths]  # each length's place among the read
     if order == list(range(len(order))):  # sorted distinct lengths
@@ -225,14 +220,11 @@ def forward_plan(m: int, init, final, lengths) -> Callable:
         product = np.matmul if lead else np.dot
         if empty is not None:
             levels.append(np.zeros(lead + (1,)) + empty)
-        for shape, read in expanded:
+        for shape, read in per_level:
             rows = product(states, step).reshape(lead + shape)
             if read:
-                levels.append(rows[..., d].real)
+                levels.append(rows[..., d])
             states = rows[..., :d]
-        if top:
-            levels.append(product(states, np.ascontiguousarray(step[..., effects]))
-                          .reshape(lead + last).real)
         return levels if order is None else [levels[i] for i in order]
 
     return run
@@ -251,14 +243,11 @@ def exact_tables(ops, init, final, lengths) -> dict[int, DistributionTable]:
     into [0, 1] with the values of min(max(p, 0), 1), signed zeros and NaN
     included; the empty sequence has probability 1."""
     lengths = sorted(set(int(t) for t in lengths))
-    if not lengths:
-        return {}
     m = len(ops)
-    check_table_budget(m, max(lengths))
-    vecs = forward_probs(ops, init, final, lengths)
+    check_table_budget(m, max(lengths, default=0))
     return {t: DistributionTable(t, m, np.arange(m**t),
                                  np.clip(vec, 0.0, 1.0) if t else np.ones(1))
-            for t, vec in zip(lengths, vecs)}
+            for t, vec in zip(lengths, forward_probs(ops, init, final, lengths))}
 
 
 def check_hankel_sides(m: int, max_prefix_len: int, max_suffix_len: int):
@@ -295,10 +284,10 @@ def hankel_blocks(levels, max_prefix_len: int, max_suffix_len: int,
     ``partial(forward_probs, ops, init, final)``. Since lex(ps) = lex(p) *
     m**j + lex(s), the block for prefix length i and suffix length j is the
     length-(i + j) vector reshaped to (m**i, m**j). The side budget is checked
-    before ``levels`` is called; with ``forward_probs`` the deepest expanded
-    level then holds m**(P+S-1) <= 2**15 rows of N**2 + 1 float64 entries,
-    (N**2 + 1) x 0.25 MiB, and every expanded level, whose product the
-    probabilities view, at most twice that."""
+    before ``levels`` is called; with ``forward_probs`` of (D, D) operators
+    the top level then holds m**(P+S) <= 511**2 rows (2**16 at m = 2) of
+    D + 1 float64 entries, (D + 1) x 1.99 MiB, and all levels, whose
+    products the probabilities view, at most (D + 1) x 2.0 MiB."""
     check_hankel_sides(m, max_prefix_len, max_suffix_len)
     vecs = levels(list(range(max_prefix_len + max_suffix_len + 1)))
     values = np.block([[vecs[i + j].reshape(m**i, m**j)

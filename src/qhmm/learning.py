@@ -249,13 +249,13 @@ class ChannelEngine:
     one holds their signs (``channels.real_transfer_offsets``), and one
     ``reduceat`` sums them into every entry. A (B, P) block of parameter
     vectors runs through the same path with a leading batch axis, in runs
-    of at most BLOCK_BYTES, and each row's result equals that vector's
-    alone bit for bit. ``line_probs`` gives the probabilities along one
-    angle from one such block.
+    of at most BLOCK_BYTES; each row's result equals that vector's alone and
+    each length's vector that length's alone, bit for bit. ``line_probs``
+    gives the probabilities along one angle from one such block.
 
     The forward plan of each tuple of lengths asked for is built once and
-    kept with the gather in one function of the parameters, so a call pays
-    only for ``unitary`` and the arithmetic.
+    kept, so a call pays only for ``unitary``, the gather and the
+    arithmetic.
 
     This is the hot path behind fitness and ansatz cost; the object-based
     route (AnsatzSpec.model / models.distribution_tables) computes the same
@@ -284,7 +284,7 @@ class ChannelEngine:
         self.row_bytes = 8 * k * width + 16 * (
             2 * k * width + 2 * k * self.gates.dim**2) + 8 * (
             2 * self.left.size + self.sums.size)
-        self._plans = {}  # lengths tuple -> its function of the parameters
+        self._plans = {}  # lengths tuple -> its forward plan
 
     def unitary(self, x) -> np.ndarray:
         return self.gates(x)
@@ -294,30 +294,19 @@ class ChannelEngine:
         (m**t,) for (P,) parameters, (B, m**t) for a (B, P) block."""
         x = np.asarray(x, dtype=float)
         lengths = tuple(lengths)
-        probs = self._plans.get(lengths) or self._plan(lengths)
+        forward = self._plans.get(lengths) or self._plans.setdefault(
+            lengths, forward_plan(self.n_symbols, self.rho0, self.trace, lengths))
         if x.ndim == 2 and len(x) > 1:
-            # plus the top level's probabilities and every expanded level's
-            # product, which its probabilities and the next states view
+            # plus every level's product, which its probabilities and the
+            # next states view: the top's, and at most twice the one below it
             m, top = self.n_symbols, max(lengths, default=0)
-            row = self.row_bytes + 8 * (m**top + 2 * m ** max(top - 1, 0)
-                                        * (self.dim_s**2 + 1))
+            row = self.row_bytes + 8 * (self.dim_s**2 + 1) * (
+                m**top + 2 * m ** max(top - 1, 0))
             runs = min(len(x), -(-len(x) * row // BLOCK_BYTES))
             if runs > 1:
-                pieces = [probs(rows) for rows in np.array_split(x, runs)]
+                pieces = [forward(self.step(rows)) for rows in np.array_split(x, runs)]
                 return [np.concatenate(level) for level in zip(*pieces)]
-        return probs(x)
-
-    def _plan(self, lengths: tuple):
-        """The function x -> level probabilities of ``lengths``, built once
-        per lengths and kept: ``unitary``, the step gather and the lengths'
-        forward plan."""
-        forward = forward_plan(self.n_symbols, self.rho0, self.trace, lengths)
-
-        def probs(x):
-            return forward(self._gather(self.unitary(x)))
-
-        self._plans[lengths] = probs
-        return probs
+        return forward(self.step(x))
 
     def line_probs(self, x, axis: int, lengths):
         """The concatenated level probabilities of (P,) parameters x as a
@@ -370,9 +359,7 @@ class ChannelEngine:
         ``lang.forward_plan`` at (P,) parameters or a (B, P) block: per
         symbol, its transfer matrix on ``hermitian_coordinates`` (row: input
         coordinate, column: output coordinate), then its effect column."""
-        return self._gather(self.unitary(x))
-
-    def _gather(self, u) -> np.ndarray:
+        u = self.unitary(x)
         lead = u.shape[:-2]
         flat = u.view(float).reshape(lead + self.flat_shape)
         terms = flat.take(self.left, axis=-1)

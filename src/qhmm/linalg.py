@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -237,3 +238,14 @@ def matrix_from_json(d: dict, where: str = "matrix") -> np.ndarray:
 
 def next_power_of_two(k: int) -> int:
     return 1 if k <= 1 else 2 ** math.ceil(math.log2(k))
+
+
+class FieldsEqual:
+    """``==`` of an eq=False dataclass: same type, fields equal, arrays by value."""
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(x, y) if np.ndarray in (type(x), type(y)) else x == y
+                   for x, y in pairs)

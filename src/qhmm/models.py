@@ -29,6 +29,7 @@ from .lang import (
     exact_tables,
 )
 from .linalg import (
+    FieldsEqual,
     SHOWN,
     as_matrix,
     check_density,
@@ -41,8 +42,8 @@ from .linalg import (
 )
 
 
-@dataclass
-class QhmmKraus:
+@dataclass(eq=False)
+class QhmmKraus(FieldsEqual):
     alphabet: list[str]
     channel: KrausChannel
     rho0: np.ndarray
@@ -65,8 +66,8 @@ class QhmmKraus:
         return self.channel.dim
 
 
-@dataclass
-class QhmmUnitary:
+@dataclass(eq=False)
+class QhmmUnitary(FieldsEqual):
     alphabet: list[str]
     dim_s: int
     dim_e: int

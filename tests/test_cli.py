@@ -383,9 +383,9 @@ def test_point_cost_runs_a_tree_against_itself():
             "monras_nm_fit", "nm_free", "gatestack_monras", "load_gaussian4_kraus",
             "load_gaussian4_dilated", "apply_symbol_g4", "classical_sample_g4",
             "tables_quantized", "tables_g4", "steady_state_g4",
-            "hankel_oracle_g4", "write_tables_market12",
+            "hankel_oracle_g4", "hankel_blocks_g4", "write_tables_market12",
             "divergence_market12"} <= cases
-    assert lines[-1] == "17 of 17 cases equal bit for bit"
+    assert lines[-1] == "18 of 18 cases equal bit for bit"
 
 
 def test_compare_outputs_verdicts():

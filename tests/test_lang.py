@@ -135,20 +135,22 @@ def test_exact_tables_stay_in_unit_interval(seed, market):
     assert list(classical.distribution(one, 0).items()) == [((), 1.0)]
 
 
+def _real_forward_inputs(lengths, lead):
+    """Real operators, step, init and final for 3 symbols and D = 4."""
+    rng = np.random.default_rng(sum(lengths) + len(lead))
+    m, d = 3, 4
+    return (m, rng.normal(size=lead + (m, d, d)),
+            rng.normal(size=lead + (d, m * (d + 1))),
+            rng.normal(size=d), rng.normal(size=d))
+
+
 @pytest.mark.parametrize("lengths", [[2, 0, 2, 1], [3, 3], [0, 0], [1, 3, 0, 2, 1]])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["point", "block"])
 def test_forward_levels_repeated_unsorted_and_zero_lengths(lengths, lead):
     # a repeated, unsorted or zero length changes no bit: each vector is the
-    # one its length gets among the sorted distinct lengths, and a stack's
-    # rows are their operators' vectors alone. The deepest length and length
-    # 0 are also the single-length call's bits; a shallower level is read
-    # from the full augmented product, which BLAS may round differently
-    # from the deepest level's effect columns alone
-    rng = np.random.default_rng(sum(lengths) + len(lead))
-    m, d = 3, 4
-    ops = rng.normal(size=lead + (m, d, d)) + 1j * rng.normal(size=lead + (m, d, d))
-    step = rng.normal(size=lead + (d, m * (d + 1))) + 0j
-    init, final = rng.normal(size=d) + 0j, rng.normal(size=d) + 0j
+    # one its length gets among the sorted distinct lengths and the one it
+    # gets alone, and a stack's rows are their operators' vectors alone
+    m, ops, step, init, final = _real_forward_inputs(lengths, lead)
     distinct = sorted(set(lengths))
     for run, stack in ((forward_probs, ops), (forward_levels, step)):
         vecs = run(stack, init, final, lengths)
@@ -156,11 +158,7 @@ def test_forward_levels_repeated_unsorted_and_zero_lengths(lengths, lead):
         by_len = dict(zip(distinct, run(stack, init, final, distinct)))
         for t, vec in zip(lengths, vecs):
             assert np.array_equal(vec, by_len[t])
-            alone = run(stack, init, final, [t])[0]
-            if t in (0, max(lengths)):
-                assert np.array_equal(vec, alone)
-            else:
-                assert np.allclose(vec, alone, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(vec, run(stack, init, final, [t])[0])
         for i in range(lead[0] if lead else 0):
             rows = run(stack[i], init, final, lengths)
             assert all(np.array_equal(v[i], w) for v, w in zip(vecs, rows))
@@ -187,15 +185,12 @@ def _forward_levels_before_plan(step, init, final, lengths):
     states = np.asarray(init)[..., None, :]
     levels = [None] * (top + 1)
     if not low:
-        levels[0] = np.zeros(lead + (1,)) + (states @ final).real
-    for t in range(1, top):
+        levels[0] = np.zeros(lead + (1,)) + states @ final
+    for t in range(1, top + 1):
         rows = (states @ step).reshape(lead + (m**t, d + 1))
         if t in lengths:
-            levels[t] = rows[..., d].real
+            levels[t] = rows[..., d]
         states = rows[..., :d]
-    if top:
-        effects = np.ascontiguousarray(step[..., d::d + 1])
-        levels[top] = (states @ effects).reshape(lead + (m**top,)).real
     return [levels[t] for t in lengths]
 
 
@@ -205,11 +200,7 @@ def test_forward_plan_keeps_the_bits_of_the_recursion_before_it(lengths, lead):
     # the inputs of test_forward_levels_repeated_unsorted_and_zero_lengths:
     # forward_probs and forward_levels give the bits they gave when the
     # recursion worked out its levels on every call
-    rng = np.random.default_rng(sum(lengths) + len(lead))
-    m, d = 3, 4
-    ops = rng.normal(size=lead + (m, d, d)) + 1j * rng.normal(size=lead + (m, d, d))
-    step = rng.normal(size=lead + (d, m * (d + 1))) + 0j
-    init, final = rng.normal(size=d) + 0j, rng.normal(size=d) + 0j
+    _, ops, step, init, final = _real_forward_inputs(lengths, lead)
     for run, before, stack in ((forward_probs, _forward_probs_before_plan, ops),
                                (forward_levels, _forward_levels_before_plan, step)):
         got, want = run(stack, init, final, lengths), before(stack, init, final, lengths)
@@ -253,6 +244,43 @@ def test_engine_plan_is_bound_to_the_lengths_asked(lengths):
     assert same(engine.level_probs(xs[0], tuple(lengths)),
                 _forward_levels_before_plan(engine.step(xs[0]), engine.rho0,
                                             engine.trace, lengths))
+
+
+def test_every_length_gets_the_bits_it_gets_alone(market, gaussian4):
+    # one product per level: a length's probabilities are the same products
+    # whether it is asked alone or beside longer lengths, in exact tables of
+    # classical and Kraus models and in the engine, for a point and a block,
+    # and every level is float64
+    from qhmm.experiments import MARKET_ANSATZ
+    from qhmm.learning import AnsatzSpec
+    from qhmm.circuits import efficient_su2
+
+    for kind, model, top in ((models, models.quantize_classical(market), 12),
+                             (models, models.quantize_classical(gaussian4), 6),
+                             (classical, market, 12), (classical, gaussian4, 6)):
+        joint = kind.distribution_tables(model, range(1, top + 1))
+        for t in range(1, top + 1):
+            alone = kind.distribution(model, t)
+            assert alone.values.dtype == joint[t].values.dtype == np.float64
+            assert np.array_equal(alone.values, joint[t].values), t
+    for ops, init, final in (classical.forward_operators(market),
+                             models.forward_operators(models.quantize_classical(market))):
+        assert all(vec.dtype == np.float64
+                   for vec in forward_probs(ops, init, final, [0, 1, 2]))
+    monras = AnsatzSpec(efficient_su2(3, 3, "full", "RZ_RX"), 2, 4, ("0", "1", "2", "3"))
+    # a 4-dimensional state space, D = 16: a product by the effect columns
+    # alone rounds differently from the full step's there
+    wide = AnsatzSpec(efficient_su2(3, 1), 4, 2, ("0", "1"))
+    for spec, lengths in ((monras, (1, 2, 3, 4)), (MARKET_ANSATZ, tuple(range(1, 9))),
+                          (wide, tuple(range(1, 9)))):
+        engine = spec.engine()
+        xs = np.random.default_rng(len(lengths)).uniform(
+            0.0, 2 * np.pi, size=(5, engine.gates.n_params))
+        for x in (xs[0], xs):
+            levels = engine.level_probs(x, lengths)
+            assert all(vec.dtype == np.float64 for vec in levels)
+            for t, vec in zip(lengths, levels):
+                assert np.array_equal(engine.level_probs(x, [t])[0], vec), t
 
 
 def test_hankel_construction_oracle(damping_qhmm):

@@ -388,6 +388,39 @@ def test_qhmm_json_round_trip_unitary(damping_model):
         assert abs(d1.prob(seq) - d2.prob(seq)) < 1e-14
 
 
+def test_models_compare_by_value(market):
+    # == compares by value, not by raising on the arrays: the same type and
+    # every field equal, arrays entry by entry; one array entry, the
+    # alphabet or a register field apart reads unequal
+    from dataclasses import replace
+
+    def nudged(a):  # one entry moved, well inside every tolerance
+        a = a.copy()
+        a.flat[0] += 1e-13
+        return a
+
+    kraus, unitary = quantize_classical(market), models.amplitude_damping_model(0.3)
+    relabel = {"0": "0'", "1": "1'"}  # all three models emit "0" and "1"
+    for model, twin, apart in (
+            (market, classical.market_model(),
+             [replace(market, x0=nudged(market.x0)),
+              replace(market, alphabet=list(relabel.values()))]),
+            (kraus, quantize_classical(classical.market_model()),
+             [replace(kraus, rho0=nudged(kraus.rho0)),
+              QhmmKraus(list(relabel.values()), KrausChannel(kraus.dim, {
+                  relabel[a]: ops for a, ops in kraus.channel.groups.items()}),
+                  kraus.rho0)]),
+            (unitary, models.amplitude_damping_model(0.3),
+             [replace(unitary, u=nudged(unitary.u)),
+              replace(unitary, alphabet=list(relabel.values()),
+                      symbol_map=tuple(relabel[a] for a in unitary.symbol_map)),
+              replace(unitary, e0=1), replace(unitary, reset_mode="carry")])):
+        assert model == twin and not model != twin and model is not twin
+        assert all(model != other and not model == other for other in apart)
+        assert model != "model"
+    assert market != kraus and kraus != unitary and unitary != market
+
+
 def test_invariants_rejected():
     with pytest.raises(ValueError):
         QhmmUnitary(
